@@ -26,6 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
+import numpy as np
+
 from . import leakage
 from .errors import (
     AllInfinitePrior,
@@ -42,6 +44,9 @@ _FLOAT_ZERO = 1e-13
 
 #: Hard cap on kernels visited by one exhaustive enumeration.
 _ENUMERATION_CAP = 2_000_000
+
+#: Kernels evaluated per batched step of an exhaustive grid; bounds memory.
+_BLOCK = 1 << 16
 
 
 class RandomizedFunction(Channel):
@@ -264,13 +269,6 @@ def _lattice_rows(n_cols: int, resolution: int) -> list:
     ]
 
 
-def _vertex_rows(n_cols: int) -> list:
-    return [
-        tuple(Fraction(1) if j == i else Fraction(0) for j in range(n_cols))
-        for i in range(n_cols)
-    ]
-
-
 def _support_indicator_rows(posterior: Sequence[Number]) -> Optional[tuple]:
     """Binary kernel flagging the posterior's support; certifies infinite cost.
 
@@ -285,21 +283,124 @@ def _support_indicator_rows(posterior: Sequence[Number]) -> Optional[tuple]:
     )
 
 
+def _is_exhaustive(n_x: int, u_size: int, cfg: SearchConfig) -> bool:
+    return n_x * u_size <= cfg.exhaustive_limit
+
+
+def _check_budget(n_x: int, cfg: SearchConfig) -> None:
+    """Reject a search whose exhaustive part exceeds the cap, before any work.
+
+    The enumerators below rely on this check having passed.
+    """
+    for u_size in range(2, cfg.max_u + 1):
+        if _is_exhaustive(n_x, u_size, cfg):
+            count = math.comb(cfg.resolution - 2 + u_size, u_size - 1) ** n_x
+            if count > _ENUMERATION_CAP:
+                raise BudgetExceeded(f"exhaustive grid would visit {count} kernels")
+
+
+def _kernel_blocks(n_x: int, u_size: int, cfg: SearchConfig) -> Iterator[np.ndarray]:
+    """The kernels of guess alphabet ``u_size``, in search order.
+
+    Each block is a ``(K, n_x)`` array of row indices into
+    ``_lattice_rows(u_size, cfg.resolution)``.  Exhaustive grids follow
+    ``itertools.product`` order in blocks of at most ``_BLOCK`` kernels.
+    Sampled grids give the deterministic kernels (when there are at most
+    4096) and then ``max_iterations`` seeded draws.
+    """
+    den = cfg.resolution - 1
+    n_rows = math.comb(den + u_size - 1, u_size - 1)
+    if _is_exhaustive(n_x, u_size, cfg):
+        total = n_rows**n_x
+        place = n_rows ** np.arange(n_x - 1, -1, -1)
+        for start in range(0, total, _BLOCK):
+            flat = np.arange(start, min(start + _BLOCK, total))
+            yield flat[:, None] // place % n_rows
+        return
+    if u_size**n_x <= 4096:
+        comps = list(_compositions(den, u_size))
+        corners = [(0,) * i + (den,) + (0,) * (u_size - 1 - i) for i in range(u_size)]
+        vertices = np.array([comps.index(c) for c in corners])
+        yield vertices[np.indices((u_size,) * n_x).reshape(n_x, -1).T]
+    rng = random.Random(cfg.seed * 1_000_003 + u_size * 101 + n_x)
+    draws = [rng.choice(range(n_rows)) for _ in range(cfg.max_iterations * n_x)]
+    yield np.array(draws).reshape(cfg.max_iterations, n_x)
+
+
 def _iter_kernels(n_x: int, u_size: int, cfg: SearchConfig) -> Iterator[tuple]:
     rows = _lattice_rows(u_size, cfg.resolution)
-    if n_x * u_size <= cfg.exhaustive_limit:
-        if len(rows) ** n_x > _ENUMERATION_CAP:
-            raise BudgetExceeded(
-                f"exhaustive grid would visit {len(rows) ** n_x} kernels"
+    for block in _kernel_blocks(n_x, u_size, cfg):
+        for kernel in block.tolist():
+            yield tuple(rows[i] for i in kernel)
+
+
+def _max_mass(weights: Sequence, lattice: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Largest guess mass of every kernel in ``block``.
+
+    The pushes accumulate secret by secret, in the order of :func:`_push`,
+    so float masses carry the same rounding as the per-kernel definition.
+    """
+    acc = weights[0] * lattice[block[:, 0]]
+    for x in range(1, len(weights)):
+        acc = acc + weights[x] * lattice[block[:, x]]
+    return acc.max(axis=1)
+
+
+def _float_scan(prior_w, post_w, rows: list):
+    """Block scanner for float weights.
+
+    Applies the branches of :func:`_error_probability` and
+    :func:`_error_ratio` to a whole block, raising for the first kernel that
+    they would reject.  Returns ``scan(block) -> (best level in the block,
+    first index attaining it)``.
+    """
+    lattice = np.array(rows, dtype=float)
+    p = [float(w) for w in prior_w]
+    q = [float(w) for w in post_w]
+
+    def scan(block):
+        raw_p = 1.0 - _max_mass(p, lattice, block)
+        raw_q = 1.0 - _max_mass(q, lattice, block)
+        err_p = np.where(raw_p < _FLOAT_ZERO, 0.0, raw_p)
+        err_q = np.where(raw_q < _FLOAT_ZERO, 0.0, raw_q)
+        bad = (raw_p < -1e-9) | (raw_q < -1e-9) | ((err_p == 0) & (err_q != 0))
+        if bad.any():
+            k = int(np.argmax(bad))
+            for raw in (raw_p[k], raw_q[k]):
+                if raw < -1e-9:
+                    raise ValueError(f"guess masses exceed one: error {float(raw)!r}")
+            raise ValueError("prior error vanished while posterior error did not")
+        ratio = np.divide(
+            err_p, err_q, out=np.where(err_p == 0, 1.0, np.inf), where=err_q != 0
+        )
+        k = int(np.argmax(ratio))
+        if err_q[k] == 0:
+            return (ZERO if err_p[k] == 0 else INF), k
+        return ExtReal.from_ratio(float(ratio[k])), k
+
+    return scan
+
+
+def _exact_scan(prior_w, post_w, rows: list):
+    """Block scanner for rational weights: each kernel from its definition.
+
+    Evaluates :func:`_lambda_from_rows` kernel by kernel, in ``Fraction``
+    arithmetic, and returns ``scan(block) -> (best level in the block, first
+    index attaining it)`` like :func:`_float_scan`.
+    """
+    u_size = len(rows[0])
+
+    def scan(block):
+        best, best_k = None, 0
+        for k, kernel in enumerate(block.tolist()):
+            value = _lambda_from_rows(
+                prior_w, post_w, tuple(rows[i] for i in kernel), u_size
             )
-        yield from itertools.product(rows, repeat=n_x)
-        return
-    vertices = _vertex_rows(u_size)
-    if u_size**n_x <= 4096:
-        yield from itertools.product(vertices, repeat=n_x)
-    rng = random.Random(cfg.seed * 1_000_003 + u_size * 101 + n_x)
-    for _ in range(cfg.max_iterations):
-        yield tuple(rng.choice(rows) for _ in range(n_x))
+            if best is None or value > best:
+                best, best_k = value, k
+        return best, best_k
+
+    return scan
 
 
 def brute_force_pmc(joint: Joint, y: int, cfg: SearchConfig) -> ExtReal:
@@ -320,6 +421,13 @@ class OracleCertificate:
     oracle_value: ExtReal
     witness: RandomizedFunction
     gap_nats: float
+    #: One ``(u, kernels visited, exhaustive)`` triple per guess alphabet.
+    kernels_visited: tuple = ()
+
+    @property
+    def witness_u(self) -> int:
+        """Size of the guess alphabet at which the witness was found."""
+        return self.witness.n_outputs
 
     @property
     def dominance_ok(self) -> bool:
@@ -344,10 +452,17 @@ class OracleCertificate:
 
 
 def certify_pmc(joint: Joint, y: int, cfg: SearchConfig) -> OracleCertificate:
-    """Run the grid search and report it against the closed form."""
+    """Run the grid search and report it against the closed form.
+
+    Each guess alphabet is scanned in blocks of kernels: in numpy when any
+    weight is a float, kernel by kernel in ``Fraction`` arithmetic when all
+    are rational.  Both give the value and the first maximizing kernel of
+    the per-kernel definition.
+    """
     prior_w = joint.prior.weights
     post_w = joint.posterior(y)
     n_x = len(prior_w)
+    _check_budget(n_x, cfg)
 
     constant = tuple((Fraction(1),) for _ in range(n_x))
     best = _lambda_from_rows(prior_w, post_w, constant, 1)
@@ -359,12 +474,23 @@ def certify_pmc(joint: Joint, y: int, cfg: SearchConfig) -> OracleCertificate:
         if value > best:
             best, best_rows = value, indicator
 
-    if indicator is None or best.is_finite:
-        for u_size in range(2, cfg.max_u + 1):
-            for rows in _iter_kernels(n_x, u_size, cfg):
-                value = _lambda_from_rows(prior_w, post_w, rows, u_size)
+    searched = indicator is None or best.is_finite
+    exact = all(isinstance(w, Fraction) for w in prior_w + post_w)
+    visited = []
+    for u_size in range(2, cfg.max_u + 1):
+        count = 0
+        if searched:
+            rows = _lattice_rows(u_size, cfg.resolution)
+            if exact:
+                scan = _exact_scan(prior_w, post_w, rows)
+            else:
+                scan = _float_scan(prior_w, post_w, rows)
+            for block in _kernel_blocks(n_x, u_size, cfg):
+                count += len(block)
+                value, k = scan(block)
                 if value > best:
-                    best, best_rows = value, rows
+                    best, best_rows = value, tuple(rows[i] for i in block[k].tolist())
+        visited.append((u_size, count, _is_exhaustive(n_x, u_size, cfg)))
 
     closed = leakage.pmc(joint, y)
     if closed.is_finite and best.is_finite:
@@ -373,7 +499,9 @@ def certify_pmc(joint: Joint, y: int, cfg: SearchConfig) -> OracleCertificate:
         gap = math.inf
     else:
         gap = 0.0
-    return OracleCertificate(closed, best, RandomizedFunction(best_rows), gap)
+    return OracleCertificate(
+        closed, best, RandomizedFunction(best_rows), gap, tuple(visited)
+    )
 
 
 def brute_force_guesswork_leakage(joint: Joint, y: int, cfg: SearchConfig) -> ExtReal:
@@ -386,6 +514,9 @@ def brute_force_guesswork_leakage(joint: Joint, y: int, cfg: SearchConfig) -> Ex
     prior_w = joint.prior.weights
     post_w = joint.posterior(y)
     n_x = len(prior_w)
+    _check_budget(n_x, cfg)
+    if cfg.max_u > 7:
+        raise BudgetExceeded(f"guesswork enumerates {cfg.max_u}! orders; alphabet too large")
     best = ZERO
     for u_size in range(2, cfg.max_u + 1):
         for rows in _iter_kernels(n_x, u_size, cfg):

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -194,6 +195,23 @@ class TestOracle:
         assert payload["closed_form"] == "inf"
         assert payload["oracle_value"] == "inf"
         assert payload["gap"] == 0.0
+
+
+    @pytest.mark.parametrize("unit", ("nats", "bits"))
+    @pytest.mark.parametrize(
+        "doc, recorded, args",
+        [
+            ("rational_3x3", "rational_3x3_grid5", ["--y", "2", "--mode", "rational", "--grid", "5", "--max-u", "3"]),
+            ("float_2x3", "float_2x3_grid11", ["--y", "0", "--grid", "11"]),
+        ],
+    )
+    def test_output_bytes_match_recorded_fixture(self, doc, recorded, args, unit, tmp_path):
+        """Certificates recorded from the per-kernel search must not change."""
+        fixtures = Path(__file__).parent / "fixtures" / "oracle"
+        out = tmp_path / "cert.json"
+        argv = ["oracle", "--input", str(fixtures / f"{doc}.json"), *args]
+        assert main([*argv, "--unit", unit, "--output", str(out)]) == 0
+        assert out.read_bytes() == (fixtures / f"{recorded}_{unit}.json").read_bytes()
 
 
 class TestMechanismDump:

@@ -1,3 +1,6 @@
+import collections
+import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -21,11 +24,24 @@ from infodens import (
     cost_function_leakage,
     guesswork_leakage,
     kernel_from_cost,
+    oracles,
     pmc,
     randomized_function_leakage,
 )
-from infodens.errors import AllInfinitePrior, KTooSmall, NormalizationDegenerate
-from infodens.sampling import random_cost, random_joint, random_kernel
+from infodens.errors import (
+    AllInfinitePrior,
+    BudgetExceeded,
+    KTooSmall,
+    NormalizationDegenerate,
+)
+from infodens.oracles import _lattice_rows
+from infodens.sampling import (
+    random_channel,
+    random_cost,
+    random_joint,
+    random_kernel,
+    random_pmf,
+)
 
 HALF = Fraction(1, 2)
 
@@ -309,3 +325,156 @@ class TestPreProcessingClosure:
             induced = Joint.from_prior_channel(Pmf(tuple(marginal)), Channel(rows))
             for y in j.support:
                 assert pmc(induced, y).nats <= pmc(j, y).nats + 1e-10
+
+
+def _reference_kernels(n_x, u_size, cfg):
+    """The grid of guess alphabet ``u_size``, enumerated from its definition."""
+    rows = _lattice_rows(u_size, cfg.resolution)
+    if n_x * u_size <= cfg.exhaustive_limit:
+        yield from itertools.product(rows, repeat=n_x)
+        return
+    vertices = [
+        tuple(Fraction(int(i == j)) for j in range(u_size)) for i in range(u_size)
+    ]
+    if u_size**n_x <= 4096:
+        yield from itertools.product(vertices, repeat=n_x)
+    rng = random.Random(cfg.seed * 1_000_003 + u_size * 101 + n_x)
+    for _ in range(cfg.max_iterations):
+        yield tuple(rng.choice(rows) for _ in range(n_x))
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel(rows):
+    return RandomizedFunction(rows)
+
+
+def _reference_scan(joint, y, cfg):
+    """Best randomized-function leakage, one kernel at a time, and its kernel."""
+    post = joint.posterior(y)
+    n_x = joint.n_inputs
+    candidates = [((Fraction(1),),) * n_x]
+    if any(q == 0 for q in post):
+        candidates.append(
+            tuple((Fraction(1), Fraction(0)) if q > 0 else (HALF, HALF) for q in post)
+        )
+    best, best_rows = None, None
+    for rows in candidates:
+        value = randomized_function_leakage(joint, y, _kernel(rows))
+        if best is None or value > best:
+            best, best_rows = value, rows
+    if len(candidates) == 1 or best.is_finite:
+        for u_size in range(2, cfg.max_u + 1):
+            for rows in _reference_kernels(n_x, u_size, cfg):
+                value = randomized_function_leakage(joint, y, _kernel(rows))
+                if value > best:
+                    best, best_rows = value, rows
+    return best, best_rows
+
+
+def _differential_cases(count):
+    rng = random.Random(20261018)
+    for _ in range(count):
+        kind = rng.choice(("float", "exact", "mixed"))
+        n_x = rng.choice((1, 2, 2, 3, 3, 4))
+        zero_prob = rng.choice((0.0, 0.0, 0.4))
+        if kind == "mixed":
+            prior = random_pmf(rng, n_x, exact=True)
+            channel = random_channel(rng, n_x, rng.randint(2, 3), zero_prob=zero_prob)
+            joint = Joint.from_prior_channel(prior, channel)
+        else:
+            joint = random_joint(
+                rng, n_x, rng.randint(2, 3), exact=kind == "exact", zero_prob=zero_prob
+            )
+        # keep every exhaustive grid at most a few hundred kernels
+        resolution = rng.randint(3, {1: 6, 2: 6, 3: 3, 4: 3}[n_x])
+        cfg = SearchConfig(
+            resolution=resolution,
+            max_u=3,
+            max_iterations=rng.randint(1, 25),
+            seed=rng.randrange(1000),
+            # a low limit samples small alphabets, where vertex kernels often win
+            exhaustive_limit=rng.choice((9, 9, 4)),
+        )
+        yield kind, joint, rng.choice(joint.support), cfg
+
+
+class TestBatchedGridSearch:
+    def test_matches_per_kernel_definition(self):
+        kinds = collections.Counter()
+        for kind, joint, y, cfg in _differential_cases(300):
+            cert = certify_pmc(joint, y, cfg)
+            value, rows = _reference_scan(joint, y, cfg)
+            kinds[kind] += 1
+            kinds["zeros"] += any(q == 0 for q in joint.posterior(y))
+            kinds["sampled"] += joint.n_inputs * cfg.max_u > cfg.exhaustive_limit
+            if kind == "mixed":
+                # a Fraction prior pushed in float rounds differently in the last bits
+                assert cert.oracle_value.nats == pytest.approx(value.nats, rel=1e-12)
+                continue
+            assert cert.oracle_value == value
+            assert type(cert.oracle_value.ratio) is type(value.ratio)
+            assert cert.witness.rows == rows
+        assert min(kinds[k] for k in ("float", "exact", "mixed", "zeros", "sampled")) >= 20
+
+    def test_rejects_the_same_kernel_as_the_definition(self):
+        # a prior mass below the float zero guard clears the prior error of a
+        # vertex kernel but not its posterior error
+        prior = Pmf((1 - 1e-14, 1e-14))
+        channel = Channel(((1e-20, 1 - 1e-20), (0.5, 0.5)))
+        joint = Joint.from_prior_channel(prior, channel)
+        cfg = SearchConfig(resolution=5, max_u=3)
+        with pytest.raises(ValueError) as reference:
+            _reference_scan(joint, 0, cfg)
+        with pytest.raises(ValueError) as batched:
+            certify_pmc(joint, 0, cfg)
+        assert str(batched.value) == str(reference.value)
+
+    def test_block_size_does_not_change_the_certificate(self, monkeypatch):
+        rng = random.Random(3)
+        cfg = SearchConfig(resolution=6, max_u=3)
+        joints = [random_joint(rng, 2, 3, exact=exact) for exact in (False, True)]
+        expected = [certify_pmc(j, 0, cfg) for j in joints]
+        monkeypatch.setattr(oracles, "_BLOCK", 7)
+        for joint, cert in zip(joints, expected):
+            blocked = certify_pmc(joint, 0, cfg)
+            assert blocked.oracle_value == cert.oracle_value
+            assert type(blocked.oracle_value.ratio) is type(cert.oracle_value.ratio)
+            assert blocked.witness == cert.witness
+            assert blocked.kernels_visited == cert.kernels_visited
+
+    def test_kernels_visited_per_guess_alphabet(self):
+        rng = random.Random(8)
+        for n_x, resolution in ((2, 6), (3, 5), (4, 3)):
+            joint = random_joint(rng, n_x, 3)
+            cfg = SearchConfig(resolution=resolution, max_u=3, max_iterations=40)
+            cert = certify_pmc(joint, 0, cfg)
+            expected = []
+            for u_size in (2, 3):
+                if n_x * u_size <= cfg.exhaustive_limit:
+                    count = math.comb(resolution - 2 + u_size, u_size - 1) ** n_x
+                    expected.append((u_size, count, True))
+                else:
+                    expected.append((u_size, u_size**n_x + cfg.max_iterations, False))
+            assert cert.kernels_visited == tuple(expected)
+            assert cert.witness_u == len(cert.witness.rows[0])
+            assert "kernels_visited" not in cert.to_dict()
+
+    def test_indicator_short_circuits_the_grid(self, zero_entry_joint):
+        cert = certify_pmc(zero_entry_joint, 0, SearchConfig(resolution=5, max_u=3))
+        assert cert.kernels_visited == ((2, 0, True), (3, 0, True))
+        assert cert.witness_u == 2
+
+    def test_budgets_checked_before_any_kernel(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a kernel was evaluated")
+
+        for name in ("_lambda_from_rows", "_max_mass", "_push"):
+            monkeypatch.setattr(oracles, name, fail)
+        j = random_joint(random.Random(12), 3, 2)
+        huge = SearchConfig(resolution=40, max_u=3)
+        with pytest.raises(BudgetExceeded):
+            certify_pmc(j, 0, huge)
+        with pytest.raises(BudgetExceeded):
+            brute_force_guesswork_leakage(j, 0, huge)
+        with pytest.raises(BudgetExceeded):
+            brute_force_guesswork_leakage(j, 0, SearchConfig(resolution=3, max_u=8))
