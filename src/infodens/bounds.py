@@ -20,13 +20,7 @@ from typing import Tuple
 
 from .errors import InvalidPmin
 from .probcore import INF, ZERO, ExtReal, Joint, Number, as_level
-from .leakage import (
-    Guarantee,
-    GuaranteeKind,
-    guarantee_level,
-    max_realizable_cost,
-    _max_pml,
-)
+from .leakage import Guarantee, GuaranteeKind, all_guarantee_levels
 
 _LN2 = math.log(2.0)
 
@@ -267,9 +261,10 @@ def verify_boundedness_equivalence(joint: Joint) -> bool:
     the channel satisfies LDP with a finite parameter, and a finite cost
     level forces a finite leakage level.  Returns True when both hold.
     """
-    pmc_finite = max_realizable_cost(joint).is_finite
-    ldp_finite = guarantee_level(joint, GuaranteeKind.LDP).eps.is_finite
-    pml_finite = _max_pml(joint).is_finite
+    levels = all_guarantee_levels(joint)
+    pmc_finite = levels["pmc"].eps.is_finite
+    ldp_finite = levels["ldp"].eps.is_finite
+    pml_finite = levels["pml"].eps.is_finite
     if pmc_finite != ldp_finite:
         return False
     if pmc_finite and not pml_finite:

@@ -1,7 +1,8 @@
 """Leakage measures of a finite joint distribution.
 
-Everything here reduces to the order-infinity divergence between the prior
-and a posterior (or between kernel rows):
+Everything here is an order-infinity divergence between the prior and a
+posterior (or between kernel rows), and each reduces to the smallest and
+largest channel entry of a column (:func:`column_stats`):
 
 * ``pmc``  -- pointwise maximal cost, the largest multiplicative drop in a
   risk-averse adversary's minimal expected cost after seeing one outcome;
@@ -20,12 +21,14 @@ marginal; outcomes with zero mass never contribute.
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import UndefinedOutcome
-from .probcore import INF, ZERO, ExtReal, Joint, as_level, max_divergence
+from .probcore import INF, ZERO, ExtReal, Joint, as_level
 
 _LN2 = math.log(2.0)
 
@@ -33,6 +36,32 @@ _LN2 = math.log(2.0)
 # ---------------------------------------------------------------------------
 # Pointwise measures
 # ---------------------------------------------------------------------------
+
+
+def column_stats(joint: Joint) -> tuple:
+    """The smallest and the largest channel entry of each column, as ``(lo, hi)``.
+
+    With the output marginal ``m_y`` these give every finite level: PMC(y) is
+    ``m_y / lo_y``, PML(y) is ``hi_y / m_y``, LDP is the largest
+    ``hi_y / lo_y`` and the maximal cost leakage is ``1 / sum_y lo_y``.
+    Division is monotone (exactly for rationals, after correct rounding for
+    floats), so each equals the extremum of the per-entry ratios.
+    """
+    return tuple((min(col), max(col)) for col in zip(*joint.channel.rows))
+
+
+def _pmc_level(m, lo) -> ExtReal:
+    return INF if lo == 0 else ExtReal.from_ratio(m / lo)
+
+
+def _pml_level(m, hi) -> ExtReal:
+    return ExtReal.from_ratio(hi / m)
+
+
+def _column(joint: Joint, y: int) -> tuple:
+    if isinstance(y, bool) or y not in joint.posteriors:
+        raise UndefinedOutcome(f"outcome {y!r} is not in the support")
+    return joint.channel.column(y)
 
 
 def pmc(joint: Joint, y: int) -> ExtReal:
@@ -43,18 +72,8 @@ def pmc(joint: Joint, y: int) -> ExtReal:
     when some channel entry in the column is zero (the adversary can then be
     certain some secret value did not occur).
     """
-    if y not in joint.posteriors:
-        raise UndefinedOutcome(f"outcome {y} has zero marginal mass")
-    m = joint.marginal[y]
-    best = None
-    for row in joint.channel.rows:
-        c = row[y]
-        if c == 0:
-            return INF
-        ratio = m / c
-        if best is None or ratio > best:
-            best = ratio
-    return ExtReal.from_ratio(best)
+    col = _column(joint, y)
+    return _pmc_level(joint.marginal[y], min(col))
 
 
 def pml(joint: Joint, y: int) -> ExtReal:
@@ -62,11 +81,8 @@ def pml(joint: Joint, y: int) -> ExtReal:
 
     ``log max_x P(x|y) / P(x)``; always finite for a full-support prior.
     """
-    if y not in joint.posteriors:
-        raise UndefinedOutcome(f"outcome {y} has zero marginal mass")
-    m = joint.marginal[y]
-    best = max(row[y] for row in joint.channel.rows)
-    return ExtReal.from_ratio(best / m)
+    col = _column(joint, y)
+    return _pml_level(joint.marginal[y], max(col))
 
 
 def conditional_pmc(
@@ -79,6 +95,8 @@ def conditional_pmc(
     ``P(y|x,z)``).  The value is the divergence of the z-conditioned prior
     from the (y, z)-conditioned posterior.
     """
+    if isinstance(z, bool) or (isinstance(z, int) and z < 0):
+        raise UndefinedOutcome(f"side information {z!r} is not an index")
     try:
         conditioned = joints_by_z[z]
     except (KeyError, IndexError):
@@ -156,57 +174,41 @@ def format_level(level: ExtReal, unit: str = "nats"):
     return "inf" if value == math.inf else value
 
 
-def _max_pmc(joint: Joint) -> ExtReal:
-    return max(pmc(joint, y) for y in joint.support)
-
-
-def _max_pml(joint: Joint) -> ExtReal:
-    return max(pml(joint, y) for y in joint.support)
-
-
-def _ldp_level(joint: Joint) -> ExtReal:
+def _ldp_level(stats: tuple) -> ExtReal:
     """Largest log-likelihood ratio of the channel across input pairs.
 
-    The quantification runs over draws of two independent secrets, i.e. over
-    the support of the prior; full-support priors make that every row pair.
+    The largest ratio of two entries of a column is its max over its min, so
+    the search over row pairs is one pass over the columns.  All-zero columns
+    never contribute (0/0 = 1); a zero beside a positive entry is infinite.
     """
-    rows = joint.channel.rows
-    n = len(rows)
-    if n == 1:
-        return ZERO
     best = ZERO
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            d = max_divergence(rows[a], rows[b])
-            if d > best:
-                best = d
-                if not best.is_finite:
-                    return best
+    for lo, hi in stats:
+        if lo == 0 < hi:
+            return INF
+        if lo != 0 and hi / lo > best.ratio:
+            best = ExtReal.from_ratio(hi / lo)
     return best
 
 
 def guarantee_level(joint: Joint, kind: Union[GuaranteeKind, str]) -> Guarantee:
     """Smallest parameter for which the joint satisfies the given guarantee."""
-    if isinstance(kind, str):
-        kind = GuaranteeKind(kind.lower())
-    if kind is GuaranteeKind.PML:
-        return Guarantee(kind, eps=_max_pml(joint))
-    if kind is GuaranteeKind.PMC:
-        return Guarantee(kind, eps=_max_pmc(joint))
-    if kind is GuaranteeKind.ALIP:
-        return Guarantee(kind, eps_l=_max_pmc(joint), eps_u=_max_pml(joint))
-    if kind is GuaranteeKind.LIP:
-        return Guarantee(kind, eps=max(_max_pmc(joint), _max_pml(joint)))
-    if kind is GuaranteeKind.LDP:
-        return Guarantee(kind, eps=_ldp_level(joint))
-    raise ValueError(f"unknown guarantee kind: {kind!r}")  # pragma: no cover
+    kind = GuaranteeKind(kind.lower() if isinstance(kind, str) else kind)
+    return all_guarantee_levels(joint)[kind.value]
 
 
 def all_guarantee_levels(joint: Joint) -> dict:
     """All five guarantee levels at once, keyed by kind name."""
-    return {k.value: guarantee_level(joint, k) for k in GuaranteeKind}
+    stats = column_stats(joint)
+    rows = _profile_rows(joint, stats)
+    eps_l = max(r.pmc for r in rows)
+    eps_u = max(r.pml for r in rows)
+    return {
+        "pml": Guarantee(GuaranteeKind.PML, eps=eps_u),
+        "pmc": Guarantee(GuaranteeKind.PMC, eps=eps_l),
+        "lip": Guarantee(GuaranteeKind.LIP, eps=max(eps_l, eps_u)),
+        "alip": Guarantee(GuaranteeKind.ALIP, eps_l=eps_l, eps_u=eps_u),
+        "ldp": Guarantee(GuaranteeKind.LDP, eps=_ldp_level(stats)),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -221,29 +223,23 @@ def max_cost_leakage(joint: Joint) -> ExtReal:
     most the expected pointwise maximal cost, with equality only when the
     pointwise values are constant over the support (Jensen gap).
     """
-    cols = joint.channel.n_outputs
-    total = None
-    for y in range(cols):
-        m = min(row[y] for row in joint.channel.rows)
-        total = m if total is None else total + m
-    if total == 0:
-        return INF
-    return ExtReal.from_ratio(1 / total)
+    # A plain left-to-right sum: Python 3.12's sum() compensates float rounding.
+    total = functools.reduce(operator.add, (lo for lo, _ in column_stats(joint)))
+    return INF if total == 0 else ExtReal.from_ratio(1 / total)
 
 
 def max_realizable_cost(joint: Joint) -> ExtReal:
     """Worst-outcome risk-averse leakage: the largest pointwise maximal cost."""
-    return _max_pmc(joint)
+    return max(r.pmc for r in _profile_rows(joint, column_stats(joint)))
 
 
 def expected_pmc(joint: Joint) -> float:
     """Expected pointwise maximal cost over the output marginal, in nats."""
     acc = 0.0
-    for y in joint.support:
-        level = pmc(joint, y)
-        if not level.is_finite:
+    for r in _profile_rows(joint, column_stats(joint)):
+        if not r.pmc.is_finite:
             return math.inf
-        acc += float(joint.marginal[y]) * level.nats
+        acc += r.mass * r.pmc.nats
     return acc
 
 
@@ -308,11 +304,13 @@ def _csv_number(v: float) -> str:
     return repr(float(v))
 
 
+def _profile_rows(joint: Joint, stats: tuple) -> tuple:
+    rows = []
+    for y in joint.support:
+        m, (lo, hi) = joint.marginal[y], stats[y]
+        rows.append(OutcomeLeakage(y, float(m), _pmc_level(m, lo), _pml_level(m, hi)))
+    return tuple(rows)
+
+
 def leakage_profile(joint: Joint) -> LeakageProfile:
-    rows = tuple(
-        OutcomeLeakage(
-            y=y, mass=float(joint.marginal[y]), pmc=pmc(joint, y), pml=pml(joint, y)
-        )
-        for y in joint.support
-    )
-    return LeakageProfile(rows)
+    return LeakageProfile(_profile_rows(joint, column_stats(joint)))

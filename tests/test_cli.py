@@ -84,6 +84,21 @@ class TestAnalyze:
         )
         assert main(["analyze", "--input", str(doc), "--output", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("unit", ("nats", "bits"))
+    @pytest.mark.parametrize(
+        "doc, mode",
+        [("float_zeros_3x4", "float"), ("float_4x3", "float"), ("rational_3x3", "rational")],
+    )
+    def test_output_bytes_match_recorded_fixture(self, doc, mode, unit, tmp_path):
+        """Profiles and levels recorded from the pairwise LDP code must not change."""
+        fixtures = Path(__file__).parent / "fixtures" / "analyze"
+        out = tmp_path / "out"
+        argv = ["analyze", "--input", str(fixtures / f"{doc}.json"), "--mode", mode]
+        assert main([*argv, "--unit", unit, "--output", str(out)]) == 0
+        for name in ("profile.csv", "levels.json"):
+            recorded = fixtures / f"{doc}_{unit}_{name}"
+            assert (out / name).read_bytes() == recorded.read_bytes()
+
 
 class TestTranslate:
     def test_pml_source(self, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -12,6 +13,8 @@ from infodens import (
     Joint,
     Pmf,
     ZERO,
+    ExtReal,
+    all_guarantee_levels,
     conditional_pmc,
     expected_pmc,
     guarantee_level,
@@ -22,6 +25,7 @@ from infodens import (
     pmc,
     pml,
 )
+from infodens.bounds import verify_boundedness_equivalence
 from infodens.errors import UndefinedOutcome
 from infodens.sampling import random_joint
 
@@ -48,6 +52,12 @@ class TestPmc:
         j = Joint.from_prior_channel(Pmf((1, 1)), Channel(((1, 0), (1, 0))))
         with pytest.raises(UndefinedOutcome):
             pmc(j, 1)
+
+    @pytest.mark.parametrize("measure", (pmc, pml))
+    def test_bool_and_negative_outcomes_rejected(self, binary_symmetric_joint, measure):
+        for y in (True, False, -1, 2):
+            with pytest.raises(UndefinedOutcome):
+                measure(binary_symmetric_joint, y)
 
 
 class TestPml:
@@ -106,6 +116,20 @@ class TestConditionalPmc:
     def test_missing_side_information(self, binary_symmetric_joint):
         with pytest.raises(UndefinedOutcome):
             conditional_pmc({0: binary_symmetric_joint}, 0, 3)
+
+    def test_negative_side_information_does_not_wrap(
+        self, binary_symmetric_joint, independent_joint
+    ):
+        family = [independent_joint, binary_symmetric_joint]
+        with pytest.raises(UndefinedOutcome):
+            conditional_pmc(family, 0, -1)
+
+    def test_bool_side_information_rejected(self, binary_symmetric_joint):
+        family = [binary_symmetric_joint, binary_symmetric_joint]
+        with pytest.raises(UndefinedOutcome):
+            conditional_pmc(family, 0, True)
+        with pytest.raises(UndefinedOutcome):
+            conditional_pmc(family, True, 0)
 
 
 class TestGuaranteeLevel:
@@ -229,3 +253,156 @@ class TestGuaranteeType:
     def test_serialization_inf_token(self):
         g = Guarantee(GuaranteeKind.PMC, eps=INF)
         assert g.to_dict()["eps_nats"] == "inf"
+
+
+# ---------------------------------------------------------------------------
+# Column reduction against the definitions
+# ---------------------------------------------------------------------------
+
+
+def _ref_pmc(joint, y):
+    """Largest prior-to-posterior ratio, one secret value at a time."""
+    m = joint.marginal[y]
+    best = None
+    for row in joint.channel.rows:
+        if row[y] == 0:
+            return INF
+        ratio = m / row[y]
+        if best is None or ratio > best:
+            best = ratio
+    return ExtReal.from_ratio(best)
+
+
+def _ref_pml(joint, y):
+    """Largest posterior-to-prior ratio, one secret value at a time."""
+    m = joint.marginal[y]
+    best = None
+    for row in joint.channel.rows:
+        ratio = row[y] / m
+        if best is None or ratio > best:
+            best = ratio
+    return ExtReal.from_ratio(best)
+
+
+def _ref_ldp(joint):
+    """Largest order-infinity divergence between two channel rows."""
+    rows = joint.channel.rows
+    best = ZERO
+    for a, b in itertools.permutations(range(len(rows)), 2):
+        d = max_divergence(rows[a], rows[b])
+        if d > best:
+            best = d
+    return best
+
+
+def _ref_levels(joint):
+    eps_l = max(_ref_pmc(joint, y) for y in joint.support)
+    eps_u = max(_ref_pml(joint, y) for y in joint.support)
+    return {
+        "pml": Guarantee(GuaranteeKind.PML, eps=eps_u),
+        "pmc": Guarantee(GuaranteeKind.PMC, eps=eps_l),
+        "lip": Guarantee(GuaranteeKind.LIP, eps=max(eps_l, eps_u)),
+        "alip": Guarantee(GuaranteeKind.ALIP, eps_l=eps_l, eps_u=eps_u),
+        "ldp": Guarantee(GuaranteeKind.LDP, eps=_ref_ldp(joint)),
+    }
+
+
+def _ref_max_cost_leakage(joint):
+    total = None
+    for y in range(joint.n_outputs):
+        lo = min(row[y] for row in joint.channel.rows)
+        total = lo if total is None else total + lo
+    return INF if total == 0 else ExtReal.from_ratio(1 / total)
+
+
+def _ref_expected_pmc(joint):
+    acc = 0.0
+    for y in joint.support:
+        level = _ref_pmc(joint, y)
+        if not level.is_finite:
+            return math.inf
+        acc += float(joint.marginal[y]) * level.nats
+    return acc
+
+
+def _assert_same_level(got, want):
+    assert got == want
+    assert type(got.ratio) is type(want.ratio)
+
+
+def _random_case(rng):
+    """A joint with zero entries, all-zero columns, repeated rows or one row."""
+    n_x, n_y = rng.randint(1, 9), rng.randint(1, 9)
+    exact = rng.random() < 0.5
+    zero_prob = rng.choice((0.0, 0.2, 0.5))
+    dead = set()
+    if rng.random() < 0.3:
+        dead = set(rng.sample(range(n_y), rng.randint(0, n_y - 1)))
+    live = [y for y in range(n_y) if y not in dead]
+    rows = []
+    for _ in range(n_x):
+        if exact or rng.random() < 0.5:
+            weights = [rng.randint(1, 12) for _ in range(n_y)]
+        else:
+            weights = [rng.choice((1e-300, rng.random())) for _ in range(n_y)]
+        for y in range(n_y):
+            if y in dead or rng.random() < zero_prob:
+                weights[y] = 0
+        if not any(weights):
+            weights[rng.choice(live)] = 1
+        total = sum(weights)
+        rows.append(tuple(Fraction(w) / total if exact else w / total for w in weights))
+    if n_x > 1 and rng.random() < 0.2:
+        rows = [rows[0]] * n_x
+    # A prior of the other backend mixes float and rational arithmetic.
+    if rng.random() < 0.2:
+        exact = not exact
+    prior = [Fraction(rng.randint(1, 20)) if exact else rng.uniform(0.05, 1.0) for _ in range(n_x)]
+    return Joint.from_prior_channel(Pmf(tuple(prior)), Channel(tuple(rows)))
+
+
+class TestColumnReductionMatchesDefinitions:
+    def test_levels_profile_and_aggregates_identical(self):
+        rng = random.Random(20240611)
+        kinds = set()
+        for _ in range(1200):
+            j = _random_case(rng)
+            got = all_guarantee_levels(j)
+            want = _ref_levels(j)
+            assert list(got) == list(want)
+            for name, g in got.items():
+                for attr in ("eps", "eps_l", "eps_u"):
+                    if getattr(want[name], attr) is not None:
+                        _assert_same_level(getattr(g, attr), getattr(want[name], attr))
+                assert guarantee_level(j, name) == g
+            assert (got["ldp"].eps is ZERO) == (want["ldp"].eps is ZERO)
+
+            profile = leakage_profile(j).rows
+            assert [r.y for r in profile] == list(j.support)
+            for r in profile:
+                assert r.mass == float(j.marginal[r.y])
+                _assert_same_level(r.pmc, _ref_pmc(j, r.y))
+                _assert_same_level(r.pml, _ref_pml(j, r.y))
+                _assert_same_level(pmc(j, r.y), _ref_pmc(j, r.y))
+                _assert_same_level(pml(j, r.y), _ref_pml(j, r.y))
+
+            _assert_same_level(max_cost_leakage(j), _ref_max_cost_leakage(j))
+            _assert_same_level(max_realizable_cost(j), want["pmc"].eps)
+            assert expected_pmc(j) == _ref_expected_pmc(j)
+
+            pmc_finite = want["pmc"].eps.is_finite
+            assert verify_boundedness_equivalence(j) == (
+                pmc_finite == want["ldp"].eps.is_finite
+                and (want["pml"].eps.is_finite or not pmc_finite)
+            )
+            kinds.add((
+                j.channel.is_exact,
+                j.prior.is_exact,
+                j.n_inputs == 1,
+                want["ldp"].eps is ZERO,
+                want["ldp"].eps.is_finite,
+                len(j.support) < j.n_outputs,
+            ))
+        # Every regime the generator aims at was drawn at least once.
+        for i in range(6):
+            assert {k[i] for k in kinds} == {True, False}
