@@ -19,10 +19,8 @@ from fractions import Fraction
 from typing import Tuple
 
 from .errors import InvalidPmin
-from .probcore import INF, ZERO, ExtReal, Joint, Number, as_level
+from .probcore import _LN2, INF, ZERO, ExtReal, Joint, Number, as_level
 from .leakage import Guarantee, GuaranteeKind, all_guarantee_levels
-
-_LN2 = math.log(2.0)
 
 
 def _check_pmin(p_min: Number) -> Number:

@@ -29,9 +29,7 @@ from . import bounds, leakage, mechanisms, oracles, properties
 from .errors import InfodensError, ParseError
 from .leakage import Guarantee, format_level
 from .oracles import SearchConfig
-from .probcore import Joint
-
-_LN2 = math.log(2.0)
+from .probcore import _LN2, Joint
 
 
 @dataclass(frozen=True)

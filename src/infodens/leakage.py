@@ -28,9 +28,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import UndefinedOutcome
-from .probcore import INF, ZERO, ExtReal, Joint, as_level
-
-_LN2 = math.log(2.0)
+from .probcore import _LN2, INF, ZERO, ExtReal, Joint, as_level
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence, Tuple, Union
 
-import numpy as np
-from scipy import integrate, special
-
 from .errors import (
     CgfUnavailable,
     DimensionMismatch,
@@ -200,6 +197,8 @@ def discrete_law(points: Sequence[float], probs: Sequence[float]) -> BoundedLaw:
 
 
 def _quad_density(integrand, lo: float, hi: float, kink: Optional[float]) -> float:
+    from scipy import integrate
+
     points = [kink] if kink is not None and lo < kink < hi else None
     value, abserr = integrate.quad(
         integrand,
@@ -324,6 +323,8 @@ class LaplaceMeanMechanism:
     def _pmc_monte_carlo(self, y: float, seed: int, samples: int) -> float:
         if self.law.sampler is None:
             raise ValueError("the input law needs a sampler for Monte Carlo")
+        import numpy as np
+
         rng = np.random.default_rng(seed)
         data = np.asarray(self.law.sampler(rng, (samples, self.n)), dtype=float)
         dens = np.exp(-np.abs(y - data.mean(axis=1)) / self.b) / (2.0 * self.b)
@@ -407,6 +408,9 @@ class GaussianPerturbMechanism:
         return math.log(f_y) - math.log(f_floor)
 
     def _pmc_uniform_vectorized(self, ys: np.ndarray) -> np.ndarray:
+        import numpy as np
+        from scipy import special
+
         s = self.sigma
         lo, hi = self.law.lo, self.law.hi
         mass = special.ndtr((ys - lo) / s) - special.ndtr((ys - hi) / s)
@@ -430,6 +434,8 @@ class GaussianPerturbMechanism:
         """
         if self.law.family != "uniform":
             raise ValueError("tail sampling implemented for uniform input laws")
+        import numpy as np
+
         rng = np.random.default_rng(seed)
         xs = self.law.sampler(rng, (n_samples,))
         ys = xs + rng.normal(0.0, self.sigma, n_samples)

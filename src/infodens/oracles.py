@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-import numpy as np
-
 from . import leakage
 from .errors import (
     AllInfinitePrior,
@@ -147,8 +145,11 @@ def _error_ratio(prior_err: Number, post_err: Number) -> ExtReal:
     if post_err == 0:
         return ZERO if prior_err == 0 else INF
     if prior_err == 0:
-        # Unreachable for full-support priors: a guess that is a.s. correct a
-        # priori stays a.s. correct a posteriori.
+        # A guess that is a.s. correct a priori stays a.s. correct a
+        # posteriori.  With float errors this is rounding, such as a prior
+        # error below _FLOAT_ZERO clipped to zero: read it as 0/0, ratio one.
+        if isinstance(prior_err, float) or isinstance(post_err, float):
+            return ZERO
         raise ValueError("prior error vanished while posterior error did not")
     return ExtReal.from_ratio(prior_err / post_err)
 
@@ -308,6 +309,8 @@ def _kernel_blocks(n_x: int, u_size: int, cfg: SearchConfig) -> Iterator[np.ndar
     Sampled grids give the deterministic kernels (when there are at most
     4096) and then ``max_iterations`` seeded draws.
     """
+    import numpy as np
+
     den = cfg.resolution - 1
     n_rows = math.comb(den + u_size - 1, u_size - 1)
     if _is_exhaustive(n_x, u_size, cfg):
@@ -354,6 +357,8 @@ def _float_scan(prior_w, post_w, rows: list):
     they would reject.  Returns ``scan(block) -> (best level in the block,
     first index attaining it)``.
     """
+    import numpy as np
+
     lattice = np.array(rows, dtype=float)
     p = [float(w) for w in prior_w]
     q = [float(w) for w in post_w]
@@ -363,19 +368,22 @@ def _float_scan(prior_w, post_w, rows: list):
         raw_q = 1.0 - _max_mass(q, lattice, block)
         err_p = np.where(raw_p < _FLOAT_ZERO, 0.0, raw_p)
         err_q = np.where(raw_q < _FLOAT_ZERO, 0.0, raw_q)
-        bad = (raw_p < -1e-9) | (raw_q < -1e-9) | ((err_p == 0) & (err_q != 0))
+        bad = (raw_p < -1e-9) | (raw_q < -1e-9)
         if bad.any():
             k = int(np.argmax(bad))
-            for raw in (raw_p[k], raw_q[k]):
-                if raw < -1e-9:
-                    raise ValueError(f"guess masses exceed one: error {float(raw)!r}")
-            raise ValueError("prior error vanished while posterior error did not")
+            raw = raw_p[k] if raw_p[k] < -1e-9 else raw_q[k]
+            raise ValueError(f"guess masses exceed one: error {float(raw)!r}")
         ratio = np.divide(
-            err_p, err_q, out=np.where(err_p == 0, 1.0, np.inf), where=err_q != 0
+            err_p,
+            err_q,
+            out=np.where(err_p == 0, 1.0, np.inf),
+            where=(err_p != 0) & (err_q != 0),
         )
         k = int(np.argmax(ratio))
+        if err_p[k] == 0:
+            return ZERO, k
         if err_q[k] == 0:
-            return (ZERO if err_p[k] == 0 else INF), k
+            return INF, k
         return ExtReal.from_ratio(float(ratio[k])), k
 
     return scan

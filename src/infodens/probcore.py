@@ -407,10 +407,8 @@ class Joint:
 
     def posterior(self, y: int) -> tuple:
         """The conditional law of the secret given outcome ``y``."""
-        try:
-            return self.posteriors[y]
-        except KeyError:
-            raise UndefinedOutcome(f"outcome {y} has zero marginal mass") from None
+        _check_outcome(self, y)
+        return self.posteriors[y]
 
     def joint_mass(self, x: int, y: int) -> Number:
         return self.prior[x] * self.channel.rows[x][y]
@@ -426,13 +424,19 @@ def joint_from(prior: Pmf, channel: Channel) -> Joint:
 # ---------------------------------------------------------------------------
 
 
+def _check_outcome(joint: Joint, y: int) -> None:
+    if isinstance(y, bool) or y not in joint.posteriors:
+        raise UndefinedOutcome(f"outcome {y!r} has zero marginal mass")
+
+
 def density_ratio(joint: Joint, x: int, y: int) -> Number:
     """The ratio ``P(y|x) / P(y)`` whose log is the information density.
 
     Exact for rational joints.  Returns 0 when the channel entry is zero.
     """
-    if y not in joint.posteriors:
-        raise UndefinedOutcome(f"outcome {y} has zero marginal mass")
+    _check_outcome(joint, y)
+    if isinstance(x, bool) or not 0 <= x < joint.n_inputs:
+        raise UndefinedOutcome(f"secret {x!r} is not an index")
     num = joint.channel.rows[x][y]
     den = joint.marginal[y]
     if num == 0:

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import infodens
 from infodens.cli import main
 
 
@@ -312,3 +316,107 @@ class TestDeterminism:
             )
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+
+# ---------------------------------------------------------------------------
+# Import cost: numpy and scipy load only on the paths that use them
+# ---------------------------------------------------------------------------
+
+_DOCS = {
+    "rr.json": {"family": "rr", "n": 2, "eps_ratio": "3", "prior": [0.5, 0.5]},
+    "laplace.json": {"family": "laplace_mean", "interval": [0, 1], "count": 1, "scale": 1.0},
+    "gaussian.json": {"family": "gaussian", "amplitude": 1, "sigma": 1},
+}
+_FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _fresh_run(args, cwd, code=0):
+    """Run ``python -X importtime *args`` in a new interpreter.
+
+    Checks the exit code and returns the set of heavy packages (numpy,
+    scipy) that the run imported, read from the import-time report on stderr.
+    """
+    src = str(Path(infodens.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    loaded = {
+        line.rsplit("|", 1)[1].strip().split(".")[0]
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert proc.returncode == code, proc.stderr[-2000:]
+    return loaded & {"numpy", "scipy"}
+
+
+class TestLazyImports:
+    def test_package_import_loads_neither(self, tmp_path):
+        assert _fresh_run(["-c", "import infodens"], tmp_path) == set()
+
+    @pytest.mark.parametrize(
+        "argv, code, heavy",
+        [
+            (["translate", "--pml", "0.1", "--pmin", "0.5"], 0, set()),
+            (["sweep", "--pmin", "0.2", "--steps", "10", "--output", "sw"], 0, set()),
+            (["analyze", "--input", str(_FIXTURES / "analyze" / "float_4x3.json"), "--output", "an"], 0, set()),
+            (["props", "--instances", "5"], 0, set()),
+            (["mechanism", "--input", "rr.json"], 0, set()),
+            (["mechanism", "--input", "laplace.json"], 0, set()),
+            (["mechanism", "--input", "gaussian.json"], 0, set()),
+            (["oracle", "--input", str(_FIXTURES / "oracle" / "float_2x3.json"), "--y", "0", "--grid", "5"], 0, {"numpy"}),
+            (["analyze", "--input", "malformed.json", "--output", "bad"], 2, set()),
+        ],
+        ids=[
+            "translate", "sweep", "analyze", "props", "mechanism-rr",
+            "mechanism-laplace", "mechanism-gaussian", "oracle", "malformed",
+        ],
+    )
+    def test_cli_loads_only_what_it_uses(self, argv, code, heavy, tmp_path):
+        for name, doc in _DOCS.items():
+            (tmp_path / name).write_text(json.dumps(doc))
+        (tmp_path / "malformed.json").write_text("{not json")
+        assert _fresh_run(["-m", "infodens.cli", *argv], tmp_path, code) == heavy
+
+    @pytest.mark.parametrize(
+        "snippet, heavy",
+        [
+            (
+                "assert 0 < infodens.LaplaceMeanMechanism(0.0, 1.0, 1, 1.0).pmc_at(0.5) < 1\n"
+                "assert infodens.GaussianPerturbMechanism(1.0, 1.0).pmc_at(0.5) > 0",
+                {"numpy", "scipy"},
+            ),
+            (
+                "m = infodens.LaplaceMeanMechanism(0.0, 1.0, 2, 1.0)\n"
+                "assert 0 < m.pmc_at(0.5, mc_samples=20_000) < m.sup_pmc()",
+                {"numpy"},
+            ),
+            (
+                "m = infodens.GaussianPerturbMechanism(1.0, 1.0)\n"
+                "freq, _ = m.tail_frequency(1.0, n_samples=10_000)\n"
+                "assert freq <= m.tail_bound(1.0)",
+                {"numpy", "scipy"},
+            ),
+            (
+                "j = infodens.Joint.from_prior_channel(\n"
+                "    infodens.Pmf((0.5, 0.5)), infodens.Channel(((0.75, 0.25), (0.25, 0.75))))\n"
+                "assert infodens.certify_pmc(j, 0, infodens.SearchConfig(resolution=5, max_u=2)).dominance_ok",
+                {"numpy"},
+            ),
+            (
+                "from fractions import Fraction as F\n"
+                "j = infodens.Joint.from_prior_channel(infodens.Pmf((F(1, 2), F(1, 2))),\n"
+                "    infodens.Channel(((F(3, 4), F(1, 4)), (F(1, 4), F(3, 4)))))\n"
+                "assert infodens.certify_pmc(j, 0, infodens.SearchConfig(resolution=5, max_u=2)).gap_nats == 0",
+                {"numpy"},
+            ),
+        ],
+        ids=["quadrature", "monte-carlo", "tail-frequency", "certify-float", "certify-exact"],
+    )
+    def test_lazy_path_runs_from_fresh_interpreter(self, snippet, heavy, tmp_path):
+        assert _fresh_run(["-c", "import infodens\n" + snippet], tmp_path) == heavy

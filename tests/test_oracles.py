@@ -416,18 +416,39 @@ class TestBatchedGridSearch:
             assert cert.witness.rows == rows
         assert min(kinds[k] for k in ("float", "exact", "mixed", "zeros", "sampled")) >= 20
 
-    def test_rejects_the_same_kernel_as_the_definition(self):
+    def test_vanishing_prior_error_matches_the_definition(self):
         # a prior mass below the float zero guard clears the prior error of a
         # vertex kernel but not its posterior error
         prior = Pmf((1 - 1e-14, 1e-14))
         channel = Channel(((1e-20, 1 - 1e-20), (0.5, 0.5)))
         joint = Joint.from_prior_channel(prior, channel)
         cfg = SearchConfig(resolution=5, max_u=3)
-        with pytest.raises(ValueError) as reference:
-            _reference_scan(joint, 0, cfg)
-        with pytest.raises(ValueError) as batched:
-            certify_pmc(joint, 0, cfg)
-        assert str(batched.value) == str(reference.value)
+        value, rows = _reference_scan(joint, 0, cfg)
+        cert = certify_pmc(joint, 0, cfg)
+        assert cert.oracle_value == value
+        assert cert.witness.rows == rows
+
+    @pytest.mark.parametrize("resolution", (5, 11))
+    def test_vanishing_prior_error_agrees_with_exact_backend(self, resolution):
+        tiny, tinier = Fraction(1, 10**14), Fraction(1, 10**20)
+        exact = Joint.from_prior_channel(
+            Pmf((1 - tiny, tiny)),
+            Channel(((tinier, 1 - tinier), (Fraction(1, 2), Fraction(1, 2)))),
+        )
+        floats = Joint.from_prior_channel(
+            Pmf((1 - 1e-14, 1e-14)), Channel(((1e-20, 1 - 1e-20), (0.5, 0.5)))
+        )
+        cfg = SearchConfig(resolution=resolution, max_u=2)
+        want = certify_pmc(exact, 0, cfg)
+        got = certify_pmc(floats, 0, cfg)
+        assert got.oracle_value.nats == pytest.approx(want.oracle_value.nats, rel=1e-9)
+        assert got.witness.rows == want.witness.rows
+        assert got.dominance_ok and want.dominance_ok
+
+    def test_vanishing_prior_error_still_raises_for_rationals(self):
+        with pytest.raises(ValueError, match="prior error vanished"):
+            oracles._error_ratio(Fraction(0), Fraction(1, 3))
+        assert oracles._error_ratio(0.0, 2e-6) == ZERO
 
     def test_block_size_does_not_change_the_certificate(self, monkeypatch):
         rng = random.Random(3)

@@ -226,6 +226,17 @@ class TestInfoDensity:
         with pytest.raises(UndefinedOutcome):
             info_density(j, 0, 1)
 
+    @pytest.mark.parametrize("x, y", [(True, 0), (-1, 0), (2, 0), (0, True), (0, -1)])
+    def test_rejects_non_index_arguments(self, binary_symmetric_joint, x, y):
+        for fn in (density_ratio, info_density):
+            with pytest.raises(UndefinedOutcome):
+                fn(binary_symmetric_joint, x, y)
+
+    @pytest.mark.parametrize("y", (True, False, -1, 2))
+    def test_posterior_rejects_non_index_outcomes(self, binary_symmetric_joint, y):
+        with pytest.raises(UndefinedOutcome):
+            binary_symmetric_joint.posterior(y)
+
     def test_equals_posterior_prior_log_ratio(self, binary_symmetric_joint):
         j = binary_symmetric_joint
         for y in j.support:
