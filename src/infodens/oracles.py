@@ -24,6 +24,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import getitem
 from typing import Iterator, Optional, Sequence
 
 from . import leakage
@@ -34,7 +35,7 @@ from .errors import (
     KTooSmall,
     NormalizationDegenerate,
 )
-from .probcore import INF, ZERO, Channel, ExtReal, Joint, Number
+from .probcore import _LN2, INF, ZERO, Channel, ExtReal, Joint, Number
 
 #: Float error probabilities at or below this are treated as exact zeros when
 #: applying the 0/0 = 1 convention; the rational backend needs no such guard.
@@ -100,7 +101,6 @@ class SearchConfig:
     resolution: int = 11
     max_u: int = 3
     max_iterations: int = 2000
-    k: int = 4096
     seed: int = 0
     exhaustive_limit: int = 9
 
@@ -109,8 +109,6 @@ class SearchConfig:
             raise ValueError("resolution must be at least 2")
         if self.max_u < 2:
             raise ValueError("max_u must be at least 2")
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
@@ -154,7 +152,69 @@ def _error_ratio(prior_err: Number, post_err: Number) -> ExtReal:
     return ExtReal.from_ratio(prior_err / post_err)
 
 
+def _all_fractions(*vectors) -> bool:
+    return all(isinstance(e, Fraction) for v in vectors for e in v)
+
+
+def _int_masses(rows: Sequence[Sequence[Fraction]], *weight_vectors) -> list:
+    """The weighted rows in integers: one ``(table, one)`` per weight vector.
+
+    Scales the rows by the LCM of their denominators and each weight vector
+    by the LCM of its own; ``one`` is the product of the two scales.  Then
+    ``table[x][i][u] == weights[x] * rows[i][u] * one`` exactly, so the guess
+    masses of a kernel that gives secret ``x`` row ``kernel[x]`` are Python
+    int sums (:func:`_kernel_masses`) in units of ``1 / one``.  Python ints
+    never overflow, however far the denominators grow.
+    """
+    r_scale = math.lcm(*(e.denominator for row in rows for e in row))
+    int_rows = [[e.numerator * (r_scale // e.denominator) for e in row] for row in rows]
+    out = []
+    for weights in weight_vectors:
+        w_scale = math.lcm(*(w.denominator for w in weights))
+        int_weights = [w.numerator * (w_scale // w.denominator) for w in weights]
+        table = [[[w * e for e in row] for row in int_rows] for w in int_weights]
+        out.append((table, w_scale * r_scale))
+    return out
+
+
+def _kernel_masses(table: list, kernel: Sequence[int]) -> list:
+    """Integer guess masses of one kernel, summed secret by secret."""
+    return list(map(sum, zip(*map(getitem, table, kernel))))
+
+
+def _exact_scan(prior_w, post_w, rows: list, kernels) -> tuple:
+    """Best randomized-function level over ``kernels``, in integer arithmetic.
+
+    ``kernels`` yields tuples of indices into ``rows``.  Each kernel is
+    evaluated from its definition: its prior and posterior errors are ``one -
+    max(masses)`` over the masses of :func:`_int_masses`, with the branches
+    of :func:`_error_ratio`, and two levels compare by cross-multiplication.
+    Only the winner's errors become ``Fraction`` objects.  Returns ``(best level, first
+    kernel attaining it, kernels visited)``.
+    """
+    (tab_p, one_p), (tab_q, one_q) = _int_masses(rows, prior_w, post_w)
+    best_a = best_b = best_kernel = None
+    count = 0
+    for kernel in kernels:
+        count += 1
+        a = one_p - max(_kernel_masses(tab_p, kernel))
+        b = one_q - max(_kernel_masses(tab_q, kernel))
+        if b == 0:
+            if a == 0:
+                a, b = one_p, one_q  # 0/0 reads as ratio one
+        elif a == 0:
+            raise ValueError("prior error vanished while posterior error did not")
+        # (a, 0) is the infinite level: it beats every finite one and ties itself
+        if best_kernel is None or a * best_b > best_a * b:
+            best_a, best_b, best_kernel = a, b, kernel
+    value = _error_ratio(Fraction(best_a, one_p), Fraction(best_b, one_q))
+    return value, best_kernel, count
+
+
 def _lambda_from_rows(prior_w, post_w, kernel_rows, n_out: int) -> ExtReal:
+    """One kernel's level: in Python ints when every number is a ``Fraction``."""
+    if _all_fractions(prior_w, post_w, *kernel_rows):
+        return _exact_scan(prior_w, post_w, kernel_rows, (range(len(kernel_rows)),))[0]
     pu = _push(prior_w, kernel_rows, n_out)
     pu_y = _push(post_w, kernel_rows, n_out)
     return _error_ratio(_error_probability(pu), _error_probability(pu_y))
@@ -220,16 +280,42 @@ def cost_function_leakage(joint: Joint, y: int, cost: CostFunction) -> ExtReal:
 
 
 def _min_guesswork(masses: Sequence[Number]) -> Number:
-    """Smallest expected number of sequential guesses, by trying every order."""
+    """Smallest expected number of sequential guesses.
+
+    Guessing in order of decreasing mass is optimal (Massey, "Guessing and
+    entropy", ISIT 1994).  Alphabets above seven symbols are rejected, as
+    a search budget.
+    """
     n = len(masses)
     if n > 7:
-        raise BudgetExceeded(f"guesswork enumerates {n}! orders; alphabet too large")
-    best = None
-    for perm in itertools.permutations(range(n)):
-        cost = sum((i + 1) * masses[perm[i]] for i in range(n))
-        if best is None or cost < best:
-            best = cost
-    return best
+        raise BudgetExceeded(f"guesswork allows at most 7 guess symbols, got {n}")
+    return sum((i + 1) * m for i, m in enumerate(sorted(masses, reverse=True)))
+
+
+def _exact_guesswork_scan(prior_w, post_w, rows: list, kernels) -> ExtReal:
+    """Best guesswork level over ``kernels``, in integer arithmetic.
+
+    Like :func:`_exact_scan`: the guessworks of both sides are integers in
+    units of ``1 / one``, compared by cross-multiplication; only the winner
+    becomes a ``Fraction``.
+    """
+    (tab_p, one_p), (tab_q, one_q) = _int_masses(rows, prior_w, post_w)
+    best_g = best_h = None
+    for kernel in kernels:
+        g = _min_guesswork(_kernel_masses(tab_p, kernel))
+        h = _min_guesswork(_kernel_masses(tab_q, kernel))
+        if best_g is None or g * best_h > best_g * h:
+            best_g, best_h = g, h
+    return ExtReal.from_ratio(Fraction(best_g * one_q, best_h * one_p))
+
+
+def _guesswork_from_rows(prior_w, post_w, kernel_rows, n_out: int) -> ExtReal:
+    """One kernel's guesswork level, like :func:`_lambda_from_rows`."""
+    if _all_fractions(prior_w, post_w, *kernel_rows):
+        return _exact_guesswork_scan(prior_w, post_w, kernel_rows, (range(len(kernel_rows)),))
+    pu = _push(prior_w, kernel_rows, n_out)
+    pu_y = _push(post_w, kernel_rows, n_out)
+    return ExtReal.from_ratio(_min_guesswork(pu) / _min_guesswork(pu_y))
 
 
 def guesswork_leakage(joint: Joint, y: int, kernel: Channel) -> ExtReal:
@@ -243,10 +329,9 @@ def guesswork_leakage(joint: Joint, y: int, kernel: Channel) -> ExtReal:
         raise DimensionMismatch(
             f"kernel has {kernel.n_inputs} rows, prior has {len(joint.prior)} outcomes"
         )
-    posterior = joint.posterior(y)
-    pu = _push(joint.prior.weights, kernel.rows, kernel.n_outputs)
-    pu_y = _push(posterior, kernel.rows, kernel.n_outputs)
-    return ExtReal.from_ratio(_min_guesswork(pu) / _min_guesswork(pu_y))
+    return _guesswork_from_rows(
+        joint.prior.weights, joint.posterior(y), kernel.rows, kernel.n_outputs
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -300,41 +385,71 @@ def _check_budget(n_x: int, cfg: SearchConfig) -> None:
                 raise BudgetExceeded(f"exhaustive grid would visit {count} kernels")
 
 
-def _kernel_blocks(n_x: int, u_size: int, cfg: SearchConfig) -> Iterator[np.ndarray]:
-    """The kernels of guess alphabet ``u_size``, in search order.
+def _grid_shape(n_x: int, u_size: int, cfg: SearchConfig) -> tuple:
+    """``(number of lattice rows, vertex row indices or None, draws or None)``.
 
-    Each block is a ``(K, n_x)`` array of row indices into
-    ``_lattice_rows(u_size, cfg.resolution)``.  Exhaustive grids follow
-    ``itertools.product`` order in blocks of at most ``_BLOCK`` kernels.
-    Sampled grids give the deterministic kernels (when there are at most
-    4096) and then ``max_iterations`` seeded draws.
+    Exhaustive grids have no vertices and no draws.  Sampled grids give the
+    vertex kernels (when there are at most 4096) and ``max_iterations``
+    seeded draws of ``n_x`` row indices each, flattened kernel by kernel.
     """
-    import numpy as np
-
     den = cfg.resolution - 1
     n_rows = math.comb(den + u_size - 1, u_size - 1)
     if _is_exhaustive(n_x, u_size, cfg):
+        return n_rows, None, None
+    vertices = None
+    if u_size**n_x <= 4096:
+        comps = list(_compositions(den, u_size))
+        corners = [(0,) * i + (den,) + (0,) * (u_size - 1 - i) for i in range(u_size)]
+        vertices = [comps.index(c) for c in corners]
+    rng = random.Random(cfg.seed * 1_000_003 + u_size * 101 + n_x)
+    draws = [rng.choice(range(n_rows)) for _ in range(cfg.max_iterations * n_x)]
+    return n_rows, vertices, draws
+
+
+def _kernel_indices(n_x: int, u_size: int, cfg: SearchConfig) -> Iterator[tuple]:
+    """The kernels of guess alphabet ``u_size``, in search order.
+
+    Each kernel is a tuple of ``n_x`` row indices into
+    ``_lattice_rows(u_size, cfg.resolution)``.  Exhaustive grids follow
+    ``itertools.product`` order; sampled grids give the vertex product and
+    then the seeded draws.  Plain Python, for the rational and guesswork
+    scans; :func:`_kernel_blocks` gives the same sequence as numpy blocks.
+    """
+    n_rows, vertices, draws = _grid_shape(n_x, u_size, cfg)
+    if draws is None:
+        yield from itertools.product(range(n_rows), repeat=n_x)
+        return
+    if vertices is not None:
+        yield from itertools.product(vertices, repeat=n_x)
+    for start in range(0, len(draws), n_x):
+        yield tuple(draws[start : start + n_x])
+
+
+def _kernel_blocks(n_x: int, u_size: int, cfg: SearchConfig) -> Iterator[np.ndarray]:
+    """The kernels of :func:`_kernel_indices` as ``(K, n_x)`` numpy blocks.
+
+    Exhaustive grids come in blocks of at most ``_BLOCK`` kernels, computed
+    from the flat kernel number; for the float scan.
+    """
+    import numpy as np
+
+    n_rows, vertices, draws = _grid_shape(n_x, u_size, cfg)
+    if draws is None:
         total = n_rows**n_x
         place = n_rows ** np.arange(n_x - 1, -1, -1)
         for start in range(0, total, _BLOCK):
             flat = np.arange(start, min(start + _BLOCK, total))
             yield flat[:, None] // place % n_rows
         return
-    if u_size**n_x <= 4096:
-        comps = list(_compositions(den, u_size))
-        corners = [(0,) * i + (den,) + (0,) * (u_size - 1 - i) for i in range(u_size)]
-        vertices = np.array([comps.index(c) for c in corners])
-        yield vertices[np.indices((u_size,) * n_x).reshape(n_x, -1).T]
-    rng = random.Random(cfg.seed * 1_000_003 + u_size * 101 + n_x)
-    draws = [rng.choice(range(n_rows)) for _ in range(cfg.max_iterations * n_x)]
+    if vertices is not None:
+        yield np.array(vertices)[np.indices((u_size,) * n_x).reshape(n_x, -1).T]
     yield np.array(draws).reshape(cfg.max_iterations, n_x)
 
 
 def _iter_kernels(n_x: int, u_size: int, cfg: SearchConfig) -> Iterator[tuple]:
     rows = _lattice_rows(u_size, cfg.resolution)
-    for block in _kernel_blocks(n_x, u_size, cfg):
-        for kernel in block.tolist():
-            yield tuple(rows[i] for i in kernel)
+    for kernel in _kernel_indices(n_x, u_size, cfg):
+        yield tuple(rows[i] for i in kernel)
 
 
 def _max_mass(weights: Sequence, lattice: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -349,21 +464,23 @@ def _max_mass(weights: Sequence, lattice: np.ndarray, block: np.ndarray) -> np.n
     return acc.max(axis=1)
 
 
-def _float_scan(prior_w, post_w, rows: list):
-    """Block scanner for float weights.
+def _float_scan(prior_w, post_w, rows: list, blocks) -> tuple:
+    """Best randomized-function level over ``blocks``, for float weights.
 
     Applies the branches of :func:`_error_probability` and
-    :func:`_error_ratio` to a whole block, raising for the first kernel that
-    they would reject.  Returns ``scan(block) -> (best level in the block,
-    first index attaining it)``.
+    :func:`_error_ratio` to each numpy block of kernels, raising for the
+    first kernel that they would reject.  Returns ``(best level, first
+    kernel attaining it, kernels visited)`` like :func:`_exact_scan`.
     """
     import numpy as np
 
     lattice = np.array(rows, dtype=float)
     p = [float(w) for w in prior_w]
     q = [float(w) for w in post_w]
-
-    def scan(block):
+    best = best_kernel = None
+    count = 0
+    for block in blocks:
+        count += len(block)
         raw_p = 1.0 - _max_mass(p, lattice, block)
         raw_q = 1.0 - _max_mass(q, lattice, block)
         err_p = np.where(raw_p < _FLOAT_ZERO, 0.0, raw_p)
@@ -381,34 +498,14 @@ def _float_scan(prior_w, post_w, rows: list):
         )
         k = int(np.argmax(ratio))
         if err_p[k] == 0:
-            return ZERO, k
-        if err_q[k] == 0:
-            return INF, k
-        return ExtReal.from_ratio(float(ratio[k])), k
-
-    return scan
-
-
-def _exact_scan(prior_w, post_w, rows: list):
-    """Block scanner for rational weights: each kernel from its definition.
-
-    Evaluates :func:`_lambda_from_rows` kernel by kernel, in ``Fraction``
-    arithmetic, and returns ``scan(block) -> (best level in the block, first
-    index attaining it)`` like :func:`_float_scan`.
-    """
-    u_size = len(rows[0])
-
-    def scan(block):
-        best, best_k = None, 0
-        for k, kernel in enumerate(block.tolist()):
-            value = _lambda_from_rows(
-                prior_w, post_w, tuple(rows[i] for i in kernel), u_size
-            )
-            if best is None or value > best:
-                best, best_k = value, k
-        return best, best_k
-
-    return scan
+            value = ZERO
+        elif err_q[k] == 0:
+            value = INF
+        else:
+            value = ExtReal.from_ratio(float(ratio[k]))
+        if best is None or value > best:
+            best, best_kernel = value, block[k].tolist()
+    return best, best_kernel, count
 
 
 def brute_force_pmc(joint: Joint, y: int, cfg: SearchConfig) -> ExtReal:
@@ -449,7 +546,7 @@ class OracleCertificate:
     def to_dict(self, unit: str = "nats") -> dict:
         gap = self.gap_nats
         if gap != math.inf and unit == "bits":
-            gap = gap / math.log(2.0)
+            gap = gap / _LN2
         return {
             "closed_form": leakage.format_level(self.closed_form, unit),
             "oracle_value": leakage.format_level(self.oracle_value, unit),
@@ -462,10 +559,10 @@ class OracleCertificate:
 def certify_pmc(joint: Joint, y: int, cfg: SearchConfig) -> OracleCertificate:
     """Run the grid search and report it against the closed form.
 
-    Each guess alphabet is scanned in blocks of kernels: in numpy when any
-    weight is a float, kernel by kernel in ``Fraction`` arithmetic when all
-    are rational.  Both give the value and the first maximizing kernel of
-    the per-kernel definition.
+    Each guess alphabet is scanned in numpy blocks when any weight is a
+    float, and kernel by kernel in Python ints when all are rational.  Both
+    give the value and the first maximizing kernel of the per-kernel
+    definition; the rational scan never imports numpy.
     """
     prior_w = joint.prior.weights
     post_w = joint.posterior(y)
@@ -483,21 +580,20 @@ def certify_pmc(joint: Joint, y: int, cfg: SearchConfig) -> OracleCertificate:
             best, best_rows = value, indicator
 
     searched = indicator is None or best.is_finite
-    exact = all(isinstance(w, Fraction) for w in prior_w + post_w)
+    exact = _all_fractions(prior_w, post_w)
     visited = []
     for u_size in range(2, cfg.max_u + 1):
         count = 0
         if searched:
             rows = _lattice_rows(u_size, cfg.resolution)
             if exact:
-                scan = _exact_scan(prior_w, post_w, rows)
+                kernels = _kernel_indices(n_x, u_size, cfg)
+                value, kernel, count = _exact_scan(prior_w, post_w, rows, kernels)
             else:
-                scan = _float_scan(prior_w, post_w, rows)
-            for block in _kernel_blocks(n_x, u_size, cfg):
-                count += len(block)
-                value, k = scan(block)
-                if value > best:
-                    best, best_rows = value, tuple(rows[i] for i in block[k].tolist())
+                blocks = _kernel_blocks(n_x, u_size, cfg)
+                value, kernel, count = _float_scan(prior_w, post_w, rows, blocks)
+            if value > best:
+                best, best_rows = value, tuple(rows[i] for i in kernel)
         visited.append((u_size, count, _is_exhaustive(n_x, u_size, cfg)))
 
     closed = leakage.pmc(joint, y)
@@ -524,15 +620,17 @@ def brute_force_guesswork_leakage(joint: Joint, y: int, cfg: SearchConfig) -> Ex
     n_x = len(prior_w)
     _check_budget(n_x, cfg)
     if cfg.max_u > 7:
-        raise BudgetExceeded(f"guesswork enumerates {cfg.max_u}! orders; alphabet too large")
+        raise BudgetExceeded(f"guesswork allows at most 7 guess symbols, got max_u={cfg.max_u}")
+    exact = _all_fractions(prior_w, post_w)
     best = ZERO
     for u_size in range(2, cfg.max_u + 1):
-        for rows in _iter_kernels(n_x, u_size, cfg):
-            pu = _push(prior_w, rows, u_size)
-            pu_y = _push(post_w, rows, u_size)
-            value = ExtReal.from_ratio(_min_guesswork(pu) / _min_guesswork(pu_y))
-            if value > best:
-                best = value
+        if exact:
+            rows = _lattice_rows(u_size, cfg.resolution)
+            kernels = _kernel_indices(n_x, u_size, cfg)
+            best = max(best, _exact_guesswork_scan(prior_w, post_w, rows, kernels))
+        else:
+            for rows in _iter_kernels(n_x, u_size, cfg):
+                best = max(best, _guesswork_from_rows(prior_w, post_w, rows, u_size))
     return best
 
 

@@ -370,11 +370,12 @@ class TestLazyImports:
             (["mechanism", "--input", "laplace.json"], 0, set()),
             (["mechanism", "--input", "gaussian.json"], 0, set()),
             (["oracle", "--input", str(_FIXTURES / "oracle" / "float_2x3.json"), "--y", "0", "--grid", "5"], 0, {"numpy"}),
+            (["oracle", "--input", str(_FIXTURES / "oracle" / "rational_3x3.json"), "--y", "0", "--mode", "rational", "--grid", "5"], 0, set()),
             (["analyze", "--input", "malformed.json", "--output", "bad"], 2, set()),
         ],
         ids=[
             "translate", "sweep", "analyze", "props", "mechanism-rr",
-            "mechanism-laplace", "mechanism-gaussian", "oracle", "malformed",
+            "mechanism-laplace", "mechanism-gaussian", "oracle", "oracle-rational", "malformed",
         ],
     )
     def test_cli_loads_only_what_it_uses(self, argv, code, heavy, tmp_path):
@@ -413,7 +414,7 @@ class TestLazyImports:
                 "j = infodens.Joint.from_prior_channel(infodens.Pmf((F(1, 2), F(1, 2))),\n"
                 "    infodens.Channel(((F(3, 4), F(1, 4)), (F(1, 4), F(3, 4)))))\n"
                 "assert infodens.certify_pmc(j, 0, infodens.SearchConfig(resolution=5, max_u=2)).gap_nats == 0",
-                {"numpy"},
+                set(),
             ),
         ],
         ids=["quadrature", "monte-carlo", "tail-frequency", "certify-float", "certify-exact"],

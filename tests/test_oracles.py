@@ -10,6 +10,7 @@ import pytest
 from infodens import (
     Channel,
     CostFunction,
+    ExtReal,
     INF,
     Joint,
     Pmf,
@@ -220,8 +221,8 @@ class TestBruteForce:
             SearchConfig(resolution=1)
         with pytest.raises(ValueError):
             SearchConfig(max_u=1)
-        with pytest.raises(ValueError):
-            SearchConfig(k=0)
+        with pytest.raises(TypeError):
+            SearchConfig(k=0)  # no such field
 
 
 class TestKernelFromCost:
@@ -327,6 +328,19 @@ class TestPreProcessingClosure:
                 assert pmc(induced, y).nats <= pmc(j, y).nats + 1e-10
 
 
+def _fraction_masses(weights, rows):
+    return [sum(w * row[u] for w, row in zip(weights, rows)) for u in range(len(rows[0]))]
+
+
+def _fraction_level(prior, post, rows):
+    """Randomized-function level of one kernel, in ``Fraction`` arithmetic."""
+    err_p = 1 - max(_fraction_masses(prior, rows))
+    err_q = 1 - max(_fraction_masses(post, rows))
+    if err_q == 0:
+        return ZERO if err_p == 0 else INF
+    return ExtReal.from_ratio(err_p / err_q)
+
+
 def _reference_kernels(n_x, u_size, cfg):
     """The grid of guess alphabet ``u_size``, enumerated from its definition."""
     rows = _lattice_rows(u_size, cfg.resolution)
@@ -348,6 +362,14 @@ def _kernel(rows):
     return RandomizedFunction(rows)
 
 
+def _reference_level(joint, y, rows):
+    """One kernel's level: in ``Fraction`` arithmetic for a rational joint."""
+    prior, post = joint.prior.weights, joint.posterior(y)
+    if all(isinstance(w, Fraction) for w in prior + post):
+        return _fraction_level(prior, post, rows)
+    return randomized_function_leakage(joint, y, _kernel(rows))
+
+
 def _reference_scan(joint, y, cfg):
     """Best randomized-function leakage, one kernel at a time, and its kernel."""
     post = joint.posterior(y)
@@ -359,13 +381,13 @@ def _reference_scan(joint, y, cfg):
         )
     best, best_rows = None, None
     for rows in candidates:
-        value = randomized_function_leakage(joint, y, _kernel(rows))
+        value = _reference_level(joint, y, rows)
         if best is None or value > best:
             best, best_rows = value, rows
     if len(candidates) == 1 or best.is_finite:
         for u_size in range(2, cfg.max_u + 1):
             for rows in _reference_kernels(n_x, u_size, cfg):
-                value = randomized_function_leakage(joint, y, _kernel(rows))
+                value = _reference_level(joint, y, rows)
                 if value > best:
                     best, best_rows = value, rows
     return best, best_rows
@@ -448,6 +470,13 @@ class TestBatchedGridSearch:
     def test_vanishing_prior_error_still_raises_for_rationals(self):
         with pytest.raises(ValueError, match="prior error vanished"):
             oracles._error_ratio(Fraction(0), Fraction(1, 3))
+        # a posterior off the prior's support: kernel (0, 1) has prior error 0
+        # and posterior error 1/2, and raises although (0, 0) outranks it
+        identity = _identity_kernel(2).rows
+        with pytest.raises(ValueError, match="prior error vanished"):
+            oracles._exact_scan(
+                (Fraction(1), Fraction(0)), (HALF, HALF), identity, [(0, 0), (0, 1)]
+            )
         assert oracles._error_ratio(0.0, 2e-6) == ZERO
 
     def test_block_size_does_not_change_the_certificate(self, monkeypatch):
@@ -489,7 +518,7 @@ class TestBatchedGridSearch:
         def fail(*args, **kwargs):
             raise AssertionError("a kernel was evaluated")
 
-        for name in ("_lambda_from_rows", "_max_mass", "_push"):
+        for name in ("_lambda_from_rows", "_max_mass", "_push", "_int_masses", "_kernel_masses"):
             monkeypatch.setattr(oracles, name, fail)
         j = random_joint(random.Random(12), 3, 2)
         huge = SearchConfig(resolution=40, max_u=3)
@@ -499,3 +528,94 @@ class TestBatchedGridSearch:
             brute_force_guesswork_leakage(j, 0, huge)
         with pytest.raises(BudgetExceeded):
             brute_force_guesswork_leakage(j, 0, SearchConfig(resolution=3, max_u=8))
+
+
+def _permutation_guesswork(masses):
+    """Smallest expected number of guesses, by trying every guessing order."""
+    return min(
+        sum((i + 1) * masses[k] for i, k in enumerate(order))
+        for order in itertools.permutations(range(len(masses)))
+    )
+
+
+def _exact_cases(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n_x = rng.choice((1, 2, 2, 3, 3))
+        joint = random_joint(
+            rng, n_x, rng.randint(2, 3), exact=True, zero_prob=rng.choice((0.0, 0.4))
+        )
+        cfg = SearchConfig(
+            resolution=rng.randint(2, {1: 6, 2: 5, 3: 3}[n_x]),
+            max_u=3,
+            max_iterations=rng.randint(1, 20),
+            seed=rng.randrange(1000),
+            exhaustive_limit=rng.choice((9, 4)),
+        )
+        yield joint, rng.choice(joint.support), cfg
+
+
+class TestIntegerCore:
+    def test_min_guesswork_matches_permutation_search(self):
+        rng = random.Random(1994)
+        for n in [1, 2, 3, 4, 5, 6] * 10 + [7] * 4:
+            pool = [Fraction(rng.randint(0, 6), rng.randint(1, 9)) for _ in range(3)]
+            # draws from a small pool give ties, as lattice kernels do
+            masses = [rng.choice(pool) for _ in range(n)]
+            assert oracles._min_guesswork(masses) == _permutation_guesswork(masses)
+
+    def test_guesswork_search_matches_per_kernel_definition(self):
+        sampled = 0
+        for joint, y, cfg in _exact_cases(40, 1996):
+            prior, post = joint.prior.weights, joint.posterior(y)
+            best = ZERO
+            for u_size in range(2, cfg.max_u + 1):
+                for rows in _reference_kernels(joint.n_inputs, u_size, cfg):
+                    value = ExtReal.from_ratio(
+                        _permutation_guesswork(_fraction_masses(prior, rows))
+                        / _permutation_guesswork(_fraction_masses(post, rows))
+                    )
+                    best = max(best, value)
+            got = brute_force_guesswork_leakage(joint, y, cfg)
+            assert got == best
+            assert type(got.ratio) is Fraction
+            sampled += joint.n_inputs * cfg.max_u > cfg.exhaustive_limit
+        assert sampled >= 10
+
+    def test_single_kernel_levels_match_fraction_definition(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            joint = random_joint(rng, rng.randint(1, 4), 3, exact=True, zero_prob=0.3)
+            kernel = random_kernel(rng, joint.n_inputs, rng.randint(1, 5), exact=True)
+            y = rng.choice(joint.support)
+            prior, post = joint.prior.weights, joint.posterior(y)
+            value = randomized_function_leakage(joint, y, kernel)
+            expected = _fraction_level(prior, post, kernel.rows)
+            assert value == expected
+            assert type(value.ratio) is type(expected.ratio)
+            guesswork = guesswork_leakage(joint, y, kernel)
+            assert guesswork.ratio == _permutation_guesswork(
+                _fraction_masses(prior, kernel.rows)
+            ) / _permutation_guesswork(_fraction_masses(post, kernel.rows))
+            assert type(guesswork.ratio) is Fraction
+
+    @pytest.mark.parametrize("exhaustive_limit", (9, 4))
+    def test_both_enumerations_give_the_same_kernels(self, monkeypatch, exhaustive_limit):
+        monkeypatch.setattr(oracles, "_BLOCK", 7)
+        # 3**8 > 4096 kernels: the sampled grid has no vertex product
+        for n_x, resolution in ((1, 6), (2, 5), (3, 4), (4, 3), (8, 3)):
+            cfg = SearchConfig(
+                resolution=resolution, max_iterations=30, seed=n_x,
+                exhaustive_limit=exhaustive_limit,
+            )
+            for u_size in (2, 3):
+                indices = list(oracles._kernel_indices(n_x, u_size, cfg))
+                blocks = [
+                    tuple(kernel)
+                    for block in oracles._kernel_blocks(n_x, u_size, cfg)
+                    for kernel in block.tolist()
+                ]
+                assert indices == blocks
+                rows = _lattice_rows(u_size, resolution)
+                reference = list(_reference_kernels(n_x, u_size, cfg))
+                assert [tuple(rows[i] for i in k) for k in indices] == reference
