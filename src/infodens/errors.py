@@ -22,7 +22,7 @@ class DimensionMismatch(InfodensError):
 
 
 class UndefinedOutcome(InfodensError):
-    """An outcome with zero marginal probability was conditioned on."""
+    """A non-index or zero-probability outcome (or secret) was conditioned on."""
 
 
 class InvalidPmin(InfodensError):

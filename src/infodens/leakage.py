@@ -2,7 +2,7 @@
 
 Everything here is an order-infinity divergence between the prior and a
 posterior (or between kernel rows), and each reduces to the smallest and
-largest channel entry of a column (:func:`column_stats`):
+largest channel entry of a column (:attr:`Joint.column_stats`):
 
 * ``pmc``  -- pointwise maximal cost, the largest multiplicative drop in a
   risk-averse adversary's minimal expected cost after seeing one outcome;
@@ -28,24 +28,12 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import UndefinedOutcome
-from .probcore import _LN2, INF, ZERO, ExtReal, Joint, as_level
+from .probcore import _LN2, INF, ZERO, ExtReal, Joint, _check_outcome, as_level
 
 
 # ---------------------------------------------------------------------------
 # Pointwise measures
 # ---------------------------------------------------------------------------
-
-
-def column_stats(joint: Joint) -> tuple:
-    """The smallest and the largest channel entry of each column, as ``(lo, hi)``.
-
-    With the output marginal ``m_y`` these give every finite level: PMC(y) is
-    ``m_y / lo_y``, PML(y) is ``hi_y / m_y``, LDP is the largest
-    ``hi_y / lo_y`` and the maximal cost leakage is ``1 / sum_y lo_y``.
-    Division is monotone (exactly for rationals, after correct rounding for
-    floats), so each equals the extremum of the per-entry ratios.
-    """
-    return tuple((min(col), max(col)) for col in zip(*joint.channel.rows))
 
 
 def _pmc_level(m, lo) -> ExtReal:
@@ -57,8 +45,7 @@ def _pml_level(m, hi) -> ExtReal:
 
 
 def _column(joint: Joint, y: int) -> tuple:
-    if isinstance(y, bool) or y not in joint.posteriors:
-        raise UndefinedOutcome(f"outcome {y!r} is not in the support")
+    _check_outcome(joint, y)
     return joint.channel.column(y)
 
 
@@ -196,8 +183,7 @@ def guarantee_level(joint: Joint, kind: Union[GuaranteeKind, str]) -> Guarantee:
 
 def all_guarantee_levels(joint: Joint) -> dict:
     """All five guarantee levels at once, keyed by kind name."""
-    stats = column_stats(joint)
-    rows = _profile_rows(joint, stats)
+    rows = _profile_rows(joint)
     eps_l = max(r.pmc for r in rows)
     eps_u = max(r.pml for r in rows)
     return {
@@ -205,7 +191,7 @@ def all_guarantee_levels(joint: Joint) -> dict:
         "pmc": Guarantee(GuaranteeKind.PMC, eps=eps_l),
         "lip": Guarantee(GuaranteeKind.LIP, eps=max(eps_l, eps_u)),
         "alip": Guarantee(GuaranteeKind.ALIP, eps_l=eps_l, eps_u=eps_u),
-        "ldp": Guarantee(GuaranteeKind.LDP, eps=_ldp_level(stats)),
+        "ldp": Guarantee(GuaranteeKind.LDP, eps=_ldp_level(joint.column_stats)),
     }
 
 
@@ -222,19 +208,19 @@ def max_cost_leakage(joint: Joint) -> ExtReal:
     pointwise values are constant over the support (Jensen gap).
     """
     # A plain left-to-right sum: Python 3.12's sum() compensates float rounding.
-    total = functools.reduce(operator.add, (lo for lo, _ in column_stats(joint)))
+    total = functools.reduce(operator.add, (lo for lo, _ in joint.column_stats))
     return INF if total == 0 else ExtReal.from_ratio(1 / total)
 
 
 def max_realizable_cost(joint: Joint) -> ExtReal:
     """Worst-outcome risk-averse leakage: the largest pointwise maximal cost."""
-    return max(r.pmc for r in _profile_rows(joint, column_stats(joint)))
+    return max(r.pmc for r in _profile_rows(joint))
 
 
 def expected_pmc(joint: Joint) -> float:
     """Expected pointwise maximal cost over the output marginal, in nats."""
     acc = 0.0
-    for r in _profile_rows(joint, column_stats(joint)):
+    for r in _profile_rows(joint):
         if not r.pmc.is_finite:
             return math.inf
         acc += r.mass * r.pmc.nats
@@ -302,13 +288,13 @@ def _csv_number(v: float) -> str:
     return repr(float(v))
 
 
-def _profile_rows(joint: Joint, stats: tuple) -> tuple:
+def _profile_rows(joint: Joint) -> tuple:
     rows = []
     for y in joint.support:
-        m, (lo, hi) = joint.marginal[y], stats[y]
+        m, (lo, hi) = joint.marginal[y], joint.column_stats[y]
         rows.append(OutcomeLeakage(y, float(m), _pmc_level(m, lo), _pml_level(m, hi)))
     return tuple(rows)
 
 
 def leakage_profile(joint: Joint) -> LeakageProfile:
-    return LeakageProfile(_profile_rows(joint, column_stats(joint)))
+    return LeakageProfile(_profile_rows(joint))

@@ -402,7 +402,7 @@ def _grid_shape(n_x: int, u_size: int, cfg: SearchConfig) -> tuple:
         corners = [(0,) * i + (den,) + (0,) * (u_size - 1 - i) for i in range(u_size)]
         vertices = [comps.index(c) for c in corners]
     rng = random.Random(cfg.seed * 1_000_003 + u_size * 101 + n_x)
-    draws = [rng.choice(range(n_rows)) for _ in range(cfg.max_iterations * n_x)]
+    draws = [rng.randrange(n_rows) for _ in range(cfg.max_iterations * n_x)]
     return n_rows, vertices, draws
 
 

@@ -202,7 +202,9 @@ def _check_entry(value: Number, what: str) -> Number:
 def _sum_entries(entries: Sequence[Number]) -> Number:
     if any(isinstance(e, float) for e in entries):
         return math.fsum(float(e) for e in entries)
-    return sum(entries, Fraction(0))
+    # Over one common denominator: the same canonical Fraction as a running sum.
+    den = math.lcm(*(e.denominator for e in entries))
+    return Fraction(sum(e.numerator * (den // e.denominator) for e in entries), den)
 
 
 def _normalize_row(row: Sequence[Number], what: str) -> tuple:
@@ -363,16 +365,16 @@ class Channel:
 
 @dataclass(frozen=True)
 class Joint:
-    """A prior and a channel with the induced marginal and posteriors cached.
+    """A prior and a channel with the induced output marginal.
 
-    Posteriors exist exactly for outcomes with positive marginal mass; every
-    essential supremum downstream ranges over that support only.
+    The support holds the outcomes with positive marginal mass; every
+    essential supremum downstream ranges over it only.  Posteriors are
+    computed on demand and the column reduction at most once per joint.
     """
 
     prior: Pmf
     channel: Channel
     marginal: tuple
-    posteriors: dict
     support: tuple
 
     @classmethod
@@ -381,21 +383,12 @@ class Joint:
             raise DimensionMismatch(
                 f"channel has {channel.n_inputs} rows, prior has {len(prior)} outcomes"
             )
-        n_y = channel.n_outputs
         marginal = tuple(
-            _sum_entries([prior[x] * channel.rows[x][y] for x in range(len(prior))])
-            for y in range(n_y)
+            _sum_entries([w * e for w, e in zip(prior.weights, col)])
+            for col in zip(*channel.rows)
         )
-        posteriors = {}
-        support = []
-        for y in range(n_y):
-            if marginal[y] > 0:
-                support.append(y)
-                posteriors[y] = tuple(
-                    prior[x] * channel.rows[x][y] / marginal[y]
-                    for x in range(len(prior))
-                )
-        return cls(prior, channel, marginal, posteriors, tuple(support))
+        support = tuple(y for y, m in enumerate(marginal) if m > 0)
+        return cls(prior, channel, marginal, support)
 
     @property
     def n_inputs(self) -> int:
@@ -405,10 +398,23 @@ class Joint:
     def n_outputs(self) -> int:
         return self.channel.n_outputs
 
+    @functools.cached_property
+    def column_stats(self) -> tuple:
+        """The smallest and the largest channel entry of each column, as ``(lo, hi)``.
+
+        With the output marginal ``m_y`` these give every finite level: PMC(y) is
+        ``m_y / lo_y``, PML(y) is ``hi_y / m_y``, LDP is the largest
+        ``hi_y / lo_y`` and the maximal cost leakage is ``1 / sum_y lo_y``.
+        Division is monotone (exactly for rationals, after correct rounding for
+        floats), so each equals the extremum of the per-entry ratios.
+        """
+        return tuple((min(col), max(col)) for col in zip(*self.channel.rows))
+
     def posterior(self, y: int) -> tuple:
         """The conditional law of the secret given outcome ``y``."""
         _check_outcome(self, y)
-        return self.posteriors[y]
+        m, rows = self.marginal[y], self.channel.rows
+        return tuple(w * row[y] / m for w, row in zip(self.prior.weights, rows))
 
     def joint_mass(self, x: int, y: int) -> Number:
         return self.prior[x] * self.channel.rows[x][y]
@@ -424,9 +430,13 @@ def joint_from(prior: Pmf, channel: Channel) -> Joint:
 # ---------------------------------------------------------------------------
 
 
+def _is_index(i, n: int) -> bool:
+    return isinstance(i, int) and not isinstance(i, bool) and 0 <= i < n
+
+
 def _check_outcome(joint: Joint, y: int) -> None:
-    if isinstance(y, bool) or y not in joint.posteriors:
-        raise UndefinedOutcome(f"outcome {y!r} has zero marginal mass")
+    if not _is_index(y, len(joint.marginal)) or joint.marginal[y] == 0:
+        raise UndefinedOutcome(f"outcome {y!r} is not in the support")
 
 
 def density_ratio(joint: Joint, x: int, y: int) -> Number:
@@ -435,7 +445,7 @@ def density_ratio(joint: Joint, x: int, y: int) -> Number:
     Exact for rational joints.  Returns 0 when the channel entry is zero.
     """
     _check_outcome(joint, y)
-    if isinstance(x, bool) or not 0 <= x < joint.n_inputs:
+    if not _is_index(x, joint.n_inputs):
         raise UndefinedOutcome(f"secret {x!r} is not an index")
     num = joint.channel.rows[x][y]
     den = joint.marginal[y]

@@ -32,21 +32,6 @@ class PropertyOutcome:
         return self.failures == 0
 
 
-def _bayes_invert(prior: Pmf, kernel: Channel):
-    """Posterior family and marginal of a kernel applied to a prior."""
-    n_in, n_out = kernel.n_inputs, kernel.n_outputs
-    marginal = [
-        sum(prior[x] * kernel.rows[x][z] for x in range(n_in)) for z in range(n_out)
-    ]
-    posteriors = {}
-    for z in range(n_out):
-        if marginal[z] > 0:
-            posteriors[z] = tuple(
-                prior[x] * kernel.rows[x][z] / marginal[z] for x in range(n_in)
-            )
-    return marginal, posteriors
-
-
 def _random_joint(rng: random.Random, zero_prob: float = 0.0) -> Joint:
     n_in = rng.randint(2, 5)
     n_out = rng.randint(2, 5)
@@ -159,17 +144,17 @@ def check_pre_processing(seed: int, instances: int, tol: float) -> PropertyOutco
         n_in = joint.n_inputs
         n_z = rng.randint(2, 4)
         pre = random_channel(rng, n_in, n_z)
-        z_marginal, z_posteriors = _bayes_invert(joint.prior, pre)
+        inverted = Joint.from_prior_channel(joint.prior, pre)
         z_rows = []
         for z in range(n_z):
-            post = z_posteriors[z]
+            post = inverted.posterior(z)
             z_rows.append(
                 tuple(
                     sum(post[x] * joint.channel.rows[x][y] for x in range(n_in))
                     for y in range(joint.n_outputs)
                 )
             )
-        z_joint = Joint.from_prior_channel(Pmf(tuple(z_marginal)), Channel(tuple(z_rows)))
+        z_joint = Joint.from_prior_channel(Pmf(inverted.marginal), Channel(tuple(z_rows)))
         bad = 0.0
         for y in joint.support:
             bad = max(bad, pmc(z_joint, y).nats - pmc(joint, y).nats)

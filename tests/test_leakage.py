@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -50,12 +51,13 @@ class TestPmc:
 
     def test_undefined_outcome(self):
         j = Joint.from_prior_channel(Pmf((1, 1)), Channel(((1, 0), (1, 0))))
-        with pytest.raises(UndefinedOutcome):
-            pmc(j, 1)
+        for measure in (pmc, pml):
+            with pytest.raises(UndefinedOutcome):
+                measure(j, 1)
 
     @pytest.mark.parametrize("measure", (pmc, pml))
     def test_bool_and_negative_outcomes_rejected(self, binary_symmetric_joint, measure):
-        for y in (True, False, -1, 2):
+        for y in (True, False, -1, 2, 1.0):
             with pytest.raises(UndefinedOutcome):
                 measure(binary_symmetric_joint, y)
 
@@ -406,3 +408,29 @@ class TestColumnReductionMatchesDefinitions:
         # Every regime the generator aims at was drawn at least once.
         for i in range(6):
             assert {k[i] for k in kinds} == {True, False}
+
+
+class TestColumnReductionOncePerJoint:
+    def test_one_reduction_across_a_full_analysis(self, monkeypatch):
+        reduce = Joint.column_stats.func
+        calls = []
+
+        def counted(joint):
+            calls.append(joint)
+            return reduce(joint)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(Joint, "column_stats")
+        monkeypatch.setattr(Joint, "column_stats", prop)
+        for exact in (True, False):
+            j = random_joint(random.Random(11), 5, 4, exact=exact, zero_prob=0.2)
+            calls.clear()
+            all_guarantee_levels(j)
+            leakage_profile(j)
+            max_cost_leakage(j)
+            max_realizable_cost(j)
+            expected_pmc(j)
+            verify_boundedness_equivalence(j)
+            for y in j.support:
+                pmc(j, y), pml(j, y)
+            assert calls == [j]

@@ -35,7 +35,7 @@ from infodens.errors import (
     KTooSmall,
     NormalizationDegenerate,
 )
-from infodens.oracles import _lattice_rows
+from infodens.oracles import _grid_shape, _lattice_rows
 from infodens.sampling import (
     random_channel,
     random_cost,
@@ -553,6 +553,21 @@ def _exact_cases(count, seed):
             exhaustive_limit=rng.choice((9, 4)),
         )
         yield joint, rng.choice(joint.support), cfg
+
+
+class TestSampledDraws:
+    @pytest.mark.parametrize(
+        "n_x, u_size, cfg, head, total",
+        [
+            (4, 3, SearchConfig(resolution=5), [10, 8, 4, 12, 11, 4, 8, 7, 6, 4, 0, 10], 55744),
+            (3, 4, SearchConfig(resolution=4, seed=7), [14, 7, 14, 11, 8, 18, 19, 17, 4, 14, 3, 10], 56952),
+        ],
+    )
+    def test_sampled_grid_draws_are_pinned(self, n_x, u_size, cfg, head, total):
+        # Recorded from the per-index rng.choice(range(n)) draws; randrange(n) is the same stream.
+        _, _, draws = _grid_shape(n_x, u_size, cfg)
+        assert len(draws) == cfg.max_iterations * n_x
+        assert draws[:12] == head and sum(draws) == total
 
 
 class TestIntegerCore:

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,8 @@ from infodens.errors import (
     UndefinedOutcome,
     ZeroOrNegativeWeight,
 )
+from infodens.probcore import _sum_entries
+from infodens.sampling import random_joint
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +200,85 @@ class TestJoint:
         assert j.channel.column(0) == (Fraction(1), Fraction(0))
 
 
+def _rational_vectors():
+    """Seeded rational vectors with zeros, ints, single entries and large denominators."""
+    rng = random.Random(314159)
+    cases = [
+        [],
+        [Fraction(0)],
+        [Fraction(0), 0, Fraction(0)],
+        [Fraction(5, 7)],
+        [3],
+        [1, 2, Fraction(1, 3)],
+        [Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(1, 7), Fraction(1, 11)],
+        [Fraction(1, 2**61 - 1), Fraction(3, 10**30 + 7), 2, Fraction(0)],
+        [Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)],
+    ]
+    for _ in range(300):
+        entries = []
+        for _ in range(rng.randint(1, 12)):
+            entries.append(rng.choice((
+                Fraction(0),
+                rng.randint(0, 9),
+                Fraction(rng.randint(0, 10**6), rng.randint(1, 10**6)),
+                Fraction(rng.randint(0, 10**40), rng.randint(1, 10**40)),
+            )))
+        cases.append(entries)
+    return cases
+
+
+class TestSumEntries:
+    def test_rational_sum_matches_running_fraction_sum(self):
+        for entries in _rational_vectors():
+            got = _sum_entries(entries)
+            want = sum(entries, Fraction(0))
+            assert got == want
+            assert type(got) is type(want) is Fraction
+            assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+    def test_any_float_sums_by_fsum(self):
+        entries = [0.1, Fraction(1, 3), 2, 0.2]
+        assert _sum_entries(entries) == math.fsum(float(e) for e in entries)
+
+
+def _eager_posteriors(joint):
+    """The posterior family as the joint used to store it on construction."""
+    prior, rows, marginal = joint.prior, joint.channel.rows, joint.marginal
+    return {
+        y: tuple(prior[x] * rows[x][y] / marginal[y] for x in range(len(prior)))
+        for y in range(len(marginal))
+        if marginal[y] > 0
+    }
+
+
+class TestLazyJoint:
+    @pytest.mark.parametrize("exact", (True, False))
+    @pytest.mark.parametrize("zero_prob", (0.0, 0.4))
+    def test_posterior_equals_eager_formula(self, exact, zero_prob):
+        rng = random.Random(2718 + exact)
+        for _ in range(40):
+            j = random_joint(
+                rng, rng.randint(1, 6), rng.randint(1, 6), exact=exact, zero_prob=zero_prob
+            )
+            eager = _eager_posteriors(j)
+            assert list(eager) == list(j.support)
+            for y in j.support:
+                assert j.posterior(y) == eager[y]
+                assert [type(q) for q in j.posterior(y)] == [type(q) for q in eager[y]]
+
+    def test_zero_entry_joint_posteriors(self, zero_entry_joint):
+        j = zero_entry_joint
+        assert {y: j.posterior(y) for y in j.support} == _eager_posteriors(j)
+
+    def test_equal_joints_hash_alike(self, binary_symmetric_joint):
+        twin = Joint.from_prior_channel(
+            binary_symmetric_joint.prior, binary_symmetric_joint.channel
+        )
+        assert twin == binary_symmetric_joint
+        assert hash(twin) == hash(binary_symmetric_joint)
+        assert twin.column_stats == ((Fraction(1, 4), Fraction(3, 4)),) * 2
+
+
 # ---------------------------------------------------------------------------
 # Information density
 # ---------------------------------------------------------------------------
@@ -226,13 +308,15 @@ class TestInfoDensity:
         with pytest.raises(UndefinedOutcome):
             info_density(j, 0, 1)
 
-    @pytest.mark.parametrize("x, y", [(True, 0), (-1, 0), (2, 0), (0, True), (0, -1)])
+    @pytest.mark.parametrize(
+        "x, y", [(True, 0), (-1, 0), (2, 0), (1.0, 0), (0, True), (0, -1), (0, 1.0)]
+    )
     def test_rejects_non_index_arguments(self, binary_symmetric_joint, x, y):
         for fn in (density_ratio, info_density):
             with pytest.raises(UndefinedOutcome):
                 fn(binary_symmetric_joint, x, y)
 
-    @pytest.mark.parametrize("y", (True, False, -1, 2))
+    @pytest.mark.parametrize("y", (True, False, -1, 2, 1.0))
     def test_posterior_rejects_non_index_outcomes(self, binary_symmetric_joint, y):
         with pytest.raises(UndefinedOutcome):
             binary_symmetric_joint.posterior(y)
