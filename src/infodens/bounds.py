@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Tuple
 
 from .errors import InvalidPmin
-from .probcore import _LN2, INF, ZERO, ExtReal, Joint, Number, as_level
+from .probcore import INF, ZERO, ExtReal, Joint, Number, as_level, csv_field
 from .leakage import Guarantee, GuaranteeKind, all_guarantee_levels
 
 
@@ -213,15 +213,10 @@ class CurveTable:
 
 
 def _curve_csv(header: str, rows: tuple, unit: str) -> str:
-    scale = 1.0 if unit == "nats" else 1.0 / _LN2
     lines = [header]
     for a, b in rows:
-        lines.append(f"{_csv(a * scale)},{_csv(b if b == math.inf else b * scale)}")
+        lines.append(f"{csv_field(a, unit)},{csv_field(b, unit)}")
     return "\n".join(lines) + "\n"
-
-
-def _csv(v: float) -> str:
-    return "inf" if v == math.inf else repr(float(v))
 
 
 def sweep_curves(p_min: Number, steps: int) -> CurveTable:

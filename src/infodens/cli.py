@@ -21,7 +21,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -29,59 +28,7 @@ from . import bounds, leakage, mechanisms, oracles, properties
 from .errors import InfodensError, ParseError
 from .leakage import Guarantee, format_level
 from .oracles import SearchConfig
-from .probcore import _LN2, Joint
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One reproducible invocation; the seed pins every sampled code path.
-
-    Storage and computation stay in nats regardless of the display unit.
-    """
-
-    subcommand: str
-    input: Optional[str] = None
-    output: Optional[str] = None
-    mode: str = "float"
-    unit: str = "nats"
-    seed: int = 0
-    steps: int = 100
-    grid: int = 11
-    max_u: int = 3
-    y: Optional[int] = None
-    pmin: Optional[float] = None
-    instances: int = 200
-    tol: float = 1e-10
-    source: Optional[Guarantee] = None
-
-    @property
-    def exact(self) -> bool:
-        return self.mode == "rational"
-
-
-def _run_config(args) -> RunConfig:
-    source = None
-    if args.subcommand == "translate":
-        try:
-            source = _source_guarantee(args)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
-    return RunConfig(
-        subcommand=args.subcommand,
-        input=getattr(args, "input", None),
-        output=getattr(args, "output", None),
-        mode=getattr(args, "mode", "float"),
-        unit=getattr(args, "unit", "nats"),
-        seed=getattr(args, "seed", 0),
-        steps=getattr(args, "steps", 100),
-        grid=getattr(args, "grid", 11),
-        max_u=getattr(args, "max_u", 3),
-        y=getattr(args, "y", None),
-        pmin=getattr(args, "pmin", None),
-        instances=getattr(args, "instances", 200),
-        tol=getattr(args, "tol", 1e-10),
-        source=source,
-    )
+from .probcore import Joint, in_unit
 
 
 def _load_doc(path: str) -> dict:
@@ -135,16 +82,20 @@ def _levels_payload(joint: Joint, unit: str) -> dict:
     return payload
 
 
-def _cmd_analyze(cfg: RunConfig) -> int:
-    doc = _load_doc(cfg.input)
-    obj = mechanisms.parse_mechanism_doc(doc, exact=cfg.exact)
+def _parse_input(args):
+    doc = _load_doc(args.input)
+    return mechanisms.parse_mechanism_doc(doc, exact=args.mode == "rational")
+
+
+def _cmd_analyze(args) -> int:
+    obj = _parse_input(args)
     if not isinstance(obj, Joint):
         raise ParseError("analyze needs a finite mechanism (prior + channel)")
-    outdir = Path(cfg.output)
+    outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     profile = leakage.leakage_profile(obj)
-    (outdir / "profile.csv").write_text(profile.to_csv(unit=cfg.unit))
-    _dump_json(_levels_payload(obj, cfg.unit), str(outdir / "levels.json"))
+    (outdir / "profile.csv").write_text(profile.to_csv(unit=args.unit))
+    _dump_json(_levels_payload(obj, args.unit), str(outdir / "levels.json"))
     sys.stdout.write(f"wrote {outdir / 'profile.csv'} and {outdir / 'levels.json'}\n")
     return 0
 
@@ -169,47 +120,46 @@ def _source_guarantee(args) -> Guarantee:
     }[name](getattr(args, name))
 
 
-def _cmd_translate(cfg: RunConfig) -> int:
-    result = bounds.derive_implications(cfg.source, cfg.pmin)
-    _dump_json(result.to_dict(cfg.unit), cfg.output)
+def _cmd_translate(args) -> int:
+    result = bounds.derive_implications(_source_guarantee(args), args.pmin)
+    _dump_json(result.to_dict(args.unit), args.output)
     return 0
 
 
-def _cmd_sweep(cfg: RunConfig) -> int:
-    table = bounds.sweep_curves(cfg.pmin, cfg.steps)
-    outdir = Path(cfg.output)
+def _cmd_sweep(args) -> int:
+    table = bounds.sweep_curves(args.pmin, args.steps)
+    outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "pml_to_pmc.csv").write_text(table.pml_to_pmc_csv(unit=cfg.unit))
-    (outdir / "pmc_to_pml.csv").write_text(table.pmc_to_pml_csv(unit=cfg.unit))
+    (outdir / "pml_to_pmc.csv").write_text(table.pml_to_pmc_csv(unit=args.unit))
+    (outdir / "pmc_to_pml.csv").write_text(table.pmc_to_pml_csv(unit=args.unit))
     sys.stdout.write(
         f"wrote {outdir / 'pml_to_pmc.csv'} and {outdir / 'pmc_to_pml.csv'}\n"
     )
     return 0
 
 
-def _cmd_oracle(cfg: RunConfig) -> int:
-    doc = _load_doc(cfg.input)
-    obj = mechanisms.parse_mechanism_doc(doc, exact=cfg.exact)
+def _cmd_oracle(args) -> int:
+    obj = _parse_input(args)
     if not isinstance(obj, Joint):
         raise ParseError("oracle certification needs a finite mechanism")
-    search = SearchConfig(resolution=cfg.grid, max_u=cfg.max_u, seed=cfg.seed)
-    certificate = oracles.certify_pmc(obj, cfg.y, search)
-    _dump_json(certificate.to_dict(cfg.unit), cfg.output)
+    search = SearchConfig(resolution=args.grid, max_u=args.max_u, seed=args.seed)
+    certificate = oracles.certify_pmc(obj, args.y, search)
+    _dump_json(certificate.to_dict(args.unit), args.output)
     if not certificate.dominance_ok:
         sys.stderr.write("oracle value exceeds the closed form\n")
         return 1
     return 0
 
 
-def _cmd_mechanism(cfg: RunConfig) -> int:
-    doc = _load_doc(cfg.input)
-    obj = mechanisms.parse_mechanism_doc(doc, exact=cfg.exact)
+def _cmd_mechanism(args) -> int:
+    unit = args.unit
+    obj = _parse_input(args)
     if isinstance(obj, Joint):
         payload = {
             "kind": "finite",
             "prior": [float(w) for w in obj.prior.weights],
             "channel": [[float(e) for e in row] for row in obj.channel.rows],
-            "levels": _levels_payload(obj, cfg.unit),
+            "levels": _levels_payload(obj, unit),
         }
     elif isinstance(obj, mechanisms.LaplaceMeanMechanism):
         payload = {
@@ -217,8 +167,8 @@ def _cmd_mechanism(cfg: RunConfig) -> int:
             "interval": [obj.lo, obj.hi],
             "count": obj.n,
             "scale": obj.b,
-            f"sup_pmc_{cfg.unit}": _scale_unit(obj.sup_pmc(), cfg.unit),
-            f"dp_level_{cfg.unit}": _scale_unit(obj.dp_level, cfg.unit),
+            f"sup_pmc_{unit}": in_unit(obj.sup_pmc(), unit),
+            f"dp_level_{unit}": in_unit(obj.dp_level, unit),
         }
     else:
         payload = {
@@ -227,24 +177,18 @@ def _cmd_mechanism(cfg: RunConfig) -> int:
             "sigma": obj.sigma,
             "variance_ratio": obj.variance_ratio,
             "pmc_bounds": {
-                repr(float(y)): [
-                    _scale_unit(v, cfg.unit) for v in obj.pmc_bounds(float(y))
-                ]
+                repr(float(y)): [in_unit(v, unit) for v in obj.pmc_bounds(float(y))]
                 for y in (0.0, 1.0, 2.0)
             },
             "tail_bounds": {repr(float(b)): obj.tail_bound(float(b)) for b in (1.0, 2.0, 4.0)},
         }
-    _dump_json(payload, cfg.output)
+    _dump_json(payload, args.output)
     return 0
 
 
-def _scale_unit(nats: float, unit: str) -> float:
-    return nats if unit == "nats" else nats / _LN2
-
-
-def _cmd_props(cfg: RunConfig) -> int:
+def _cmd_props(args) -> int:
     outcomes = properties.run_property_suite(
-        seed=cfg.seed, instances=cfg.instances, tol=cfg.tol
+        seed=args.seed, instances=args.instances, tol=args.tol
     )
     width = max(len(o.name) for o in outcomes)
     failures = 0
@@ -321,7 +265,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(_run_config(args))
+        return args.func(args)
     except (InfodensError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

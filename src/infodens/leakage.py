@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import UndefinedOutcome
-from .probcore import _LN2, INF, ZERO, ExtReal, Joint, _check_outcome, as_level
+from .probcore import INF, ZERO, ExtReal, Joint, _check_outcome, as_level, csv_field, in_unit
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +154,8 @@ class Guarantee:
 
 
 def format_level(level: ExtReal, unit: str = "nats"):
-    """Render a level as a JSON/CSV-safe value; +inf becomes the token "inf"."""
-    value = level.nats if unit == "nats" else level.bits
+    """Render a level as a JSON-safe value; +inf becomes the token "inf"."""
+    value = in_unit(level.nats, unit)
     return "inf" if value == math.inf else value
 
 
@@ -261,31 +261,18 @@ class LeakageProfile:
     CSV_HEADER_BITS = "y,P_Y,pmc_bits,pml_bits,info_density_min_bits,info_density_max_bits"
 
     def to_csv(self, unit: str = "nats") -> str:
-        scale = 1.0 if unit == "nats" else 1.0 / _LN2
         lines = [self.CSV_HEADER if unit == "nats" else self.CSV_HEADER_BITS]
         for r in self.rows:
             fields = [
                 str(r.y),
-                _csv_number(r.mass),
-                _csv_number(_scaled(r.pmc.nats, scale)),
-                _csv_number(_scaled(r.pml.nats, scale)),
-                _csv_number(_scaled(r.info_density_min, scale)),
-                _csv_number(_scaled(r.info_density_max, scale)),
+                repr(r.mass),
+                csv_field(r.pmc.nats, unit),
+                csv_field(r.pml.nats, unit),
+                csv_field(r.info_density_min, unit),
+                csv_field(r.info_density_max, unit),
             ]
             lines.append(",".join(fields))
         return "\n".join(lines) + "\n"
-
-
-def _scaled(v: float, scale: float) -> float:
-    return v if not math.isfinite(v) else v * scale
-
-
-def _csv_number(v: float) -> str:
-    if v == math.inf:
-        return "inf"
-    if v == -math.inf:
-        return "-inf"
-    return repr(float(v))
 
 
 def _profile_rows(joint: Joint) -> tuple:

@@ -9,13 +9,18 @@ of a bounded value) evaluate the pointwise cost through the density identity
 ``log f_Y(y) / inf_x f_{Y|X=x}(y)``; for log-concave noise the infimum sits
 at a support endpoint, which the closed forms use and the quadrature path
 mirrors.
+
+Mechanism documents, the JSON format the CLI reads, are parsed here too
+(:func:`parse_mechanism_doc`, :func:`joint_from_doc`).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence, Tuple, Union
+from fractions import Fraction
+from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import (
     CgfUnavailable,
@@ -25,14 +30,10 @@ from .errors import (
     ParseError,
     QuadratureFailure,
 )
-from .probcore import (
-    ExtReal,
-    Channel,
-    Joint,
-    Pmf,
-    as_level,
-    coerce_probability,
-)
+from .probcore import ExtReal, Channel, Joint, Number, Pmf, as_level
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Requested and accepted accuracy for the 1-D density quadratures.
 _QUAD_EPSABS = 1e-12
@@ -464,6 +465,54 @@ def gaussian_tail_bound(r: float, beta: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def coerce_probability(value, what: str, exact: bool = False) -> Number:
+    """Read a probability-like JSON value; rejects NaN and negatives.
+
+    In exact mode, ints, decimal strings and "a/b" strings become Fractions;
+    floats are converted through their shortest decimal representation so
+    that a document written as 0.3 really means 3/10.
+    """
+    if isinstance(value, bool):
+        raise ParseError(f"{what}: booleans are not numbers")
+    if isinstance(value, str):
+        try:
+            frac = Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"{what}: cannot parse {value!r} as a rational") from None
+        value = frac if exact else float(frac)
+    elif isinstance(value, int):
+        value = Fraction(value) if exact else float(value)
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise ParseError(f"{what}: non-finite value {value!r}")
+        if exact:
+            value = Fraction(str(value))
+    else:
+        raise ParseError(f"{what}: expected a number, got {type(value).__name__}")
+    if value < 0:
+        raise ParseError(f"{what}: negative value {value!r}")
+    return value
+
+
+def _doc_number(value, what: str, kind=(int, float)):
+    """Read a finite JSON number, or an integer when ``kind`` is ``int``.
+
+    Booleans are neither; NaN, infinities and integers beyond the float range
+    are rejected.
+    """
+    finite = isinstance(value, kind) and abs(value) <= sys.float_info.max
+    if isinstance(value, bool) or not finite:
+        raise ParseError(f"{what} must be {'an integer' if kind is int else 'a finite number'}")
+    return value
+
+
+def _doc_prior(raw, exact: bool) -> Pmf:
+    """Read a document's ``prior``: an array of probabilities."""
+    if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
+        raise ParseError("'prior' must be an array of numbers")
+    return Pmf(tuple(coerce_probability(v, f"prior[{i}]", exact) for i, v in enumerate(raw)))
+
+
 def _doc_level(doc: Mapping, what: str, exact: bool):
     """Read a privacy level from a document: nats, or a rational ratio."""
     if "eps_ratio" in doc:
@@ -472,13 +521,36 @@ def _doc_level(doc: Mapping, what: str, exact: bool):
             raise ParseError(f"{what}.eps_ratio must be at least 1")
         return ExtReal.from_ratio(ratio if exact else float(ratio))
     if "eps_nats" in doc:
-        value = doc["eps_nats"]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ParseError(f"{what}.eps_nats must be a number")
+        value = _doc_number(doc["eps_nats"], f"{what}.eps_nats")
         if not value >= 0:
             raise ParseError(f"{what}.eps_nats must be non-negative")
         return ExtReal.from_nats(float(value))
     raise ParseError(f"{what} needs eps_nats or eps_ratio")
+
+
+def joint_from_doc(doc: Mapping, exact: bool = False) -> Joint:
+    """Build a Joint from a ``{"prior": [...], "channel": [[...], ...]}`` document."""
+    if not isinstance(doc, Mapping):
+        raise ParseError("mechanism document must be a JSON object")
+    try:
+        prior_raw = doc["prior"]
+        channel_raw = doc["channel"]
+    except KeyError as missing:
+        raise ParseError(f"missing field {missing.args[0]!r}") from None
+    prior = _doc_prior(prior_raw, exact)
+    if not isinstance(channel_raw, Sequence):
+        raise ParseError("'channel' must be an array of rows")
+    rows = []
+    for i, row in enumerate(channel_raw):
+        if not isinstance(row, Sequence) or isinstance(row, (str, bytes)):
+            raise ParseError(f"channel row {i} must be an array")
+        rows.append(
+            tuple(
+                coerce_probability(v, f"channel[{i}][{j}]", exact)
+                for j, v in enumerate(row)
+            )
+        )
+    return Joint.from_prior_channel(prior, Channel(tuple(rows)))
 
 
 def parse_mechanism_doc(
@@ -493,8 +565,6 @@ def parse_mechanism_doc(
     and ``sigma``).  Continuous families take uniform input laws here;
     custom laws are API-only.
     """
-    from .probcore import joint_from_doc
-
     if not isinstance(doc, Mapping):
         raise ParseError("mechanism document must be a JSON object")
     family = doc.get("family")
@@ -508,22 +578,11 @@ def parse_mechanism_doc(
         channel = randomized_response(n, level)
         if "prior" not in doc:
             raise ParseError("rr document needs a 'prior' to analyze leakage")
-        prior = Pmf(
-            tuple(
-                coerce_probability(v, f"prior[{i}]", exact)
-                for i, v in enumerate(doc["prior"])
-            )
-        )
-        return Joint.from_prior_channel(prior, channel)
+        return Joint.from_prior_channel(_doc_prior(doc["prior"], exact), channel)
     if family == "extremal":
         if "prior" not in doc:
             raise ParseError("extremal document needs a 'prior'")
-        prior = Pmf(
-            tuple(
-                coerce_probability(v, f"prior[{i}]", exact)
-                for i, v in enumerate(doc["prior"])
-            )
-        )
+        prior = _doc_prior(doc["prior"], exact)
         level = _doc_level(doc, "extremal", exact)
         return Joint.from_prior_channel(prior, extremal_mechanism(prior, level))
     if family == "laplace_mean":
@@ -535,12 +594,20 @@ def parse_mechanism_doc(
             raise ParseError(
                 "laplace_mean document needs 'interval' [lo, hi], 'count' and 'scale'"
             ) from None
-        return LaplaceMeanMechanism(float(lo), float(hi), int(count), float(scale))
+        return LaplaceMeanMechanism(
+            float(_doc_number(lo, "laplace_mean.interval[0]")),
+            float(_doc_number(hi, "laplace_mean.interval[1]")),
+            _doc_number(count, "laplace_mean.count", int),
+            float(_doc_number(scale, "laplace_mean.scale")),
+        )
     if family == "gaussian":
         try:
             amp = doc["amplitude"]
             sigma = doc["sigma"]
         except KeyError:
             raise ParseError("gaussian document needs 'amplitude' and 'sigma'") from None
-        return GaussianPerturbMechanism(float(amp), float(sigma))
+        return GaussianPerturbMechanism(
+            float(_doc_number(amp, "gaussian.amplitude")),
+            float(_doc_number(sigma, "gaussian.sigma")),
+        )
     raise ParseError(f"unknown mechanism family {family!r}")

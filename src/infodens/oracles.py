@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import getitem
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from . import leakage
 from .errors import (
@@ -35,13 +35,17 @@ from .errors import (
     KTooSmall,
     NormalizationDegenerate,
 )
-from .probcore import _LN2, INF, ZERO, Channel, ExtReal, Joint, Number
+from .probcore import INF, ZERO, Channel, ExtReal, Joint, Number, in_unit
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Float error probabilities at or below this are treated as exact zeros when
 #: applying the 0/0 = 1 convention; the rational backend needs no such guard.
 _FLOAT_ZERO = 1e-13
 
-#: Hard cap on kernels visited by one exhaustive enumeration.
+#: Hard cap on kernels visited by one exhaustive enumeration, and on the
+#: lattice entries one sampled grid builds.
 _ENUMERATION_CAP = 2_000_000
 
 #: Kernels evaluated per batched step of an exhaustive grid; bounds memory.
@@ -283,12 +287,8 @@ def _min_guesswork(masses: Sequence[Number]) -> Number:
     """Smallest expected number of sequential guesses.
 
     Guessing in order of decreasing mass is optimal (Massey, "Guessing and
-    entropy", ISIT 1994).  Alphabets above seven symbols are rejected, as
-    a search budget.
+    entropy", ISIT 1994).
     """
-    n = len(masses)
-    if n > 7:
-        raise BudgetExceeded(f"guesswork allows at most 7 guess symbols, got {n}")
     return sum((i + 1) * m for i, m in enumerate(sorted(masses, reverse=True)))
 
 
@@ -374,15 +374,20 @@ def _is_exhaustive(n_x: int, u_size: int, cfg: SearchConfig) -> bool:
 
 
 def _check_budget(n_x: int, cfg: SearchConfig) -> None:
-    """Reject a search whose exhaustive part exceeds the cap, before any work.
+    """Reject a search whose grid exceeds the cap, before any work.
 
-    The enumerators below rely on this check having passed.
+    An exhaustive grid may visit at most ``_ENUMERATION_CAP`` kernels; a
+    sampled one may hold at most that many lattice entries (rows times
+    alphabet size).  The enumerators below rely on this check having passed.
     """
     for u_size in range(2, cfg.max_u + 1):
+        n_rows = math.comb(cfg.resolution - 2 + u_size, u_size - 1)
         if _is_exhaustive(n_x, u_size, cfg):
-            count = math.comb(cfg.resolution - 2 + u_size, u_size - 1) ** n_x
-            if count > _ENUMERATION_CAP:
-                raise BudgetExceeded(f"exhaustive grid would visit {count} kernels")
+            count, what = n_rows**n_x, "exhaustive grid would visit {} kernels"
+        else:
+            count, what = n_rows * u_size, "sampled grid would build {} lattice entries"
+        if count > _ENUMERATION_CAP:
+            raise BudgetExceeded(what.format(count))
 
 
 def _grid_shape(n_x: int, u_size: int, cfg: SearchConfig) -> tuple:
@@ -508,16 +513,6 @@ def _float_scan(prior_w, post_w, rows: list, blocks) -> tuple:
     return best, best_kernel, count
 
 
-def brute_force_pmc(joint: Joint, y: int, cfg: SearchConfig) -> ExtReal:
-    """Best randomized-function leakage over the kernel grid.
-
-    A guaranteed lower bound on the pointwise maximal cost that approaches
-    it as the grid refines; returns the infinite level through the support
-    indicator whenever the posterior has zeros.
-    """
-    return certify_pmc(joint, y, cfg).oracle_value
-
-
 @dataclass(frozen=True)
 class OracleCertificate:
     """Closed form vs. brute force for one outcome, with the achieving kernel."""
@@ -544,9 +539,7 @@ class OracleCertificate:
         return self.oracle_value.nats <= self.closed_form.nats + 1e-9
 
     def to_dict(self, unit: str = "nats") -> dict:
-        gap = self.gap_nats
-        if gap != math.inf and unit == "bits":
-            gap = gap / _LN2
+        gap = in_unit(self.gap_nats, unit)
         return {
             "closed_form": leakage.format_level(self.closed_form, unit),
             "oracle_value": leakage.format_level(self.oracle_value, unit),
@@ -619,8 +612,6 @@ def brute_force_guesswork_leakage(joint: Joint, y: int, cfg: SearchConfig) -> Ex
     post_w = joint.posterior(y)
     n_x = len(prior_w)
     _check_budget(n_x, cfg)
-    if cfg.max_u > 7:
-        raise BudgetExceeded(f"guesswork allows at most 7 guess symbols, got max_u={cfg.max_u}")
     exact = _all_fractions(prior_w, post_w)
     best = ZERO
     for u_size in range(2, cfg.max_u + 1):

@@ -23,7 +23,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import (
     DimensionMismatch,
@@ -40,6 +40,21 @@ Number = Union[int, float, Fraction]
 ROW_SUM_TOL = 1e-12
 
 _LN2 = math.log(2.0)
+
+
+# JSON values divide by ln 2 (in_unit) and CSV fields multiply by 1/ln 2
+# (csv_field).  The two round differently for about a third of all values,
+# and the recorded bits outputs pin both, so each format keeps its own rule.
+
+
+def in_unit(nats: float, unit: str) -> float:
+    """A value in nats shown in ``unit``, "nats" or "bits"; +inf stays +inf."""
+    return nats if unit == "nats" else nats / _LN2
+
+
+def csv_field(nats: float, unit: str) -> str:
+    """A value in nats as a CSV field in ``unit``: ``repr``, so "inf" and "-inf" too."""
+    return repr(nats * (1.0 if unit == "nats" else 1.0 / _LN2))
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +132,7 @@ class ExtReal:
 
     @property
     def bits(self) -> float:
-        n = self.nats
-        return n if n == math.inf else n / _LN2
+        return in_unit(self.nats, "bits")
 
     @property
     def is_finite(self) -> bool:
@@ -420,11 +434,6 @@ class Joint:
         return self.prior[x] * self.channel.rows[x][y]
 
 
-def joint_from(prior: Pmf, channel: Channel) -> Joint:
-    """Functional alias for :meth:`Joint.from_prior_channel`."""
-    return Joint.from_prior_channel(prior, channel)
-
-
 # ---------------------------------------------------------------------------
 # Information density and the order-infinity divergence
 # ---------------------------------------------------------------------------
@@ -493,68 +502,3 @@ def max_divergence(p: Iterable[Number], q: Iterable[Number]) -> ExtReal:
     if best is None:
         raise EmptySupport("first argument has no positive mass")
     return ExtReal.from_ratio(best)
-
-
-# ---------------------------------------------------------------------------
-# JSON ingestion
-# ---------------------------------------------------------------------------
-
-
-def coerce_probability(value, what: str, exact: bool = False) -> Number:
-    """Read a probability-like JSON value; rejects NaN and negatives.
-
-    In exact mode, ints, decimal strings and "a/b" strings become Fractions;
-    floats are converted through their shortest decimal representation so
-    that a document written as 0.3 really means 3/10.
-    """
-    if isinstance(value, bool):
-        raise ParseError(f"{what}: booleans are not numbers")
-    if isinstance(value, str):
-        try:
-            frac = Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"{what}: cannot parse {value!r} as a rational") from None
-        value = frac if exact else float(frac)
-    elif isinstance(value, int):
-        value = Fraction(value) if exact else float(value)
-    elif isinstance(value, float):
-        if not math.isfinite(value):
-            raise ParseError(f"{what}: non-finite value {value!r}")
-        if exact:
-            value = Fraction(str(value))
-    else:
-        raise ParseError(f"{what}: expected a number, got {type(value).__name__}")
-    if value < 0:
-        raise ParseError(f"{what}: negative value {value!r}")
-    return value
-
-
-def joint_from_doc(doc: Mapping, exact: bool = False) -> Joint:
-    """Build a Joint from a ``{"prior": [...], "channel": [[...], ...]}`` document."""
-    if not isinstance(doc, Mapping):
-        raise ParseError("mechanism document must be a JSON object")
-    try:
-        prior_raw = doc["prior"]
-        channel_raw = doc["channel"]
-    except KeyError as missing:
-        raise ParseError(f"missing field {missing.args[0]!r}") from None
-    if not isinstance(prior_raw, Sequence) or isinstance(prior_raw, (str, bytes)):
-        raise ParseError("'prior' must be an array of numbers")
-    if not isinstance(channel_raw, Sequence):
-        raise ParseError("'channel' must be an array of rows")
-    prior = Pmf(
-        tuple(
-            coerce_probability(v, f"prior[{i}]", exact) for i, v in enumerate(prior_raw)
-        )
-    )
-    rows = []
-    for i, row in enumerate(channel_raw):
-        if not isinstance(row, Sequence) or isinstance(row, (str, bytes)):
-            raise ParseError(f"channel row {i} must be an array")
-        rows.append(
-            tuple(
-                coerce_probability(v, f"channel[{i}][{j}]", exact)
-                for j, v in enumerate(row)
-            )
-        )
-    return Joint.from_prior_channel(prior, Channel(tuple(rows)))

@@ -15,7 +15,7 @@ from typing import Callable, List, Sequence
 
 from .leakage import conditional_pmc, max_realizable_cost, pmc, pml
 from .probcore import Channel, Joint, Pmf
-from .sampling import random_channel, random_pmf
+from .sampling import random_channel, random_joint, random_pmf
 
 
 @dataclass(frozen=True)
@@ -32,56 +32,59 @@ class PropertyOutcome:
         return self.failures == 0
 
 
-def _random_joint(rng: random.Random, zero_prob: float = 0.0) -> Joint:
-    n_in = rng.randint(2, 5)
-    n_out = rng.randint(2, 5)
-    prior = random_pmf(rng, n_in)
-    channel = random_channel(rng, n_in, n_out, zero_prob=zero_prob)
-    return Joint.from_prior_channel(prior, channel)
+def _tally(
+    name: str, instances: int, tol: float, violation: Callable[[], float]
+) -> PropertyOutcome:
+    """Call ``violation`` once per instance; count the instances above ``tol``."""
+    failures, worst = 0, 0.0
+    for _ in range(instances):
+        bad = violation()
+        if bad > tol:
+            failures += 1
+            worst = max(worst, bad)
+    return PropertyOutcome(name, instances, failures, worst)
 
 
 def check_non_negativity(seed: int, instances: int, tol: float) -> PropertyOutcome:
     rng = random.Random(seed)
-    failures, worst = 0, 0.0
-    for _ in range(instances):
-        joint = _random_joint(rng, zero_prob=0.2)
+
+    def violation() -> float:
+        joint = random_joint(rng, rng.randint(2, 5), rng.randint(2, 5), zero_prob=0.2)
         bad = 0.0
         for y in joint.support:
             for level in (pmc(joint, y), pml(joint, y)):
                 if level.is_finite and level.nats < -tol:
                     bad = max(bad, -level.nats)
-        if bad > 0:
-            failures += 1
-            worst = max(worst, bad)
-    return PropertyOutcome("non_negativity", instances, failures, worst)
+        return bad
+
+    # ``bad`` only records levels below ``-tol``, so any positive value fails.
+    return _tally("non_negativity", instances, 0.0, violation)
 
 
 def check_independence_zero(seed: int, instances: int, tol: float) -> PropertyOutcome:
     rng = random.Random(seed)
-    failures, worst = 0, 0.0
-    for _ in range(instances):
+
+    def violation() -> float:
         n_in = rng.randint(2, 5)
         n_out = rng.randint(2, 5)
         row = random_pmf(rng, n_out).weights
         joint = Joint.from_prior_channel(
             random_pmf(rng, n_in), Channel(tuple(row for _ in range(n_in)))
         )
-        bad = max(
+        return max(
             max(abs(pmc(joint, y).nats), abs(pml(joint, y).nats))
             for y in joint.support
         )
-        if bad > tol:
-            failures += 1
-            worst = max(worst, bad)
-    return PropertyOutcome("independence_zero", instances, failures, worst)
+
+    return _tally("independence_zero", instances, tol, violation)
 
 
 def check_additivity(seed: int, instances: int, tol: float) -> PropertyOutcome:
     rng = random.Random(seed)
-    failures, worst = 0, 0.0
-    for _ in range(instances):
-        a = _random_joint(rng)
-        b = _random_joint(rng)
+
+    def violation() -> float:
+        a = random_joint(rng, rng.randint(2, 5), rng.randint(2, 5))
+        b = random_joint(rng, rng.randint(2, 5), rng.randint(2, 5))
         prod_prior = Pmf(
             tuple(pa * pb for pa in a.prior.weights for pb in b.prior.weights)
         )
@@ -97,18 +100,17 @@ def check_additivity(seed: int, instances: int, tol: float) -> PropertyOutcome:
                 combined = pmc(prod, ya * n_out_b + yb).nats
                 split = pmc(a, ya).nats + pmc(b, yb).nats
                 bad = max(bad, abs(combined - split))
-        if bad > tol:
-            failures += 1
-            worst = max(worst, bad)
-    return PropertyOutcome("additivity", instances, failures, worst)
+        return bad
+
+    return _tally("additivity", instances, tol, violation)
 
 
 def check_concavity(seed: int, instances: int, tol: float) -> PropertyOutcome:
     """Cost at a mixed prior dominates the mixture of costs, on a theta grid."""
     rng = random.Random(seed)
-    failures, worst = 0, 0.0
     thetas = [i / 10 for i in range(11)]
-    for _ in range(instances):
+
+    def violation() -> float:
         n_in = rng.randint(2, 4)
         n_out = rng.randint(2, 4)
         channel = random_channel(rng, n_in, n_out)
@@ -129,18 +131,17 @@ def check_concavity(seed: int, instances: int, tol: float) -> PropertyOutcome:
                 lhs = pmc(jm, y).nats
                 rhs = theta * pmc(jp, y).nats + (1 - theta) * pmc(jq, y).nats
                 bad = max(bad, rhs - lhs)
-        if bad > tol:
-            failures += 1
-            worst = max(worst, bad)
-    return PropertyOutcome("concavity", instances, failures, worst)
+        return bad
+
+    return _tally("concavity", instances, tol, violation)
 
 
 def check_pre_processing(seed: int, instances: int, tol: float) -> PropertyOutcome:
     """Leakage about a function of the secret never exceeds leakage about it."""
     rng = random.Random(seed)
-    failures, worst = 0, 0.0
-    for _ in range(instances):
-        joint = _random_joint(rng)
+
+    def violation() -> float:
+        joint = random_joint(rng, rng.randint(2, 5), rng.randint(2, 5))
         n_in = joint.n_inputs
         n_z = rng.randint(2, 4)
         pre = random_channel(rng, n_in, n_z)
@@ -158,33 +159,29 @@ def check_pre_processing(seed: int, instances: int, tol: float) -> PropertyOutco
         bad = 0.0
         for y in joint.support:
             bad = max(bad, pmc(z_joint, y).nats - pmc(joint, y).nats)
-        if bad > tol:
-            failures += 1
-            worst = max(worst, bad)
-    return PropertyOutcome("pre_processing", instances, failures, worst)
+        return bad
+
+    return _tally("pre_processing", instances, tol, violation)
 
 
 def check_post_processing(seed: int, instances: int, tol: float) -> PropertyOutcome:
     """Post-processing the release cannot raise the worst-outcome cost."""
     rng = random.Random(seed)
-    failures, worst = 0, 0.0
-    for _ in range(instances):
-        joint = _random_joint(rng)
+
+    def violation() -> float:
+        joint = random_joint(rng, rng.randint(2, 5), rng.randint(2, 5))
         post = random_channel(rng, joint.n_outputs, rng.randint(2, 4))
         processed = Joint.from_prior_channel(joint.prior, joint.channel.then(post))
-        before = max_realizable_cost(joint).nats
-        after = max_realizable_cost(processed).nats
-        if after - before > tol:
-            failures += 1
-            worst = max(worst, after - before)
-    return PropertyOutcome("post_processing", instances, failures, worst)
+        return max_realizable_cost(processed).nats - max_realizable_cost(joint).nats
+
+    return _tally("post_processing", instances, tol, violation)
 
 
 def check_composition(seed: int, instances: int, tol: float) -> PropertyOutcome:
     """Two-stage release: joint cost at (y1, y2) splits along the chain rule."""
     rng = random.Random(seed)
-    failures, worst = 0, 0.0
-    for _ in range(instances):
+
+    def violation() -> float:
         n_x = rng.randint(2, 3)
         n_y1 = rng.randint(2, 3)
         n_y2 = rng.randint(2, 3)
@@ -221,10 +218,9 @@ def check_composition(seed: int, instances: int, tol: float) -> PropertyOutcome:
                     + conditional_pmc(conditioned, y2, y1).nats
                 )
                 bad = max(bad, lhs - rhs)
-        if bad > tol:
-            failures += 1
-            worst = max(worst, bad)
-    return PropertyOutcome("composition", instances, failures, worst)
+        return bad
+
+    return _tally("composition", instances, tol, violation)
 
 
 _CHECKS: Sequence[Callable[[int, int, float], PropertyOutcome]] = (

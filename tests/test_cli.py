@@ -1,13 +1,17 @@
+import ast
+import inspect
 import json
 import math
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
 
 import infodens
+from infodens import mechanisms, oracles
 from infodens.cli import main
 
 
@@ -318,6 +322,40 @@ class TestDeterminism:
         assert outputs[0] == outputs[1]
 
 
+_RECORDED = [
+    ("translate", "pml", ["--pml", "0.2", "--pmin", "0.25"]),
+    ("translate", "pml_beyond_bound", ["--pml", "0.9", "--pmin", "0.25"]),
+    ("translate", "pmc", ["--pmc", "0.7", "--pmin", "0.25"]),
+    ("translate", "lip", ["--lip", "0.4", "--pmin", "0.25"]),
+    ("translate", "ldp", ["--ldp", "1.1", "--pmin", "0.25"]),
+    ("translate", "alip", ["--alip", "0.3", "0.2", "--pmin", "0.25"]),
+    ("sweep", "pmin0.2_steps7", ["--pmin", "0.2", "--steps", "7"]),
+    ("mechanism", "rr", ["--input", "{fixtures}/mechanism/rr.json"]),
+    ("mechanism", "laplace_mean", ["--input", "{fixtures}/mechanism/laplace_mean.json"]),
+    ("mechanism", "gaussian", ["--input", "{fixtures}/mechanism/gaussian.json"]),
+]
+
+
+class TestRecordedOutputs:
+    @pytest.mark.parametrize("unit", ("nats", "bits"))
+    @pytest.mark.parametrize(
+        "sub, name, args", _RECORDED, ids=[f"{sub}-{name}" for sub, name, _ in _RECORDED]
+    )
+    def test_output_bytes_match_recorded_fixture(self, sub, name, args, unit, tmp_path):
+        """JSON and CSV numbers, units and ``inf`` tokens as recorded before any change."""
+        fixtures = _FIXTURES / sub
+        if sub == "sweep":
+            target = tmp_path
+            recorded = {f: fixtures / f"{name}_{unit}_{f}" for f in ("pml_to_pmc.csv", "pmc_to_pml.csv")}
+        else:
+            target = tmp_path / "out.json"
+            recorded = {"out.json": fixtures / f"{name}_{unit}.json"}
+        argv = [sub, *(a.format(fixtures=_FIXTURES) for a in args), "--unit", unit]
+        assert main([*argv, "--output", str(target)]) == 0
+        for out_name, path in recorded.items():
+            assert (tmp_path / out_name).read_bytes() == path.read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # Import cost: numpy and scipy load only on the paths that use them
 # ---------------------------------------------------------------------------
@@ -330,19 +368,22 @@ _DOCS = {
 _FIXTURES = Path(__file__).parent / "fixtures"
 
 
+def _src_env():
+    """The environment with the tested package's ``src`` first on ``PYTHONPATH``."""
+    src = str(Path(infodens.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def _fresh_run(args, cwd, code=0):
     """Run ``python -X importtime *args`` in a new interpreter.
 
     Checks the exit code and returns the set of heavy packages (numpy,
     scipy) that the run imported, read from the import-time report on stderr.
     """
-    src = str(Path(infodens.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", *args],
         cwd=cwd,
-        env=env,
+        env=_src_env(),
         capture_output=True,
         text=True,
     )
@@ -421,3 +462,39 @@ class TestLazyImports:
     )
     def test_lazy_path_runs_from_fresh_interpreter(self, snippet, heavy, tmp_path):
         assert _fresh_run(["-c", "import infodens\n" + snippet], tmp_path) == heavy
+
+    def test_numpy_hints_resolve_for_type_checkers(self):
+        """Annotations naming ``np`` resolve once the ``TYPE_CHECKING`` imports run."""
+        for obj in (mechanisms.BoundedLaw, oracles._max_mass, oracles._kernel_blocks):
+            module = sys.modules[obj.__module__]
+            namespace = {}
+            for node in ast.parse(inspect.getsource(module)).body:
+                if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+                    exec(compile(ast.Module(node.body, []), module.__file__, "exec"), namespace)
+            assert typing.get_type_hints(obj, localns=namespace)
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"family": "rr", "n": 2, "eps_nats": 1, "prior": 5},
+            {"family": "laplace_mean", "interval": [None, 1], "count": 1, "scale": 1.0},
+            {"family": "laplace_mean", "interval": [0, 1], "count": 1.7, "scale": 1.0},
+            {"family": "gaussian", "amplitude": None, "sigma": 1},
+            {"family": "gaussian", "amplitude": True, "sigma": 1},
+        ],
+        ids=["rr-prior", "laplace-interval", "laplace-count", "gaussian-null", "gaussian-bool"],
+    )
+    def test_exit_2_with_one_error_line(self, doc, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "infodens.cli", "mechanism", "--input", str(path)],
+            env=_src_env(),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

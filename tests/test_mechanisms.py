@@ -36,6 +36,17 @@ from infodens.sampling import random_pmf
 
 LOG_E_MINUS_1 = 0.5413248546129181  # log(e - 1), the uniform Laplace plateau
 
+#: Documents with a wrong-typed field; each must raise ParseError.
+MALFORMED_DOCS = [
+    {"family": "rr", "n": 2, "eps_nats": 1, "prior": 5},
+    {"family": "extremal", "eps_nats": 0.1, "prior": "ab"},
+    {"family": "laplace_mean", "interval": [None, 1], "count": 1, "scale": 1.0},
+    {"family": "laplace_mean", "interval": [0, 1], "count": 1.7, "scale": 1.0},
+    {"family": "laplace_mean", "interval": [0, 1], "count": 1, "scale": math.inf},
+    {"family": "gaussian", "amplitude": None, "sigma": 1},
+    {"family": "gaussian", "amplitude": True, "sigma": 1},
+]
+
 RATIO2 = ExtReal.from_ratio(Fraction(2))
 RATIO3 = ExtReal.from_ratio(Fraction(3))
 
@@ -335,3 +346,6 @@ class TestMechanismDocs:
             parse_mechanism_doc({"family": "rr", "n": 2, "prior": [1, 1]})
         with pytest.raises(ParseError):
             parse_mechanism_doc({"family": "laplace_mean", "interval": [0, 1]})
+        for doc in MALFORMED_DOCS:
+            with pytest.raises(ParseError):
+                parse_mechanism_doc(doc)

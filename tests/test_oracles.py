@@ -19,7 +19,6 @@ from infodens import (
     ZERO,
     achieving_kernel,
     brute_force_guesswork_leakage,
-    brute_force_pmc,
     certify_pmc,
     cost_from_kernel,
     cost_function_leakage,
@@ -174,14 +173,14 @@ class TestAchievingKernel:
 class TestBruteForce:
     def test_canonical_instance_found_exactly(self, binary_symmetric_joint):
         cfg = SearchConfig(resolution=11, max_u=3)
-        value = brute_force_pmc(binary_symmetric_joint, 0, cfg)
+        value = certify_pmc(binary_symmetric_joint, 0, cfg).oracle_value
         # the two-way split of the max-ratio secret sits on the grid
         assert value.ratio == Fraction(2)
         assert value == pmc(binary_symmetric_joint, 0)
 
     def test_independent_joint_is_zero(self, independent_joint):
         cfg = SearchConfig(resolution=5, max_u=2)
-        assert brute_force_pmc(independent_joint, 0, cfg) == ZERO
+        assert certify_pmc(independent_joint, 0, cfg).oracle_value == ZERO
 
     def test_infinite_pmc_found_via_indicator(self, zero_entry_joint):
         cfg = SearchConfig(resolution=5, max_u=2)
@@ -206,7 +205,7 @@ class TestBruteForce:
         j = random_joint(rng, 4, 3)
         cfg = SearchConfig(resolution=5, max_u=3, max_iterations=300, seed=4)
         for y in j.support:
-            assert brute_force_pmc(j, y, cfg).nats <= pmc(j, y).nats + 1e-12
+            assert certify_pmc(j, y, cfg).oracle_value.nats <= pmc(j, y).nats + 1e-12
 
     def test_enormous_exhaustive_grid_rejected(self):
         from infodens.errors import BudgetExceeded
@@ -214,7 +213,7 @@ class TestBruteForce:
         rng = random.Random(12)
         j = random_joint(rng, 3, 2)
         with pytest.raises(BudgetExceeded):
-            brute_force_pmc(j, 0, SearchConfig(resolution=40, max_u=3))
+            certify_pmc(j, 0, SearchConfig(resolution=40, max_u=3))
 
     def test_search_config_validation(self):
         with pytest.raises(ValueError):
@@ -292,14 +291,20 @@ class TestGuessworkLeakage:
                 value = brute_force_guesswork_leakage(j, y, cfg)
                 assert value.nats <= pmc(j, y).nats + 1e-12
 
-    def test_large_guess_alphabet_rejected(self, binary_symmetric_joint):
-        from infodens.errors import BudgetExceeded
-
+    def test_large_guess_alphabet_matches_permutations(self, binary_symmetric_joint):
+        """Eight guess symbols: the descending sort agrees with trying every order."""
         wide = RandomizedFunction(
-            ((Fraction(1, 8),) * 8, (Fraction(1, 8),) * 8)
+            tuple(tuple(Fraction(k, 36) for k in ks) for ks in (range(1, 9), (8, 1, 7, 2, 6, 3, 5, 4)))
         )
-        with pytest.raises(BudgetExceeded):
-            guesswork_leakage(binary_symmetric_joint, 0, wide)
+        prior, post = binary_symmetric_joint.prior.weights, binary_symmetric_joint.posterior(0)
+
+        def guesswork(weights):  # 8! orders, searched in integers for speed
+            masses = _fraction_masses(weights, wide.rows)
+            den = math.lcm(*(m.denominator for m in masses))
+            return Fraction(_permutation_guesswork([int(m * den) for m in masses]), den)
+
+        expected = guesswork(prior) / guesswork(post)
+        assert guesswork_leakage(binary_symmetric_joint, 0, wide).ratio == expected
 
 
 class TestPreProcessingClosure:
@@ -526,8 +531,11 @@ class TestBatchedGridSearch:
             certify_pmc(j, 0, huge)
         with pytest.raises(BudgetExceeded):
             brute_force_guesswork_leakage(j, 0, huge)
+        sampled = SearchConfig(resolution=11, max_u=14)
         with pytest.raises(BudgetExceeded):
-            brute_force_guesswork_leakage(j, 0, SearchConfig(resolution=3, max_u=8))
+            certify_pmc(j, 0, sampled)
+        with pytest.raises(BudgetExceeded):
+            brute_force_guesswork_leakage(j, 0, sampled)
 
 
 def _permutation_guesswork(masses):

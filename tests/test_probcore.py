@@ -192,13 +192,6 @@ class TestJoint:
         with pytest.raises(DimensionMismatch):
             Joint.from_prior_channel(Pmf((1, 1, 1)), Channel.identity(2))
 
-    def test_functional_alias(self):
-        from infodens import joint_from
-
-        j = joint_from(Pmf((1, 1)), Channel.identity(2))
-        assert j.support == (0, 1)
-        assert j.channel.column(0) == (Fraction(1), Fraction(0))
-
 
 def _rational_vectors():
     """Seeded rational vectors with zeros, ints, single entries and large denominators."""
