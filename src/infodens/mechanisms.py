@@ -81,6 +81,16 @@ def randomized_response_pmc(n: int, eps_r, prior: Pmf) -> ExtReal:
     return ExtReal.from_ratio(1 + max(prior.weights) * (r - 1))
 
 
+def _high_privacy_ratio(prior: Pmf, eps_u) -> Number:
+    """``e^eps_u``, checked to lie strictly inside the high-privacy regime."""
+    r = as_level(eps_u).ratio
+    if r == math.inf or r * (1 - prior.p_min) >= 1:
+        raise OutsideHighPrivacy(
+            f"eps_u must stay below log 1/(1 - p_min) = {-math.log1p(-float(prior.p_min))!r}"
+        )
+    return r
+
+
 def extremal_mechanism(prior: Pmf, eps_u) -> Channel:
     """The leakage-optimal channel in the high-privacy regime.
 
@@ -89,11 +99,7 @@ def extremal_mechanism(prior: Pmf, eps_u) -> Channel:
     ``eps_u``.  Only defined strictly below ``log 1/(1 - p_min)``, where all
     entries stay positive.
     """
-    r = as_level(eps_u).ratio
-    if r == math.inf or r * (1 - prior.p_min) >= 1:
-        raise OutsideHighPrivacy(
-            f"eps_u must stay below log 1/(1 - p_min) = {-math.log1p(-float(prior.p_min))!r}"
-        )
+    r = _high_privacy_ratio(prior, eps_u)
     n = len(prior)
     rows = []
     for i in range(n):
@@ -111,12 +117,8 @@ def extremal_mechanism_pmc(prior: Pmf, eps_u) -> ExtReal:
     ``log p_min / (1 - e^eps_u (1 - p_min))``; this is the tightness witness
     for the leakage-to-cost translation.
     """
-    r = as_level(eps_u).ratio
+    r = _high_privacy_ratio(prior, eps_u)
     p = prior.p_min
-    if r == math.inf or r * (1 - p) >= 1:
-        raise OutsideHighPrivacy(
-            f"eps_u must stay below log 1/(1 - p_min) = {-math.log1p(-float(p))!r}"
-        )
     return ExtReal.from_ratio(p / (1 - r * (1 - p)))
 
 
@@ -197,24 +199,29 @@ def discrete_law(points: Sequence[float], probs: Sequence[float]) -> BoundedLaw:
     return BoundedLaw(lo=min(pts), hi=max(pts), mean=mean, cgf=cgf, family="discrete")
 
 
-def _quad_density(integrand, lo: float, hi: float, kink: Optional[float]) -> float:
+def _quadrature_pmc(law: BoundedLaw, noise_pdf, y: float, kink: Optional[float]) -> float:
+    """Pointwise cost of releasing ``y`` under additive noise, by quadrature, in nats."""
+    if law.pdf is None:
+        raise ValueError("the input law needs a density for quadrature")
     from scipy import integrate
 
-    points = [kink] if kink is not None and lo < kink < hi else None
-    value, abserr = integrate.quad(
-        integrand,
-        lo,
-        hi,
+    pdf = law.pdf
+    points = [kink] if kink is not None and law.lo < kink < law.hi else None
+    f_y, abserr = integrate.quad(
+        lambda x: pdf(x) * noise_pdf(y - x),
+        law.lo,
+        law.hi,
         points=points,
         limit=200,
         epsabs=_QUAD_EPSABS,
         epsrel=_QUAD_EPSREL,
     )
-    if value <= 0 or abserr > _QUAD_ACCEPT_REL * value + _QUAD_EPSABS:
+    if f_y <= 0 or abserr > _QUAD_ACCEPT_REL * f_y + _QUAD_EPSABS:
         raise QuadratureFailure(
-            f"density quadrature unreliable: value {value!r}, error {abserr!r}"
+            f"density quadrature unreliable: value {f_y!r}, error {abserr!r}"
         )
-    return value
+    f_floor = min(noise_pdf(y - law.lo), noise_pdf(y - law.hi))
+    return math.log(f_y) - math.log(f_floor)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +279,11 @@ class LaplaceMeanMechanism:
             self.law.lo, self.lo
         ) and math.isclose(self.law.hi, self.hi):
             w = (self.hi - self.lo) / (self.n * self.b)
-            return math.log(math.expm1(w) / w)
+            try:
+                return math.log(math.expm1(w) / w)
+            except OverflowError:
+                # beyond e^709.78; e^w - 1 = e^w (1 - e^-w) in the log domain
+                return w + math.log(-math.expm1(-w)) - math.log(w)
         t = 1.0 / (self.n * self.b)
         upper = (self.law.mean - self.lo) * t + self._cgf(t)
         lower = (self.hi - self.law.mean) * t + self._cgf(-t)
@@ -301,25 +312,13 @@ class LaplaceMeanMechanism:
             if y <= self.lo:
                 return (self.hi - self.law.mean) * t + self._cgf(-t)
         if self.n == 1:
-            return self._pmc_quadrature(y)
+            return _quadrature_pmc(self.law, self._noise_pdf, y, kink=y)
         if method == "quadrature":
             raise ValueError("quadrature path only covers n = 1")
         return self._pmc_monte_carlo(y, seed, mc_samples)
 
     def _noise_pdf(self, u: float) -> float:
         return math.exp(-abs(u) / self.b) / (2.0 * self.b)
-
-    def _pmc_quadrature(self, y: float) -> float:
-        if self.law.pdf is None:
-            raise ValueError("the input law needs a density for quadrature")
-        pdf = self.law.pdf
-        f_y = _quad_density(
-            lambda x: pdf(x) * self._noise_pdf(y - x), self.law.lo, self.law.hi, kink=y
-        )
-        f_floor = min(
-            self._noise_pdf(y - self.law.lo), self._noise_pdf(y - self.law.hi)
-        )
-        return math.log(f_y) - math.log(f_floor)
 
     def _pmc_monte_carlo(self, y: float, seed: int, samples: int) -> float:
         if self.law.sampler is None:
@@ -397,16 +396,7 @@ class GaussianPerturbMechanism:
 
     def pmc_at(self, y: float) -> float:
         """Pointwise cost of releasing ``y`` by quadrature, in nats."""
-        if self.law.pdf is None:
-            raise ValueError("the input law needs a density for quadrature")
-        pdf = self.law.pdf
-        f_y = _quad_density(
-            lambda x: pdf(x) * self._noise_pdf(y - x), self.law.lo, self.law.hi, kink=None
-        )
-        f_floor = min(
-            self._noise_pdf(y - self.law.lo), self._noise_pdf(y - self.law.hi)
-        )
-        return math.log(f_y) - math.log(f_floor)
+        return _quadrature_pmc(self.law, self._noise_pdf, y, kink=None)
 
     def _pmc_uniform_vectorized(self, ys: np.ndarray) -> np.ndarray:
         import numpy as np

@@ -133,8 +133,8 @@ def _push(weights: Sequence[Number], rows: Sequence[Sequence[Number]], n_out: in
     return out
 
 
-def _error_probability(masses: Sequence[Number]) -> Number:
-    err = 1 - max(masses)
+def _error_probability(masses: Sequence[Number], one: Number = 1) -> Number:
+    err = one - max(masses)
     if isinstance(err, float):
         if err < -1e-9:
             raise ValueError(f"guess masses exceed one: error {err!r}")
@@ -181,28 +181,28 @@ def _int_masses(rows: Sequence[Sequence[Fraction]], *weight_vectors) -> list:
     return out
 
 
-def _kernel_masses(table: list, kernel: Sequence[int]) -> list:
-    """Integer guess masses of one kernel, summed secret by secret."""
-    return list(map(sum, zip(*map(getitem, table, kernel))))
+def _kernel_masses(table: list, kernel: Sequence[int]) -> Iterator[int]:
+    """Integer guess masses of one kernel, summed secret by secret; read once."""
+    return map(sum, zip(*map(getitem, table, kernel)))
 
 
-def _exact_scan(prior_w, post_w, rows: list, kernels) -> tuple:
-    """Best randomized-function level over ``kernels``, in integer arithmetic.
+def _exact_scan(prior_w, post_w, rows: list, kernels, loss) -> tuple:
+    """Best level over ``kernels``, in integer arithmetic.
 
     ``kernels`` yields tuples of indices into ``rows``.  Each kernel is
-    evaluated from its definition: its prior and posterior errors are ``one -
-    max(masses)`` over the masses of :func:`_int_masses`, with the branches
-    of :func:`_error_ratio`, and two levels compare by cross-multiplication.
-    Only the winner's errors become ``Fraction`` objects.  Returns ``(best level, first
-    kernel attaining it, kernels visited)``.
+    evaluated from its definition: its prior and posterior losses are
+    ``loss(masses, one)`` over the masses of :func:`_int_masses`, with the
+    branches of :func:`_error_ratio`, and two levels compare by
+    cross-multiplication.  Only the winner's losses become a ``Fraction``.
+    Returns ``(best level, first kernel attaining it, kernels visited)``.
     """
     (tab_p, one_p), (tab_q, one_q) = _int_masses(rows, prior_w, post_w)
     best_a = best_b = best_kernel = None
     count = 0
     for kernel in kernels:
         count += 1
-        a = one_p - max(_kernel_masses(tab_p, kernel))
-        b = one_q - max(_kernel_masses(tab_q, kernel))
+        a = loss(_kernel_masses(tab_p, kernel), one_p)
+        b = loss(_kernel_masses(tab_q, kernel), one_q)
         if b == 0:
             if a == 0:
                 a, b = one_p, one_q  # 0/0 reads as ratio one
@@ -215,13 +215,17 @@ def _exact_scan(prior_w, post_w, rows: list, kernels) -> tuple:
     return value, best_kernel, count
 
 
-def _lambda_from_rows(prior_w, post_w, kernel_rows, n_out: int) -> ExtReal:
+def _lambda_from_rows(prior_w, post_w, kernel_rows, n_out: int, loss=_error_probability) -> ExtReal:
     """One kernel's level: in Python ints when every number is a ``Fraction``."""
+    if len(kernel_rows) != len(prior_w):
+        raise DimensionMismatch(
+            f"kernel has {len(kernel_rows)} rows, prior has {len(prior_w)} outcomes"
+        )
     if _all_fractions(prior_w, post_w, *kernel_rows):
-        return _exact_scan(prior_w, post_w, kernel_rows, (range(len(kernel_rows)),))[0]
+        return _exact_scan(prior_w, post_w, kernel_rows, (range(len(kernel_rows)),), loss)[0]
     pu = _push(prior_w, kernel_rows, n_out)
     pu_y = _push(post_w, kernel_rows, n_out)
-    return _error_ratio(_error_probability(pu), _error_probability(pu_y))
+    return _error_ratio(loss(pu), loss(pu_y))
 
 
 def randomized_function_leakage(joint: Joint, y: int, kernel: Channel) -> ExtReal:
@@ -231,13 +235,8 @@ def randomized_function_leakage(joint: Joint, y: int, kernel: Channel) -> ExtRea
     guess, both under the best deterministic guess; 0/0 counts as ratio one.
     Never exceeds the pointwise maximal cost of the same outcome.
     """
-    if kernel.n_inputs != len(joint.prior):
-        raise DimensionMismatch(
-            f"kernel has {kernel.n_inputs} rows, prior has {len(joint.prior)} outcomes"
-        )
-    posterior = joint.posterior(y)
     return _lambda_from_rows(
-        joint.prior.weights, posterior, kernel.rows, kernel.n_outputs
+        joint.prior.weights, joint.posterior(y), kernel.rows, kernel.n_outputs
     )
 
 
@@ -283,39 +282,13 @@ def cost_function_leakage(joint: Joint, y: int, cost: CostFunction) -> ExtReal:
     return ExtReal.from_ratio(prior_min / post_min)
 
 
-def _min_guesswork(masses: Sequence[Number]) -> Number:
-    """Smallest expected number of sequential guesses.
+def _min_guesswork(masses: Sequence[Number], one: Number = 1) -> Number:
+    """Smallest expected number of sequential guesses; linear, so ``one`` is unused.
 
     Guessing in order of decreasing mass is optimal (Massey, "Guessing and
     entropy", ISIT 1994).
     """
     return sum((i + 1) * m for i, m in enumerate(sorted(masses, reverse=True)))
-
-
-def _exact_guesswork_scan(prior_w, post_w, rows: list, kernels) -> ExtReal:
-    """Best guesswork level over ``kernels``, in integer arithmetic.
-
-    Like :func:`_exact_scan`: the guessworks of both sides are integers in
-    units of ``1 / one``, compared by cross-multiplication; only the winner
-    becomes a ``Fraction``.
-    """
-    (tab_p, one_p), (tab_q, one_q) = _int_masses(rows, prior_w, post_w)
-    best_g = best_h = None
-    for kernel in kernels:
-        g = _min_guesswork(_kernel_masses(tab_p, kernel))
-        h = _min_guesswork(_kernel_masses(tab_q, kernel))
-        if best_g is None or g * best_h > best_g * h:
-            best_g, best_h = g, h
-    return ExtReal.from_ratio(Fraction(best_g * one_q, best_h * one_p))
-
-
-def _guesswork_from_rows(prior_w, post_w, kernel_rows, n_out: int) -> ExtReal:
-    """One kernel's guesswork level, like :func:`_lambda_from_rows`."""
-    if _all_fractions(prior_w, post_w, *kernel_rows):
-        return _exact_guesswork_scan(prior_w, post_w, kernel_rows, (range(len(kernel_rows)),))
-    pu = _push(prior_w, kernel_rows, n_out)
-    pu_y = _push(post_w, kernel_rows, n_out)
-    return ExtReal.from_ratio(_min_guesswork(pu) / _min_guesswork(pu_y))
 
 
 def guesswork_leakage(joint: Joint, y: int, kernel: Channel) -> ExtReal:
@@ -325,12 +298,8 @@ def guesswork_leakage(joint: Joint, y: int, kernel: Channel) -> ExtReal:
     variable induced by ``kernel``; always finite because guesswork is at
     least one.
     """
-    if kernel.n_inputs != len(joint.prior):
-        raise DimensionMismatch(
-            f"kernel has {kernel.n_inputs} rows, prior has {len(joint.prior)} outcomes"
-        )
-    return _guesswork_from_rows(
-        joint.prior.weights, joint.posterior(y), kernel.rows, kernel.n_outputs
+    return _lambda_from_rows(
+        joint.prior.weights, joint.posterior(y), kernel.rows, kernel.n_outputs, _min_guesswork
     )
 
 
@@ -403,9 +372,9 @@ def _grid_shape(n_x: int, u_size: int, cfg: SearchConfig) -> tuple:
         return n_rows, None, None
     vertices = None
     if u_size**n_x <= 4096:
-        comps = list(_compositions(den, u_size))
-        corners = [(0,) * i + (den,) + (0,) * (u_size - 1 - i) for i in range(u_size)]
-        vertices = [comps.index(c) for c in corners]
+        # the corner with all mass on guess i is preceded, in lexicographic
+        # order, by every composition of den whose first i parts are zero
+        vertices = [math.comb(den + u_size - 1 - i, u_size - 1 - i) - 1 for i in range(u_size)]
     rng = random.Random(cfg.seed * 1_000_003 + u_size * 101 + n_x)
     draws = [rng.randrange(n_rows) for _ in range(cfg.max_iterations * n_x)]
     return n_rows, vertices, draws
@@ -417,8 +386,8 @@ def _kernel_indices(n_x: int, u_size: int, cfg: SearchConfig) -> Iterator[tuple]
     Each kernel is a tuple of ``n_x`` row indices into
     ``_lattice_rows(u_size, cfg.resolution)``.  Exhaustive grids follow
     ``itertools.product`` order; sampled grids give the vertex product and
-    then the seeded draws.  Plain Python, for the rational and guesswork
-    scans; :func:`_kernel_blocks` gives the same sequence as numpy blocks.
+    then the seeded draws.  Plain Python, for the integer scan;
+    :func:`_kernel_blocks` gives the same sequence as numpy blocks.
     """
     n_rows, vertices, draws = _grid_shape(n_x, u_size, cfg)
     if draws is None:
@@ -457,8 +426,8 @@ def _iter_kernels(n_x: int, u_size: int, cfg: SearchConfig) -> Iterator[tuple]:
         yield tuple(rows[i] for i in kernel)
 
 
-def _max_mass(weights: Sequence, lattice: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """Largest guess mass of every kernel in ``block``.
+def _block_masses(weights: Sequence, lattice: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Guess masses of every kernel in ``block``, one row per kernel.
 
     The pushes accumulate secret by secret, in the order of :func:`_push`,
     so float masses carry the same rounding as the per-kernel definition.
@@ -466,16 +435,31 @@ def _max_mass(weights: Sequence, lattice: np.ndarray, block: np.ndarray) -> np.n
     acc = weights[0] * lattice[block[:, 0]]
     for x in range(1, len(weights)):
         acc = acc + weights[x] * lattice[block[:, x]]
-    return acc.max(axis=1)
+    return acc
 
 
-def _float_scan(prior_w, post_w, rows: list, blocks) -> tuple:
-    """Best randomized-function level over ``blocks``, for float weights.
+def _block_error(masses: np.ndarray) -> np.ndarray:
+    """:func:`_error_probability` of every row of masses, before its zero guard."""
+    return 1.0 - masses.max(axis=1)
+
+
+def _block_guesswork(masses: np.ndarray) -> np.ndarray:
+    """:func:`_min_guesswork` of every row, summed in the same order; sorts ``masses``."""
+    masses.sort(axis=1)
+    acc = masses[:, -1]
+    for i in range(1, masses.shape[1]):
+        acc = acc + (i + 1) * masses[:, -1 - i]
+    return acc
+
+
+def _float_scan(prior_w, post_w, rows: list, blocks, block_loss) -> tuple:
+    """Best level over ``blocks``, for float weights.
 
     Applies the branches of :func:`_error_probability` and
-    :func:`_error_ratio` to each numpy block of kernels, raising for the
-    first kernel that they would reject.  Returns ``(best level, first
-    kernel attaining it, kernels visited)`` like :func:`_exact_scan`.
+    :func:`_error_ratio` to the ``block_loss`` of each numpy block of
+    kernels, raising for the first kernel that they would reject.  Returns
+    ``(best level, first kernel attaining it, kernels visited)`` like
+    :func:`_exact_scan`.
     """
     import numpy as np
 
@@ -486,8 +470,8 @@ def _float_scan(prior_w, post_w, rows: list, blocks) -> tuple:
     count = 0
     for block in blocks:
         count += len(block)
-        raw_p = 1.0 - _max_mass(p, lattice, block)
-        raw_q = 1.0 - _max_mass(q, lattice, block)
+        raw_p = block_loss(_block_masses(p, lattice, block))
+        raw_q = block_loss(_block_masses(q, lattice, block))
         err_p = np.where(raw_p < _FLOAT_ZERO, 0.0, raw_p)
         err_q = np.where(raw_q < _FLOAT_ZERO, 0.0, raw_q)
         bad = (raw_p < -1e-9) | (raw_q < -1e-9)
@@ -502,15 +486,28 @@ def _float_scan(prior_w, post_w, rows: list, blocks) -> tuple:
             where=(err_p != 0) & (err_q != 0),
         )
         k = int(np.argmax(ratio))
-        if err_p[k] == 0:
-            value = ZERO
-        elif err_q[k] == 0:
-            value = INF
-        else:
-            value = ExtReal.from_ratio(float(ratio[k]))
+        value = _error_ratio(float(err_p[k]), float(err_q[k]))
         if best is None or value > best:
             best, best_kernel = value, block[k].tolist()
     return best, best_kernel, count
+
+
+def _scan_alphabet(prior_w, post_w, u_size: int, cfg: SearchConfig, loss, block_loss) -> tuple:
+    """``(best level, its kernel rows, kernels visited)`` on guess alphabet ``u_size``.
+
+    Scans in Python ints with ``loss`` when every weight is a ``Fraction``,
+    never importing numpy, and otherwise in numpy blocks with ``block_loss``.
+    Both find the first maximizing kernel of the per-kernel definition.
+    """
+    n_x = len(prior_w)
+    rows = _lattice_rows(u_size, cfg.resolution)
+    if _all_fractions(prior_w, post_w):
+        kernels = _kernel_indices(n_x, u_size, cfg)
+        value, kernel, count = _exact_scan(prior_w, post_w, rows, kernels, loss)
+    else:
+        blocks = _kernel_blocks(n_x, u_size, cfg)
+        value, kernel, count = _float_scan(prior_w, post_w, rows, blocks, block_loss)
+    return value, tuple(rows[i] for i in kernel), count
 
 
 @dataclass(frozen=True)
@@ -550,13 +547,7 @@ class OracleCertificate:
 
 
 def certify_pmc(joint: Joint, y: int, cfg: SearchConfig) -> OracleCertificate:
-    """Run the grid search and report it against the closed form.
-
-    Each guess alphabet is scanned in numpy blocks when any weight is a
-    float, and kernel by kernel in Python ints when all are rational.  Both
-    give the value and the first maximizing kernel of the per-kernel
-    definition; the rational scan never imports numpy.
-    """
+    """Run the grid search and report it against the closed form."""
     prior_w = joint.prior.weights
     post_w = joint.posterior(y)
     n_x = len(prior_w)
@@ -573,20 +564,15 @@ def certify_pmc(joint: Joint, y: int, cfg: SearchConfig) -> OracleCertificate:
             best, best_rows = value, indicator
 
     searched = indicator is None or best.is_finite
-    exact = _all_fractions(prior_w, post_w)
     visited = []
     for u_size in range(2, cfg.max_u + 1):
         count = 0
         if searched:
-            rows = _lattice_rows(u_size, cfg.resolution)
-            if exact:
-                kernels = _kernel_indices(n_x, u_size, cfg)
-                value, kernel, count = _exact_scan(prior_w, post_w, rows, kernels)
-            else:
-                blocks = _kernel_blocks(n_x, u_size, cfg)
-                value, kernel, count = _float_scan(prior_w, post_w, rows, blocks)
+            value, rows, count = _scan_alphabet(
+                prior_w, post_w, u_size, cfg, _error_probability, _block_error
+            )
             if value > best:
-                best, best_rows = value, tuple(rows[i] for i in kernel)
+                best, best_rows = value, rows
         visited.append((u_size, count, _is_exhaustive(n_x, u_size, cfg)))
 
     closed = leakage.pmc(joint, y)
@@ -610,18 +596,11 @@ def brute_force_guesswork_leakage(joint: Joint, y: int, cfg: SearchConfig) -> Ex
     """
     prior_w = joint.prior.weights
     post_w = joint.posterior(y)
-    n_x = len(prior_w)
-    _check_budget(n_x, cfg)
-    exact = _all_fractions(prior_w, post_w)
+    _check_budget(len(prior_w), cfg)
     best = ZERO
     for u_size in range(2, cfg.max_u + 1):
-        if exact:
-            rows = _lattice_rows(u_size, cfg.resolution)
-            kernels = _kernel_indices(n_x, u_size, cfg)
-            best = max(best, _exact_guesswork_scan(prior_w, post_w, rows, kernels))
-        else:
-            for rows in _iter_kernels(n_x, u_size, cfg):
-                best = max(best, _guesswork_from_rows(prior_w, post_w, rows, u_size))
+        value = _scan_alphabet(prior_w, post_w, u_size, cfg, _min_guesswork, _block_guesswork)[0]
+        best = max(best, value)
     return best
 
 

@@ -288,9 +288,6 @@ class Pmf:
     def is_exact(self) -> bool:
         return all(isinstance(w, Fraction) for w in self.weights)
 
-    def as_floats(self) -> tuple:
-        return tuple(float(w) for w in self.weights)
-
     @staticmethod
     def uniform(n: int, exact: bool = True) -> "Pmf":
         if n < 1:
@@ -335,9 +332,6 @@ class Channel:
     @property
     def n_outputs(self) -> int:
         return len(self.rows[0])
-
-    def row(self, x: int) -> tuple:
-        return self.rows[x]
 
     def column(self, y: int) -> tuple:
         return tuple(r[y] for r in self.rows)
@@ -429,9 +423,6 @@ class Joint:
         _check_outcome(self, y)
         m, rows = self.marginal[y], self.channel.rows
         return tuple(w * row[y] / m for w, row in zip(self.prior.weights, rows))
-
-    def joint_mass(self, x: int, y: int) -> Number:
-        return self.prior[x] * self.channel.rows[x][y]
 
 
 # ---------------------------------------------------------------------------

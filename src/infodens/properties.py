@@ -9,6 +9,7 @@ subcommand and the acceptance suite both run these.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, List, Sequence
@@ -237,7 +238,15 @@ _CHECKS: Sequence[Callable[[int, int, float], PropertyOutcome]] = (
 def run_property_suite(
     seed: int = 0, instances: int = 1000, tol: float = 1e-10
 ) -> List[PropertyOutcome]:
-    """Run every property check on its own derived seed."""
+    """Run every property check on its own derived seed.
+
+    A suite of no instances, or with a negative or non-finite tolerance,
+    would pass without checking anything, so it is refused.
+    """
+    if instances < 1:
+        raise ValueError(f"instances must be at least 1, got {instances!r}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
     return [
         check(seed * 7919 + index, instances, tol)
         for index, check in enumerate(_CHECKS)

@@ -255,6 +255,15 @@ class TestMechanismDump:
         payload = json.loads(capsys.readouterr().out)
         assert payload["sup_pmc_nats"] == pytest.approx(math.log(math.e - 1))
 
+    def test_laplace_dump_beyond_float_exponent(self, tmp_path, capsys):
+        doc = tmp_path / "lap.json"
+        doc.write_text(
+            json.dumps({"family": "laplace_mean", "interval": [0, 1000], "count": 1, "scale": 1})
+        )
+        assert main(["mechanism", "--input", str(doc)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["sup_pmc_nats"] == pytest.approx(1000 - math.log(1000), rel=1e-12)
+
     def test_gaussian_dump(self, tmp_path, capsys):
         doc = tmp_path / "g.json"
         doc.write_text(json.dumps({"family": "gaussian", "amplitude": 1, "sigma": 1}))
@@ -269,6 +278,17 @@ class TestProps:
         out = capsys.readouterr().out
         assert out.count("PASS") == 7
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--tol", "nan"], ["--tol", "inf"], ["--tol=-1e-10"], ["--instances", "0"], ["--instances=-3"]],
+        ids=["tol-nan", "tol-inf", "tol-negative", "instances-zero", "instances-negative"],
+    )
+    def test_vacuous_suite_exits_2(self, flags, capsys):
+        assert main(["props", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestDeterminism:
@@ -457,15 +477,33 @@ class TestLazyImports:
                 "assert infodens.certify_pmc(j, 0, infodens.SearchConfig(resolution=5, max_u=2)).gap_nats == 0",
                 set(),
             ),
+            (
+                "j = infodens.Joint.from_prior_channel(\n"
+                "    infodens.Pmf((0.5, 0.5)), infodens.Channel(((0.75, 0.25), (0.25, 0.75))))\n"
+                "g = infodens.brute_force_guesswork_leakage(j, 0, infodens.SearchConfig(resolution=5))\n"
+                "assert 0 < g.nats <= infodens.pmc(j, 0).nats",
+                {"numpy"},
+            ),
+            (
+                "from fractions import Fraction as F\n"
+                "j = infodens.Joint.from_prior_channel(infodens.Pmf((F(1, 2), F(1, 2))),\n"
+                "    infodens.Channel(((F(3, 4), F(1, 4)), (F(1, 4), F(3, 4)))))\n"
+                "g = infodens.brute_force_guesswork_leakage(j, 0, infodens.SearchConfig(resolution=5))\n"
+                "assert g.is_exact and 1 < g.ratio <= infodens.pmc(j, 0).ratio",
+                set(),
+            ),
         ],
-        ids=["quadrature", "monte-carlo", "tail-frequency", "certify-float", "certify-exact"],
+        ids=[
+            "quadrature", "monte-carlo", "tail-frequency", "certify-float", "certify-exact",
+            "guesswork-float", "guesswork-exact",
+        ],
     )
     def test_lazy_path_runs_from_fresh_interpreter(self, snippet, heavy, tmp_path):
         assert _fresh_run(["-c", "import infodens\n" + snippet], tmp_path) == heavy
 
     def test_numpy_hints_resolve_for_type_checkers(self):
         """Annotations naming ``np`` resolve once the ``TYPE_CHECKING`` imports run."""
-        for obj in (mechanisms.BoundedLaw, oracles._max_mass, oracles._kernel_blocks):
+        for obj in (mechanisms.BoundedLaw, oracles._block_masses, oracles._kernel_blocks):
             module = sys.modules[obj.__module__]
             namespace = {}
             for node in ast.parse(inspect.getsource(module)).body:

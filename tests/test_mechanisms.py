@@ -208,6 +208,12 @@ class TestLaplaceMean:
             m = LaplaceMeanMechanism(lo, hi, n, b, law=law)
             assert m.sup_pmc() <= m.dp_level + 1e-12
 
+    @pytest.mark.parametrize("width", (709.0, 709.79, 1000.0, 1e6))
+    def test_wide_interval_stays_finite(self, width):
+        # e^w - 1 overflows a float from w ~ 709.78 on
+        m = LaplaceMeanMechanism(0.0, width, 1, 1.0)
+        assert m.sup_pmc() == pytest.approx(m.pmc_at(width + 1.0), rel=1e-12)
+
     def test_vanishes_with_many_points(self):
         m = LaplaceMeanMechanism(0.0, 1.0, 10**6, 1.0)
         assert m.sup_pmc() < 1e-3

@@ -31,6 +31,7 @@ from infodens import (
 from infodens.errors import (
     AllInfinitePrior,
     BudgetExceeded,
+    DimensionMismatch,
     KTooSmall,
     NormalizationDegenerate,
 )
@@ -70,6 +71,11 @@ class TestRandomizedFunctionLeakage:
             for y in j.support:
                 lam = randomized_function_leakage(j, y, u)
                 assert lam.nats <= pmc(j, y).nats + 1e-12
+
+    @pytest.mark.parametrize("leakage", (randomized_function_leakage, guesswork_leakage))
+    def test_kernel_rows_must_match_the_prior(self, binary_symmetric_joint, leakage):
+        with pytest.raises(DimensionMismatch, match="kernel has 3 rows, prior has 2"):
+            leakage(binary_symmetric_joint, 0, _identity_kernel(3))
 
     def test_indicator_reaches_infinity(self, zero_entry_joint):
         indicator = RandomizedFunction(((Fraction(1), Fraction(0)), (HALF, HALF)))
@@ -346,6 +352,24 @@ def _fraction_level(prior, post, rows):
     return ExtReal.from_ratio(err_p / err_q)
 
 
+def _float_guesswork(weights, rows):
+    """One kernel's guesswork in floats, from its definition.
+
+    The sums are explicit loops, left to right: from Python 3.12 on,
+    ``sum()`` of floats is compensated and would round differently.
+    """
+    masses = []
+    for u in range(len(rows[0])):
+        mass = 0.0
+        for w, row in zip(weights, rows):
+            mass += w * row[u]
+        masses.append(mass)
+    guesses = 0.0
+    for i, mass in enumerate(sorted(masses, reverse=True)):
+        guesses += (i + 1) * mass
+    return guesses
+
+
 def _reference_kernels(n_x, u_size, cfg):
     """The grid of guess alphabet ``u_size``, enumerated from its definition."""
     rows = _lattice_rows(u_size, cfg.resolution)
@@ -443,6 +467,29 @@ class TestBatchedGridSearch:
             assert cert.witness.rows == rows
         assert min(kinds[k] for k in ("float", "exact", "mixed", "zeros", "sampled")) >= 20
 
+    def test_float_guesswork_matches_per_kernel_definition(self):
+        kinds = collections.Counter()
+        for kind, joint, y, cfg in _differential_cases(300):
+            if kind == "exact":
+                continue
+            prior, post = joint.prior.weights, joint.posterior(y)
+            best = ZERO
+            for u_size in range(2, cfg.max_u + 1):
+                for rows in _reference_kernels(joint.n_inputs, u_size, cfg):
+                    ratio = _float_guesswork(prior, rows) / _float_guesswork(post, rows)
+                    best = max(best, ExtReal.from_ratio(ratio))
+            got = brute_force_guesswork_leakage(joint, y, cfg)
+            kinds[kind] += 1
+            kinds["zeros"] += any(q == 0 for q in post)
+            kinds["sampled"] += joint.n_inputs * cfg.max_u > cfg.exhaustive_limit
+            if kind == "mixed":
+                # a Fraction prior pushed in float rounds differently in the last bits
+                assert got.nats == pytest.approx(best.nats, rel=1e-12)
+                continue
+            assert got == best
+            assert type(got.ratio) is type(best.ratio)
+        assert min(kinds[k] for k in ("float", "mixed", "zeros", "sampled")) >= 20
+
     def test_vanishing_prior_error_matches_the_definition(self):
         # a prior mass below the float zero guard clears the prior error of a
         # vertex kernel but not its posterior error
@@ -480,7 +527,8 @@ class TestBatchedGridSearch:
         identity = _identity_kernel(2).rows
         with pytest.raises(ValueError, match="prior error vanished"):
             oracles._exact_scan(
-                (Fraction(1), Fraction(0)), (HALF, HALF), identity, [(0, 0), (0, 1)]
+                (Fraction(1), Fraction(0)), (HALF, HALF), identity, [(0, 0), (0, 1)],
+                oracles._error_probability,
             )
         assert oracles._error_ratio(0.0, 2e-6) == ZERO
 
@@ -523,7 +571,7 @@ class TestBatchedGridSearch:
         def fail(*args, **kwargs):
             raise AssertionError("a kernel was evaluated")
 
-        for name in ("_lambda_from_rows", "_max_mass", "_push", "_int_masses", "_kernel_masses"):
+        for name in ("_lambda_from_rows", "_block_masses", "_push", "_int_masses", "_kernel_masses"):
             monkeypatch.setattr(oracles, name, fail)
         j = random_joint(random.Random(12), 3, 2)
         huge = SearchConfig(resolution=40, max_u=3)
