@@ -251,6 +251,8 @@ class LaplaceMeanMechanism:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
         if not self.b > 0:
             raise ValueError(f"scale must be positive, got {self.b!r}")
+        if not math.isfinite(self.dp_level):  # also when hi - lo overflows
+            raise ValueError(f"the level (hi - lo)/(n b) overflows the float range: {self.dp_level!r}")
         if self.law is None:
             object.__setattr__(self, "law", uniform_law(self.lo, self.hi))
         elif self.law.lo < self.lo - 1e-12 or self.law.hi > self.hi + 1e-12:

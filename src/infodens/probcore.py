@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -215,21 +216,45 @@ def _check_entry(value: Number, what: str) -> Number:
 
 def _sum_entries(entries: Sequence[Number]) -> Number:
     if any(isinstance(e, float) for e in entries):
-        return math.fsum(float(e) for e in entries)
+        return math.fsum(entries)
     # Over one common denominator: the same canonical Fraction as a running sum.
     den = math.lcm(*(e.denominator for e in entries))
     return Fraction(sum(e.numerator * (den // e.denominator) for e in entries), den)
 
 
-def _normalize_row(row: Sequence[Number], what: str) -> tuple:
+def _fast_sum(entries: tuple):
+    """``(least, total)`` of all-float (with a finite sum) or all-Fraction entries, else None.
+
+    ``least`` is the smallest float or numerator: it has the sign of the smallest entry.
+    """
+    kinds = set(map(type, entries))
+    if kinds == {float}:
+        try:
+            total = math.fsum(entries)
+        except (OverflowError, ValueError):
+            return None
+        return (min(entries), total) if math.isfinite(total) else None
+    if kinds == {Fraction}:
+        return min(e.numerator for e in entries), _sum_entries(entries)
+    return None
+
+
+def _normalize_row(row: tuple, what: str) -> tuple:
     """Validate a sub-pmf row: non-negative entries summing to 1 within tolerance."""
-    entries = tuple(_check_entry(e, what) for e in row)
-    if not entries:
-        raise EmptySupport(f"{what}: empty row")
-    for e in entries:
-        if e < 0:
-            raise ParseError(f"{what}: negative entry {e!r}")
-    total = _sum_entries(entries)
+    fast = _fast_sum(row)
+    if fast is not None and fast[0] >= 0:
+        entries, total = row, fast[1]
+    else:
+        entries = tuple(_check_entry(e, what) for e in row)
+        if not entries:
+            raise EmptySupport(f"{what}: empty row")
+        for e in entries:
+            if e < 0:
+                raise ParseError(f"{what}: negative entry {e!r}")
+        try:
+            total = _sum_entries(entries)
+        except OverflowError:
+            raise StochasticityError(f"{what}: row sums beyond the float range") from None
     if total <= 0:
         raise StochasticityError(f"{what}: row sums to {total!r}")
     if abs(total - 1) > ROW_SUM_TOL:
@@ -257,15 +282,22 @@ class Pmf:
 
     def __post_init__(self):
         raw = tuple(self.weights)
-        if not raw:
-            raise EmptySupport("a pmf needs at least one outcome")
-        entries = []
-        for w in raw:
-            w = _check_entry(w, "pmf weight")
-            if w <= 0:
-                raise ZeroOrNegativeWeight(f"weight {w!r} breaks full support")
-            entries.append(w)
-        total = _sum_entries(entries)
+        fast = _fast_sum(raw)
+        if fast is not None and fast[0] > 0:
+            entries, total = raw, fast[1]
+        else:
+            if not raw:
+                raise EmptySupport("a pmf needs at least one outcome")
+            entries = []
+            for w in raw:
+                w = _check_entry(w, "pmf weight")
+                if w <= 0:
+                    raise ZeroOrNegativeWeight(f"weight {w!r} breaks full support")
+                entries.append(w)
+            try:
+                total = _sum_entries(entries)
+            except OverflowError:
+                raise ParseError("pmf weights sum beyond the float range") from None
         if total != 1:
             entries = [w / total for w in entries]
         object.__setattr__(self, "weights", tuple(entries))
@@ -346,15 +378,10 @@ class Channel:
             raise DimensionMismatch(
                 f"cannot chain {self.n_outputs} outputs into {other.n_inputs} inputs"
             )
-        rows = []
-        for r in self.rows:
-            rows.append(
-                tuple(
-                    _sum_entries([r[y] * other.rows[y][z] for y in range(len(r))])
-                    for z in range(other.n_outputs)
-                )
-            )
-        return Channel(tuple(rows))
+        cols = tuple(zip(*other.rows))
+        return Channel(
+            tuple(tuple(_sum_entries(list(map(operator.mul, r, c))) for c in cols) for r in self.rows)
+        )
 
     @staticmethod
     def identity(n: int) -> "Channel":
@@ -392,7 +419,7 @@ class Joint:
                 f"channel has {channel.n_inputs} rows, prior has {len(prior)} outcomes"
             )
         marginal = tuple(
-            _sum_entries([w * e for w, e in zip(prior.weights, col)])
+            _sum_entries(list(map(operator.mul, prior.weights, col)))
             for col in zip(*channel.rows)
         )
         support = tuple(y for y, m in enumerate(marginal) if m > 0)

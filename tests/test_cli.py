@@ -525,10 +525,39 @@ class TestMalformedDocuments:
         ids=["rr-prior", "laplace-interval", "laplace-count", "gaussian-null", "gaussian-bool"],
     )
     def test_exit_2_with_one_error_line(self, doc, tmp_path):
+        self._assert_one_error_line(["mechanism"], doc, tmp_path)
+
+    @pytest.mark.parametrize(
+        "sub, doc, message",
+        [
+            (
+                "analyze",
+                {"prior": [0.5, 0.5], "channel": [[1e308, 1e308], [0.5, 0.5]]},
+                "channel row 0: row sums beyond the float range",
+            ),
+            (
+                "analyze",
+                {"prior": [1e308, 1e308], "channel": [[1, 0], [0, 1]]},
+                "pmf weights sum beyond the float range",
+            ),
+            (
+                "mechanism",
+                {"family": "laplace_mean", "interval": [0, 1e308], "count": 1, "scale": 1e-300},
+                "the level (hi - lo)/(n b) overflows the float range: inf",
+            ),
+        ],
+        ids=["channel-row-sum", "prior-sum", "laplace-level"],
+    )
+    def test_overflow_exits_2_naming_it(self, sub, doc, message, tmp_path):
+        argv = [sub, "--output", str(tmp_path / "out")] if sub == "analyze" else [sub]
+        assert self._assert_one_error_line(argv, doc, tmp_path) == f"error: {message}\n"
+
+    @staticmethod
+    def _assert_one_error_line(argv, doc, tmp_path) -> str:
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
         proc = subprocess.run(
-            [sys.executable, "-m", "infodens.cli", "mechanism", "--input", str(path)],
+            [sys.executable, "-m", "infodens.cli", *argv, "--input", str(path)],
             env=_src_env(),
             capture_output=True,
             text=True,
@@ -536,3 +565,4 @@ class TestMalformedDocuments:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        return proc.stderr

@@ -214,6 +214,20 @@ class TestLaplaceMean:
         m = LaplaceMeanMechanism(0.0, width, 1, 1.0)
         assert m.sup_pmc() == pytest.approx(m.pmc_at(width + 1.0), rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "lo, hi, n, b",
+        [
+            (0.0, 1e308, 1, 1e-300),
+            (-1e308, 1e308, 1, 1.0),
+            (-1e308, 1e308, 10, 1e308),
+            (0.0, 1.0, 1, 1e-320),
+        ],
+    )
+    def test_overflowing_level_rejected(self, lo, hi, n, b):
+        # beyond the float range, (hi - lo)/(n b) would make sup_pmc NaN
+        with pytest.raises(ValueError, match="overflows the float range"):
+            LaplaceMeanMechanism(lo, hi, n, b)
+
     def test_vanishes_with_many_points(self):
         m = LaplaceMeanMechanism(0.0, 1.0, 10**6, 1.0)
         assert m.sup_pmc() < 1e-3

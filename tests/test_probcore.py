@@ -234,6 +234,217 @@ class TestSumEntries:
         assert _sum_entries(entries) == math.fsum(float(e) for e in entries)
 
 
+# ---------------------------------------------------------------------------
+# One-pass ingestion against the per-entry path
+# ---------------------------------------------------------------------------
+
+
+def _ref_entry(value, what):
+    """The per-entry check every row and weight went through before the one-pass sum."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
+        raise ParseError(f"{what} must be a number, got {type(value).__name__}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ParseError(f"{what} must be finite, got {value!r}")
+    return Fraction(value) if isinstance(value, int) else value
+
+
+def _ref_sum(entries):
+    if any(isinstance(e, float) for e in entries):
+        return math.fsum(float(e) for e in entries)
+    return sum(entries, Fraction(0))
+
+
+def _ref_row(row, what):
+    entries = tuple(_ref_entry(e, what) for e in row)
+    if not entries:
+        raise EmptySupport(f"{what}: empty row")
+    for e in entries:
+        if e < 0:
+            raise ParseError(f"{what}: negative entry {e!r}")
+    total = _ref_sum(entries)
+    if total <= 0:
+        raise StochasticityError(f"{what}: row sums to {total!r}")
+    if abs(total - 1) > 1e-12:
+        raise StochasticityError(f"{what}: row sums to {total!r}, expected 1")
+    return entries if total == 1 else tuple(e / total for e in entries)
+
+
+def _ref_channel(rows):
+    width = len(rows[0])
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise DimensionMismatch(f"row {i} has {len(row)} entries, expected {width}")
+    return tuple(_ref_row(row, f"channel row {i}") for i, row in enumerate(rows))
+
+
+def _ref_pmf(weights):
+    if not weights:
+        raise EmptySupport("a pmf needs at least one outcome")
+    entries = []
+    for w in weights:
+        w = _ref_entry(w, "pmf weight")
+        if w <= 0:
+            raise ZeroOrNegativeWeight(f"weight {w!r} breaks full support")
+        entries.append(w)
+    total = _ref_sum(entries)
+    return tuple(entries) if total == 1 else tuple(w / total for w in entries)
+
+
+def _ref_marginal(prior, rows):
+    return tuple(_ref_sum([w * e for w, e in zip(prior, col)]) for col in zip(*rows))
+
+
+def _bits(values):
+    """Every entry's type and exact value: ``float.hex`` or numerator and denominator."""
+    return [
+        (type(v), v.hex() if isinstance(v, float) else (v.numerator, v.denominator))
+        for v in values
+    ]
+
+
+def _outcome(build, *args):
+    """The built value's bits, or the raised exception's type and message."""
+    try:
+        value = build(*args)
+    except Exception as exc:  # noqa: BLE001 - the type is what gets compared
+        return type(exc), str(exc)
+    return [_bits(r) for r in value] if value and isinstance(value[0], tuple) else _bits(value)
+
+
+class _Float(float):
+    """A float subclass: it must take the per-entry path and keep its type."""
+
+
+def _exact_rows(rng, n_x, n_y):
+    def composition(n):
+        cuts = sorted(rng.sample(range(1, 8 * n), n - 1))
+        return tuple(Fraction(b - a, 8 * n) for a, b in zip([0, *cuts], [*cuts, 8 * n]))
+
+    return composition(n_x), tuple(composition(n_y) for _ in range(n_x))
+
+
+#: Rows the one-pass sum must treat as the per-entry checks do.
+_AWKWARD_ROWS = [
+    (-0.0, 1.0),
+    (0.0, -0.0, 1.0),
+    (5e-324, 1.0),
+    (2.2250738585072014e-308, 1e-310, 1.0),
+    (0.5, 0.5 + 9e-13),
+    (0.5, 0.5 - 9e-13),
+    (0.5, 0.5 + 1.1e-12),
+    (0.5, 0.5 - 1.1e-12),
+    (0.25, 0.25, 0.25, 0.25 + 4e-13),
+    (1.0 + 1e-12, 0.0),
+    (1.0 - 1e-12, 0.0),
+    (0.1, 0.2, 0.3, 0.4),
+    (_Float(0.5), _Float(0.5)),
+    (_Float(0.5), 0.5 + 4e-13),
+    (0, 1.0),
+    (1, 0.0),
+    (Fraction(1, 3), 2 / 3),
+    (Fraction(1, 3), 1, Fraction(-1, 3)),
+    (Fraction(1, 2), Fraction(1, 2)),
+    (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**13)),
+    (Fraction(0), Fraction(0)),
+    (0.0, 0.0),
+]
+
+_NAN, _INF = math.nan, math.inf
+#: Rows and weights that must fail with the per-entry path's exception and message.
+_BAD_ROWS = [
+    (),
+    (_NAN, 1.0),
+    (1.0, _NAN),
+    (0.5, _NAN, 0.5),
+    (_INF, 0.5),
+    (0.5, _INF),
+    (-_INF, 0.5),
+    (0.5, -_INF),
+    (_INF, -_INF),
+    (-_INF, _INF, 0.5),
+    (-0.5, 1.5),
+    (1.5, -0.5),
+    (0.5, 0.5, -1e-300),
+    (Fraction(-1, 2), Fraction(3, 2)),
+    (Fraction(3, 2), Fraction(-1, 2)),
+    (True, 0.0),
+    (0.5, False, 0.5),
+    ("0.5", 0.5),
+    (0.5, None),
+    (1e308, 1e308, -1.0),
+    (1e308, 1e308, _NAN),
+    (1e308, _INF, 1e308),
+    (1e308, 1e308, "x"),
+]
+
+#: Rows and weights whose float sum overflows; entries are valid, so only the sum fails.
+_OVERFLOWING = [
+    (1e308, 1e308),
+    (0.5, 1e308, 1e308),
+    (1e308, 0.5, 1e308),
+    (1e308, 1e308, 0.5),
+    (1.7e308, 0.25, 1.7e308, 0.25),
+    (_Float(1e308), 1e308),
+]
+
+
+class TestOnePassIngestion:
+    """``Channel``, ``Pmf`` and ``Joint`` against the per-entry path they replaced."""
+
+    def _check_joint(self, prior, rows):
+        assert _outcome(lambda r: Channel(r).rows, rows) == _outcome(_ref_channel, rows)
+        assert _outcome(lambda w: Pmf(w).weights, prior) == _outcome(_ref_pmf, prior)
+        joint = Joint.from_prior_channel(Pmf(prior), Channel(rows))
+        want = _ref_marginal(_ref_pmf(prior), _ref_channel(rows))
+        assert _bits(joint.marginal) == _bits(want)
+
+    @pytest.mark.parametrize("n, zero_prob", [(100, 0.0), (100, 0.1), (64, 0.0), (64, 0.2)])
+    def test_seeded_float_joints(self, n, zero_prob):
+        rng = random.Random(f"ingest:{n}:{zero_prob}")
+        for _ in range(3):
+            j = random_joint(rng, n, n, zero_prob=zero_prob)
+            self._check_joint(j.prior.weights, j.channel.rows)
+            # Unnormalized weights, and rows that need renormalization within the tolerance.
+            raw = tuple(rng.uniform(0.1, 1.0) for _ in range(n))
+            bent = tuple(tuple(e * (1 + rng.uniform(-4e-13, 4e-13)) for e in r) for r in j.channel.rows)
+            self._check_joint(raw, bent)
+
+    def test_seeded_rational_joints(self):
+        rng = random.Random("ingest:exact")
+        for _ in range(3):
+            self._check_joint(*_exact_rows(rng, 32, 32))
+        prior, rows = _exact_rows(rng, 12, 12)
+        self._check_joint(tuple(w * 7 for w in prior), rows)
+
+    @pytest.mark.parametrize("row", _AWKWARD_ROWS + _BAD_ROWS, ids=repr)
+    def test_row_matches_per_entry_path(self, row):
+        rows = ((1.0,) + (0.0,) * (len(row) - 1) if row else (), tuple(row))
+        assert _outcome(lambda r: Channel(r).rows, rows) == _outcome(_ref_channel, rows)
+        assert _outcome(lambda w: Pmf(w).weights, tuple(row)) == _outcome(_ref_pmf, tuple(row))
+
+    def test_ragged_and_empty_channels(self):
+        for rows in (((0.5, 0.5), (1.0,)), ((1.0,), (_NAN, 1.0)), ((), ())):
+            assert _outcome(lambda r: Channel(r).rows, rows) == _outcome(_ref_channel, rows)
+
+    @pytest.mark.parametrize("row", _OVERFLOWING, ids=repr)
+    def test_overflowing_sum_is_a_typed_error(self, row):
+        with pytest.raises(StochasticityError, match=r"^channel row 1: row sums beyond the float range$"):
+            Channel(((1.0,) + (0.0,) * (len(row) - 1), row))
+        with pytest.raises(ParseError, match=r"^pmf weights sum beyond the float range$"):
+            Pmf(row)
+
+    def test_composition_matches_per_entry_products(self):
+        rng = random.Random("ingest:then")
+        for exact in (False, True):
+            a = random_joint(rng, 6, 7, exact=exact, zero_prob=0.2).channel
+            b = random_joint(rng, 7, 5, exact=exact, zero_prob=0.2).channel
+            want = _ref_channel(tuple(
+                tuple(_ref_sum([r[y] * b.rows[y][z] for y in range(7)]) for z in range(5))
+                for r in a.rows
+            ))
+            assert [_bits(r) for r in a.then(b).rows] == [_bits(r) for r in want]
+
+
 def _eager_posteriors(joint):
     """The posterior family as the joint used to store it on construction."""
     prior, rows, marginal = joint.prior, joint.channel.rows, joint.marginal
