@@ -406,11 +406,23 @@ class GaussianPerturbMechanism:
 
         s = self.sigma
         lo, hi = self.law.lo, self.law.hi
-        mass = special.ndtr((ys - lo) / s) - special.ndtr((ys - hi) / s)
-        f_y = mass / (hi - lo)
-        far = np.maximum(np.abs(ys - lo), np.abs(ys - hi))
-        f_floor = np.exp(-0.5 * (far / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
-        return np.log(f_y) - np.log(f_floor)
+        # The zero-mean uniform law is symmetric, so the cost is even in y:
+        # at -|y| the mass below the window never cancels against one.
+        lower = -np.abs(ys)
+        upper = (lower - lo) / s
+        lower -= hi
+        lower /= s
+        mass = special.ndtr(upper)
+        mass -= special.ndtr(lower)
+        under = mass == 0.0
+        mass[under] = 1.0
+        log_mass = np.log(mass, out=mass)
+        # where both tails underflow: log Phi(u) + log(1 - Phi(l) / Phi(u))
+        log_upper = special.log_ndtr(upper[under])
+        log_lower = special.log_ndtr(lower[under])
+        log_mass[under] = log_upper + np.log1p(-np.exp(log_lower - log_upper))
+        # the far end of the window, hi, is -lower standard deviations away
+        return log_mass - math.log(hi - lo) + 0.5 * lower**2 + math.log(s * math.sqrt(2.0 * math.pi))
 
     def tail_bound(self, beta: float) -> float:
         """Probability bound for the cost exceeding its center by ``beta``."""

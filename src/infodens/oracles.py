@@ -24,7 +24,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import getitem
+from operator import add, getitem
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from . import leakage
@@ -167,7 +167,7 @@ def _int_masses(rows: Sequence[Sequence[Fraction]], *weight_vectors) -> list:
     by the LCM of its own; ``one`` is the product of the two scales.  Then
     ``table[x][i][u] == weights[x] * rows[i][u] * one`` exactly, so the guess
     masses of a kernel that gives secret ``x`` row ``kernel[x]`` are Python
-    int sums (:func:`_kernel_masses`) in units of ``1 / one``.  Python ints
+    int sums (:func:`_head_masses`) in units of ``1 / one``.  Python ints
     never overflow, however far the denominators grow.
     """
     r_scale = math.lcm(*(e.denominator for row in rows for e in row))
@@ -181,36 +181,39 @@ def _int_masses(rows: Sequence[Sequence[Fraction]], *weight_vectors) -> list:
     return out
 
 
-def _kernel_masses(table: list, kernel: Sequence[int]) -> Iterator[int]:
-    """Integer guess masses of one kernel, summed secret by secret; read once."""
-    return map(sum, zip(*map(getitem, table, kernel)))
+def _head_masses(table: list, head: Sequence[int]) -> list:
+    """Integer guess masses of the first ``len(head)`` secrets; zeros for an empty head."""
+    return list(map(sum, zip(*map(getitem, table, head)))) or [0] * len(table[0][0])
 
 
-def _exact_scan(prior_w, post_w, rows: list, kernels, loss) -> tuple:
-    """Best level over ``kernels``, in integer arithmetic.
+def _exact_scan(prior_w, post_w, rows: list, groups, loss) -> tuple:
+    """Best level over the kernels of ``groups``, in integer arithmetic.
 
-    ``kernels`` yields tuples of indices into ``rows``.  Each kernel is
-    evaluated from its definition: its prior and posterior losses are
-    ``loss(masses, one)`` over the masses of :func:`_int_masses`, with the
-    branches of :func:`_error_ratio`, and two levels compare by
-    cross-multiplication.  Only the winner's losses become a ``Fraction``.
-    Returns ``(best level, first kernel attaining it, kernels visited)``.
+    ``groups`` yields the ``(head, lasts)`` pairs of :func:`_kernel_indices`.
+    A head's masses are summed once; each kernel adds its last row to them.
+    Its prior and posterior losses are ``loss(masses, one)``, with the
+    branches of :func:`_error_ratio`; levels compare by cross-multiplication.
+    Only the winner's losses become a ``Fraction``.  Returns ``(best level,
+    first kernel attaining it, kernels visited)``.
     """
     (tab_p, one_p), (tab_q, one_q) = _int_masses(rows, prior_w, post_w)
+    last_p, last_q = tab_p[-1], tab_q[-1]
     best_a = best_b = best_kernel = None
     count = 0
-    for kernel in kernels:
-        count += 1
-        a = loss(_kernel_masses(tab_p, kernel), one_p)
-        b = loss(_kernel_masses(tab_q, kernel), one_q)
-        if b == 0:
-            if a == 0:
-                a, b = one_p, one_q  # 0/0 reads as ratio one
-        elif a == 0:
-            raise ValueError("prior error vanished while posterior error did not")
-        # (a, 0) is the infinite level: it beats every finite one and ties itself
-        if best_kernel is None or a * best_b > best_a * b:
-            best_a, best_b, best_kernel = a, b, kernel
+    for head, lasts in groups:
+        count += len(lasts)
+        head_p, head_q = _head_masses(tab_p, head), _head_masses(tab_q, head)
+        for k in lasts:
+            a = loss(map(add, head_p, last_p[k]), one_p)
+            b = loss(map(add, head_q, last_q[k]), one_q)
+            if b == 0:
+                if a == 0:
+                    a, b = one_p, one_q  # 0/0 reads as ratio one
+            elif a == 0:
+                raise ValueError("prior error vanished while posterior error did not")
+            # (a, 0) is the infinite level: it beats every finite one and ties itself
+            if best_kernel is None or a * best_b > best_a * b:
+                best_a, best_b, best_kernel = a, b, (*head, k)
     value = _error_ratio(Fraction(best_a, one_p), Fraction(best_b, one_q))
     return value, best_kernel, count
 
@@ -222,7 +225,8 @@ def _lambda_from_rows(prior_w, post_w, kernel_rows, n_out: int, loss=_error_prob
             f"kernel has {len(kernel_rows)} rows, prior has {len(prior_w)} outcomes"
         )
     if _all_fractions(prior_w, post_w, *kernel_rows):
-        return _exact_scan(prior_w, post_w, kernel_rows, (range(len(kernel_rows)),), loss)[0]
+        *head, last = range(len(kernel_rows))
+        return _exact_scan(prior_w, post_w, kernel_rows, [(head, (last,))], loss)[0]
     pu = _push(prior_w, kernel_rows, n_out)
     pu_y = _push(post_w, kernel_rows, n_out)
     return _error_ratio(loss(pu), loss(pu_y))
@@ -253,26 +257,28 @@ def _expected_cost(column: int, table, weights) -> Number:
     return acc
 
 
+def _min_cost(table, weights) -> Number:
+    return min(_expected_cost(w, table, weights) for w in range(len(table[0])))
+
+
 def cost_function_leakage(joint: Joint, y: int, cost: CostFunction) -> ExtReal:
     """Leakage to an adversary minimizing a non-negative expected cost.
 
     Log-ratio of the smallest prior expected cost to the smallest posterior
     expected cost; infinite when the posterior minimum vanishes while the
-    prior minimum does not.
+    prior minimum does not.  Float minima are recomputed exactly when one is 0.
     """
     if cost.n_secrets != len(joint.prior):
         raise DimensionMismatch(
             f"cost table has {cost.n_secrets} rows, prior has {len(joint.prior)} outcomes"
         )
-    posterior = joint.posterior(y)
-    prior_min = min(
-        _expected_cost(w, cost.table, joint.prior.weights) for w in range(cost.n_actions)
-    )
+    weights, table = (joint.prior.weights, joint.posterior(y)), cost.table
+    prior_min, post_min = (_min_cost(table, w) for w in weights)
     if prior_min == math.inf:
         raise AllInfinitePrior("every action has infinite prior expected cost")
-    post_min = min(
-        _expected_cost(w, cost.table, posterior) for w in range(cost.n_actions)
-    )
+    if 0 in (prior_min, post_min) and not _all_fractions(*weights, *table):
+        table = [[e if e == math.inf else Fraction(e) for e in row] for row in table]
+        prior_min, post_min = (_min_cost(table, list(map(Fraction, w))) for w in weights)
     if post_min == 0:
         return ZERO if prior_min == 0 else INF
     if prior_min == 0:
@@ -376,27 +382,30 @@ def _grid_shape(n_x: int, u_size: int, cfg: SearchConfig) -> tuple:
         # order, by every composition of den whose first i parts are zero
         vertices = [math.comb(den + u_size - 1 - i, u_size - 1 - i) - 1 for i in range(u_size)]
     rng = random.Random(cfg.seed * 1_000_003 + u_size * 101 + n_x)
-    draws = [rng.randrange(n_rows) for _ in range(cfg.max_iterations * n_x)]
-    return n_rows, vertices, draws
+    return n_rows, vertices, _randrange_draws(rng, n_rows, cfg.max_iterations * n_x)
+
+
+def _randrange_draws(rng: random.Random, n: int, count: int) -> list:
+    """``count`` calls of ``rng.randrange(n)``: its rejection loop over ``getrandbits``, run in C."""
+    bits = map(rng.getrandbits, itertools.repeat(n.bit_length()))
+    return list(itertools.islice(filter(n.__gt__, bits), count))
 
 
 def _kernel_indices(n_x: int, u_size: int, cfg: SearchConfig) -> Iterator[tuple]:
-    """The kernels of guess alphabet ``u_size``, in search order.
+    """The kernels of guess alphabet ``u_size``, in search order, as ``(head, lasts)`` groups.
 
-    Each kernel is a tuple of ``n_x`` row indices into
-    ``_lattice_rows(u_size, cfg.resolution)``.  Exhaustive grids follow
-    ``itertools.product`` order; sampled grids give the vertex product and
-    then the seeded draws.  Plain Python, for the integer scan;
-    :func:`_kernel_blocks` gives the same sequence as numpy blocks.
+    A group holds the kernels ``(*head, k)`` for ``k`` in ``lasts``: ``n_x``
+    row indices into ``_lattice_rows(u_size, cfg.resolution)``.  Exhaustive
+    grids and the sampled grids' vertex product follow ``itertools.product``
+    order, one group per head; each seeded draw is a group of one.  Plain
+    Python, for the integer scan; :func:`_kernel_blocks` gives numpy blocks.
     """
     n_rows, vertices, draws = _grid_shape(n_x, u_size, cfg)
-    if draws is None:
-        yield from itertools.product(range(n_rows), repeat=n_x)
-        return
-    if vertices is not None:
-        yield from itertools.product(vertices, repeat=n_x)
-    for start in range(0, len(draws), n_x):
-        yield tuple(draws[start : start + n_x])
+    lasts = range(n_rows) if draws is None else vertices
+    if lasts is not None:
+        yield from zip(itertools.product(lasts, repeat=n_x - 1), itertools.repeat(lasts))
+    for start in range(n_x - 1, len(draws or ()), n_x):
+        yield draws[start - n_x + 1 : start], draws[start : start + 1]
 
 
 def _kernel_blocks(n_x: int, u_size: int, cfg: SearchConfig) -> Iterator[np.ndarray]:
@@ -422,8 +431,8 @@ def _kernel_blocks(n_x: int, u_size: int, cfg: SearchConfig) -> Iterator[np.ndar
 
 def _iter_kernels(n_x: int, u_size: int, cfg: SearchConfig) -> Iterator[tuple]:
     rows = _lattice_rows(u_size, cfg.resolution)
-    for kernel in _kernel_indices(n_x, u_size, cfg):
-        yield tuple(rows[i] for i in kernel)
+    for head, lasts in _kernel_indices(n_x, u_size, cfg):
+        yield from (tuple(rows[i] for i in (*head, k)) for k in lasts)
 
 
 def _block_masses(weights: Sequence, lattice: np.ndarray, block: np.ndarray) -> np.ndarray:

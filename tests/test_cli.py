@@ -226,6 +226,8 @@ class TestOracle:
         [
             ("rational_3x3", "rational_3x3_grid5", ["--y", "2", "--mode", "rational", "--grid", "5", "--max-u", "3"]),
             ("float_2x3", "float_2x3_grid11", ["--y", "0", "--grid", "11"]),
+            # the default grid 11: the exhaustive integer scan at 287,496 kernels
+            ("rational_3x3", "rational_3x3_grid11", ["--y", "0", "--mode", "rational"]),
         ],
     )
     def test_output_bytes_match_recorded_fixture(self, doc, recorded, args, unit, tmp_path):

@@ -301,8 +301,9 @@ class TestGaussianPerturb:
         g = GaussianPerturbMechanism(1.0, 1.0)
         import numpy as np
 
-        vec = g._pmc_uniform_vectorized(np.array([0.3, 1.7, -2.2]))
-        for y, expected in zip((0.3, 1.7, -2.2), vec):
+        ys = (0.3, 1.7, -2.2, 8.0, -8.0, 9.0, -9.0)
+        vec = g._pmc_uniform_vectorized(np.array(ys))
+        for y, expected in zip(ys, vec):
             assert g.pmc_at(y) == pytest.approx(float(expected), abs=1e-9)
 
     def test_tail_bound_values(self):

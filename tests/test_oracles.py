@@ -104,6 +104,38 @@ class TestCostFunctionLeakage:
         with pytest.raises(AllInfinitePrior):
             cost_function_leakage(binary_symmetric_joint, 0, c_bad)
 
+    @pytest.mark.parametrize(
+        "prior, channel, y, nats",
+        [
+            # the prior minimum 1e-200 * 1e-200 underflows to 0.0
+            ((1e-200, 1 - 1e-200), ((0.0, 1.0), (1.0, 0.0)), 1, -460.517),
+            # the posterior minimum 2e-200 * 1e-200 underflows to 0.0
+            ((0.5, 0.5), ((1e-200, 1 - 1e-200), (0.5, 0.5)), 0, 459.131),
+        ],
+    )
+    def test_float_underflow_matches_fraction_computation(self, prior, channel, y, nats):
+        joint = Joint.from_prior_channel(Pmf(prior), Channel(channel))
+        table = ((1e-200, 1.0), (0.0, 1.0))
+
+        def fraction_minimum(weights):
+            return min(
+                sum(Fraction(w) * Fraction(row[a]) for w, row in zip(weights, table))
+                for a in range(2)
+            )
+
+        value = cost_function_leakage(joint, y, CostFunction(table))
+        assert value == ExtReal.from_ratio(
+            fraction_minimum(joint.prior.weights) / fraction_minimum(joint.posterior(y))
+        )
+        assert value.nats == pytest.approx(nats, abs=1e-3)
+
+    def test_float_zeros_that_are_exact_stay_zero(self):
+        joint = Joint.from_prior_channel(Pmf((0.5, 0.5)), Channel(((0.5, 0.5), (0.0, 1.0))))
+        # action 0 costs nothing on the posterior's support; action 1 never can be taken
+        cost = CostFunction(((0.0, math.inf), (1.0, math.inf)))
+        assert cost_function_leakage(joint, 0, cost) == INF
+        assert cost_function_leakage(joint, 1, CostFunction(((0.0, 1.0), (0.0, 1.0)))) == ZERO
+
     def test_never_exceeds_pmc(self):
         rng = random.Random(7)
         for _ in range(60):
@@ -527,7 +559,7 @@ class TestBatchedGridSearch:
         identity = _identity_kernel(2).rows
         with pytest.raises(ValueError, match="prior error vanished"):
             oracles._exact_scan(
-                (Fraction(1), Fraction(0)), (HALF, HALF), identity, [(0, 0), (0, 1)],
+                (Fraction(1), Fraction(0)), (HALF, HALF), identity, [((0,), (0, 1))],
                 oracles._error_probability,
             )
         assert oracles._error_ratio(0.0, 2e-6) == ZERO
@@ -571,7 +603,7 @@ class TestBatchedGridSearch:
         def fail(*args, **kwargs):
             raise AssertionError("a kernel was evaluated")
 
-        for name in ("_lambda_from_rows", "_block_masses", "_push", "_int_masses", "_kernel_masses"):
+        for name in ("_lambda_from_rows", "_block_masses", "_push", "_int_masses", "_head_masses"):
             monkeypatch.setattr(oracles, name, fail)
         j = random_joint(random.Random(12), 3, 2)
         huge = SearchConfig(resolution=40, max_u=3)
@@ -624,6 +656,19 @@ class TestSampledDraws:
         _, _, draws = _grid_shape(n_x, u_size, cfg)
         assert len(draws) == cfg.max_iterations * n_x
         assert draws[:12] == head and sum(draws) == total
+
+
+class TestDrawStream:
+    @pytest.mark.parametrize(
+        "n", (1, 2, 3, 5, 15, 66, 100, 1000, 4096, 4097, 65535, 65536, 65537, 10**9 + 7)
+    )
+    def test_draws_are_the_randrange_stream(self, n):
+        for seed in range(300):
+            rng, reference = random.Random(seed), random.Random(seed)
+            got = oracles._randrange_draws(rng, n, 40)
+            assert got == [reference.randrange(n) for _ in range(40)]
+            # both generators are left in the same state
+            assert rng.getstate() == reference.getstate()
 
 
 class TestIntegerCore:
@@ -680,7 +725,11 @@ class TestIntegerCore:
                 exhaustive_limit=exhaustive_limit,
             )
             for u_size in (2, 3):
-                indices = list(oracles._kernel_indices(n_x, u_size, cfg))
+                indices = [
+                    (*head, k)
+                    for head, lasts in oracles._kernel_indices(n_x, u_size, cfg)
+                    for k in lasts
+                ]
                 blocks = [
                     tuple(kernel)
                     for block in oracles._kernel_blocks(n_x, u_size, cfg)
