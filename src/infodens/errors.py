@@ -37,10 +37,6 @@ class InvalidAlphabet(InfodensError):
     """Alphabet size unsuitable for the requested mechanism."""
 
 
-class KTooSmall(InfodensError):
-    """The splitting parameter is too small for the maximality conditions."""
-
-
 class AllInfinitePrior(InfodensError):
     """Every guess has infinite prior expected cost."""
 

@@ -13,8 +13,11 @@ Three independent routes to the pointwise maximal cost:
 
 Every model is evaluated directly from its definition, never through the
 divergence closed form, so grid searches over these models provide honest
-lower bounds and the explicit achieving construction certifies equality on
-exact instances.
+lower bounds.  Two guesses suffice to attain them: every witness below (the
+achieving kernel, the kernel matching a cost adversary and the certificate
+of an infinite level) is one binary kernel, whose level is a ratio of prior
+to posterior expected losses, so each certifies equality exactly on
+rational instances.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .errors import (
     AllInfinitePrior,
     BudgetExceeded,
     DimensionMismatch,
-    KTooSmall,
     NormalizationDegenerate,
 )
 from .probcore import INF, ZERO, Channel, ExtReal, Joint, Number, in_unit
@@ -279,13 +281,7 @@ def cost_function_leakage(joint: Joint, y: int, cost: CostFunction) -> ExtReal:
     if 0 in (prior_min, post_min) and not _all_fractions(*weights, *table):
         table = [[e if e == math.inf else Fraction(e) for e in row] for row in table]
         prior_min, post_min = (_min_cost(table, list(map(Fraction, w))) for w in weights)
-    if post_min == 0:
-        return ZERO if prior_min == 0 else INF
-    if prior_min == 0:
-        # A zero-cost action under the full-support prior is zero-cost under
-        # any posterior, so post_min == 0 would have caught it.
-        raise ValueError("prior minimum vanished while posterior minimum did not")
-    return ExtReal.from_ratio(prior_min / post_min)
+    return _error_ratio(prior_min, post_min)
 
 
 def _min_guesswork(masses: Sequence[Number], one: Number = 1) -> Number:
@@ -330,18 +326,26 @@ def _lattice_rows(n_cols: int, resolution: int) -> list:
     ]
 
 
-def _support_indicator_rows(posterior: Sequence[Number]) -> Optional[tuple]:
-    """Binary kernel flagging the posterior's support; certifies infinite cost.
+def _binary_kernel(losses: Sequence[Number]) -> tuple:
+    """Rows of the two-guess kernel giving secret ``x`` the row ``(1 - l_x/2, l_x/2)``.
 
-    When the posterior misses part of the alphabet, guessing this indicator
-    is error-free a posteriori but not a priori, so its leakage is infinite.
+    For losses in [0, 1] and any weights ``w`` the guess masses are
+    ``(1 - m/2, m/2)`` with ``m = sum(w_x l_x) <= 1``: guess 0 is always
+    modal and the error is exactly ``m/2``.  The kernel's level is thus the
+    ratio of prior to posterior expected loss (0/0 still reads as one).
+    """
+    return tuple((1 - loss / 2, loss / 2) for loss in losses)
+
+
+def _support_indicator_rows(posterior: Sequence[Number]) -> Optional[tuple]:
+    """The binary kernel of losses ``[q_x == 0]``; certifies infinite cost.
+
+    When the posterior misses part of the alphabet, its expected loss is
+    zero while the prior's is not, so the kernel's leakage is infinite.
     """
     if all(p > 0 for p in posterior):
         return None
-    half = Fraction(1, 2)
-    return tuple(
-        (Fraction(1), Fraction(0)) if p > 0 else (half, half) for p in posterior
-    )
+    return _binary_kernel([Fraction(p == 0) for p in posterior])
 
 
 def _is_exhaustive(n_x: int, u_size: int, cfg: SearchConfig) -> bool:
@@ -618,48 +622,20 @@ def brute_force_guesswork_leakage(joint: Joint, y: int, cfg: SearchConfig) -> Ex
 # ---------------------------------------------------------------------------
 
 
-def achieving_kernel(joint: Joint, y: int, k: Optional[int] = None) -> RandomizedFunction:
-    """The (k+1)-symbol kernel whose randomized-function leakage equals the cost level.
+def achieving_kernel(joint: Joint, y: int) -> RandomizedFunction:
+    """A two-guess kernel whose randomized-function leakage equals the cost level.
 
-    Splits the max-ratio secret value across ``k`` symbols and lumps the rest
-    into one; once ``k`` makes the lumped symbol the modal guess both a
-    priori and a posteriori, the error ratio collapses to the extreme
-    probability ratio exactly.  With ``k=None`` the smallest adequate ``k``
-    is found by doubling from 2.
+    The :func:`_binary_kernel` of the indicator of the first secret ``x*``
+    with the largest prior to posterior ratio: its level is ``p(x*) /
+    p(x* | y)``, the pointwise maximal cost, exactly on rational inputs.
     """
     prior_w = joint.prior.weights
     post_w = joint.posterior(y)
-    n_x = len(prior_w)
-    if n_x == 1:
-        return RandomizedFunction(((Fraction(1),),))
-    best_x, best_ratio = 0, None
-    for x in range(n_x):
-        if post_w[x] == 0:
-            raise ValueError("cost level is infinite; no finite kernel achieves it")
-        ratio = prior_w[x] / post_w[x]
-        if best_ratio is None or ratio > best_ratio:
-            best_x, best_ratio = x, ratio
-    p_star = prior_w[best_x]
-    q_star = post_w[best_x]
-
-    def conditions_hold(kk: int) -> bool:
-        return (1 - p_star) >= p_star / kk and (1 - q_star) >= q_star / kk
-
-    if k is None:
-        k = 2
-        while not conditions_hold(k):
-            k *= 2
-            if k > 2**62:  # pragma: no cover - unreachable for valid pmfs
-                raise KTooSmall("no adequate k found")
-    elif not conditions_hold(k):
-        raise KTooSmall(
-            f"k={k} leaves the lumped symbol non-modal; "
-            f"needs k >= max(p/(1-p), q/(1-q)) for p={p_star}, q={q_star}"
-        )
-    split = tuple(Fraction(1, k) for _ in range(k)) + (Fraction(0),)
-    lump = tuple(Fraction(0) for _ in range(k)) + (Fraction(1),)
-    rows = tuple(split if x == best_x else lump for x in range(n_x))
-    return RandomizedFunction(rows)
+    if 0 in post_w:
+        raise ValueError("cost level is infinite; no finite kernel achieves it")
+    ratios = [p / q for p, q in zip(prior_w, post_w)]
+    best_x = ratios.index(max(ratios))
+    return RandomizedFunction(_binary_kernel([Fraction(x == best_x) for x in range(len(ratios))]))
 
 
 def cost_from_kernel(kernel: Channel) -> CostFunction:
@@ -671,15 +647,16 @@ def cost_from_kernel(kernel: Channel) -> CostFunction:
     return CostFunction(tuple(tuple(1 - e for e in row) for row in kernel.rows))
 
 
-def kernel_from_cost(
-    cost: CostFunction, joint: Joint, y: int, k: int = 4096
-) -> RandomizedFunction:
-    """A randomized function matching a cost adversary's leakage within 1e-9.
+def kernel_from_cost(cost: CostFunction, joint: Joint, y: int) -> RandomizedFunction:
+    """A two-guess kernel whose randomized-function leakage equals the cost leakage.
 
-    Mixes the two split-and-lump kernels built from the best prior and best
-    posterior actions; the mixing weight is found by bisection, which the
-    intermediate-value argument for the mixture guarantees to cross the
-    target.  Infinite targets are met by the posterior-support indicator.
+    The :func:`_binary_kernel` of the mixture ``d * c_s + (1 - d) * c_t`` of
+    the normalized cost columns of the best prior action ``s`` and the best
+    posterior action ``t``.  Its level is the mixture's prior to posterior
+    expected cost ratio, linear in ``d`` on both sides, so ``d`` solves for
+    the target in closed form and in the inputs' own arithmetic: exact on
+    rational inputs.  Infinite targets are met by the posterior-support
+    indicator.
     """
     for row in cost.table:
         for e in row:
@@ -699,41 +676,12 @@ def kernel_from_cost(
     n_w = len(table[0])
     prior_costs = [_expected_cost(w, table, prior_w) for w in range(n_w)]
     post_costs = [_expected_cost(w, table, post_w) for w in range(n_w)]
-    w_s = min(range(n_w), key=lambda w: prior_costs[w])
-    w_t = min(range(n_w), key=lambda w: post_costs[w])
-
-    a_s, a_t = float(prior_costs[w_s]), float(prior_costs[w_t])
-    b_s, b_t = float(post_costs[w_s]), float(post_costs[w_t])
-    target_ratio = float(target.ratio)
-
-    def mixture_ratio(delta: float) -> float:
-        m_p = delta * a_s + (1 - delta) * a_t
-        m_q = delta * b_s + (1 - delta) * b_t
-        err_p = min(1 - m_p / k, m_p)
-        err_q = min(1 - m_q / k, m_q)
-        if err_q <= 0:
-            return math.inf
-        return err_p / err_q
-
-    # mixture_ratio is monotone in delta with the target bracketed between
-    # the endpoints; bisect on the sign of the residual.
-    lo, hi = 0.0, 1.0
-    r_lo, r_hi = mixture_ratio(lo), mixture_ratio(hi)
-    if r_lo <= target_ratio:
-        delta = lo
-    elif r_hi >= target_ratio:
-        delta = hi
-    else:
-        for _ in range(60):
-            mid = (lo + hi) / 2
-            if mixture_ratio(mid) >= target_ratio:
-                lo = mid
-            else:
-                hi = mid
-        delta = (lo + hi) / 2
-
-    rows = []
-    for x in range(len(table)):
-        mix = delta * float(table[x][w_s]) + (1 - delta) * float(table[x][w_t])
-        rows.append(tuple(mix / k for _ in range(k)) + (1 - mix,))
-    return RandomizedFunction(tuple(rows))
+    s = min(range(n_w), key=prior_costs.__getitem__)
+    t = min(range(n_w), key=post_costs.__getitem__)
+    a_s, a_t, b_s, b_t = prior_costs[s], prior_costs[t], post_costs[s], post_costs[t]
+    # (d a_s + (1-d) a_t) / (d b_s + (1-d) b_t) == a_s / b_t; both terms of
+    # den are at most zero and num is one of them, so d lies in [0, 1]
+    num = b_t * (a_s - a_t)
+    den = num + a_s * (b_t - b_s)
+    d = num / den if den else 1
+    return RandomizedFunction(_binary_kernel([d * row[s] + (1 - d) * row[t] for row in table]))

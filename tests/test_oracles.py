@@ -32,7 +32,6 @@ from infodens.errors import (
     AllInfinitePrior,
     BudgetExceeded,
     DimensionMismatch,
-    KTooSmall,
     NormalizationDegenerate,
 )
 from infodens.oracles import _grid_shape, _lattice_rows
@@ -45,6 +44,17 @@ from infodens.sampling import (
 )
 
 HALF = Fraction(1, 2)
+
+#: Float joints whose expected costs of the table ((1e-200, 1), (0, 1)) underflow.
+_UNDERFLOW_CASES = pytest.mark.parametrize(
+    "prior, channel, y, nats",
+    [
+        # the prior minimum 1e-200 * 1e-200 underflows to 0.0
+        ((1e-200, 1 - 1e-200), ((0.0, 1.0), (1.0, 0.0)), 1, -460.517),
+        # the posterior minimum 2e-200 * 1e-200 underflows to 0.0
+        ((0.5, 0.5), ((1e-200, 1 - 1e-200), (0.5, 0.5)), 0, 459.131),
+    ],
+)
 
 
 def _identity_kernel(n):
@@ -104,15 +114,7 @@ class TestCostFunctionLeakage:
         with pytest.raises(AllInfinitePrior):
             cost_function_leakage(binary_symmetric_joint, 0, c_bad)
 
-    @pytest.mark.parametrize(
-        "prior, channel, y, nats",
-        [
-            # the prior minimum 1e-200 * 1e-200 underflows to 0.0
-            ((1e-200, 1 - 1e-200), ((0.0, 1.0), (1.0, 0.0)), 1, -460.517),
-            # the posterior minimum 2e-200 * 1e-200 underflows to 0.0
-            ((0.5, 0.5), ((1e-200, 1 - 1e-200), (0.5, 0.5)), 0, 459.131),
-        ],
-    )
+    @_UNDERFLOW_CASES
     def test_float_underflow_matches_fraction_computation(self, prior, channel, y, nats):
         joint = Joint.from_prior_channel(Pmf(prior), Channel(channel))
         table = ((1e-200, 1.0), (0.0, 1.0))
@@ -181,31 +183,50 @@ class TestCostKernelEquivalence:
 
 class TestAchievingKernel:
     def test_exact_on_canonical_instance(self, binary_symmetric_joint):
-        w = achieving_kernel(binary_symmetric_joint, 0, k=8)
+        w = achieving_kernel(binary_symmetric_joint, 0)
         assert randomized_function_leakage(binary_symmetric_joint, 0, w) == pmc(
             binary_symmetric_joint, 0
         )
 
     def test_independent_joint_gives_zero(self, independent_joint):
-        for k in (2, 5, 16):
-            w = achieving_kernel(independent_joint, 0, k=k)
-            assert randomized_function_leakage(independent_joint, 0, w) == ZERO
+        for y in independent_joint.support:
+            w = achieving_kernel(independent_joint, y)
+            assert randomized_function_leakage(independent_joint, y, w) == ZERO
 
-    def test_k_too_small_on_skewed_instance(self):
+    def test_skewed_instance_reached_without_search(self):
         prior = Pmf((Fraction(4, 5), Fraction(1, 5)))
         channel = Channel(
             ((Fraction(1, 10), Fraction(9, 10)), (Fraction(9, 10), Fraction(1, 10)))
         )
         j = Joint.from_prior_channel(prior, channel)
-        # the max-ratio secret value carries prior mass 4/5 > 1/2
-        with pytest.raises(KTooSmall):
-            achieving_kernel(j, 0, k=1)
-        w = achieving_kernel(j, 0)  # doubling finds an adequate k
+        # the max-ratio secret value carries prior mass 4/5 > 1/2; guess 0
+        # stays modal because the flagged row puts only half of it on guess 1
+        w = achieving_kernel(j, 0)
+        assert w.rows == ((HALF, HALF), (Fraction(1), Fraction(0)))
         assert randomized_function_leakage(j, 0, w) == pmc(j, 0)
 
     def test_infinite_target_rejected(self, zero_entry_joint):
         with pytest.raises(ValueError):
-            achieving_kernel(zero_entry_joint, 0, k=8)
+            achieving_kernel(zero_entry_joint, 0)
+
+    def test_witness_has_two_guesses_and_exact_rows(self):
+        rng = random.Random(77)
+        for _ in range(40):
+            j = random_joint(rng, rng.randint(2, 4), rng.randint(2, 3), exact=True)
+            for y in j.support:
+                w = achieving_kernel(j, y)
+                assert w.n_outputs == 2
+                assert all(isinstance(e, Fraction) for row in w.rows for e in row)
+                assert randomized_function_leakage(j, y, w) == pmc(j, y)
+
+    def test_one_secret_joint(self):
+        j = Joint.from_prior_channel(
+            Pmf((Fraction(1),)), Channel(((Fraction(1, 3), Fraction(2, 3)),))
+        )
+        for y in (0, 1):
+            w = achieving_kernel(j, y)
+            assert w.rows == ((HALF, HALF),)
+            assert randomized_function_leakage(j, y, w) == pmc(j, y) == ZERO
 
 
 class TestBruteForce:
@@ -215,6 +236,24 @@ class TestBruteForce:
         # the two-way split of the max-ratio secret sits on the grid
         assert value.ratio == Fraction(2)
         assert value == pmc(binary_symmetric_joint, 0)
+
+    def test_exact_certificates_are_tight(self):
+        # every u = 2 lattice of resolution >= 3 holds the row (1 - 1/den,
+        # 1/den): the binary kernel flagging the max-ratio secret with loss
+        # 2/den <= 1, whose level is PMC, so exhaustive searches reach it
+        rng = random.Random(4096)
+        checked = 0
+        for resolution in (3, 4, 5):
+            cfg = SearchConfig(resolution=resolution, max_u=2)
+            for n_x in (2, 3, 4):
+                for _ in range(8):
+                    j = random_joint(rng, n_x, rng.randint(2, 3), exact=True, zero_prob=0.15)
+                    for y in j.support:
+                        cert = certify_pmc(j, y, cfg)
+                        assert cert.oracle_value == cert.closed_form
+                        assert cert.gap_nats == 0
+                        checked += 1
+        assert checked >= 150
 
     def test_independent_joint_is_zero(self, independent_joint):
         cfg = SearchConfig(resolution=5, max_u=2)
@@ -297,6 +336,61 @@ class TestKernelFromCost:
             u = kernel_from_cost(c, j, y)
             lam = randomized_function_leakage(j, y, u)
             assert abs(lam.nats - target.nats) <= 1e-9
+
+    @_UNDERFLOW_CASES
+    def test_underflowed_cost_gives_the_right_kernel(self, prior, channel, y, nats):
+        # the kernel carries the right loss, as its exact evaluation shows; a
+        # float evaluation reads 0.0 because 1 - max(masses) cancels to 0
+        def exact(rows):
+            # Channel renormalizes the Fraction rows of the floats exactly
+            return tuple(tuple(map(Fraction, row)) for row in rows)
+
+        j = Joint.from_prior_channel(Pmf(prior), Channel(channel))
+        c = CostFunction(((1e-200, 1), (0, 1)))
+        target = cost_function_leakage(j, y, c)
+        assert target.nats == pytest.approx(nats, abs=1e-3)
+        u = kernel_from_cost(c, j, y)
+        exact_joint = Joint.from_prior_channel(
+            Pmf(exact([j.prior.weights])[0]), Channel(exact(j.channel.rows))
+        )
+        value = randomized_function_leakage(exact_joint, y, RandomizedFunction(exact(u.rows)))
+        assert value.nats == pytest.approx(target.nats, abs=1e-9)
+
+    def test_exact_corpus_matches_with_rational_rows(self):
+        rng = random.Random(2718)
+        seen = collections.Counter()
+        for _ in range(200):
+            j = random_joint(rng, rng.randint(2, 4), rng.randint(2, 3), exact=True)
+            n_w = rng.randint(1, 4)
+            while True:
+                columns = [
+                    [Fraction(rng.randint(0, 9), rng.randint(1, 4)) for _ in range(j.n_inputs)]
+                    for _ in range(n_w)
+                ]
+                if rng.random() < 0.15:
+                    columns[rng.randrange(n_w)] = [Fraction(0)] * j.n_inputs
+                if any(e for col in columns for e in col):
+                    break
+            c = CostFunction(tuple(zip(*columns)))
+            for y in j.support:
+                target = cost_function_leakage(j, y, c)
+                u = kernel_from_cost(c, j, y)
+                assert u.n_outputs == 2
+                assert all(isinstance(e, Fraction) for row in u.rows for e in row)
+                assert randomized_function_leakage(j, y, u) == target
+                prior_costs, post_costs = (
+                    [sum(w * e for w, e in zip(weights, col)) for col in columns]
+                    for weights in (j.prior.weights, j.posterior(y))
+                )
+                s, t = (costs.index(min(costs)) for costs in (prior_costs, post_costs))
+                seen["cases"] += 1
+                seen["one action"] += n_w == 1
+                seen["zero level"] += target == ZERO
+                seen["zero-cost action"] += min(prior_costs) == 0
+                seen["s == t"] += s == t
+                seen["s != t"] += s != t
+        assert seen["cases"] >= 400
+        assert min(seen.values()) > 0, seen
 
 
 class TestGuessworkLeakage:
