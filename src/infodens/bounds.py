@@ -20,7 +20,7 @@ from typing import Tuple
 
 from .errors import InvalidPmin
 from .probcore import INF, ZERO, ExtReal, Joint, Number, as_level, csv_field
-from .leakage import Guarantee, GuaranteeKind, all_guarantee_levels
+from .leakage import Guarantee, GuaranteeKind, _guarantees, all_guarantee_levels
 
 
 def _check_pmin(p_min: Number) -> Number:
@@ -127,61 +127,53 @@ class TranslationResult:
         }
 
 
+#: The guarantees each source kind implies, in output order.
+_IMPLIED = {
+    GuaranteeKind(source): tuple(GuaranteeKind(k) for k in implied.split())
+    for source, implied in (
+        ("pml", "pmc alip lip ldp"),
+        ("pmc", "pml alip lip ldp"),
+        ("ldp", "lip alip pml pmc"),
+        ("lip", "alip pml pmc ldp"),
+        ("alip", "pml pmc ldp"),
+    )
+}
+
+
+def _density_bounds(g: Guarantee, p: Number) -> Tuple[ExtReal, ExtReal]:
+    """The pair ``(eps_l, eps_u)`` bounding the information density under ``g``."""
+    kind = g.kind
+    if kind is GuaranteeKind.PML:
+        return pml_to_pmc(g.eps, p), g.eps
+    if kind is GuaranteeKind.PMC:
+        return g.eps, pmc_to_pml(g.eps, p)
+    if kind is GuaranteeKind.LDP:
+        return ldp_to_context(g.eps, p)
+    if kind is GuaranteeKind.LIP:
+        return g.eps, g.eps
+    if kind is GuaranteeKind.ALIP:
+        return g.eps_l, g.eps_u
+    raise ValueError(f"unknown guarantee kind: {kind!r}")  # pragma: no cover
+
+
 def derive_implications(g: Guarantee, p_min: Number) -> TranslationResult:
     """Every guarantee one translation step away from ``g``.
 
-    A PML source outside the high-privacy regime yields an infinite cost
-    level; the result is flagged rather than rejected, and the dependent
-    ALIP / LIP / LDP entries turn infinite (sound but vacuous).
+    The source is read as density bounds ``(eps_l, eps_u)``; each implied
+    level is read from that pair.  A PML source outside the high-privacy
+    regime yields an infinite cost level; the result is flagged rather than
+    rejected, and the dependent ALIP / LIP / LDP entries turn infinite (sound
+    but vacuous).
     """
     p = _check_pmin(p_min)
-    kind = g.kind
-    if kind is GuaranteeKind.PML:
-        eps_u = g.eps
-        eps_l = pml_to_pmc(eps_u, p)
-        implied = (
-            Guarantee(GuaranteeKind.PMC, eps=eps_l),
-            Guarantee(GuaranteeKind.ALIP, eps_l=eps_l, eps_u=eps_u),
-            Guarantee(GuaranteeKind.LIP, eps=max(eps_l, eps_u)),
-            Guarantee(GuaranteeKind.LDP, eps=eps_l + eps_u),
-        )
-        return TranslationResult(g, implied, eps_l.is_finite, p)
-    if kind is GuaranteeKind.PMC:
-        eps_l = g.eps
-        eps_u = pmc_to_pml(eps_l, p)
-        implied = (
-            Guarantee(GuaranteeKind.PML, eps=eps_u),
-            Guarantee(GuaranteeKind.ALIP, eps_l=eps_l, eps_u=eps_u),
-            Guarantee(GuaranteeKind.LIP, eps=max(eps_l, eps_u)),
-            Guarantee(GuaranteeKind.LDP, eps=eps_l + eps_u),
-        )
-        return TranslationResult(g, implied, True, p)
-    if kind is GuaranteeKind.LDP:
-        eps1, eps2 = ldp_to_context(g.eps, p)
-        implied = (
-            Guarantee(GuaranteeKind.LIP, eps=eps1),
-            Guarantee(GuaranteeKind.ALIP, eps_l=eps1, eps_u=eps2),
-            Guarantee(GuaranteeKind.PML, eps=eps2),
-            Guarantee(GuaranteeKind.PMC, eps=eps1),
-        )
-        return TranslationResult(g, implied, True, p)
-    if kind is GuaranteeKind.LIP:
-        eps = g.eps
-        implied = (
-            Guarantee(GuaranteeKind.ALIP, eps_l=eps, eps_u=eps),
-            Guarantee(GuaranteeKind.PML, eps=eps),
-            Guarantee(GuaranteeKind.PMC, eps=eps),
-            Guarantee(GuaranteeKind.LDP, eps=eps + eps),
-        )
-        return TranslationResult(g, implied, True, p)
-    if kind is GuaranteeKind.ALIP:
-        implied = (
-            Guarantee(GuaranteeKind.PML, eps=g.eps_u),
-            Guarantee(GuaranteeKind.PMC, eps=g.eps_l),
-            Guarantee(GuaranteeKind.LDP, eps=g.eps_l + g.eps_u),
-        )
-        return TranslationResult(g, implied, True, p)
-    raise ValueError(f"unknown guarantee kind: {kind!r}")  # pragma: no cover
+    eps_l, eps_u = _density_bounds(g, p)
+    # An LDP source bounds LIP by eps_l itself: its computed eps_u can round
+    # an ulp above eps_l although eps_u <= eps_l holds exactly.
+    lip = eps_l if g.kind is GuaranteeKind.LDP else max(eps_l, eps_u)
+    levels = _guarantees(eps_l, eps_u, lip, eps_l + eps_u)
+    implied = tuple(levels[k] for k in _IMPLIED[g.kind])
+    high_privacy = g.kind is not GuaranteeKind.PML or eps_l.is_finite
+    return TranslationResult(g, implied, high_privacy, p)
 
 
 # ---------------------------------------------------------------------------

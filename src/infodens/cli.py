@@ -26,7 +26,7 @@ from typing import Optional
 
 from . import bounds, leakage, mechanisms, oracles, properties
 from .errors import InfodensError, ParseError
-from .leakage import Guarantee, format_level
+from .leakage import Guarantee, GuaranteeKind, format_level
 from .oracles import SearchConfig
 from .probcore import Joint, in_unit
 
@@ -101,23 +101,13 @@ def _cmd_analyze(args) -> int:
 
 
 def _source_guarantee(args) -> Guarantee:
-    chosen = [
-        name
-        for name in ("pml", "pmc", "lip", "ldp", "alip")
-        if getattr(args, name) is not None
-    ]
+    chosen = [kind for kind in GuaranteeKind if getattr(args, kind.value) is not None]
     if len(chosen) != 1:
         raise ParseError("pass exactly one of --pml/--pmc/--lip/--ldp/--alip")
-    name = chosen[0]
-    if name == "alip":
-        lo, hi = args.alip
-        return Guarantee.alip(lo, hi)
-    return {
-        "pml": Guarantee.pml,
-        "pmc": Guarantee.pmc,
-        "lip": Guarantee.lip,
-        "ldp": Guarantee.ldp,
-    }[name](getattr(args, name))
+    (kind,) = chosen
+    value = getattr(args, kind.value)
+    make = getattr(Guarantee, kind.value)
+    return make(*value) if kind is GuaranteeKind.ALIP else make(value)
 
 
 def _cmd_translate(args) -> int:

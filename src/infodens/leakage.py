@@ -83,7 +83,7 @@ def conditional_pmc(
     ``P(y|x,z)``).  The value is the divergence of the z-conditioned prior
     from the (y, z)-conditioned posterior.
     """
-    if isinstance(z, bool) or (isinstance(z, int) and z < 0):
+    if isinstance(z, bool) or not isinstance(z, int) or z < 0:
         raise UndefinedOutcome(f"side information {z!r} is not an index")
     try:
         conditioned = joints_by_z[z]
@@ -184,18 +184,27 @@ def guarantee_level(joint: Joint, kind: Union[GuaranteeKind, str]) -> Guarantee:
     return all_guarantee_levels(joint)[kind.value]
 
 
+def _guarantees(eps_l: ExtReal, eps_u: ExtReal, lip: ExtReal, ldp: ExtReal) -> dict:
+    """Each kind's guarantee under density bounds ``-eps_l <= i <= eps_u``.
+
+    PMC takes eps_l, PML eps_u and ALIP both; the caller supplies LIP and LDP.
+    """
+    return {
+        GuaranteeKind.PML: Guarantee(GuaranteeKind.PML, eps=eps_u),
+        GuaranteeKind.PMC: Guarantee(GuaranteeKind.PMC, eps=eps_l),
+        GuaranteeKind.LIP: Guarantee(GuaranteeKind.LIP, eps=lip),
+        GuaranteeKind.ALIP: Guarantee(GuaranteeKind.ALIP, eps_l=eps_l, eps_u=eps_u),
+        GuaranteeKind.LDP: Guarantee(GuaranteeKind.LDP, eps=ldp),
+    }
+
+
 def all_guarantee_levels(joint: Joint) -> dict:
     """All five guarantee levels at once, keyed by kind name."""
     rows = _profile_rows(joint)
     eps_l = max(r.pmc for r in rows)
     eps_u = max(r.pml for r in rows)
-    return {
-        "pml": Guarantee(GuaranteeKind.PML, eps=eps_u),
-        "pmc": Guarantee(GuaranteeKind.PMC, eps=eps_l),
-        "lip": Guarantee(GuaranteeKind.LIP, eps=max(eps_l, eps_u)),
-        "alip": Guarantee(GuaranteeKind.ALIP, eps_l=eps_l, eps_u=eps_u),
-        "ldp": Guarantee(GuaranteeKind.LDP, eps=_ldp_level(joint.column_stats)),
-    }
+    levels = _guarantees(eps_l, eps_u, max(eps_l, eps_u), _ldp_level(joint.column_stats))
+    return {k.value: g for k, g in levels.items()}
 
 
 # ---------------------------------------------------------------------------

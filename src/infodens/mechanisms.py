@@ -199,10 +199,17 @@ def discrete_law(points: Sequence[float], probs: Sequence[float]) -> BoundedLaw:
     return BoundedLaw(lo=min(pts), hi=max(pts), mean=mean, cgf=cgf, family="discrete")
 
 
+class _DensityUnderflow(QuadratureFailure):
+    """The noise density at a support end underflows to 0."""
+
+
 def _quadrature_pmc(law: BoundedLaw, noise_pdf, y: float, kink: Optional[float]) -> float:
     """Pointwise cost of releasing ``y`` under additive noise, by quadrature, in nats."""
     if law.pdf is None:
         raise ValueError("the input law needs a density for quadrature")
+    f_floor = min(noise_pdf(y - law.lo), noise_pdf(y - law.hi))
+    if f_floor == 0.0:
+        raise _DensityUnderflow(f"the noise density at the support ends underflows at y = {y!r}")
     from scipy import integrate
 
     pdf = law.pdf
@@ -220,7 +227,6 @@ def _quadrature_pmc(law: BoundedLaw, noise_pdf, y: float, kink: Optional[float])
         raise QuadratureFailure(
             f"density quadrature unreliable: value {f_y!r}, error {abserr!r}"
         )
-    f_floor = min(noise_pdf(y - law.lo), noise_pdf(y - law.hi))
     return math.log(f_y) - math.log(f_floor)
 
 
@@ -397,8 +403,19 @@ class GaussianPerturbMechanism:
         return math.exp(-0.5 * (u / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
 
     def pmc_at(self, y: float) -> float:
-        """Pointwise cost of releasing ``y`` by quadrature, in nats."""
-        return _quadrature_pmc(self.law, self._noise_pdf, y, kink=None)
+        """Pointwise cost of releasing ``y`` by quadrature, in nats.
+
+        Far in the tails the noise density underflows; a uniform law then
+        takes the normal-CDF form, any other law raises QuadratureFailure.
+        """
+        try:
+            return _quadrature_pmc(self.law, self._noise_pdf, y, kink=None)
+        except _DensityUnderflow:
+            if self.law.family != "uniform" or not math.isfinite(y):
+                raise
+        import numpy as np
+
+        return float(self._pmc_uniform_vectorized(np.array([float(y)]))[0])
 
     def _pmc_uniform_vectorized(self, ys: np.ndarray) -> np.ndarray:
         import numpy as np

@@ -12,6 +12,7 @@ from infodens import (
     Joint,
     Pmf,
     ZERO,
+    as_level,
     derive_implications,
     guarantee_level,
     high_privacy_bound,
@@ -165,6 +166,14 @@ class TestDeriveImplications:
         assert by_kind[GuaranteeKind.PML].eps.ratio == Fraction(4, 3)
         assert by_kind[GuaranteeKind.LIP].eps.ratio == Fraction(3, 2)
 
+    def test_ldp_source_lip_is_lower_bound(self):
+        # eps_u <= eps_l holds exactly, but in floats eps_u rounds one ulp above
+        result = derive_implications(Guarantee.ldp(9.594240800441438e-13), 0.5)
+        by_kind = {g.kind: g for g in result.implied}
+        alip = by_kind[GuaranteeKind.ALIP]
+        assert alip.eps_u > alip.eps_l
+        assert by_kind[GuaranteeKind.LIP].eps == alip.eps_l
+
     def test_binary_uniform_round_trip_is_identity(self):
         rng = random.Random(8)
         for _ in range(50):
@@ -172,6 +181,106 @@ class TestDeriveImplications:
             el = pml_to_pmc(x, 0.5)
             back = pmc_to_pml(el, 0.5)
             assert back.nats == pytest.approx(x, abs=1e-12)
+
+
+def _reference_implications(g, p):
+    """The per-kind closure that spells out every implied guarantee."""
+    kind = g.kind
+    if kind is GuaranteeKind.PML:
+        eps_u = g.eps
+        eps_l = pml_to_pmc(eps_u, p)
+        implied = (
+            Guarantee(GuaranteeKind.PMC, eps=eps_l),
+            Guarantee(GuaranteeKind.ALIP, eps_l=eps_l, eps_u=eps_u),
+            Guarantee(GuaranteeKind.LIP, eps=max(eps_l, eps_u)),
+            Guarantee(GuaranteeKind.LDP, eps=eps_l + eps_u),
+        )
+        return implied, eps_l.is_finite
+    if kind is GuaranteeKind.PMC:
+        eps_l = g.eps
+        eps_u = pmc_to_pml(eps_l, p)
+        implied = (
+            Guarantee(GuaranteeKind.PML, eps=eps_u),
+            Guarantee(GuaranteeKind.ALIP, eps_l=eps_l, eps_u=eps_u),
+            Guarantee(GuaranteeKind.LIP, eps=max(eps_l, eps_u)),
+            Guarantee(GuaranteeKind.LDP, eps=eps_l + eps_u),
+        )
+        return implied, True
+    if kind is GuaranteeKind.LDP:
+        eps1, eps2 = ldp_to_context(g.eps, p)
+        implied = (
+            Guarantee(GuaranteeKind.LIP, eps=eps1),
+            Guarantee(GuaranteeKind.ALIP, eps_l=eps1, eps_u=eps2),
+            Guarantee(GuaranteeKind.PML, eps=eps2),
+            Guarantee(GuaranteeKind.PMC, eps=eps1),
+        )
+        return implied, True
+    if kind is GuaranteeKind.LIP:
+        eps = g.eps
+        implied = (
+            Guarantee(GuaranteeKind.ALIP, eps_l=eps, eps_u=eps),
+            Guarantee(GuaranteeKind.PML, eps=eps),
+            Guarantee(GuaranteeKind.PMC, eps=eps),
+            Guarantee(GuaranteeKind.LDP, eps=eps + eps),
+        )
+        return implied, True
+    implied = (
+        Guarantee(GuaranteeKind.PML, eps=g.eps_u),
+        Guarantee(GuaranteeKind.PMC, eps=g.eps_l),
+        Guarantee(GuaranteeKind.LDP, eps=g.eps_l + g.eps_u),
+    )
+    return implied, True
+
+
+def _closure_corpus(rng, exact):
+    """Seeded (level, p_min) pairs, including the boundary and tiny levels."""
+    for _ in range(60):
+        if exact:
+            p = Fraction(rng.randint(1, 20), rng.randint(20, 60))
+            edge = 1 / (1 - p)
+            ratios = [
+                Fraction(1), edge, edge * Fraction(rng.randint(101, 300), 100),
+                1 + Fraction(1, 10 ** rng.randint(11, 40)),
+                1 + (edge - 1) * Fraction(rng.randint(1, 99), 100),
+                Fraction(rng.randint(1, 10**6), 1000) + 1,
+            ]
+            levels = [ExtReal.from_ratio(r) for r in ratios] + [INF]
+        else:
+            p = rng.uniform(1e-3, 1.0)
+            edge = high_privacy_bound(p).nats
+            levels = [
+                0.0, edge, edge * rng.uniform(1.0, 3.0), 10.0 ** -rng.uniform(10.5, 17.0),
+                edge * rng.random(), rng.expovariate(0.3), math.inf,
+            ]
+        yield [as_level(x) for x in levels], p
+
+
+def _level_fields(g):
+    return [g.eps] if g.eps is not None else [g.eps_l, g.eps_u]
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_closure_matches_per_kind_reference(exact):
+    rng = random.Random(1515 + exact)
+    sources = 0
+    for levels, p in _closure_corpus(rng, exact):
+        guarantees = [
+            make(eps)
+            for make in (Guarantee.pml, Guarantee.pmc, Guarantee.lip, Guarantee.ldp)
+            for eps in levels
+        ]
+        guarantees += [Guarantee.alip(lo, hi) for lo in levels for hi in rng.sample(levels, 3)]
+        for g in guarantees:
+            result = derive_implications(g, p)
+            expected, high_privacy = _reference_implications(g, p)
+            assert [i.kind for i in result.implied] == [e.kind for e in expected]
+            for got, want in zip(result.implied, expected):
+                got_levels, want_levels = _level_fields(got), _level_fields(want)
+                assert got_levels == want_levels, (g, p)
+                assert [type(x.ratio) for x in got_levels] == [type(x.ratio) for x in want_levels]
+            assert result.high_privacy is high_privacy
+            sources += 1
+    assert sources == 60 * (4 * 7 + 7 * 3)
 
 
 class TestSweepCurves:

@@ -133,6 +133,14 @@ class TestConditionalPmc:
         with pytest.raises(UndefinedOutcome):
             conditional_pmc(family, True, 0)
 
+    @pytest.mark.parametrize("container", [list, dict], ids=["list", "dict"])
+    @pytest.mark.parametrize("z", [0.0, 0.5, "a", None], ids=repr)
+    def test_non_int_side_information_rejected(self, binary_symmetric_joint, container, z):
+        joints = [binary_symmetric_joint, binary_symmetric_joint]
+        family = joints if container is list else dict(enumerate(joints))
+        with pytest.raises(UndefinedOutcome):
+            conditional_pmc(family, 0, z)
+
 
 class TestGuaranteeLevel:
     def test_deterministic_mechanism(self):

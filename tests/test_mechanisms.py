@@ -30,6 +30,7 @@ from infodens.errors import (
     InvalidAlphabet,
     OutsideHighPrivacy,
     ParseError,
+    QuadratureFailure,
 )
 from infodens.mechanisms import _uniform_cgf
 from infodens.sampling import random_pmf
@@ -255,6 +256,12 @@ class TestLaplaceMean:
         assert value <= m.sup_pmc() + 0.05
         assert value >= 0.0
 
+    def test_quadrature_noise_underflow_is_typed(self):
+        # the noise density e^-999 at the far end of the data range underflows
+        m = LaplaceMeanMechanism(0.0, 1000.0, 1, 1.0)
+        with pytest.raises(QuadratureFailure, match="underflows"):
+            m.pmc_at(1.0)
+
     def test_missing_cgf_raises(self):
         from infodens import BoundedLaw
 
@@ -301,10 +308,20 @@ class TestGaussianPerturb:
         g = GaussianPerturbMechanism(1.0, 1.0)
         import numpy as np
 
-        ys = (0.3, 1.7, -2.2, 8.0, -8.0, 9.0, -9.0)
+        ys = (0.3, 1.7, -2.2, 8.0, -8.0, 9.0, -9.0, 38.0, 40.0, -45.0)
         vec = g._pmc_uniform_vectorized(np.array(ys))
         for y, expected in zip(ys, vec):
             assert g.pmc_at(y) == pytest.approx(float(expected), abs=1e-9)
+
+    def test_custom_law_tail_underflow_is_typed(self):
+        from infodens import BoundedLaw
+
+        law = BoundedLaw(lo=-1.0, hi=1.0, mean=0.0, pdf=lambda x: 0.5 if -1.0 <= x <= 1.0 else 0.0)
+        g = GaussianPerturbMechanism(1.0, 1.0, law=law)
+        assert g.pmc_at(3.0) == GaussianPerturbMechanism(1.0, 1.0).pmc_at(3.0)
+        for y in (38.0, 40.0, -45.0):
+            with pytest.raises(QuadratureFailure, match="underflows"):
+                g.pmc_at(y)
 
     def test_tail_bound_values(self):
         assert gaussian_tail_bound(1.0, 0.0) == 1.0
