@@ -35,10 +35,12 @@ from .probcore import ExtReal, Channel, Joint, Number, Pmf, as_level
 if TYPE_CHECKING:
     import numpy as np
 
-#: Requested and accepted accuracy for the 1-D density quadratures.
-_QUAD_EPSABS = 1e-12
+#: Requested and accepted relative accuracy for the 1-D density quadratures.
 _QUAD_EPSREL = 1e-9
 _QUAD_ACCEPT_REL = 1e-6
+#: Gaussian windows 2A/sigma at or below this integrate levels under a nat,
+#: which the normal-CDF form would cancel away.
+_NARROW_WINDOW = 0.4
 #: Accepted relative half-width of the Monte Carlo confidence interval.
 _MC_ACCEPT_REL = 1e-2
 
@@ -148,6 +150,9 @@ class BoundedLaw:
     family: str = "custom"
 
     def __post_init__(self):
+        for name in ("lo", "hi", "mean"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not (self.lo < self.hi):
             raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
         if not (self.lo <= self.mean <= self.hi):
@@ -199,17 +204,13 @@ def discrete_law(points: Sequence[float], probs: Sequence[float]) -> BoundedLaw:
     return BoundedLaw(lo=min(pts), hi=max(pts), mean=mean, cgf=cgf, family="discrete")
 
 
-class _DensityUnderflow(QuadratureFailure):
-    """The noise density at a support end underflows to 0."""
-
-
 def _quadrature_pmc(law: BoundedLaw, noise_pdf, y: float, kink: Optional[float]) -> float:
     """Pointwise cost of releasing ``y`` under additive noise, by quadrature, in nats."""
     if law.pdf is None:
         raise ValueError("the input law needs a density for quadrature")
     f_floor = min(noise_pdf(y - law.lo), noise_pdf(y - law.hi))
-    if f_floor == 0.0:
-        raise _DensityUnderflow(f"the noise density at the support ends underflows at y = {y!r}")
+    if f_floor < sys.float_info.min:  # a subnormal floor keeps too few digits for its log
+        raise QuadratureFailure(f"the noise density at the support ends underflows at y = {y!r}")
     from scipy import integrate
 
     pdf = law.pdf
@@ -220,10 +221,10 @@ def _quadrature_pmc(law: BoundedLaw, noise_pdf, y: float, kink: Optional[float])
         law.hi,
         points=points,
         limit=200,
-        epsabs=_QUAD_EPSABS,
+        epsabs=0.0,
         epsrel=_QUAD_EPSREL,
     )
-    if f_y <= 0 or abserr > _QUAD_ACCEPT_REL * f_y + _QUAD_EPSABS:
+    if f_y <= 0 or abserr > _QUAD_ACCEPT_REL * f_y:
         raise QuadratureFailure(
             f"density quadrature unreliable: value {f_y!r}, error {abserr!r}"
         )
@@ -255,8 +256,8 @@ class LaplaceMeanMechanism:
             raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if not self.b > 0:
-            raise ValueError(f"scale must be positive, got {self.b!r}")
+        if not 0 < self.b < math.inf:
+            raise ValueError(f"scale must be positive and finite, got {self.b!r}")
         if not math.isfinite(self.dp_level):  # also when hi - lo overflows
             raise ValueError(f"the level (hi - lo)/(n b) overflows the float range: {self.dp_level!r}")
         if self.law is None:
@@ -307,12 +308,15 @@ class LaplaceMeanMechanism:
         """Pointwise cost of releasing the value ``y``, in nats.
 
         Released values at or beyond the data range take the plateau closed
-        forms; interior values are integrated (n = 1) or estimated by seeded
-        Monte Carlo (n > 1).  ``method="quadrature"`` forces the numerical
-        path everywhere (n = 1 only).
+        forms; interior values are integrated to a relative tolerance (n = 1)
+        or estimated by seeded Monte Carlo from ``mc_samples >= 2`` draws
+        (n > 1).  ``method="quadrature"`` forces the numerical path
+        everywhere (n = 1 only).  NaN raises ValueError.
         """
         if method not in ("auto", "quadrature"):
             raise ValueError(f"unknown method {method!r}")
+        if math.isnan(y):
+            raise ValueError("y must not be NaN")
         t = 1.0 / (self.n * self.b)
         if method == "auto":
             if y >= self.hi:
@@ -329,6 +333,8 @@ class LaplaceMeanMechanism:
         return math.exp(-abs(u) / self.b) / (2.0 * self.b)
 
     def _pmc_monte_carlo(self, y: float, seed: int, samples: int) -> float:
+        if not isinstance(samples, int) or isinstance(samples, bool) or samples < 2:
+            raise ValueError(f"mc_samples must be an integer >= 2, got {samples!r}")
         if self.law.sampler is None:
             raise ValueError("the input law needs a sampler for Monte Carlo")
         import numpy as np
@@ -371,10 +377,10 @@ class GaussianPerturbMechanism:
     law: BoundedLaw = None
 
     def __post_init__(self):
-        if not self.amplitude > 0:
-            raise ValueError(f"amplitude must be positive, got {self.amplitude!r}")
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma!r}")
+        if not 0 < self.amplitude < math.inf:
+            raise ValueError(f"amplitude must be positive and finite, got {self.amplitude!r}")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
         if self.law is None:
             object.__setattr__(self, "law", uniform_law(-self.amplitude, self.amplitude))
         else:
@@ -400,19 +406,20 @@ class GaussianPerturbMechanism:
 
     def _noise_pdf(self, u: float) -> float:
         s = self.sigma
-        return math.exp(-0.5 * (u / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
+        z = u / s  # z * z goes to inf where z ** 2 would raise OverflowError
+        return math.exp(-0.5 * z * z) / (s * math.sqrt(2.0 * math.pi))
 
     def pmc_at(self, y: float) -> float:
-        """Pointwise cost of releasing ``y`` by quadrature, in nats.
+        """Pointwise cost of releasing a finite ``y``, in nats.
 
-        Far in the tails the noise density underflows; a uniform law then
-        takes the normal-CDF form, any other law raises QuadratureFailure.
+        A uniform law takes the normal-CDF form, accurate out to |y| = 1e300
+        sigma; any other law is integrated, and raises QuadratureFailure
+        where the noise density at a support end is not a normal float.
         """
-        try:
+        if not math.isfinite(y):
+            raise ValueError(f"y must be finite, got {y!r}")
+        if self.law.family != "uniform":
             return _quadrature_pmc(self.law, self._noise_pdf, y, kink=None)
-        except _DensityUnderflow:
-            if self.law.family != "uniform" or not math.isfinite(y):
-                raise
         import numpy as np
 
         return float(self._pmc_uniform_vectorized(np.array([float(y)]))[0])
@@ -423,6 +430,7 @@ class GaussianPerturbMechanism:
 
         s = self.sigma
         lo, hi = self.law.lo, self.law.hi
+        window = (hi - lo) / s
         # The zero-mean uniform law is symmetric, so the cost is even in y:
         # at -|y| the mass below the window never cancels against one.
         lower = -np.abs(ys)
@@ -430,16 +438,42 @@ class GaussianPerturbMechanism:
         lower -= hi
         lower /= s
         mass = special.ndtr(upper)
-        mass -= special.ndtr(lower)
-        under = mass == 0.0
-        mass[under] = 1.0
+        below = special.ndtr(lower)
+        mass -= below
+        # Where Phi(l) underflows, its share of the mass is lost: take the far
+        # form below, which needs u < 0 to keep erfcx(-u/sqrt 2) finite.
+        far = (below == 0.0) & (upper < 0.0)
+        del below  # one array fewer alive under the temporaries below
+        near = None
+        if window <= _NARROW_WINDOW:
+            # A level is about -lower * window / 2.  Up to half a nat the form
+            # below would cancel it against l^2/2; every other y has
+            # -lower > 1/window >= 2.5, so u < 0 and the far form holds.
+            near = lower * window >= -1.0
+            far = ~near
+            mass[near] = 1.0
+        mass[far] = 1.0
         log_mass = np.log(mass, out=mass)
-        # where both tails underflow: log Phi(u) + log(1 - Phi(l) / Phi(u))
-        log_upper = special.log_ndtr(upper[under])
-        log_lower = special.log_ndtr(lower[under])
-        log_mass[under] = log_upper + np.log1p(-np.exp(log_lower - log_upper))
+        # Far out, log Phi(z) + z^2/2 = log(erfcx(-z/sqrt 2)/2) and the gap
+        # (l^2 - u^2)/2 is formed without the squares, which would cancel (or
+        # overflow) against each other; those entries drop l^2/2.
+        tail_u = special.erfcx(upper[far] / -math.sqrt(2.0))
+        tail_l = special.erfcx(lower[far] / -math.sqrt(2.0))
+        gap = (np.abs(ys[far]) + (lo + hi) / 2.0) / s * window
+        log_mass[far] = np.log(tail_u / 2.0) + gap + np.log1p(-tail_l / tail_u * np.exp(-gap))
+        lower[far] = 0.0
         # the far end of the window, hi, is -lower standard deviations away
-        return log_mass - math.log(hi - lo) + 0.5 * lower**2 + math.log(s * math.sqrt(2.0 * math.pi))
+        costs = log_mass - math.log(hi - lo) + 0.5 * lower**2 + math.log(s * math.sqrt(2.0 * math.pi))
+        if near is not None:
+            # f_Y / f_N(y - hi) is the mean over t in [0, window] of e^h(t),
+            # h(t) = t (-lower - t/2) the log noise-density ratio between the
+            # secrets hi - t sigma and hi; log1p of the mean of expm1(h) keeps
+            # the digits of a small level, and 8 nodes are exact to rounding.
+            nodes, weights = np.polynomial.legendre.leggauss(8)
+            nodes = (nodes + 1.0) * (window / 2.0)
+            h = nodes * (-lower[near, None] - nodes / 2.0)
+            costs[near] = np.log1p(np.expm1(h) @ weights / 2.0)
+        return costs
 
     def tail_bound(self, beta: float) -> float:
         """Probability bound for the cost exceeding its center by ``beta``."""
@@ -456,6 +490,10 @@ class GaussianPerturbMechanism:
         """
         if self.law.family != "uniform":
             raise ValueError("tail sampling implemented for uniform input laws")
+        if math.isnan(beta):
+            raise ValueError("beta must not be NaN")
+        if not isinstance(n_samples, int) or isinstance(n_samples, bool) or n_samples < 1:
+            raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
         import numpy as np
 
         rng = np.random.default_rng(seed)
@@ -476,7 +514,7 @@ def gaussian_tail_bound(r: float, beta: float) -> float:
     """
     if not r > 0:
         raise ValueError(f"r must be positive, got {r!r}")
-    if beta < 0:
+    if not beta >= 0:
         raise ValueError(f"beta must be non-negative, got {beta!r}")
     return min(1.0, 2.0 * math.exp(-(beta**2) / (8.0 * (r * r + r))))
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from operator import add, getitem
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
@@ -46,9 +46,12 @@ if TYPE_CHECKING:
 #: applying the 0/0 = 1 convention; the rational backend needs no such guard.
 _FLOAT_ZERO = 1e-13
 
-#: Hard cap on kernels visited by one exhaustive enumeration, and on the
-#: lattice entries one sampled grid builds.
+#: Hard cap on the kernels one guess alphabet visits, and on the lattice
+#: entries one sampled grid builds.
 _ENUMERATION_CAP = 2_000_000
+
+#: A sampled grid also visits its vertex kernels when there are at most this many.
+_VERTEX_CAP = 4096
 
 #: Kernels evaluated per batched step of an exhaustive grid; bounds memory.
 _BLOCK = 1 << 16
@@ -111,6 +114,10 @@ class SearchConfig:
     exhaustive_limit: int = 9
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if self.resolution < 2:
             raise ValueError("resolution must be at least 2")
         if self.max_u < 2:
@@ -355,8 +362,9 @@ def _is_exhaustive(n_x: int, u_size: int, cfg: SearchConfig) -> bool:
 def _check_budget(n_x: int, cfg: SearchConfig) -> None:
     """Reject a search whose grid exceeds the cap, before any work.
 
-    An exhaustive grid may visit at most ``_ENUMERATION_CAP`` kernels; a
-    sampled one may hold at most that many lattice entries (rows times
+    Each guess alphabet may visit at most ``_ENUMERATION_CAP`` kernels: the
+    whole grid when exhaustive, the vertices plus the draws when sampled.  A
+    sampled grid may also hold at most that many lattice entries (rows times
     alphabet size).  The enumerators below rely on this check having passed.
     """
     for u_size in range(2, cfg.max_u + 1):
@@ -364,7 +372,10 @@ def _check_budget(n_x: int, cfg: SearchConfig) -> None:
         if _is_exhaustive(n_x, u_size, cfg):
             count, what = n_rows**n_x, "exhaustive grid would visit {} kernels"
         else:
-            count, what = n_rows * u_size, "sampled grid would build {} lattice entries"
+            if n_rows * u_size > _ENUMERATION_CAP:
+                raise BudgetExceeded(f"sampled grid would build {n_rows * u_size} lattice entries")
+            vertices = u_size**n_x if u_size**n_x <= _VERTEX_CAP else 0
+            count, what = vertices + cfg.max_iterations, "sampled grid would visit {} kernels"
         if count > _ENUMERATION_CAP:
             raise BudgetExceeded(what.format(count))
 
@@ -373,7 +384,7 @@ def _grid_shape(n_x: int, u_size: int, cfg: SearchConfig) -> tuple:
     """``(number of lattice rows, vertex row indices or None, draws or None)``.
 
     Exhaustive grids have no vertices and no draws.  Sampled grids give the
-    vertex kernels (when there are at most 4096) and ``max_iterations``
+    vertex kernels (when there are at most ``_VERTEX_CAP``) and ``max_iterations``
     seeded draws of ``n_x`` row indices each, flattened kernel by kernel.
     """
     den = cfg.resolution - 1
@@ -381,7 +392,7 @@ def _grid_shape(n_x: int, u_size: int, cfg: SearchConfig) -> tuple:
     if _is_exhaustive(n_x, u_size, cfg):
         return n_rows, None, None
     vertices = None
-    if u_size**n_x <= 4096:
+    if u_size**n_x <= _VERTEX_CAP:
         # the corner with all mass on guess i is preceded, in lexicographic
         # order, by every composition of den whose first i parts are zero
         vertices = [math.comb(den + u_size - 1 - i, u_size - 1 - i) - 1 for i in range(u_size)]

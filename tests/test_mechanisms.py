@@ -32,7 +32,7 @@ from infodens.errors import (
     ParseError,
     QuadratureFailure,
 )
-from infodens.mechanisms import _uniform_cgf
+from infodens.mechanisms import _quadrature_pmc, _uniform_cgf
 from infodens.sampling import random_pmf
 
 LOG_E_MINUS_1 = 0.5413248546129181  # log(e - 1), the uniform Laplace plateau
@@ -256,6 +256,20 @@ class TestLaplaceMean:
         assert value <= m.sup_pmc() + 0.05
         assert value >= 0.0
 
+    def test_uniform_single_point_matches_analytic_form(self):
+        # f_Y(y) = (1 - e^{-(y-lo)/b}/2 - e^{-(hi-y)/b}/2)/(hi - lo) inside the
+        # data range; the floor is the noise density at the farther end
+        rng = random.Random(41)
+        for _ in range(200):
+            width = 10 ** rng.uniform(-3, 15)
+            lo = rng.uniform(-1, 1) * width
+            hi = lo + width
+            b = (hi - lo) / 10 ** rng.uniform(-1, 2)
+            y = lo + rng.random() * (hi - lo)
+            near, far = sorted(((y - lo) / b, (hi - y) / b))
+            analytic = far + math.log(-(math.expm1(-near) + math.expm1(-far)) * b / (hi - lo))
+            assert LaplaceMeanMechanism(lo, hi, 1, b).pmc_at(y) == pytest.approx(analytic, rel=1e-12, abs=0)
+
     def test_quadrature_noise_underflow_is_typed(self):
         # the noise density e^-999 at the far end of the data range underflows
         m = LaplaceMeanMechanism(0.0, 1000.0, 1, 1.0)
@@ -306,20 +320,64 @@ class TestGaussianPerturb:
 
     def test_quadrature_matches_normal_cdf_form(self):
         g = GaussianPerturbMechanism(1.0, 1.0)
-        import numpy as np
+        for y in (0.3, 1.7, -2.2, 8.0, -8.0, 9.0, -9.0):
+            quadrature = _quadrature_pmc(g.law, g._noise_pdf, y, kink=None)
+            assert g.pmc_at(y) == pytest.approx(quadrature, rel=1e-12, abs=0)
 
-        ys = (0.3, 1.7, -2.2, 8.0, -8.0, 9.0, -9.0, 38.0, 40.0, -45.0)
-        vec = g._pmc_uniform_vectorized(np.array(ys))
-        for y, expected in zip(ys, vec):
-            assert g.pmc_at(y) == pytest.approx(float(expected), abs=1e-9)
+    @pytest.mark.parametrize(
+        "amplitude, sigma, y, expected",
+        [
+            # 60-digit values of log f_Y(y) - log f_N(|y| + A), from mpmath
+            (1.0, 1.0, 37.2, 70.117032048501487),
+            (1.0, 1.0, -37.5, 70.708791352331026),
+            (1.0, 1.0, 38.0, 71.695205775754134),
+            (1.0, 1.0, 40.0, 75.642634788267183),
+            (1.0, 1.0, -45.0, 85.522147321908084),
+            (2.0, 0.3, 9.5, 416.41148558196084),
+            # Phi(l) underflows while Phi(u) does not
+            (0.5, 2.0, 74.9, 15.801117085953010041),
+            # narrow windows 2A/sigma, where the level is far below the squares
+            (1e-8, 1.0, 2.0, 2.0000000100000000418e-8),
+            (1e-3, 1.0, 9.4, 0.0094150599546728738415),
+            (1e-12, 1.0, 0.5, 5.0000000000037498994e-13),
+            (0.05, 0.5, -12.0, 3.2256212071945284808),
+        ],
+    )
+    def test_level_matches_recorded_values(self, amplitude, sigma, y, expected):
+        value = GaussianPerturbMechanism(amplitude, sigma).pmc_at(y)
+        assert value == pytest.approx(expected, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("amplitude, sigma", [(1.0, 1.0), (2.0, 0.3)])
+    @pytest.mark.parametrize("k", [1e4, 1e8, 1e12, 1e20, 1e150, 1e300])
+    def test_huge_y_follows_the_asymptote(self, amplitude, sigma, k):
+        g = GaussianPerturbMechanism(amplitude, sigma)
+        y = k * sigma
+        s2 = sigma**2
+        asymptote = 2 * amplitude * y / s2 - math.log(2 * amplitude * (y - amplitude) / s2)
+        for value in (g.pmc_at(y), g.pmc_at(-y)):
+            assert value == pytest.approx(asymptote, rel=1e-9, abs=0)
+
+    def test_level_inside_envelope_on_seeded_corpus(self):
+        # windows 2A/sigma from 1e-12 to 80, |y| from 1e-3 to 1e300 sigma
+        rng = random.Random(23)
+        for _ in range(400):
+            sigma = 10 ** rng.uniform(-2, 2)
+            g = GaussianPerturbMechanism(10 ** rng.uniform(-12, 1.9) * sigma / 2, sigma)
+            y = rng.choice((-1, 1)) * 10 ** rng.uniform(-3, rng.choice((2, 300))) * sigma
+            lo, hi = g.pmc_bounds(y)
+            assert lo * (1 - 1e-12) <= g.pmc_at(y) <= hi * (1 + 1e-12)
 
     def test_custom_law_tail_underflow_is_typed(self):
         from infodens import BoundedLaw
 
         law = BoundedLaw(lo=-1.0, hi=1.0, mean=0.0, pdf=lambda x: 0.5 if -1.0 <= x <= 1.0 else 0.0)
         g = GaussianPerturbMechanism(1.0, 1.0, law=law)
-        assert g.pmc_at(3.0) == GaussianPerturbMechanism(1.0, 1.0).pmc_at(3.0)
-        for y in (38.0, 40.0, -45.0):
+        default = GaussianPerturbMechanism(1.0, 1.0)
+        # the same pdf values through the same integrator give the same bits
+        assert g.pmc_at(3.0) == _quadrature_pmc(default.law, default._noise_pdf, 3.0, kink=None)
+        assert g.pmc_at(3.0) == pytest.approx(default.pmc_at(3.0), rel=1e-12, abs=0)
+        # 37.2 and -37.5 leave a subnormal noise floor, the others none at all
+        for y in (37.2, -37.5, 38.0, 40.0, -45.0, 1e200):
             with pytest.raises(QuadratureFailure, match="underflows"):
                 g.pmc_at(y)
 
@@ -346,6 +404,39 @@ class TestGaussianPerturb:
             GaussianPerturbMechanism(1.0, 0.0)
         with pytest.raises(ValueError):
             GaussianPerturbMechanism(1.0, 1.0, law=uniform_law(0.0, 1.0))  # mean 1/2
+
+
+@pytest.mark.parametrize(
+    "call, field",
+    [
+        (lambda: LaplaceMeanMechanism(0.0, 1.0, 1, math.inf), "scale"),
+        (lambda: GaussianPerturbMechanism(math.inf, 1.0), "amplitude"),
+        (lambda: GaussianPerturbMechanism(1.0, math.inf), "sigma"),
+        (lambda: discrete_law([0.0, math.inf], [0.5, 0.5]), "hi"),
+        (lambda: uniform_law(-math.inf, 0.0), "lo"),
+        (lambda: discrete_law([0.0, 1.0], [0.5, math.nan]), "mean"),
+        (lambda: LaplaceMeanMechanism(0.0, 1.0, 2, 1.0).pmc_at(0.5, mc_samples=1), "mc_samples"),
+        (lambda: LaplaceMeanMechanism(0.0, 1.0, 2, 1.0).pmc_at(0.5, mc_samples=0), "mc_samples"),
+        (lambda: LaplaceMeanMechanism(0.0, 1.0, 2, 1.0).pmc_at(0.5, mc_samples=2e5), "mc_samples"),
+        (lambda: LaplaceMeanMechanism(0.0, 1.0, 1, 1.0).pmc_at(math.nan), "y"),
+        (lambda: GaussianPerturbMechanism(1.0, 1.0).pmc_at(math.inf), "y"),
+        (lambda: GaussianPerturbMechanism(1.0, 1.0).pmc_at(-math.inf), "y"),
+        (lambda: GaussianPerturbMechanism(1.0, 1.0).pmc_at(math.nan), "y"),
+        (lambda: GaussianPerturbMechanism(1.0, 1.0).tail_frequency(1.0, n_samples=0), "n_samples"),
+        (lambda: GaussianPerturbMechanism(1.0, 1.0).tail_frequency(1.0, n_samples=True), "n_samples"),
+        (lambda: GaussianPerturbMechanism(1.0, 1.0).tail_frequency(math.nan), "beta"),
+        (lambda: gaussian_tail_bound(1.0, math.nan), "beta"),
+    ],
+    ids=[
+        "laplace-scale", "gaussian-amplitude", "gaussian-sigma", "discrete-hi", "uniform-lo",
+        "discrete-mean", "mc-samples-1", "mc-samples-0", "mc-samples-float", "laplace-nan-y",
+        "gaussian-inf-y", "gaussian-minus-inf-y", "gaussian-nan-y", "n-samples-0",
+        "n-samples-bool", "tail-frequency-nan-beta", "tail-bound-nan-beta",
+    ],
+)
+def test_continuous_inputs_checked_before_any_work(call, field):
+    with pytest.raises(ValueError, match=rf"^{field} must"):
+        call()
 
 
 class TestMechanismDocs:

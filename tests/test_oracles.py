@@ -300,6 +300,14 @@ class TestBruteForce:
         with pytest.raises(TypeError):
             SearchConfig(k=0)  # no such field
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("resolution", 2.5), ("max_u", 3.0), ("max_iterations", 2.5), ("seed", True), ("exhaustive_limit", None)],
+    )
+    def test_search_config_needs_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SearchConfig(**{field: value})
+
 
 class TestKernelFromCost:
     def test_zero_one_loss_recovers_value(self, binary_symmetric_joint):
@@ -697,7 +705,8 @@ class TestBatchedGridSearch:
         def fail(*args, **kwargs):
             raise AssertionError("a kernel was evaluated")
 
-        for name in ("_lambda_from_rows", "_block_masses", "_push", "_int_masses", "_head_masses"):
+        names = ("_lambda_from_rows", "_block_masses", "_push", "_int_masses", "_head_masses", "_randrange_draws")
+        for name in names:
             monkeypatch.setattr(oracles, name, fail)
         j = random_joint(random.Random(12), 3, 2)
         huge = SearchConfig(resolution=40, max_u=3)
@@ -710,6 +719,12 @@ class TestBatchedGridSearch:
             certify_pmc(j, 0, sampled)
         with pytest.raises(BudgetExceeded):
             brute_force_guesswork_leakage(j, 0, sampled)
+        # u = 4 is sampled: 4^3 vertex kernels plus the draws exceed the cap
+        many_draws = SearchConfig(max_u=4, max_iterations=oracles._ENUMERATION_CAP)
+        with pytest.raises(BudgetExceeded, match="would visit 2000064 kernels"):
+            certify_pmc(j, 0, many_draws)
+        with pytest.raises(BudgetExceeded, match="would visit 2000064 kernels"):
+            brute_force_guesswork_leakage(j, 0, many_draws)
 
 
 def _permutation_guesswork(masses):
