@@ -8,7 +8,8 @@ The continuous families (Laplace-noised sample mean, Gaussian perturbation
 of a bounded value) evaluate the pointwise cost through the density identity
 ``log f_Y(y) / inf_x f_{Y|X=x}(y)``; for log-concave noise the infimum sits
 at a support endpoint, which the closed forms use and the quadrature path
-mirrors.
+mirrors.  Interior Laplace levels are integrated for every n: the mean of n
+uniform points has the Irwin-Hall density, a cardinal B-spline.
 
 Mechanism documents, the JSON format the CLI reads, are parsed here too
 (:func:`parse_mechanism_doc`, :func:`joint_from_doc`).
@@ -41,8 +42,8 @@ _QUAD_ACCEPT_REL = 1e-6
 #: Gaussian windows 2A/sigma at or below this integrate levels under a nat,
 #: which the normal-CDF form would cancel away.
 _NARROW_WINDOW = 0.4
-#: Accepted relative half-width of the Monte Carlo confidence interval.
-_MC_ACCEPT_REL = 1e-2
+#: Largest n whose interior Laplace level is integrated; each density has n spline pieces.
+_MAX_SPLINE_ORDER = 128
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +135,11 @@ class BoundedLaw:
     """A data distribution on a bounded interval.
 
     ``cgf`` is the cumulant generating function of the centered variable and
-    drives the closed-form cost levels; ``pdf`` feeds the quadrature path;
-    ``sampler`` feeds Monte Carlo.  Any of the three may be omitted when the
-    corresponding evaluation is not needed.  Evaluations are exact when the
-    law places mass arbitrarily close to both endpoints, and upper bounds
-    otherwise.
+    drives the closed-form cost levels; ``pdf`` feeds the quadrature path of
+    a single point.  Either may be omitted when the corresponding evaluation
+    is not needed.  Interior Laplace levels of n > 1 points need the uniform
+    ``family``.  Evaluations are exact when the law places mass arbitrarily
+    close to both endpoints, and upper bounds otherwise.
     """
 
     lo: float
@@ -146,7 +147,6 @@ class BoundedLaw:
     mean: float
     cgf: Optional[Callable[[float], float]] = None
     pdf: Optional[Callable[[float], float]] = None
-    sampler: Optional[Callable[[np.random.Generator, tuple], np.ndarray]] = None
     family: str = "custom"
 
     def __post_init__(self):
@@ -162,8 +162,11 @@ class BoundedLaw:
 def _uniform_cgf(half_width: float, t: float) -> float:
     """log E[exp(t Z)] for Z uniform on [-half_width, half_width]."""
     x = abs(t) * half_width
-    if x < 1e-6:
-        return x * x / 6.0 * (1.0 - x * x / 15.0)
+    if x < 1.0:  # log1p of (sinh x - x)/x = x^2/3! + ... + x^18/19!, by Horner
+        p = 0.0
+        for k in range(9, 0, -1):
+            p = (1.0 + p) * x * x / (2 * k * (2 * k + 1))
+        return math.log1p(p)
     if x > 350.0:
         return x - math.log(2.0 * x) + math.log1p(-math.exp(-2.0 * x))
     return math.log(math.sinh(x) / x)
@@ -181,7 +184,6 @@ def uniform_law(lo: float, hi: float) -> BoundedLaw:
         mean=(lo + hi) / 2.0,
         cgf=lambda t: _uniform_cgf(half, t),
         pdf=lambda x, _d=density, _lo=lo, _hi=hi: _d if _lo <= x <= _hi else 0.0,
-        sampler=lambda rng, shape, _lo=lo, _hi=hi: rng.uniform(_lo, _hi, shape),
         family="uniform",
     )
 
@@ -204,6 +206,22 @@ def discrete_law(points: Sequence[float], probs: Sequence[float]) -> BoundedLaw:
     return BoundedLaw(lo=min(pts), hi=max(pts), mean=mean, cgf=cgf, family="discrete")
 
 
+def _checked_quad(integrand, lo: float, hi: float, points: Sequence[float]) -> float:
+    """A density over [lo, hi] with interior breakpoints ``points``, to a relative tolerance.
+
+    Raises QuadratureFailure unless it is a normal float, whose log keeps its digits,
+    within the accepted error.
+    """
+    from scipy import integrate
+
+    value, err = integrate.quad(
+        integrand, lo, hi, points=points or None, limit=200, epsabs=0.0, epsrel=_QUAD_EPSREL
+    )
+    if not value >= sys.float_info.min or err > _QUAD_ACCEPT_REL * value:
+        raise QuadratureFailure(f"the density {value!r} underflows or misses the tolerance: error {err!r}")
+    return value
+
+
 def _quadrature_pmc(law: BoundedLaw, noise_pdf, y: float, kink: Optional[float]) -> float:
     """Pointwise cost of releasing ``y`` under additive noise, by quadrature, in nats."""
     if law.pdf is None:
@@ -211,23 +229,8 @@ def _quadrature_pmc(law: BoundedLaw, noise_pdf, y: float, kink: Optional[float])
     f_floor = min(noise_pdf(y - law.lo), noise_pdf(y - law.hi))
     if f_floor < sys.float_info.min:  # a subnormal floor keeps too few digits for its log
         raise QuadratureFailure(f"the noise density at the support ends underflows at y = {y!r}")
-    from scipy import integrate
-
-    pdf = law.pdf
-    points = [kink] if kink is not None and law.lo < kink < law.hi else None
-    f_y, abserr = integrate.quad(
-        lambda x: pdf(x) * noise_pdf(y - x),
-        law.lo,
-        law.hi,
-        points=points,
-        limit=200,
-        epsabs=0.0,
-        epsrel=_QUAD_EPSREL,
-    )
-    if f_y <= 0 or abserr > _QUAD_ACCEPT_REL * f_y:
-        raise QuadratureFailure(
-            f"density quadrature unreliable: value {f_y!r}, error {abserr!r}"
-        )
+    points = [kink] if kink is not None and law.lo < kink < law.hi else []
+    f_y = _checked_quad(lambda x: law.pdf(x) * noise_pdf(y - x), law.lo, law.hi, points)
     return math.log(f_y) - math.log(f_floor)
 
 
@@ -270,12 +273,13 @@ class LaplaceMeanMechanism:
         """The classical noise-vs-sensitivity level (hi-lo)/(n b); an upper bound."""
         return (self.hi - self.lo) / (self.n * self.b)
 
-    def _cgf(self, t: float) -> float:
-        if self.law.cgf is None:
-            raise CgfUnavailable(
-                "the input law needs a cumulant generating function for closed forms"
-            )
-        return self.law.cgf(t)
+    def _plateaus(self) -> Tuple[float, float]:
+        """The levels of released values at or above hi and at or below lo."""
+        law = self.law
+        if law.cgf is None:
+            raise CgfUnavailable("the input law needs a cumulant generating function for closed forms")
+        t = 1.0 / (self.n * self.b)
+        return (law.mean - self.lo) * t + law.cgf(t), (self.hi - law.mean) * t + law.cgf(-t)
 
     def sup_pmc(self) -> float:
         """Largest pointwise cost over all released values, in nats.
@@ -293,69 +297,55 @@ class LaplaceMeanMechanism:
             except OverflowError:
                 # beyond e^709.78; e^w - 1 = e^w (1 - e^-w) in the log domain
                 return w + math.log(-math.expm1(-w)) - math.log(w)
-        t = 1.0 / (self.n * self.b)
-        upper = (self.law.mean - self.lo) * t + self._cgf(t)
-        lower = (self.hi - self.law.mean) * t + self._cgf(-t)
-        return max(upper, lower)
+        return max(self._plateaus())
 
-    def pmc_at(
-        self,
-        y: float,
-        method: str = "auto",
-        seed: int = 0,
-        mc_samples: int = 200_000,
-    ) -> float:
+    def pmc_at(self, y: float, method: str = "auto", seed: int = 0, mc_samples: int = 200_000) -> float:
         """Pointwise cost of releasing the value ``y``, in nats.
 
         Released values at or beyond the data range take the plateau closed
-        forms; interior values are integrated to a relative tolerance (n = 1)
-        or estimated by seeded Monte Carlo from ``mc_samples >= 2`` draws
-        (n > 1).  ``method="quadrature"`` forces the numerical path
-        everywhere (n = 1 only).  NaN raises ValueError.
+        forms; interior values are integrated to a relative tolerance.  For
+        n > 1 that needs the uniform law and n <= 128, else ValueError.
+        ``method="quadrature"`` forces the numerical path everywhere.  NaN
+        raises ValueError.  ``seed`` and ``mc_samples`` are accepted and not
+        read, since no path samples.
         """
         if method not in ("auto", "quadrature"):
             raise ValueError(f"unknown method {method!r}")
         if math.isnan(y):
             raise ValueError("y must not be NaN")
-        t = 1.0 / (self.n * self.b)
-        if method == "auto":
-            if y >= self.hi:
-                return (self.law.mean - self.lo) * t + self._cgf(t)
-            if y <= self.lo:
-                return (self.hi - self.law.mean) * t + self._cgf(-t)
+        if method == "auto" and not self.lo < y < self.hi:
+            upper, lower = self._plateaus()
+            return upper if y >= self.hi else lower
         if self.n == 1:
             return _quadrature_pmc(self.law, self._noise_pdf, y, kink=y)
-        if method == "quadrature":
-            raise ValueError("quadrature path only covers n = 1")
-        return self._pmc_monte_carlo(y, seed, mc_samples)
+        return self._pmc_spline(y)
 
     def _noise_pdf(self, u: float) -> float:
         return math.exp(-abs(u) / self.b) / (2.0 * self.b)
 
-    def _pmc_monte_carlo(self, y: float, seed: int, samples: int) -> float:
-        if not isinstance(samples, int) or isinstance(samples, bool) or samples < 2:
-            raise ValueError(f"mc_samples must be an integer >= 2, got {samples!r}")
-        if self.law.sampler is None:
-            raise ValueError("the input law needs a sampler for Monte Carlo")
-        import numpy as np
+    def _pmc_spline(self, y: float) -> float:
+        """The level of n > 1 uniform points: the mean is ``lo + a S``, ``a = (hi - lo)/n``,
+        and S, a sum of U[0, 1] points, has the cardinal B-spline density (Irwin-Hall)."""
+        law = self.law
+        if law.family != "uniform":
+            raise ValueError(f"the interior level for n > 1 needs a uniform law, got {law.family!r}")
+        if self.n > _MAX_SPLINE_ORDER:
+            raise ValueError(f"the interior level needs n <= {_MAX_SPLINE_ORDER}, got {self.n}")
+        from scipy.interpolate import BSpline
 
-        rng = np.random.default_rng(seed)
-        data = np.asarray(self.law.sampler(rng, (samples, self.n)), dtype=float)
-        dens = np.exp(-np.abs(y - data.mean(axis=1)) / self.b) / (2.0 * self.b)
-        f_y = float(dens.mean())
-        estimates = [(f_y, float(dens.std(ddof=1)) / math.sqrt(samples))]
-        partial = data[:, : self.n - 1].sum(axis=1) / self.n
-        conditionals = []
-        for endpoint in (self.law.lo, self.law.hi):
-            d = np.exp(-np.abs(y - endpoint / self.n - partial) / self.b) / (2.0 * self.b)
-            conditionals.append(float(d.mean()))
-            estimates.append((float(d.mean()), float(d.std(ddof=1)) / math.sqrt(samples)))
-        for value, stderr in estimates:
-            if value <= 0 or stderr > _MC_ACCEPT_REL * value:
-                raise QuadratureFailure(
-                    f"Monte Carlo estimate unreliable: value {value!r}, stderr {stderr!r}"
-                )
-        return math.log(f_y) - math.log(min(conditionals))
+        a = (law.hi - law.lo) / self.n
+
+        def density(z: float, k: int) -> float:  # of z - a S + noise at 0, S summing k points
+            spline = BSpline.basis_element(range(k + 1))
+            breaks = sorted({*range(1, k), *([z / a] if 0 < z / a < k else [])})  # knots, kink
+            return _checked_quad(
+                lambda s: float(spline(s)) * self._noise_pdf(z - a * s), 0.0, k, breaks
+            )
+
+        # one point pinned at lo or hi leaves the n - 1 spline, shifted by 0 or a
+        z = y - law.lo
+        floor = min(density(z, self.n - 1), density(z - a, self.n - 1))
+        return math.log(density(z, self.n)) - math.log(floor)
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +371,11 @@ class GaussianPerturbMechanism:
             raise ValueError(f"amplitude must be positive and finite, got {self.amplitude!r}")
         if not 0 < self.sigma < math.inf:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
+        a, s = self.amplitude, self.sigma
+        if not all(0 < v < math.inf for v in (2.0 * a, s * s, (a / s) * (a / s))):
+            raise ValueError(
+                f"2A, sigma^2 and (A/sigma)^2 must stay in the float range, got A = {a!r} and sigma = {s!r}"
+            )
         if self.law is None:
             object.__setattr__(self, "law", uniform_law(-self.amplitude, self.amplitude))
         else:
@@ -414,10 +409,13 @@ class GaussianPerturbMechanism:
 
         A uniform law takes the normal-CDF form, accurate out to |y| = 1e300
         sigma; any other law is integrated, and raises QuadratureFailure
-        where the noise density at a support end is not a normal float.
+        where the noise density at a support end is not a normal float.  A
+        level beyond the float range, about 2A|y|/sigma^2, raises ValueError.
         """
         if not math.isfinite(y):
             raise ValueError(f"y must be finite, got {y!r}")
+        if not math.isfinite(abs(y) / self.sigma * (2.0 * self.amplitude / self.sigma)):
+            raise ValueError(f"the level at y = {y!r} overflows the float range")
         if self.law.family != "uniform":
             return _quadrature_pmc(self.law, self._noise_pdf, y, kink=None)
         import numpy as np
@@ -497,7 +495,7 @@ class GaussianPerturbMechanism:
         import numpy as np
 
         rng = np.random.default_rng(seed)
-        xs = self.law.sampler(rng, (n_samples,))
+        xs = rng.uniform(self.law.lo, self.law.hi, n_samples)
         ys = xs + rng.normal(0.0, self.sigma, n_samples)
         costs = self._pmc_uniform_vectorized(ys)
         threshold = beta + self.amplitude**2 / (2.0 * self.sigma**2)

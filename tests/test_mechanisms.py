@@ -1,5 +1,7 @@
+import decimal
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -32,6 +34,7 @@ from infodens.errors import (
     ParseError,
     QuadratureFailure,
 )
+from infodens import mechanisms
 from infodens.mechanisms import _quadrature_pmc, _uniform_cgf
 from infodens.sampling import random_pmf
 
@@ -170,9 +173,13 @@ class TestUniformCgf:
         assert _uniform_cgf(0.5, 0.0) == 0.0
 
     def test_series_matches_direct_formula(self):
-        for t in (1e-7, 1e-5, 0.01, 0.5, 3.0):
-            direct = math.log(math.sinh(t * 0.5) / (t * 0.5))
-            assert _uniform_cgf(0.5, t) == pytest.approx(direct, rel=1e-10)
+        # a 50-digit log(sinh x / x); in floats it cancels for small x
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            for t in (1e-7, 2.16e-6, 1e-5, 2e-4, 0.01, 0.5, 1.999, 2.0, 3.0, 100.0):
+                x = decimal.Decimal(t * 0.5)
+                direct = float(((x.exp() - (-x).exp()) / (2 * x)).ln())
+                assert _uniform_cgf(0.5, t) == pytest.approx(direct, rel=2e-15, abs=0)
 
     def test_symmetric(self):
         assert _uniform_cgf(0.3, 2.0) == _uniform_cgf(0.3, -2.0)
@@ -250,11 +257,15 @@ class TestLaplaceMean:
         for y in (0.1, 0.3, 0.5, 0.7, 0.9):
             assert m.pmc_at(y) <= m.sup_pmc() + 1e-6
 
-    def test_monte_carlo_interior_for_two_points(self):
+    def test_interior_for_two_points_is_exact_and_symmetric(self):
+        # at the midpoint f_Y = 4e^{-1/2} - 2 and both pinned densities are
+        # 1 - e^{-1/2}: the mean of two U[0, 1] points is triangular
         m = LaplaceMeanMechanism(0.0, 1.0, 2, 1.0)
-        value = m.pmc_at(0.5, seed=7)
-        assert value <= m.sup_pmc() + 0.05
-        assert value >= 0.0
+        half = math.exp(-0.5)
+        exact = math.log(4 * half - 2) - math.log1p(-half)
+        assert m.pmc_at(0.5) == pytest.approx(exact, rel=1e-13, abs=0)
+        for y in (0.1, 0.25, 0.4):
+            assert m.pmc_at(y) == pytest.approx(m.pmc_at(1.0 - y), rel=1e-13, abs=0)
 
     def test_uniform_single_point_matches_analytic_form(self):
         # f_Y(y) = (1 - e^{-(y-lo)/b}/2 - e^{-(hi-y)/b}/2)/(hi - lo) inside the
@@ -292,6 +303,80 @@ class TestLaplaceMean:
             LaplaceMeanMechanism(0.0, 1.0, 0, 1.0)
         with pytest.raises(ValueError):
             LaplaceMeanMechanism(0.0, 1.0, 1, -1.0)
+
+
+def _spline_corpus():
+    """Seeded uniform mechanisms with n > 1 and levels (hi-lo)/(n b) in [0.3, 10]."""
+    rng = random.Random(1717)
+    cases = []
+    for n in (2, 3, 5, 8):
+        for _ in range(3):
+            lo = rng.uniform(-2.0, 2.0)
+            width = 10 ** rng.uniform(-1, 1)
+            cases.append(LaplaceMeanMechanism(lo, lo + width, n, width / n / 10 ** rng.uniform(-0.5, 1)))
+    return cases
+
+
+class TestLaplaceSpline:
+    """Interior levels of n > 1 uniform points, integrated against B-splines."""
+
+    @pytest.mark.parametrize("m", _spline_corpus(), ids=lambda m: f"n{m.n}")
+    def test_quadrature_beyond_both_ends_is_the_plateau(self, m):
+        width = m.hi - m.lo
+        for y in (m.hi, m.hi + 0.3 * width, m.lo, m.lo - 0.3 * width):
+            assert m.pmc_at(y, method="quadrature") == pytest.approx(m.pmc_at(y), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("m", _spline_corpus(), ids=lambda m: f"n{m.n}")
+    def test_mirrored_points_agree(self, m):
+        width = m.hi - m.lo
+        for u in (0.05, 0.2, 0.45):
+            left, right = m.pmc_at(m.lo + u * width), m.pmc_at(m.hi - u * width)
+            assert left == pytest.approx(right, rel=1e-13, abs=0)
+            assert 0 < left < m.sup_pmc()
+
+    @pytest.mark.parametrize("m", _spline_corpus(), ids=lambda m: f"n{m.n}")
+    def test_level_just_inside_meets_the_plateau(self, m):
+        assert m.pmc_at(m.hi - 1e-9) == pytest.approx(m.sup_pmc(), rel=1e-8, abs=0)
+
+    def test_values_ignore_seed_and_sample_count(self):
+        m = LaplaceMeanMechanism(0.0, 1.0, 3, 1.0)
+        for y in (0.1, 0.5, 0.9):
+            assert m.pmc_at(y, seed=5, mc_samples=7) == m.pmc_at(y) == m.pmc_at(y, seed=1)
+
+    @pytest.mark.parametrize("m", [m for m in _spline_corpus() if m.n <= 3], ids=lambda m: f"n{m.n}")
+    def test_within_four_standard_errors_of_monte_carlo(self, m):
+        import numpy as np
+
+        samples = 200_000
+        data = np.random.default_rng(20260).uniform(m.lo, m.hi, (samples, m.n))
+        head = data[:, 1:].sum(axis=1)
+        # f_Y and the densities with the first point pinned at lo and hi
+        means = [data.sum(axis=1) / m.n, (head + m.lo) / m.n, (head + m.hi) / m.n]
+        for y in (m.lo + 0.2 * (m.hi - m.lo), (m.lo + m.hi) / 2):
+            dens = [np.exp(-np.abs(y - mean) / m.b) / (2 * m.b) for mean in means]
+            f_y, at_lo, at_hi = (d.mean() for d in dens)
+            estimate = math.log(f_y) - math.log(min(at_lo, at_hi))
+            # the delta method, ignoring the (positive) correlation of the two terms
+            floor = 1 if at_lo <= at_hi else 2
+            stderr = math.hypot(*(dens[i].std(ddof=1) / math.sqrt(samples) / dens[i].mean() for i in (0, floor)))
+            assert abs(m.pmc_at(y) - estimate) <= 4 * stderr
+
+    def test_non_uniform_law_and_large_n_raise_before_integrating(self, monkeypatch):
+        def no_quadrature(*args):
+            raise AssertionError("integrated")
+
+        monkeypatch.setattr(mechanisms, "_checked_quad", no_quadrature)
+        law = discrete_law([0.0, 0.5, 1.0], [1, 2, 1])
+        with pytest.raises(ValueError, match="uniform law"):
+            LaplaceMeanMechanism(0.0, 1.0, 2, 1.0, law=law).pmc_at(0.5)
+        with pytest.raises(ValueError, match="n <= 128"):
+            LaplaceMeanMechanism(0.0, 1.0, 129, 1.0).pmc_at(0.5)
+
+    @pytest.mark.parametrize("width", [1440.0, 3000.0])
+    def test_far_end_underflow_is_typed(self, width):
+        # the density pinned at hi is subnormal (about 4e-316), then zero
+        with pytest.raises(QuadratureFailure, match="underflows"):
+            LaplaceMeanMechanism(0.0, width, 2, 1.0).pmc_at(1.0)
 
 
 class TestGaussianPerturb:
@@ -405,6 +490,22 @@ class TestGaussianPerturb:
         with pytest.raises(ValueError):
             GaussianPerturbMechanism(1.0, 1.0, law=uniform_law(0.0, 1.0))  # mean 1/2
 
+    @pytest.mark.parametrize(
+        "amplitude, sigma", [(1e308, 1.0), (1e200, 1e-200), (1.0, 1e200), (1e-200, 1.0), (1.0, 1e-170)]
+    )
+    def test_parameters_beyond_the_float_range_rejected(self, amplitude, sigma):
+        # 2A, sigma^2 or (A/sigma)^2 overflows or underflows to zero
+        with pytest.raises(ValueError, match="float range"):
+            GaussianPerturbMechanism(amplitude, sigma)
+
+    @pytest.mark.parametrize("sigma, y", [(1.0, 1e308), (1.0, -1e308), (1e-150, 1e10)])
+    def test_level_beyond_the_float_range_rejected(self, sigma, y):
+        g = GaussianPerturbMechanism(1.0, sigma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows the float range"):
+                g.pmc_at(y)
+
 
 @pytest.mark.parametrize(
     "call, field",
@@ -415,9 +516,6 @@ class TestGaussianPerturb:
         (lambda: discrete_law([0.0, math.inf], [0.5, 0.5]), "hi"),
         (lambda: uniform_law(-math.inf, 0.0), "lo"),
         (lambda: discrete_law([0.0, 1.0], [0.5, math.nan]), "mean"),
-        (lambda: LaplaceMeanMechanism(0.0, 1.0, 2, 1.0).pmc_at(0.5, mc_samples=1), "mc_samples"),
-        (lambda: LaplaceMeanMechanism(0.0, 1.0, 2, 1.0).pmc_at(0.5, mc_samples=0), "mc_samples"),
-        (lambda: LaplaceMeanMechanism(0.0, 1.0, 2, 1.0).pmc_at(0.5, mc_samples=2e5), "mc_samples"),
         (lambda: LaplaceMeanMechanism(0.0, 1.0, 1, 1.0).pmc_at(math.nan), "y"),
         (lambda: GaussianPerturbMechanism(1.0, 1.0).pmc_at(math.inf), "y"),
         (lambda: GaussianPerturbMechanism(1.0, 1.0).pmc_at(-math.inf), "y"),
@@ -429,7 +527,7 @@ class TestGaussianPerturb:
     ],
     ids=[
         "laplace-scale", "gaussian-amplitude", "gaussian-sigma", "discrete-hi", "uniform-lo",
-        "discrete-mean", "mc-samples-1", "mc-samples-0", "mc-samples-float", "laplace-nan-y",
+        "discrete-mean", "laplace-nan-y",
         "gaussian-inf-y", "gaussian-minus-inf-y", "gaussian-nan-y", "n-samples-0",
         "n-samples-bool", "tail-frequency-nan-beta", "tail-bound-nan-beta",
     ],
