@@ -21,7 +21,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import (
     CgfUnavailable,
@@ -32,9 +32,6 @@ from .errors import (
     QuadratureFailure,
 )
 from .probcore import ExtReal, Channel, Joint, Number, Pmf, as_level
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: Requested and accepted relative accuracy for the 1-D density quadratures.
 _QUAD_EPSREL = 1e-9
@@ -392,8 +389,8 @@ class GaussianPerturbMechanism:
     def pmc_bounds(self, y: float) -> Tuple[float, float]:
         """Envelope for the pointwise cost of releasing ``y``.
 
-        ``A|y|/sigma^2 <= cost <= A(A + 4|y|)/(2 sigma^2)``; the exact value
-        (quadrature) always lies between them.
+        ``A|y|/sigma^2 <= cost <= A(A + 4|y|)/(2 sigma^2)``; the level
+        :meth:`pmc_at` always lies between them.
         """
         a = self.amplitude
         s2 = self.sigma**2
@@ -407,10 +404,11 @@ class GaussianPerturbMechanism:
     def pmc_at(self, y: float) -> float:
         """Pointwise cost of releasing a finite ``y``, in nats.
 
-        A uniform law takes the normal-CDF form, accurate out to |y| = 1e300
-        sigma; any other law is integrated, and raises QuadratureFailure
-        where the noise density at a support end is not a normal float.  A
-        level beyond the float range, about 2A|y|/sigma^2, raises ValueError.
+        A uniform law takes a normal-CDF form, or an 8-node Gauss-Legendre
+        mean in a narrow window, accurate out to |y| = 1e300 sigma; any other
+        law is integrated, and raises QuadratureFailure where the noise
+        density at a support end is not a normal float.  A level beyond the
+        float range, about 2A|y|/sigma^2, raises ValueError.
         """
         if not math.isfinite(y):
             raise ValueError(f"y must be finite, got {y!r}")
@@ -418,12 +416,9 @@ class GaussianPerturbMechanism:
             raise ValueError(f"the level at y = {y!r} overflows the float range")
         if self.law.family != "uniform":
             return _quadrature_pmc(self.law, self._noise_pdf, y, kink=None)
-        import numpy as np
+        return self._pmc_uniform(float(y))
 
-        return float(self._pmc_uniform_vectorized(np.array([float(y)]))[0])
-
-    def _pmc_uniform_vectorized(self, ys: np.ndarray) -> np.ndarray:
-        import numpy as np
+    def _pmc_uniform(self, y: float) -> float:
         from scipy import special
 
         s = self.sigma
@@ -431,47 +426,38 @@ class GaussianPerturbMechanism:
         window = (hi - lo) / s
         # The zero-mean uniform law is symmetric, so the cost is even in y:
         # at -|y| the mass below the window never cancels against one.
-        lower = -np.abs(ys)
-        upper = (lower - lo) / s
-        lower -= hi
-        lower /= s
-        mass = special.ndtr(upper)
-        below = special.ndtr(lower)
-        mass -= below
-        # Where Phi(l) underflows, its share of the mass is lost: take the far
-        # form below, which needs u < 0 to keep erfcx(-u/sqrt 2) finite.
-        far = (below == 0.0) & (upper < 0.0)
-        del below  # one array fewer alive under the temporaries below
-        near = None
-        if window <= _NARROW_WINDOW:
-            # A level is about -lower * window / 2.  Up to half a nat the form
-            # below would cancel it against l^2/2; every other y has
-            # -lower > 1/window >= 2.5, so u < 0 and the far form holds.
-            near = lower * window >= -1.0
-            far = ~near
-            mass[near] = 1.0
-        mass[far] = 1.0
-        log_mass = np.log(mass, out=mass)
-        # Far out, log Phi(z) + z^2/2 = log(erfcx(-z/sqrt 2)/2) and the gap
-        # (l^2 - u^2)/2 is formed without the squares, which would cancel (or
-        # overflow) against each other; those entries drop l^2/2.
-        tail_u = special.erfcx(upper[far] / -math.sqrt(2.0))
-        tail_l = special.erfcx(lower[far] / -math.sqrt(2.0))
-        gap = (np.abs(ys[far]) + (lo + hi) / 2.0) / s * window
-        log_mass[far] = np.log(tail_u / 2.0) + gap + np.log1p(-tail_l / tail_u * np.exp(-gap))
-        lower[far] = 0.0
-        # the far end of the window, hi, is -lower standard deviations away
-        costs = log_mass - math.log(hi - lo) + 0.5 * lower**2 + math.log(s * math.sqrt(2.0 * math.pi))
-        if near is not None:
+        upper = (-abs(y) - lo) / s
+        lower = (-abs(y) - hi) / s
+        # A level is about -lower * window / 2.  In a narrow window, up to half
+        # a nat the normal-CDF form would cancel it against l^2/2; every other
+        # y has -lower > 1/window >= 2.5, so u < 0 and the far form holds.
+        if window <= _NARROW_WINDOW and lower * window >= -1.0:
+            import numpy as np
+
             # f_Y / f_N(y - hi) is the mean over t in [0, window] of e^h(t),
             # h(t) = t (-lower - t/2) the log noise-density ratio between the
             # secrets hi - t sigma and hi; log1p of the mean of expm1(h) keeps
             # the digits of a small level, and 8 nodes are exact to rounding.
             nodes, weights = np.polynomial.legendre.leggauss(8)
             nodes = (nodes + 1.0) * (window / 2.0)
-            h = nodes * (-lower[near, None] - nodes / 2.0)
-            costs[near] = np.log1p(np.expm1(h) @ weights / 2.0)
-        return costs
+            h = nodes * (-lower - nodes / 2.0)
+            return float(np.log1p(np.expm1(h) @ weights / 2.0))
+        below = special.ndtr(lower)
+        if window <= _NARROW_WINDOW or (below == 0.0 and upper < 0.0):
+            # Where Phi(l) underflows, its share of the mass is lost.  Far out,
+            # log Phi(z) + z^2/2 = log(erfcx(-z/sqrt 2)/2), which needs u < 0 to
+            # stay finite, and the gap (l^2 - u^2)/2 is formed without the
+            # squares, which would cancel (or overflow) against each other;
+            # this form drops l^2/2.
+            tail_u = special.erfcx(upper / -math.sqrt(2.0))
+            tail_l = special.erfcx(lower / -math.sqrt(2.0))
+            gap = (abs(y) + (lo + hi) / 2.0) / s * window
+            log_mass = math.log(tail_u / 2.0) + gap + math.log1p(-tail_l / tail_u * math.exp(-gap))
+            lower = 0.0
+        else:
+            log_mass = math.log(special.ndtr(upper) - below)
+        # the far end of the window, hi, is -lower standard deviations away
+        return log_mass - math.log(hi - lo) + 0.5 * lower * lower + math.log(s * math.sqrt(2.0 * math.pi))
 
     def tail_bound(self, beta: float) -> float:
         """Probability bound for the cost exceeding its center by ``beta``."""
@@ -484,7 +470,8 @@ class GaussianPerturbMechanism:
 
         The event is ``cost(Y) >= beta + A^2/(2 sigma^2)`` under the real
         mechanism; the frequency never exceeds :meth:`tail_bound` beyond
-        sampling noise.  Needs a uniform input law (vectorized density).
+        sampling noise.  Needs a uniform input law, whose cost rises with
+        |y|: the event is ``|Y| >= r`` for one root r, found by bisection.
         """
         if self.law.family != "uniform":
             raise ValueError("tail sampling implemented for uniform input laws")
@@ -495,11 +482,23 @@ class GaussianPerturbMechanism:
         import numpy as np
 
         rng = np.random.default_rng(seed)
-        xs = rng.uniform(self.law.lo, self.law.hi, n_samples)
-        ys = xs + rng.normal(0.0, self.sigma, n_samples)
-        costs = self._pmc_uniform_vectorized(ys)
+        ys = rng.uniform(self.law.lo, self.law.hi, n_samples)
+        ys += rng.normal(0.0, self.sigma, n_samples)
         threshold = beta + self.amplitude**2 / (2.0 * self.sigma**2)
-        freq = float(np.mean(costs >= threshold))
+        # The cost is even in y and strictly increasing in |y|: for y > 0,
+        # d/dy log f_Y(y) = -E[(y - X)/sigma^2 | Y = y] > -(y + A)/sigma^2, as
+        # X > -A, and the floor term -log f_N(y + A) adds (y + A)/sigma^2.  The
+        # envelope cost >= a|y|/sigma^2, a = hi of the law (at most A), brackets the
+        # smallest float root r in [0, threshold sigma^2/a], capped where y/sigma overflows.
+        root = math.inf if threshold == math.inf else 0.0
+        if self._pmc_uniform(0.0) < threshold < math.inf:
+            below, root = 0.0, min(threshold * self.sigma**2 / self.law.hi, sys.float_info.max * self.sigma)
+            while below < (mid := below + (root - below) / 2.0) < root:
+                if self._pmc_uniform(mid) >= threshold:
+                    root = mid
+                else:
+                    below = mid
+        freq = int(np.count_nonzero(np.abs(ys, out=ys) >= root)) / n_samples
         stderr = math.sqrt(freq * (1.0 - freq) / n_samples)
         return freq, stderr
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import infodens
-from infodens import mechanisms, oracles
+from infodens import oracles
 from infodens.cli import main
 
 
@@ -505,7 +505,7 @@ class TestLazyImports:
 
     def test_numpy_hints_resolve_for_type_checkers(self):
         """Annotations naming ``np`` resolve once the ``TYPE_CHECKING`` imports run."""
-        for obj in (mechanisms.BoundedLaw, oracles._block_masses, oracles._kernel_blocks):
+        for obj in (oracles._block_masses, oracles._kernel_blocks):
             module = sys.modules[obj.__module__]
             namespace = {}
             for node in ast.parse(inspect.getsource(module)).body:

@@ -361,6 +361,18 @@ class TestLaplaceSpline:
             stderr = math.hypot(*(dens[i].std(ddof=1) / math.sqrt(samples) / dens[i].mean() for i in (0, floor)))
             assert abs(m.pmc_at(y) - estimate) <= 4 * stderr
 
+    @pytest.mark.parametrize("b, y, rules", [(1.0, 0.4, 1), (0.01, 0.37, 2)])
+    def test_kink_breakpoint_bounds_the_rules_per_piece(self, b, y, rules, monkeypatch):
+        # n = 3 splits f_Y at the knots 1, 2 and the kink z/a into 4 pieces, and each
+        # pinned density at knot 1 and its kink into 3; one 21-point Gauss-Kronrod
+        # rule takes a piece (two where the noise is narrow).  Without the kink quad
+        # bisects the kinked pieces: 1,365 and 2,373 calls.
+        calls = []
+        noise_pdf = LaplaceMeanMechanism._noise_pdf
+        monkeypatch.setattr(LaplaceMeanMechanism, "_noise_pdf", lambda m, u: calls.append(u) or noise_pdf(m, u))
+        LaplaceMeanMechanism(0.0, 1.0, 3, b).pmc_at(y)
+        assert len(calls) <= 21 * rules * 10
+
     def test_non_uniform_law_and_large_n_raise_before_integrating(self, monkeypatch):
         def no_quadrature(*args):
             raise AssertionError("integrated")
@@ -481,6 +493,49 @@ class TestGaussianPerturb:
         g = GaussianPerturbMechanism(1.0, 1.0)
         freq, stderr = g.tail_frequency(4.0, n_samples=100_000, seed=2)
         assert freq <= g.tail_bound(4.0) + 3 * stderr
+
+    @pytest.mark.parametrize(
+        "a, sigma, amplitude",  # A/sigma from 0.1 (a narrow window) to 20; the law is U[-a, a]
+        [(0.1, 1.0, 0.1), (0.1, 0.5, 0.1), (1.0, 2.0, 1.0), (0.3, 0.3, 0.3), (2.0, 1.0, 2.0),
+         (0.9, 0.3, 0.9), (2.5, 0.5, 2.5), (8.0, 1.0, 8.0), (3.9, 0.3, 3.9), (20.0, 1.0, 20.0),
+         (0.5, 1.0, 1.0)],
+    )
+    def test_tail_frequency_matches_the_exact_tail(self, a, sigma, amplitude):
+        from scipy.special import ndtr
+
+        g, n = GaussianPerturbMechanism(amplitude, sigma, law=uniform_law(-a, a)), 1_000_000
+
+        def big_g(z):  # G(z) = phi(z) - z Phi-bar(z), whose derivative is -Phi-bar(z)
+            return math.exp(-z * z / 2) / math.sqrt(2 * math.pi) - z * float(ndtr(-z))
+
+        for q in (0.25, 0.75, 1.0):
+            # the event cost(Y) >= cost(r) is |Y| >= r: X uniform on [-a, a] leaves
+            # P(|Y| >= r) = (sigma/a) [G((r - a)/sigma) - G((r + a)/sigma)]
+            r = q * (a + sigma)
+            p = sigma / a * (big_g((r - a) / sigma) - big_g((r + a) / sigma))
+            freq, _ = g.tail_frequency(g.pmc_at(r) - g.variance_ratio / 2, n_samples=n, seed=18)
+            assert abs(freq - p) <= 4 * math.sqrt(p * (1 - p) / n)
+
+    @pytest.mark.parametrize(
+        "amplitude, sigma, beta, expected",
+        [
+            (1.0, 1.0, math.inf, (0.0, 0.0)),
+            (1.0, 1.0, -math.inf, (1.0, 0.0)),
+            (1.0, 1.0, -5.0, (1.0, 0.0)),
+            (0.1, 1.0, 1e-4, (0.98552, 0.00037776089792354166)),
+            (1e-4, 0.01, 1e307, (0.0, 0.0)),
+        ],
+        ids=["inf", "minus-inf", "negative", "narrow", "y-over-sigma-overflows"],
+    )
+    def test_tail_frequency_at_the_bracket_ends(self, amplitude, sigma, beta, expected):
+        # an infinite threshold has the root inf, one at or below the level at 0 the
+        # root 0; the narrow window's root lies just above 0, and the last bracket
+        # end, threshold sigma^2/A, is beyond 1e308 sigma (values recorded from
+        # evaluating the level at every sample)
+        mech = GaussianPerturbMechanism(amplitude, sigma)
+        result = mech.tail_frequency(beta, n_samples=100_000, seed=3)
+        assert result == expected
+        assert all(type(v) is float for v in result)
 
     def test_validation(self):
         with pytest.raises(ValueError):
