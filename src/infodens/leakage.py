@@ -16,6 +16,10 @@ largest channel entry of a column (:attr:`Joint.column_stats`):
 
 Essential suprema over outcomes are maxima over the support of the output
 marginal; outcomes with zero mass never contribute.
+
+The per-outcome rows (:attr:`Joint.profile_rows`) are reduced once per
+joint: the guarantee levels, the profile and the worst- and average-outcome
+aggregates all read them from there.
 """
 
 from __future__ import annotations
@@ -30,21 +34,14 @@ from typing import Mapping, Optional, Sequence, Union
 
 from .errors import UndefinedOutcome
 from .probcore import (
-    INF, ZERO, ExtReal, Joint, _check_outcome, _sum_entries, as_level, csv_field, in_unit,
+    INF, ZERO, ExtReal, Joint, OutcomeLeakage, _check_outcome, _pmc_level, _pml_level,
+    _sum_entries, as_level, csv_field, in_unit,
 )
 
 
 # ---------------------------------------------------------------------------
 # Pointwise measures
 # ---------------------------------------------------------------------------
-
-
-def _pmc_level(m, lo) -> ExtReal:
-    return INF if lo == 0 else ExtReal.from_ratio(m / lo)
-
-
-def _pml_level(m, hi) -> ExtReal:
-    return ExtReal.from_ratio(hi / m)
 
 
 def _column(joint: Joint, y: int) -> tuple:
@@ -200,7 +197,7 @@ def _guarantees(eps_l: ExtReal, eps_u: ExtReal, lip: ExtReal, ldp: ExtReal) -> d
 
 def all_guarantee_levels(joint: Joint) -> dict:
     """All five guarantee levels at once, keyed by kind name."""
-    rows = _profile_rows(joint)
+    rows = joint.profile_rows
     eps_l = max(r.pmc for r in rows)
     eps_u = max(r.pml for r in rows)
     levels = _guarantees(eps_l, eps_u, max(eps_l, eps_u), _ldp_level(joint.column_stats))
@@ -230,13 +227,13 @@ def max_cost_leakage(joint: Joint) -> ExtReal:
 
 def max_realizable_cost(joint: Joint) -> ExtReal:
     """Worst-outcome risk-averse leakage: the largest pointwise maximal cost."""
-    return max(r.pmc for r in _profile_rows(joint))
+    return max(r.pmc for r in joint.profile_rows)
 
 
 def expected_pmc(joint: Joint) -> float:
     """Expected pointwise maximal cost over the output marginal, in nats."""
     acc = 0.0
-    for r in _profile_rows(joint):
+    for r in joint.profile_rows:
         if not r.pmc.is_finite:
             return math.inf
         acc += r.mass * r.pmc.nats
@@ -249,27 +246,8 @@ def expected_pmc(joint: Joint) -> float:
 
 
 @dataclass(frozen=True)
-class OutcomeLeakage:
-    """Leakage of a single outcome: its mass, PMC, PML and density extremes."""
-
-    y: int
-    mass: float
-    pmc: ExtReal
-    pml: ExtReal
-
-    @property
-    def info_density_min(self) -> float:
-        v = self.pmc.nats
-        return -v if v != math.inf else -math.inf
-
-    @property
-    def info_density_max(self) -> float:
-        return self.pml.nats
-
-
-@dataclass(frozen=True)
 class LeakageProfile:
-    """Per-outcome leakage over the support of the output marginal."""
+    """Per-outcome leakage over the support of the output marginal: :class:`OutcomeLeakage` rows."""
 
     rows: tuple
 
@@ -291,13 +269,5 @@ class LeakageProfile:
         return "\n".join(lines) + "\n"
 
 
-def _profile_rows(joint: Joint) -> tuple:
-    rows = []
-    for y in joint.support:
-        m, (lo, hi) = joint.marginal[y], joint.column_stats[y]
-        rows.append(OutcomeLeakage(y, float(m), _pmc_level(m, lo), _pml_level(m, hi)))
-    return tuple(rows)
-
-
 def leakage_profile(joint: Joint) -> LeakageProfile:
-    return LeakageProfile(_profile_rows(joint))
+    return LeakageProfile(joint.profile_rows)

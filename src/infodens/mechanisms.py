@@ -17,6 +17,7 @@ Mechanism documents, the JSON format the CLI reads, are parsed here too
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -41,6 +42,14 @@ _QUAD_ACCEPT_REL = 1e-6
 _NARROW_WINDOW = 0.4
 #: Largest n whose interior Laplace level is integrated; each density has n spline pieces.
 _MAX_SPLINE_ORDER = 128
+
+
+@functools.cache
+def _legendre_rule() -> tuple:
+    """The 8-node Gauss-Legendre ``(nodes, weights)`` on [-1, 1], solved for on first use."""
+    import numpy as np
+
+    return np.polynomial.legendre.leggauss(8)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +447,7 @@ class GaussianPerturbMechanism:
             # h(t) = t (-lower - t/2) the log noise-density ratio between the
             # secrets hi - t sigma and hi; log1p of the mean of expm1(h) keeps
             # the digits of a small level, and 8 nodes are exact to rounding.
-            nodes, weights = np.polynomial.legendre.leggauss(8)
+            nodes, weights = _legendre_rule()
             nodes = (nodes + 1.0) * (window / 2.0)
             h = nodes * (-lower - nodes / 2.0)
             return float(np.log1p(np.expm1(h) @ weights / 2.0))

@@ -37,7 +37,7 @@ from .errors import (
     DimensionMismatch,
     NormalizationDegenerate,
 )
-from .probcore import INF, ZERO, Channel, ExtReal, Joint, Number, in_unit
+from .probcore import INF, ZERO, Channel, ExtReal, Joint, Number, _int_masses, in_unit
 
 if TYPE_CHECKING:
     import numpy as np
@@ -169,27 +169,6 @@ def _all_fractions(*vectors) -> bool:
     return all(isinstance(e, Fraction) for v in vectors for e in v)
 
 
-def _int_masses(rows: Sequence[Sequence[Fraction]], *weight_vectors) -> list:
-    """The weighted rows in integers: one ``(table, one)`` per weight vector.
-
-    Scales the rows by the LCM of their denominators and each weight vector
-    by the LCM of its own; ``one`` is the product of the two scales.  Then
-    ``table[x][i][u] == weights[x] * rows[i][u] * one`` exactly, so the guess
-    masses of a kernel that gives secret ``x`` row ``kernel[x]`` are Python
-    int sums (:func:`_head_masses`) in units of ``1 / one``.  Python ints
-    never overflow, however far the denominators grow.
-    """
-    r_scale = math.lcm(*(e.denominator for row in rows for e in row))
-    int_rows = [[e.numerator * (r_scale // e.denominator) for e in row] for row in rows]
-    out = []
-    for weights in weight_vectors:
-        w_scale = math.lcm(*(w.denominator for w in weights))
-        int_weights = [w.numerator * (w_scale // w.denominator) for w in weights]
-        table = [[[w * e for e in row] for row in int_rows] for w in int_weights]
-        out.append((table, w_scale * r_scale))
-    return out
-
-
 def _head_masses(table: list, head: Sequence[int]) -> list:
     """Integer guess masses of the first ``len(head)`` secrets; zeros for an empty head."""
     return list(map(sum, zip(*map(getitem, table, head)))) or [0] * len(table[0][0])
@@ -198,23 +177,41 @@ def _head_masses(table: list, head: Sequence[int]) -> list:
 def _exact_scan(prior_w, post_w, rows: list, groups, loss) -> tuple:
     """Best level over the kernels of ``groups``, in integer arithmetic.
 
-    ``groups`` yields the ``(head, lasts)`` pairs of :func:`_kernel_indices`.
-    A head's masses are summed once; each kernel adds its last row to them.
-    Its prior and posterior losses are ``loss(masses, one)``, with the
-    branches of :func:`_error_ratio`; levels compare by cross-multiplication.
-    Only the winner's losses become a ``Fraction``.  Returns ``(best level,
-    first kernel attaining it, kernels visited)``.
+    The rows and each weight vector are scaled to integers
+    (:func:`_int_masses`), so ``table[x][i][u] == weights[x] * rows[i][u] *
+    one`` exactly and the guess masses of a kernel that gives secret ``x`` row
+    ``kernel[x]`` are int sums in units of ``1 / one``.  ``groups`` yields the
+    ``(head, lasts)`` pairs of :func:`_kernel_indices`: a head's masses are
+    summed once and each kernel adds its last row to them, while a group of
+    one (a seeded draw) sums its rows at once.  A kernel's prior and
+    posterior losses are ``loss(masses, one)``, with the branches of
+    :func:`_error_ratio`; levels compare by cross-multiplication.  Only the
+    winner's losses become a ``Fraction``.  Returns ``(best level, first
+    kernel attaining it, kernels visited)``.
     """
-    (tab_p, one_p), (tab_q, one_q) = _int_masses(rows, prior_w, post_w)
+    int_rows, r_scale = _int_masses(rows)
+    tables = []
+    for weights in (prior_w, post_w):
+        (int_w,), w_scale = _int_masses((weights,))
+        table = [[[w * e for e in row] for row in int_rows] for w in int_w]
+        tables.append((table, w_scale * r_scale))
+    (tab_p, one_p), (tab_q, one_q) = tables
     last_p, last_q = tab_p[-1], tab_q[-1]
     best_a = best_b = best_kernel = None
     count = 0
     for head, lasts in groups:
         count += len(lasts)
-        head_p, head_q = _head_masses(tab_p, head), _head_masses(tab_q, head)
+        draw = len(lasts) == 1
+        if not draw:
+            head_p, head_q = _head_masses(tab_p, head), _head_masses(tab_q, head)
         for k in lasts:
-            a = loss(map(add, head_p, last_p[k]), one_p)
-            b = loss(map(add, head_q, last_q[k]), one_q)
+            if draw:
+                kernel = (*head, k)
+                a = loss(map(sum, zip(*map(getitem, tab_p, kernel))), one_p)
+                b = loss(map(sum, zip(*map(getitem, tab_q, kernel))), one_q)
+            else:
+                a = loss(map(add, head_p, last_p[k]), one_p)
+                b = loss(map(add, head_q, last_q[k]), one_q)
             if b == 0:
                 if a == 0:
                     a, b = one_p, one_q  # 0/0 reads as ratio one

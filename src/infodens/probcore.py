@@ -214,12 +214,23 @@ def _check_entry(value: Number, what: str) -> Number:
     return value
 
 
+def _int_masses(vectors: Sequence[Sequence[Fraction]]) -> tuple:
+    """``(ints, scale)``: the ``Fraction`` vectors in integer units of ``1 / scale``.
+
+    ``scale`` is the LCM of every denominator, so ``ints[i][j] == vectors[i][j]
+    * scale`` exactly.  Python ints never overflow, however far the
+    denominators grow.
+    """
+    scale = math.lcm(*(e.denominator for v in vectors for e in v))
+    return [[e.numerator * (scale // e.denominator) for e in v] for v in vectors], scale
+
+
 def _sum_entries(entries: Sequence[Number]) -> Number:
     if any(isinstance(e, float) for e in entries):
         return math.fsum(entries)
     # Over one common denominator: the same canonical Fraction as a running sum.
-    den = math.lcm(*(e.denominator for e in entries))
-    return Fraction(sum(e.numerator * (den // e.denominator) for e in entries), den)
+    (ints,), scale = _int_masses((entries,))
+    return Fraction(sum(ints), scale)
 
 
 def _fast_sum(entries: tuple):
@@ -372,6 +383,11 @@ class Channel:
     def is_exact(self) -> bool:
         return all(isinstance(e, Fraction) for r in self.rows for e in r)
 
+    @functools.cached_property
+    def _int_columns(self):
+        """The columns of an all-``Fraction`` channel in ints, ``(ints, scale)``, else None."""
+        return _int_masses(tuple(zip(*self.rows))) if self.is_exact else None
+
     def then(self, other: "Channel") -> "Channel":
         """Sequential composition: feed this channel's output into ``other``."""
         if other.n_inputs != self.n_outputs:
@@ -398,13 +414,46 @@ class Channel:
 # ---------------------------------------------------------------------------
 
 
+def _pmc_level(m, lo) -> ExtReal:
+    """PMC of an outcome of mass ``m`` whose column's smallest entry is ``lo``."""
+    return INF if lo == 0 else ExtReal.from_ratio(m / lo)
+
+
+def _pml_level(m, hi) -> ExtReal:
+    """PML of an outcome of mass ``m`` whose column's largest entry is ``hi``."""
+    return ExtReal.from_ratio(hi / m)
+
+
+@dataclass(frozen=True)
+class OutcomeLeakage:
+    """Leakage of a single outcome: its mass, PMC, PML and density extremes."""
+
+    y: int
+    mass: float
+    pmc: ExtReal
+    pml: ExtReal
+
+    @property
+    def info_density_min(self) -> float:
+        v = self.pmc.nats
+        return -v if v != math.inf else -math.inf
+
+    @property
+    def info_density_max(self) -> float:
+        return self.pml.nats
+
+
 @dataclass(frozen=True)
 class Joint:
     """A prior and a channel with the induced output marginal.
 
     The support holds the outcomes with positive marginal mass; every
     essential supremum downstream ranges over it only.  Posteriors are
-    computed on demand and the column reduction at most once per joint.
+    computed on demand; the column reduction and the per-outcome profile at
+    most once per joint, and neither takes part in equality or hashing.  An
+    all-``Fraction`` joint builds its marginal and column reduction from the
+    channel's integer columns (:attr:`Channel._int_columns`): one ``Fraction``
+    per column and per end, not one per entry.
     """
 
     prior: Pmf
@@ -418,10 +467,17 @@ class Joint:
             raise DimensionMismatch(
                 f"channel has {channel.n_inputs} rows, prior has {len(prior)} outcomes"
             )
-        marginal = tuple(
-            _sum_entries(list(map(operator.mul, prior.weights, col)))
-            for col in zip(*channel.rows)
-        )
+        ints = channel._int_columns
+        if ints is not None and prior.is_exact:
+            cols, c_scale = ints
+            (weights,), w_scale = _int_masses((prior.weights,))
+            one = w_scale * c_scale
+            marginal = tuple(Fraction(sum(map(operator.mul, weights, col)), one) for col in cols)
+        else:
+            marginal = tuple(
+                _sum_entries(list(map(operator.mul, prior.weights, col)))
+                for col in zip(*channel.rows)
+            )
         support = tuple(y for y, m in enumerate(marginal) if m > 0)
         return cls(prior, channel, marginal, support)
 
@@ -443,7 +499,20 @@ class Joint:
         Division is monotone (exactly for rationals, after correct rounding for
         floats), so each equals the extremum of the per-entry ratios.
         """
-        return tuple((min(col), max(col)) for col in zip(*self.channel.rows))
+        ints = self.channel._int_columns
+        if ints is None:
+            return tuple((min(col), max(col)) for col in zip(*self.channel.rows))
+        cols, scale = ints
+        return tuple((Fraction(min(col), scale), Fraction(max(col), scale)) for col in cols)
+
+    @functools.cached_property
+    def profile_rows(self) -> tuple:
+        """One :class:`OutcomeLeakage` per support outcome, from :attr:`column_stats`."""
+        rows = []
+        for y in self.support:
+            m, (lo, hi) = self.marginal[y], self.column_stats[y]
+            rows.append(OutcomeLeakage(y, float(m), _pmc_level(m, lo), _pml_level(m, hi)))
+        return tuple(rows)
 
     def posterior(self, y: int) -> tuple:
         """The conditional law of the secret given outcome ``y``."""

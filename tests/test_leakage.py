@@ -26,7 +26,8 @@ from infodens import (
     pmc,
     pml,
 )
-from infodens.bounds import verify_boundedness_equivalence
+from infodens import probcore
+from infodens.bounds import derive_implications, verify_boundedness_equivalence
 from infodens.errors import UndefinedOutcome
 from infodens.sampling import random_joint
 
@@ -442,3 +443,157 @@ class TestColumnReductionOncePerJoint:
             for y in j.support:
                 pmc(j, y), pml(j, y)
             assert calls == [j]
+
+
+class TestProfileOncePerJoint:
+    def test_one_profile_across_a_full_analysis(self, monkeypatch):
+        reduce = Joint.profile_rows.func
+        calls, levels = [], []
+
+        def counted(joint):
+            calls.append(joint)
+            return reduce(joint)
+
+        def pmc_level(m, lo):
+            levels.append(m)
+            return make_level(m, lo)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(Joint, "profile_rows")
+        monkeypatch.setattr(Joint, "profile_rows", prop)
+        make_level = probcore._pmc_level
+        monkeypatch.setattr(probcore, "_pmc_level", pmc_level)
+        for exact in (True, False):
+            j = random_joint(random.Random(12), 6, 5, exact=exact, zero_prob=0.2)
+            twin = Joint.from_prior_channel(j.prior, j.channel)
+            calls.clear(), levels.clear()
+            derive_implications(all_guarantee_levels(j)["pml"], j.prior.p_min)
+            leakage_profile(j)
+            max_cost_leakage(j)
+            max_realizable_cost(j)
+            expected_pmc(j)
+            verify_boundedness_equivalence(j)
+            assert calls == [j]
+            assert len(levels) == len(j.support)
+            # the cached profile takes no part in equality or hashing
+            assert "profile_rows" in vars(j) and "profile_rows" not in vars(twin)
+            assert twin == j and hash(twin) == hash(j)
+            assert leakage_profile(twin) == leakage_profile(j)
+
+
+def _entry_reference(prior, rows):
+    """Marginal, support, column stats, levels, profile and aggregates, entry by entry."""
+    n_y = len(rows[0])
+    marginal = []
+    for y in range(n_y):
+        acc = Fraction(0)
+        for w, row in zip(prior, rows):
+            acc = acc + w * row[y]
+        marginal.append(acc)
+    support = tuple(y for y in range(n_y) if marginal[y] > 0)
+    stats = []
+    for y in range(n_y):
+        lo = hi = rows[0][y]
+        for row in rows[1:]:
+            lo, hi = (row[y], hi) if row[y] < lo else (lo, max(hi, row[y]))
+        stats.append((lo, hi))
+    profile = []
+    for y in support:
+        m = marginal[y]
+        if any(row[y] == 0 for row in rows):
+            cost = INF
+        else:
+            cost = ExtReal.from_ratio(max(m / row[y] for row in rows))
+        profile.append((y, float(m), cost, ExtReal.from_ratio(max(row[y] / m for row in rows))))
+    eps_l = max(r[2] for r in profile)
+    eps_u = max(r[3] for r in profile)
+    ldp = ZERO
+    for a, b in itertools.permutations(rows, 2):
+        ldp = max(ldp, max_divergence(a, b))
+    levels = {
+        "pml": Guarantee(GuaranteeKind.PML, eps=eps_u),
+        "pmc": Guarantee(GuaranteeKind.PMC, eps=eps_l),
+        "lip": Guarantee(GuaranteeKind.LIP, eps=max(eps_l, eps_u)),
+        "alip": Guarantee(GuaranteeKind.ALIP, eps_l=eps_l, eps_u=eps_u),
+        "ldp": Guarantee(GuaranteeKind.LDP, eps=ldp),
+    }
+    lows = Fraction(0)
+    for lo, _ in stats:
+        lows = lows + lo
+    mean = 0.0
+    for _, mass, cost, _ in profile:
+        mean = math.inf if not cost.is_finite else mean + mass * cost.nats
+    aggregates = (INF if lows == 0 else ExtReal.from_ratio(1 / lows), eps_l, mean)
+    return tuple(marginal), support, tuple(stats), levels, profile, aggregates
+
+
+def _typed(values):
+    return [(v, type(v)) for v in values]
+
+
+def _integer_path_cases(rng):
+    """Exact joints: zero entries and columns, coprime and large denominators, integer literals."""
+    yield (1,), ((1,),)  # 1 x 1
+    yield (2, 3, 5), ((1,), (1,), (1,))  # a single column
+    yield (1, 1), ((1, 0, 0), (0, 0, 1))  # integer literals with an all-zero column
+    for _ in range(120):
+        n_x, n_y = rng.randint(1, 8), rng.randint(1, 8)
+        top = rng.choice((9, 10**6, 10**30))
+        dead = rng.randrange(n_y) if n_y > 1 and rng.random() < 0.3 else None
+        rows = []
+        for _ in range(n_x):
+            counts = [0 if y == dead or rng.random() < 0.3 else rng.randint(1, top) for y in range(n_y)]
+            if not any(counts):
+                counts[(dead or 0) - 1] = 1
+            total = sum(counts)  # a coprime denominator per row
+            rows.append(tuple(Fraction(c, total) for c in counts))
+        if rng.random() < 0.3:
+            prior = tuple(rng.randint(1, 20) for _ in range(n_x))
+        else:
+            prior = tuple(Fraction(rng.randint(1, top), rng.randint(1, top)) for _ in range(n_x))
+        yield prior, tuple(rows)
+
+
+class TestIntegerPathMatchesEntryByEntry:
+    def test_exact_joints_identical_to_the_entry_reference(self):
+        for prior, rows in _integer_path_cases(random.Random(19)):
+            j = Joint.from_prior_channel(Pmf(prior), Channel(rows))
+            assert j.channel._int_columns is not None
+            marginal, support, stats, levels, profile, aggregates = _entry_reference(
+                j.prior.weights, j.channel.rows
+            )
+            assert _typed(j.marginal) == _typed(marginal)
+            assert j.support == support
+            assert [_typed(s) for s in j.column_stats] == [_typed(s) for s in stats]
+            got = all_guarantee_levels(j)
+            assert list(got) == list(levels)
+            for name, g in got.items():
+                for attr in ("eps", "eps_l", "eps_u"):
+                    if getattr(levels[name], attr) is not None:
+                        _assert_same_level(getattr(g, attr), getattr(levels[name], attr))
+            rows_got = leakage_profile(j).rows
+            assert [(r.y, r.mass) for r in rows_got] == [(y, mass) for y, mass, _, _ in profile]
+            for r, (_, _, cost, leak) in zip(rows_got, profile):
+                assert type(r.mass) is float
+                _assert_same_level(r.pmc, cost)
+                _assert_same_level(r.pml, leak)
+            _assert_same_level(max_cost_leakage(j), aggregates[0])
+            _assert_same_level(max_realizable_cost(j), aggregates[1])
+            assert _typed([expected_pmc(j)]) == _typed([aggregates[2]])
+
+    def test_mixed_joint_stays_on_the_float_path(self):
+        half = Fraction(1, 2)
+        j = Joint.from_prior_channel(
+            Pmf((Fraction(1, 3), Fraction(2, 3))), Channel(((half, 0.5), (Fraction(1, 4), Fraction(3, 4))))
+        )
+        assert j.channel._int_columns is None
+        # column 0 holds no float: its mass stays exact
+        assert _typed(j.marginal) == [(Fraction(1, 3), Fraction), (math.fsum((1 / 6, 0.5)), float)]
+        assert _typed(j.column_stats[1]) == [(0.5, float), (Fraction(3, 4), Fraction)]
+        want = _ref_levels(j)
+        for name, g in all_guarantee_levels(j).items():
+            assert g == want[name]
+        # a float in the prior alone keeps the marginal on the float path too
+        j = Joint.from_prior_channel(Pmf((half, 0.5)), Channel(((half, half), (Fraction(1, 4), Fraction(3, 4)))))
+        assert _typed(j.marginal) == [(math.fsum((0.25, 0.125)), float), (math.fsum((0.25, 0.375)), float)]
+        assert _typed(j.column_stats[0]) == [(Fraction(1, 4), Fraction), (half, Fraction)]

@@ -537,6 +537,27 @@ class TestGaussianPerturb:
         assert result == expected
         assert all(type(v) is float for v in result)
 
+    def test_legendre_rule_is_computed_once(self, monkeypatch):
+        import numpy as np
+
+        g = GaussianPerturbMechanism(0.1, 1.0)  # window 0.2: the Gauss-Legendre form
+        ys = [k / 8 for k in range(-20, 21)]
+        levels = [g.pmc_at(y) for y in ys]
+        tail = g.tail_frequency(0.05, n_samples=20_000, seed=5)
+        leggauss, calls = np.polynomial.legendre.leggauss, []
+
+        def counted(deg):
+            calls.append(deg)
+            return leggauss(deg)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+        mechanisms._legendre_rule.cache_clear()
+        for _ in range(5):
+            assert [g.pmc_at(y) for y in ys] == levels
+        # the root bisection evaluates the narrow-window level about 60 times
+        assert g.tail_frequency(0.05, n_samples=20_000, seed=5) == tail
+        assert calls == [8]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             GaussianPerturbMechanism(-1.0, 1.0)
