@@ -466,7 +466,8 @@ class TestProfileOncePerJoint:
         for exact in (True, False):
             j = random_joint(random.Random(12), 6, 5, exact=exact, zero_prob=0.2)
             twin = Joint.from_prior_channel(j.prior, j.channel)
-            calls.clear(), levels.clear()
+            calls.clear()
+            levels.clear()
             derive_implications(all_guarantee_levels(j)["pml"], j.prior.p_min)
             leakage_profile(j)
             max_cost_leakage(j)
@@ -495,7 +496,7 @@ def _entry_reference(prior, rows):
     for y in range(n_y):
         lo = hi = rows[0][y]
         for row in rows[1:]:
-            lo, hi = (row[y], hi) if row[y] < lo else (lo, max(hi, row[y]))
+            lo, hi = min(lo, row[y]), max(hi, row[y])
         stats.append((lo, hi))
     profile = []
     for y in support:
