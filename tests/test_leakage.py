@@ -545,7 +545,7 @@ def _integer_path_cases(rng):
         for _ in range(n_x):
             counts = [0 if y == dead or rng.random() < 0.3 else rng.randint(1, top) for y in range(n_y)]
             if not any(counts):
-                counts[(dead or 0) - 1] = 1
+                counts[1 if dead == 0 else 0] = 1
             total = sum(counts)  # a coprime denominator per row
             rows.append(tuple(Fraction(c, total) for c in counts))
         if rng.random() < 0.3:
