@@ -24,10 +24,9 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from . import bounds, leakage, mechanisms, oracles, properties
+from . import leakage
 from .errors import InfodensError, ParseError
 from .leakage import Guarantee, GuaranteeKind, format_level
-from .oracles import SearchConfig
 from .probcore import Joint, in_unit
 
 
@@ -65,7 +64,17 @@ def _dump_json(obj, path: Optional[str]) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text)
+        _write(Path(path), text)
+
+
+def _write(path: Path, text: str, mkdir: bool = False) -> None:
+    """Write an output file (its directory first if ``mkdir``); failing is an input error."""
+    try:
+        if mkdir:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from None
 
 
 def _levels_payload(joint: Joint, unit: str) -> dict:
@@ -83,8 +92,10 @@ def _levels_payload(joint: Joint, unit: str) -> dict:
 
 
 def _parse_input(args):
+    from . import documents
+
     doc = _load_doc(args.input)
-    return mechanisms.parse_mechanism_doc(doc, exact=args.mode == "rational")
+    return documents.parse_mechanism_doc(doc, exact=args.mode == "rational")
 
 
 def _cmd_analyze(args) -> int:
@@ -92,9 +103,8 @@ def _cmd_analyze(args) -> int:
     if not isinstance(obj, Joint):
         raise ParseError("analyze needs a finite mechanism (prior + channel)")
     outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
     profile = leakage.leakage_profile(obj)
-    (outdir / "profile.csv").write_text(profile.to_csv(unit=args.unit))
+    _write(outdir / "profile.csv", profile.to_csv(unit=args.unit), mkdir=True)
     _dump_json(_levels_payload(obj, args.unit), str(outdir / "levels.json"))
     sys.stdout.write(f"wrote {outdir / 'profile.csv'} and {outdir / 'levels.json'}\n")
     return 0
@@ -111,17 +121,20 @@ def _source_guarantee(args) -> Guarantee:
 
 
 def _cmd_translate(args) -> int:
+    from . import bounds
+
     result = bounds.derive_implications(_source_guarantee(args), args.pmin)
     _dump_json(result.to_dict(args.unit), args.output)
     return 0
 
 
 def _cmd_sweep(args) -> int:
+    from . import bounds
+
     table = bounds.sweep_curves(args.pmin, args.steps)
     outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "pml_to_pmc.csv").write_text(table.pml_to_pmc_csv(unit=args.unit))
-    (outdir / "pmc_to_pml.csv").write_text(table.pmc_to_pml_csv(unit=args.unit))
+    _write(outdir / "pml_to_pmc.csv", table.pml_to_pmc_csv(unit=args.unit), mkdir=True)
+    _write(outdir / "pmc_to_pml.csv", table.pmc_to_pml_csv(unit=args.unit))
     sys.stdout.write(
         f"wrote {outdir / 'pml_to_pmc.csv'} and {outdir / 'pmc_to_pml.csv'}\n"
     )
@@ -129,10 +142,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import oracles
+
     obj = _parse_input(args)
     if not isinstance(obj, Joint):
         raise ParseError("oracle certification needs a finite mechanism")
-    search = SearchConfig(resolution=args.grid, max_u=args.max_u, seed=args.seed)
+    search = oracles.SearchConfig(resolution=args.grid, max_u=args.max_u, seed=args.seed)
     certificate = oracles.certify_pmc(obj, args.y, search)
     _dump_json(certificate.to_dict(args.unit), args.output)
     if not certificate.dominance_ok:
@@ -142,6 +157,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_mechanism(args) -> int:
+    from . import mechanisms
+
     unit = args.unit
     obj = _parse_input(args)
     if isinstance(obj, Joint):
@@ -177,6 +194,8 @@ def _cmd_mechanism(args) -> int:
 
 
 def _cmd_props(args) -> int:
+    from . import properties
+
     outcomes = properties.run_property_suite(
         seed=args.seed, instances=args.instances, tol=args.tol
     )

@@ -17,9 +17,10 @@ largest channel entry of a column (:attr:`Joint.column_stats`):
 Essential suprema over outcomes are maxima over the support of the output
 marginal; outcomes with zero mass never contribute.
 
-The per-outcome rows (:attr:`Joint.profile_rows`) are reduced once per
-joint: the guarantee levels, the profile and the worst- and average-outcome
-aggregates all read them from there.
+The per-outcome rows (:attr:`Joint.profile_rows`) and the LDP level
+(:attr:`Joint.ldp_level`) are reduced once per joint: the guarantee levels,
+the profile and the worst- and average-outcome aggregates all read them
+from there.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 from .errors import UndefinedOutcome
 from .probcore import (
-    INF, ZERO, ExtReal, Joint, OutcomeLeakage, _check_outcome, _pmc_level, _pml_level,
+    INF, ExtReal, Joint, OutcomeLeakage, _check_outcome, _pmc_level, _pml_level,
     _sum_entries, as_level, csv_field, in_unit,
 )
 
@@ -159,22 +160,6 @@ def format_level(level: ExtReal, unit: str = "nats"):
     return "inf" if value == math.inf else value
 
 
-def _ldp_level(stats: tuple) -> ExtReal:
-    """Largest log-likelihood ratio of the channel across input pairs.
-
-    The largest ratio of two entries of a column is its max over its min, so
-    the search over row pairs is one pass over the columns.  All-zero columns
-    never contribute (0/0 = 1); a zero beside a positive entry is infinite.
-    """
-    best = ZERO
-    for lo, hi in stats:
-        if lo == 0 < hi:
-            return INF
-        if lo != 0 and hi / lo > best.ratio:
-            best = ExtReal.from_ratio(hi / lo)
-    return best
-
-
 def guarantee_level(joint: Joint, kind: Union[GuaranteeKind, str]) -> Guarantee:
     """Smallest parameter for which the joint satisfies the given guarantee."""
     kind = GuaranteeKind(kind.lower() if isinstance(kind, str) else kind)
@@ -200,7 +185,7 @@ def all_guarantee_levels(joint: Joint) -> dict:
     rows = joint.profile_rows
     eps_l = max(r.pmc for r in rows)
     eps_u = max(r.pml for r in rows)
-    levels = _guarantees(eps_l, eps_u, max(eps_l, eps_u), _ldp_level(joint.column_stats))
+    levels = _guarantees(eps_l, eps_u, max(eps_l, eps_u), joint.ldp_level)
     return {k.value: g for k, g in levels.items()}
 
 

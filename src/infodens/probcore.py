@@ -449,8 +449,9 @@ class Joint:
 
     The support holds the outcomes with positive marginal mass; every
     essential supremum downstream ranges over it only.  Posteriors are
-    computed on demand; the column reduction and the per-outcome profile at
-    most once per joint, and neither takes part in equality or hashing.  An
+    computed on demand; the column reduction, the per-outcome profile and the
+    LDP level at most once per joint, and none takes part in equality or
+    hashing.  An
     all-``Fraction`` joint builds its marginal and column reduction from the
     channel's integer columns (:attr:`Channel._int_columns`): one ``Fraction``
     per column and per end, not one per entry.
@@ -513,6 +514,23 @@ class Joint:
             m, (lo, hi) = self.marginal[y], self.column_stats[y]
             rows.append(OutcomeLeakage(y, float(m), _pmc_level(m, lo), _pml_level(m, hi)))
         return tuple(rows)
+
+    @functools.cached_property
+    def ldp_level(self) -> ExtReal:
+        """Largest log-likelihood ratio of the channel across input pairs.
+
+        The largest ratio of two entries of a column is its max over its min, so
+        the search over row pairs is one pass over :attr:`column_stats`.  All-zero
+        columns never contribute (0/0 = 1); a zero beside a positive entry is
+        infinite.
+        """
+        best = ZERO
+        for lo, hi in self.column_stats:
+            if lo == 0 < hi:
+                return INF
+            if lo != 0 and hi / lo > best.ratio:
+                best = ExtReal.from_ratio(hi / lo)
+        return best
 
     def posterior(self, y: int) -> tuple:
         """The conditional law of the secret given outcome ``y``."""

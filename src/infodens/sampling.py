@@ -3,17 +3,21 @@
 Everything takes an explicit ``random.Random`` so runs are reproducible from
 a single integer seed.  Exact-mode generators draw small-denominator
 rationals; float generators keep entries away from zero unless zeros are
-requested.
+requested.  The kernel, cost and law generators load :mod:`infodens.oracles`
+or :mod:`infodens.mechanisms` when called, so the property suite loads neither.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .mechanisms import BoundedLaw, discrete_law
-from .oracles import CostFunction, RandomizedFunction
 from .probcore import Channel, Joint, Pmf
+
+if TYPE_CHECKING:
+    from .mechanisms import BoundedLaw
+    from .oracles import CostFunction, RandomizedFunction
 
 
 def random_pmf(rng: random.Random, size: int, exact: bool = False, max_den: int = 24) -> Pmf:
@@ -65,6 +69,8 @@ def random_joint(
 def random_kernel(
     rng: random.Random, n_in: int, n_out: int, exact: bool = False
 ) -> RandomizedFunction:
+    from .oracles import RandomizedFunction
+
     ch = random_channel(rng, n_in, n_out, exact=exact)
     return RandomizedFunction(ch.rows)
 
@@ -72,6 +78,8 @@ def random_kernel(
 def random_cost(
     rng: random.Random, n_x: int, n_w: int, zero_prob: float = 0.0
 ) -> CostFunction:
+    from .oracles import CostFunction
+
     table = []
     for _ in range(n_x):
         table.append(
@@ -87,6 +95,8 @@ def random_bounded_law(
     rng: random.Random, lo: float, hi: float, interior_points: int = 3
 ) -> BoundedLaw:
     """A random finitely supported law on [lo, hi] with atoms at both endpoints."""
+    from .mechanisms import discrete_law
+
     points = [lo, hi] + [rng.uniform(lo, hi) for _ in range(interior_points)]
     probs = [rng.uniform(0.1, 1.0) for _ in points]
     return discrete_law(points, probs)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import infodens
-from infodens import oracles
+from infodens import documents, oracles, sampling
 from infodens.cli import main
 
 
@@ -293,6 +293,32 @@ class TestProps:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+class TestUnwritableOutput:
+    @pytest.mark.parametrize(
+        "argv, target",
+        [
+            (["translate", "--pml", "0.1", "--pmin", "0.5", "--output", "{nodir}"], "{nodir}"),
+            (["sweep", "--pmin", "0.2", "--steps", "3", "--output", "{file}"], "{file}"),
+            (["analyze", "--input", "{rr}", "--output", "{file}"], "{file}"),
+            (["analyze", "--input", "{rr}", "--output", "{file}/sub"], "{file}/sub"),
+            (["oracle", "--input", "{rr}", "--y", "0", "--grid", "3", "--output", "{nodir}"], "{nodir}"),
+            (["mechanism", "--input", "{rr}", "--output", "{nodir}"], "{nodir}"),
+        ],
+        ids=["translate", "sweep", "analyze-file", "analyze-under-file", "oracle", "mechanism"],
+    )
+    def test_exit_2_with_one_error_line_naming_the_path(self, argv, target, rr_doc, tmp_path, capsys):
+        """An output that cannot be written is an input error, not a crash or a violation."""
+        (tmp_path / "taken").write_text("a file, not a directory\n")
+        paths = {"rr": rr_doc, "file": tmp_path / "taken", "nodir": tmp_path / "nodir" / "x.json"}
+        assert main([a.format(**paths) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write ") and captured.err.count("\n") == 1
+        assert target.format(**paths) in captured.err
+        assert (tmp_path / "taken").read_text() == "a file, not a directory\n"
+        assert not (tmp_path / "nodir").exists()
+
+
 class TestDeterminism:
     def test_identical_runs_are_byte_identical(self, rr_doc, tmp_path):
         out_a = tmp_path / "a"
@@ -396,56 +422,75 @@ def _src_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
 
 
-def _fresh_run(args, cwd, code=0):
-    """Run ``python -X importtime *args`` in a new interpreter.
+#: Prepended to every fresh run: report the loaded modules on stderr at exit.
+_REPORT = "import atexit, sys\natexit.register(lambda: print('loaded:', *sys.modules, file=sys.stderr))\n"
 
-    Checks the exit code and returns the set of heavy packages (numpy,
-    scipy) that the run imported, read from the import-time report on stderr.
+
+def _fresh_run(source, cwd, argv=(), code=0):
+    """Run ``python -c source *argv`` in a new interpreter.
+
+    Checks the exit code and returns what the run had loaded at exit: the
+    heavy packages (numpy, scipy), and the ``infodens`` modules by their
+    names inside the package.  ``sys.modules`` also holds the submodules that
+    ``from . import name`` loads, which ``-X importtime`` does not report.
     """
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", *args],
+        [sys.executable, "-c", _REPORT + source, *argv],
         cwd=cwd,
         env=_src_env(),
         capture_output=True,
         text=True,
     )
-    loaded = {
-        line.rsplit("|", 1)[1].strip().split(".")[0]
-        for line in proc.stderr.splitlines()
-        if line.startswith("import time:")
-    }
     assert proc.returncode == code, proc.stderr[-2000:]
-    return loaded & {"numpy", "scipy"}
+    loaded = proc.stderr.rsplit("loaded:", 1)[1].split()
+    heavy = {name.split(".")[0] for name in loaded} & {"numpy", "scipy"}
+    return heavy, {name.split(".", 1)[1] for name in loaded if name.startswith("infodens.")}
+
+
+def _hints_with_type_checking_imports(obj) -> dict:
+    """``obj``'s type hints, resolved after running its module's ``TYPE_CHECKING`` block."""
+    module = sys.modules[obj.__module__]
+    namespace = {"__name__": module.__name__, "__package__": module.__package__}
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            exec(compile(ast.Module(node.body, []), module.__file__, "exec"), namespace)
+    return typing.get_type_hints(obj, localns=namespace)
+
+
+#: What ``import infodens`` loads; the CLI adds ``cli``.
+_EAGER = {"errors", "probcore", "leakage"}
+_CLI = "from infodens.cli import main\nraise SystemExit(main())"
 
 
 class TestLazyImports:
     def test_package_import_loads_neither(self, tmp_path):
-        assert _fresh_run(["-c", "import infodens"], tmp_path) == set()
+        assert _fresh_run("import infodens", tmp_path) == (set(), _EAGER)
 
     @pytest.mark.parametrize(
-        "argv, code, heavy",
+        "argv, code, heavy, modules",
         [
-            (["translate", "--pml", "0.1", "--pmin", "0.5"], 0, set()),
-            (["sweep", "--pmin", "0.2", "--steps", "10", "--output", "sw"], 0, set()),
-            (["analyze", "--input", str(_FIXTURES / "analyze" / "float_4x3.json"), "--output", "an"], 0, set()),
-            (["props", "--instances", "5"], 0, set()),
-            (["mechanism", "--input", "rr.json"], 0, set()),
-            (["mechanism", "--input", "laplace.json"], 0, set()),
-            (["mechanism", "--input", "gaussian.json"], 0, set()),
-            (["oracle", "--input", str(_FIXTURES / "oracle" / "float_2x3.json"), "--y", "0", "--grid", "5"], 0, {"numpy"}),
-            (["oracle", "--input", str(_FIXTURES / "oracle" / "rational_3x3.json"), "--y", "0", "--mode", "rational", "--grid", "5"], 0, set()),
-            (["analyze", "--input", "malformed.json", "--output", "bad"], 2, set()),
+            (["translate", "--pml", "0.1", "--pmin", "0.5"], 0, set(), {"bounds"}),
+            (["sweep", "--pmin", "0.2", "--steps", "10", "--output", "sw"], 0, set(), {"bounds"}),
+            (["analyze", "--input", str(_FIXTURES / "analyze" / "float_4x3.json"), "--output", "an"], 0, set(), {"documents"}),
+            (["props", "--instances", "5"], 0, set(), {"properties", "sampling"}),
+            (["mechanism", "--input", "rr.json"], 0, set(), {"documents", "mechanisms"}),
+            (["mechanism", "--input", "laplace.json"], 0, set(), {"documents", "mechanisms"}),
+            (["mechanism", "--input", "gaussian.json"], 0, set(), {"documents", "mechanisms"}),
+            (["oracle", "--input", str(_FIXTURES / "oracle" / "float_2x3.json"), "--y", "0", "--grid", "5"], 0, {"numpy"}, {"documents", "oracles"}),
+            (["oracle", "--input", str(_FIXTURES / "oracle" / "rational_3x3.json"), "--y", "0", "--mode", "rational", "--grid", "5"], 0, set(), {"documents", "oracles"}),
+            (["analyze", "--input", "malformed.json", "--output", "bad"], 2, set(), {"documents"}),
         ],
         ids=[
             "translate", "sweep", "analyze", "props", "mechanism-rr",
             "mechanism-laplace", "mechanism-gaussian", "oracle", "oracle-rational", "malformed",
         ],
     )
-    def test_cli_loads_only_what_it_uses(self, argv, code, heavy, tmp_path):
+    def test_cli_loads_only_what_it_uses(self, argv, code, heavy, modules, tmp_path):
+        """Each subcommand loads the package's eager modules and its own, nothing else."""
         for name, doc in _DOCS.items():
             (tmp_path / name).write_text(json.dumps(doc))
         (tmp_path / "malformed.json").write_text("{not json")
-        assert _fresh_run(["-m", "infodens.cli", *argv], tmp_path, code) == heavy
+        assert _fresh_run(_CLI, tmp_path, argv, code) == (heavy, _EAGER | {"cli"} | modules)
 
     @pytest.mark.parametrize(
         "snippet, heavy",
@@ -501,17 +546,40 @@ class TestLazyImports:
         ],
     )
     def test_lazy_path_runs_from_fresh_interpreter(self, snippet, heavy, tmp_path):
-        assert _fresh_run(["-c", "import infodens\n" + snippet], tmp_path) == heavy
+        assert _fresh_run("import infodens\n" + snippet, tmp_path)[0] == heavy
+
+    def test_every_public_name_resolves_on_first_access(self, tmp_path):
+        snippet = (
+            "import infodens\n"
+            "assert set(infodens.__all__) <= set(dir(infodens))\n"
+            "for name in infodens.__all__:\n"
+            "    getattr(infodens, name)\n"
+            "try:\n"
+            "    infodens.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    assert 'no_such_name' in str(exc)\n"
+            "else:\n"
+            "    raise AssertionError('an unknown name resolved')\n"
+            "namespace = {}\n"
+            "exec('from infodens import *', namespace)\n"
+            "assert set(infodens.__all__) <= set(namespace)\n"
+            "from infodens.mechanisms import joint_from_doc, parse_mechanism_doc\n"
+            "assert parse_mechanism_doc is infodens.parse_mechanism_doc\n"
+            "assert joint_from_doc is infodens.joint_from_doc\n"
+        )
+        _, modules = _fresh_run(snippet, tmp_path)
+        assert {"bounds", "documents", "mechanisms", "oracles", "properties", "sampling"} <= modules
 
     def test_numpy_hints_resolve_for_type_checkers(self):
         """Annotations naming ``np`` resolve once the ``TYPE_CHECKING`` imports run."""
         for obj in (oracles._block_masses, oracles._kernel_blocks):
-            module = sys.modules[obj.__module__]
-            namespace = {}
-            for node in ast.parse(inspect.getsource(module)).body:
-                if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
-                    exec(compile(ast.Module(node.body, []), module.__file__, "exec"), namespace)
-            assert typing.get_type_hints(obj, localns=namespace)
+            assert _hints_with_type_checking_imports(obj)
+
+    def test_hints_on_lazily_loaded_classes_resolve_for_type_checkers(self):
+        """Return types from modules loaded on first use resolve through ``TYPE_CHECKING``."""
+        for obj in (sampling.random_kernel, sampling.random_cost, sampling.random_bounded_law,
+                    documents.parse_mechanism_doc):
+            assert "return" in _hints_with_type_checking_imports(obj)
 
 
 class TestMalformedDocuments:

@@ -445,22 +445,40 @@ class TestColumnReductionOncePerJoint:
             assert calls == [j]
 
 
+def _count_reductions(monkeypatch, name: str) -> list:
+    """Replace the cached property ``Joint.<name>`` by one that logs each joint it reduces."""
+    reduce = getattr(Joint, name).func
+    calls = []
+
+    def counted(joint):
+        calls.append(joint)
+        return reduce(joint)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(Joint, name)
+    monkeypatch.setattr(Joint, name, prop)
+    return calls
+
+
+def _full_analysis(j: Joint) -> None:
+    """Every level, translation, profile, aggregate and check an ``analyze`` run reads."""
+    derive_implications(all_guarantee_levels(j)["pml"], j.prior.p_min)
+    leakage_profile(j)
+    max_cost_leakage(j)
+    max_realizable_cost(j)
+    expected_pmc(j)
+    verify_boundedness_equivalence(j)
+
+
 class TestProfileOncePerJoint:
     def test_one_profile_across_a_full_analysis(self, monkeypatch):
-        reduce = Joint.profile_rows.func
-        calls, levels = [], []
-
-        def counted(joint):
-            calls.append(joint)
-            return reduce(joint)
+        calls = _count_reductions(monkeypatch, "profile_rows")
+        levels = []
 
         def pmc_level(m, lo):
             levels.append(m)
             return make_level(m, lo)
 
-        prop = functools.cached_property(counted)
-        prop.__set_name__(Joint, "profile_rows")
-        monkeypatch.setattr(Joint, "profile_rows", prop)
         make_level = probcore._pmc_level
         monkeypatch.setattr(probcore, "_pmc_level", pmc_level)
         for exact in (True, False):
@@ -468,18 +486,27 @@ class TestProfileOncePerJoint:
             twin = Joint.from_prior_channel(j.prior, j.channel)
             calls.clear()
             levels.clear()
-            derive_implications(all_guarantee_levels(j)["pml"], j.prior.p_min)
-            leakage_profile(j)
-            max_cost_leakage(j)
-            max_realizable_cost(j)
-            expected_pmc(j)
-            verify_boundedness_equivalence(j)
+            _full_analysis(j)
             assert calls == [j]
             assert len(levels) == len(j.support)
             # the cached profile takes no part in equality or hashing
             assert "profile_rows" in vars(j) and "profile_rows" not in vars(twin)
             assert twin == j and hash(twin) == hash(j)
             assert leakage_profile(twin) == leakage_profile(j)
+
+    def test_one_ldp_reduction_across_a_full_analysis(self, monkeypatch):
+        calls = _count_reductions(monkeypatch, "ldp_level")
+        for exact, zero_prob in ((True, 0.0), (True, 0.2), (False, 0.0), (False, 0.2)):
+            j = random_joint(random.Random(13), 6, 5, exact=exact, zero_prob=zero_prob)
+            twin = Joint.from_prior_channel(j.prior, j.channel)
+            calls.clear()
+            _full_analysis(j)
+            assert guarantee_level(j, "ldp").eps is all_guarantee_levels(j)["ldp"].eps
+            assert calls == [j]
+            # the cached level takes no part in equality or hashing
+            assert "ldp_level" in vars(j) and "ldp_level" not in vars(twin)
+            assert twin == j and hash(twin) == hash(j)
+            assert all_guarantee_levels(twin)["ldp"] == all_guarantee_levels(j)["ldp"]
 
 
 def _entry_reference(prior, rows):
