@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -218,25 +218,34 @@ def _int_masses(vectors: Sequence[Sequence[Fraction]]) -> tuple:
     """``(ints, scale)``: the ``Fraction`` vectors in integer units of ``1 / scale``.
 
     ``scale`` is the LCM of every denominator, so ``ints[i][j] == vectors[i][j]
-    * scale`` exactly.  Python ints never overflow, however far the
-    denominators grow.
+    * scale`` exactly.  Each entry's ``as_integer_ratio()`` is read once.
+    Python ints never overflow, however far the denominators grow.
     """
-    scale = math.lcm(*(e.denominator for v in vectors for e in v))
-    return [[e.numerator * (scale // e.denominator) for e in v] for v in vectors], scale
+    ratios = [[e.as_integer_ratio() for e in v] for v in vectors]
+    scale = math.lcm(*(d for r in ratios for _, d in r))
+    return [[n * (scale // d) for n, d in r] for r in ratios], scale
+
+
+def _sum_ints(entries: Sequence[Number]) -> tuple:
+    """``(total, ints)``: the sum, and ``(ints, scale)`` (:func:`_int_masses`) or None for a float."""
+    if any(isinstance(e, float) for e in entries):
+        return math.fsum(entries), None
+    (ints,), scale = _int_masses((entries,))
+    # Over one common denominator: the same canonical Fraction as a running sum.
+    return Fraction(sum(ints), scale), (ints, scale)
 
 
 def _sum_entries(entries: Sequence[Number]) -> Number:
-    if any(isinstance(e, float) for e in entries):
-        return math.fsum(entries)
-    # Over one common denominator: the same canonical Fraction as a running sum.
-    (ints,), scale = _int_masses((entries,))
-    return Fraction(sum(ints), scale)
+    return _sum_ints(entries)[0]
 
 
 def _fast_sum(entries: tuple):
-    """``(least, total)`` of all-float (with a finite sum) or all-Fraction entries, else None.
+    """``(least, total, ints)`` of entries that may skip the per-entry checks, else None.
 
-    ``least`` is the smallest float or numerator: it has the sign of the smallest entry.
+    Floats with a finite sum give ``ints`` None; ``Fraction`` objects (no subclass) are
+    scaled to ints once, as in :func:`_sum_ints`; a sum of exactly 1 is the int 1, which
+    the callers' checks compare without ``Fraction`` arithmetic.  ``least`` has the sign
+    of the smallest entry.
     """
     kinds = set(map(type, entries))
     if kinds == {float}:
@@ -244,17 +253,19 @@ def _fast_sum(entries: tuple):
             total = math.fsum(entries)
         except (OverflowError, ValueError):
             return None
-        return (min(entries), total) if math.isfinite(total) else None
+        return (min(entries), total, None) if math.isfinite(total) else None
     if kinds == {Fraction}:
-        return min(e.numerator for e in entries), _sum_entries(entries)
+        (ints,), scale = _int_masses((entries,))
+        total = sum(ints)
+        return min(ints), 1 if total == scale else Fraction(total, scale), (ints, scale)
     return None
 
 
 def _normalize_row(row: tuple, what: str) -> tuple:
-    """Validate a sub-pmf row: non-negative entries summing to 1 within tolerance."""
+    """``(entries, ints)``: a row checked to sum to 1 within tolerance; ``ints`` as in :func:`_sum_ints`."""
     fast = _fast_sum(row)
     if fast is not None and fast[0] >= 0:
-        entries, total = row, fast[1]
+        entries, total, ints = row, fast[1], fast[2]
     else:
         entries = tuple(_check_entry(e, what) for e in row)
         if not entries:
@@ -263,16 +274,17 @@ def _normalize_row(row: tuple, what: str) -> tuple:
             if e < 0:
                 raise ParseError(f"{what}: negative entry {e!r}")
         try:
-            total = _sum_entries(entries)
+            total, ints = _sum_ints(entries)
         except OverflowError:
             raise StochasticityError(f"{what}: row sums beyond the float range") from None
     if total <= 0:
         raise StochasticityError(f"{what}: row sums to {total!r}")
     if abs(total - 1) > ROW_SUM_TOL:
         raise StochasticityError(f"{what}: row sums to {total!r}, expected 1")
-    if total == 1:
-        return entries
-    return tuple(e / total for e in entries)
+    if total != 1:
+        entries = tuple(e / total for e in entries)
+        ints = ints and _sum_ints(entries)[1]
+    return entries, ints
 
 
 # ---------------------------------------------------------------------------
@@ -286,16 +298,18 @@ class Pmf:
 
     Positive weights are normalized to sum to one (exactly when they are all
     rational).  Zero weights are rejected: every downstream measure assumes
-    each secret value is possible a priori.
+    each secret value is possible a priori.  ``_int_weights`` is the weights'
+    ``ints`` (:func:`_sum_ints`), read with them.
     """
 
     weights: tuple
+    _int_weights: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         raw = tuple(self.weights)
         fast = _fast_sum(raw)
         if fast is not None and fast[0] > 0:
-            entries, total = raw, fast[1]
+            entries, total, ints = raw, fast[1], fast[2]
         else:
             if not raw:
                 raise EmptySupport("a pmf needs at least one outcome")
@@ -306,12 +320,14 @@ class Pmf:
                     raise ZeroOrNegativeWeight(f"weight {w!r} breaks full support")
                 entries.append(w)
             try:
-                total = _sum_entries(entries)
+                total, ints = _sum_ints(entries)
             except OverflowError:
                 raise ParseError("pmf weights sum beyond the float range") from None
         if total != 1:
             entries = [w / total for w in entries]
+            ints = ints and _sum_ints(entries)[1]
         object.__setattr__(self, "weights", tuple(entries))
+        object.__setattr__(self, "_int_weights", ints)
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -329,7 +345,7 @@ class Pmf:
 
     @property
     def is_exact(self) -> bool:
-        return all(isinstance(w, Fraction) for w in self.weights)
+        return self._int_weights is not None
 
     @staticmethod
     def uniform(n: int, exact: bool = True) -> "Pmf":
@@ -350,23 +366,34 @@ class Channel:
 
     Rows are validated to sum to one within ``ROW_SUM_TOL`` and silently
     renormalized inside that tolerance; anything further off is rejected.
+    Rows of ``Fraction`` objects summing to exactly 1 are kept as given and
+    read once (:func:`_fast_sum`); ``_int_columns`` holds the columns in ints
+    over the LCM of the row scales, ``(ints, scale)``, or None for any float.
     """
 
     rows: tuple
+    _int_columns: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         raw = tuple(tuple(r) for r in self.rows)
         if not raw:
             raise EmptySupport("a channel needs at least one input row")
         width = len(raw[0])
-        out = []
+        checked = []
         for i, row in enumerate(raw):
             if len(row) != width:
                 raise DimensionMismatch(
                     f"row {i} has {len(row)} entries, expected {width}"
                 )
-            out.append(_normalize_row(row, f"channel row {i}"))
-        object.__setattr__(self, "rows", tuple(out))
+            checked.append(_normalize_row(row, f"channel row {i}"))
+        rows, tables = zip(*checked)
+        object.__setattr__(self, "rows", rows)
+        cols = None
+        if None not in tables:
+            scale = math.lcm(*(s for _, s in tables))
+            scaled = (r if s == scale else [e * (scale // s) for e in r] for r, s in tables)
+            cols = list(zip(*scaled)), scale
+        object.__setattr__(self, "_int_columns", cols)
 
     @property
     def n_inputs(self) -> int:
@@ -381,12 +408,7 @@ class Channel:
 
     @property
     def is_exact(self) -> bool:
-        return all(isinstance(e, Fraction) for r in self.rows for e in r)
-
-    @functools.cached_property
-    def _int_columns(self):
-        """The columns of an all-``Fraction`` channel in ints, ``(ints, scale)``, else None."""
-        return _int_masses(tuple(zip(*self.rows))) if self.is_exact else None
+        return self._int_columns is not None
 
     def then(self, other: "Channel") -> "Channel":
         """Sequential composition: feed this channel's output into ``other``."""
@@ -451,10 +473,10 @@ class Joint:
     essential supremum downstream ranges over it only.  Posteriors are
     computed on demand; the column reduction, the per-outcome profile and the
     LDP level at most once per joint, and none takes part in equality or
-    hashing.  An
-    all-``Fraction`` joint builds its marginal and column reduction from the
-    channel's integer columns (:attr:`Channel._int_columns`): one ``Fraction``
-    per column and per end, not one per entry.
+    hashing.  An exact joint builds its marginal and column reduction from
+    the integer tables its prior and channel read on ingestion
+    (``Pmf._int_weights``, ``Channel._int_columns``): one ``Fraction`` per
+    column and per end, not one per entry.
     """
 
     prior: Pmf
@@ -468,10 +490,8 @@ class Joint:
             raise DimensionMismatch(
                 f"channel has {channel.n_inputs} rows, prior has {len(prior)} outcomes"
             )
-        ints = channel._int_columns
-        if ints is not None and prior.is_exact:
-            cols, c_scale = ints
-            (weights,), w_scale = _int_masses((prior.weights,))
+        if channel.is_exact and prior.is_exact:
+            (cols, c_scale), (weights, w_scale) = channel._int_columns, prior._int_weights
             one = w_scale * c_scale
             marginal = tuple(Fraction(sum(map(operator.mul, weights, col)), one) for col in cols)
         else:
@@ -500,10 +520,9 @@ class Joint:
         Division is monotone (exactly for rationals, after correct rounding for
         floats), so each equals the extremum of the per-entry ratios.
         """
-        ints = self.channel._int_columns
-        if ints is None:
+        if not self.channel.is_exact:
             return tuple((min(col), max(col)) for col in zip(*self.channel.rows))
-        cols, scale = ints
+        cols, scale = self.channel._int_columns
         return tuple((Fraction(min(col), scale), Fraction(max(col), scale)) for col in cols)
 
     @functools.cached_property

@@ -95,10 +95,19 @@ class TestAnalyze:
     @pytest.mark.parametrize("unit", ("nats", "bits"))
     @pytest.mark.parametrize(
         "doc, mode",
-        [("float_zeros_3x4", "float"), ("float_4x3", "float"), ("rational_3x3", "rational")],
+        [
+            ("float_zeros_3x4", "float"),
+            ("float_4x3", "float"),
+            ("rational_3x3", "rational"),
+            ("rational_forms_4x4", "rational"),
+        ],
     )
     def test_output_bytes_match_recorded_fixture(self, doc, mode, unit, tmp_path):
-        """Profiles and levels recorded from the pairwise LDP code must not change."""
+        """Profiles and levels recorded from the pairwise LDP code must not change.
+
+        ``rational_forms_4x4`` mixes "a/b" strings (with spaces, signs and leading
+        zeros), decimal strings and JSON ints, so every exact input form is pinned.
+        """
         fixtures = Path(__file__).parent / "fixtures" / "analyze"
         out = tmp_path / "out"
         argv = ["analyze", "--input", str(fixtures / f"{doc}.json"), "--mode", mode]

@@ -27,7 +27,9 @@ from infodens.errors import (
     UndefinedOutcome,
     ZeroOrNegativeWeight,
 )
-from infodens.probcore import _sum_entries
+from infodens import probcore
+from infodens.documents import coerce_probability
+from infodens.probcore import _int_masses, _sum_entries
 from infodens.sampling import random_joint
 
 
@@ -315,6 +317,10 @@ class _Float(float):
     """A float subclass: it must take the per-entry path and keep its type."""
 
 
+class _Frac(Fraction):
+    """A Fraction subclass: it must take the per-entry path and keep its type."""
+
+
 def _exact_rows(rng, n_x, n_y):
     def composition(n):
         cuts = sorted(rng.sample(range(1, 8 * n), n - 1))
@@ -345,6 +351,10 @@ _AWKWARD_ROWS = [
     (Fraction(1, 3), 1, Fraction(-1, 3)),
     (Fraction(1, 2), Fraction(1, 2)),
     (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**13)),
+    (Fraction(1, 2), 0, Fraction(1, 2)),
+    (_Frac(1, 3), _Frac(2, 3)),
+    (_Frac(1, 3), _Frac(2 * 10**13 + 1, 3 * 10**13)),
+    (_Frac(1, 2), Fraction(1, 2)),
     (Fraction(0), Fraction(0)),
     (0.0, 0.0),
 ]
@@ -388,6 +398,27 @@ _OVERFLOWING = [
 ]
 
 
+def _ref_ints(vectors):
+    """``(is_exact, ints)`` by a scan of every entry; ``ints`` is None unless all are ``Fraction``."""
+    if not all(isinstance(e, Fraction) for v in vectors for e in v):
+        return False, None
+    scale = math.lcm(*(e.denominator for v in vectors for e in v))
+    ints = [[e.numerator * (scale // e.denominator) for e in v] for v in vectors]
+    assert _int_masses(vectors) == (ints, scale)
+    return True, (ints, scale)
+
+
+def _check_tables(prior, channel):
+    """The integer tables read on ingestion equal a scan of the stored weights and columns."""
+    exact, want = _ref_ints(tuple(zip(*channel.rows)))
+    assert channel.is_exact is exact
+    cols = channel._int_columns
+    assert (cols and ([list(c) for c in cols[0]], cols[1])) == want
+    exact, want = _ref_ints((prior.weights,))
+    assert prior.is_exact is exact
+    assert prior._int_weights == (want and (want[0][0], want[1]))
+
+
 class TestOnePassIngestion:
     """``Channel``, ``Pmf`` and ``Joint`` against the per-entry path they replaced."""
 
@@ -397,6 +428,7 @@ class TestOnePassIngestion:
         joint = Joint.from_prior_channel(Pmf(prior), Channel(rows))
         want = _ref_marginal(_ref_pmf(prior), _ref_channel(rows))
         assert _bits(joint.marginal) == _bits(want)
+        _check_tables(joint.prior, joint.channel)
 
     @pytest.mark.parametrize("n, zero_prob", [(100, 0.0), (100, 0.1), (64, 0.0), (64, 0.2)])
     def test_seeded_float_joints(self, n, zero_prob):
@@ -421,6 +453,63 @@ class TestOnePassIngestion:
         rows = ((1.0,) + (0.0,) * (len(row) - 1) if row else (), tuple(row))
         assert _outcome(lambda r: Channel(r).rows, rows) == _outcome(_ref_channel, rows)
         assert _outcome(lambda w: Pmf(w).weights, tuple(row)) == _outcome(_ref_pmf, tuple(row))
+
+    @pytest.mark.parametrize("row", _AWKWARD_ROWS, ids=repr)
+    def test_tables_match_a_scan_of_every_entry(self, row):
+        for unit in ((Fraction(1),) + (Fraction(0),) * (len(row) - 1), (1.0,) + (0.0,) * (len(row) - 1)):
+            try:
+                channel = Channel((unit, row))
+            except (ParseError, StochasticityError):
+                continue
+            _check_tables(Pmf((Fraction(1, 2), Fraction(1, 2))), channel)
+        try:
+            prior = Pmf(row)
+        except (ParseError, ZeroOrNegativeWeight):
+            return
+        _check_tables(prior, Channel(((Fraction(1),),) * len(row)))
+
+    def test_integer_literal_row_gets_the_table(self):
+        half = Fraction(1, 2)
+        channel = Channel(((half, 0, half), (Fraction(1, 3),) * 3))
+        assert _bits(channel.rows[0]) == _bits((half, Fraction(0), half))
+        assert channel._int_columns == ([(3, 2), (0, 2), (3, 2)], 6)
+        _check_tables(Pmf((1, 2)), channel)
+
+    def test_each_row_is_scaled_once(self, monkeypatch):
+        """A row is scaled to ints once, on either path; only a renormalised one twice."""
+        calls = []
+        monkeypatch.setattr(probcore, "_int_masses", lambda v: calls.append(v) or _int_masses(v))
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        for build, want in (
+            (lambda: Channel(((half, 0, half), (third,) * 3, (_Frac(1, 4), _Frac(3, 4), 0))), 3),
+            (lambda: Pmf((1, half, half)), 2),
+            (lambda: Pmf((third, 1 - third)), 1),
+            (lambda: Pmf((1,)), 1),
+            (lambda: Channel(((third, third, third + Fraction(1, 10**13)),)), 2),
+            (lambda: Channel(((0.5, 0.5), (half, 0.5))), 0),
+        ):
+            calls.clear()
+            build()
+            assert len(calls) == want
+
+    def test_fraction_subclass_keeps_its_type(self):
+        rows = ((_Frac(1, 4), _Frac(3, 4)), (Fraction(1, 2), Fraction(1, 2)))
+        channel, prior = Channel(rows), Pmf((_Frac(1, 3), _Frac(2, 3)))
+        assert [type(e) for e in channel.rows[0]] == [_Frac, _Frac]
+        assert [type(w) for w in prior.weights] == [_Frac, _Frac]
+        _check_tables(prior, channel)
+        joint = Joint.from_prior_channel(prior, channel)
+        assert _bits(joint.marginal) == _bits(_ref_marginal(prior.weights, rows))
+
+    def test_coprime_denominators_near_1e30(self):
+        dens = (10**30 + 1, 10**30 + 3, 10**30 + 7, 10**30 + 9)
+        assert all(math.gcd(a, b) == 1 for a in dens for b in dens if a != b)
+        rows = tuple((Fraction(1, d), Fraction(i + 2, d), Fraction(d - i - 3, d)) for i, d in enumerate(dens))
+        prior = tuple(Fraction(i + 1, 10) for i in range(4))
+        self._check_joint(prior, rows)
+        channel = Channel(rows)
+        assert all(a is b for a, b in zip(channel.rows, rows))
+        assert channel._int_columns[1] == math.prod(dens)
 
     def test_ragged_and_empty_channels(self):
         for rows in (((0.5, 0.5), (1.0,)), ((1.0,), (_NAN, 1.0)), ((), ())):
@@ -642,3 +731,31 @@ class TestJointFromDoc:
             joint_from_doc({"prior": [0.5, 0.5]})
         with pytest.raises(ParseError):
             joint_from_doc({"prior": [0.5, 0.5], "channel": [[True, False], [0, 1]]})
+
+
+def _ref_coerce(text, what, exact):
+    """``coerce_probability`` of a string as ``Fraction(str)`` reads it."""
+    try:
+        frac = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"{what}: cannot parse {text!r} as a rational") from None
+    value = frac if exact else float(frac)
+    if value < 0:
+        raise ParseError(f"{what}: negative value {value!r}")
+    return value
+
+
+_STRINGS = [
+    "3/8", " 3/8 ", "+3/8", "-3/8", "03/08", "3_0/80", "3/0", "0/5", "\u0663/\u0668",
+    "3.0/8", "1e-1", "3/8/2", "/8", "3/", "", "00/001", "3/00", "\u00b3/8", "3/ 8", "3 /8", "3/-8", "1/2\n",
+]
+
+
+class TestCoerceProbability:
+    """Document strings read as ``Fraction(str)`` reads them: same value, type and message."""
+
+    @pytest.mark.parametrize("exact", (True, False))
+    @pytest.mark.parametrize("text", _STRINGS, ids=repr)
+    def test_strings_read_as_fraction_of_str(self, text, exact):
+        got = _outcome(lambda t: (coerce_probability(t, "p", exact),), text)
+        assert got == _outcome(lambda t: (_ref_coerce(t, "p", exact),), text)
