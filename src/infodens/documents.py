@@ -20,6 +20,13 @@ if TYPE_CHECKING:
     from .mechanisms import GaussianPerturbMechanism, LaplaceMeanMechanism
 
 
+def _to_float(value: Number, what: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError(f"{what}: value beyond the float range") from None
+
+
 def coerce_probability(value, what: str, exact: bool = False) -> Number:
     """Read a probability-like JSON value; rejects NaN and negatives.
 
@@ -34,9 +41,9 @@ def coerce_probability(value, what: str, exact: bool = False) -> Number:
             frac = Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"{what}: cannot parse {value!r} as a rational") from None
-        value = frac if exact else float(frac)
+        value = frac if exact else _to_float(frac, what)
     elif isinstance(value, int):
-        value = Fraction(value) if exact else float(value)
+        value = Fraction(value) if exact else _to_float(value, what)
     elif isinstance(value, float):
         if not math.isfinite(value):
             raise ParseError(f"{what}: non-finite value {value!r}")
@@ -74,7 +81,7 @@ def _doc_level(doc: Mapping, what: str, exact: bool):
         ratio = coerce_probability(doc["eps_ratio"], f"{what}.eps_ratio", exact=True)
         if ratio < 1:
             raise ParseError(f"{what}.eps_ratio must be at least 1")
-        return ExtReal.from_ratio(ratio if exact else float(ratio))
+        return ExtReal.from_ratio(ratio if exact else _to_float(ratio, f"{what}.eps_ratio"))
     if "eps_nats" in doc:
         value = _doc_number(doc["eps_nats"], f"{what}.eps_nats")
         if not value >= 0:

@@ -18,6 +18,10 @@ achieving kernel, the kernel matching a cost adversary and the certificate
 of an infinite level) is one binary kernel, whose level is a ratio of prior
 to posterior expected losses, so each certifies equality exactly on
 rational instances.
+
+An adversary is a pair of losses, on integer and on float-block guess
+masses.  One scan per backend evaluates a single kernel and whole grids
+alike; :func:`_search` is the one loop over the guess alphabets.
 """
 
 from __future__ import annotations
@@ -131,25 +135,37 @@ class SearchConfig:
 # ---------------------------------------------------------------------------
 
 
-def _push(weights: Sequence[Number], rows: Sequence[Sequence[Number]], n_out: int) -> list:
-    out = [Fraction(0)] * n_out
-    for w, row in zip(weights, rows):
-        if w == 0:
-            continue
-        for u in range(n_out):
-            if row[u] != 0:
-                out[u] = out[u] + w * row[u]
-    return out
+def _error_probability(masses, one: int) -> int:
+    """The error of the modal guess; the float zero rule is :func:`_float_scan`'s."""
+    return one - max(masses)
 
 
-def _error_probability(masses: Sequence[Number], one: Number = 1) -> Number:
-    err = one - max(masses)
-    if isinstance(err, float):
-        if err < -1e-9:
-            raise ValueError(f"guess masses exceed one: error {err!r}")
-        if err < _FLOAT_ZERO:
-            return 0.0
-    return err
+def _block_error(masses: np.ndarray) -> np.ndarray:
+    """:func:`_error_probability` of every row of masses."""
+    return 1.0 - masses.max(axis=1)
+
+
+def _min_guesswork(masses: Sequence[Number], one: Number = 1) -> Number:
+    """Smallest expected number of sequential guesses; linear, so ``one`` is unused.
+
+    Guessing in order of decreasing mass is optimal (Massey, "Guessing and
+    entropy", ISIT 1994).
+    """
+    return sum((i + 1) * m for i, m in enumerate(sorted(masses, reverse=True)))
+
+
+def _block_guesswork(masses: np.ndarray) -> np.ndarray:
+    """:func:`_min_guesswork` of every row, summed in the same order; sorts ``masses``."""
+    masses.sort(axis=1)
+    acc = masses[:, -1]
+    for i in range(1, masses.shape[1]):
+        acc = acc + (i + 1) * masses[:, -1 - i]
+    return acc
+
+
+#: An adversary: its loss on one kernel's int masses and on a float block's masses.
+_ERROR = (_error_probability, _block_error)
+_GUESSWORK = (_min_guesswork, _block_guesswork)
 
 
 def _error_ratio(prior_err: Number, post_err: Number) -> ExtReal:
@@ -224,18 +240,67 @@ def _exact_scan(prior_w, post_w, rows: list, groups, loss) -> tuple:
     return value, best_kernel, count
 
 
-def _lambda_from_rows(prior_w, post_w, kernel_rows, n_out: int, loss=_error_probability) -> ExtReal:
-    """One kernel's level: in Python ints when every number is a ``Fraction``."""
+def _block_masses(weights: Sequence, lattice: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Guess masses of every kernel in ``block``, one row per kernel.
+
+    The pushes accumulate secret by secret, left to right, so every kernel's
+    float masses carry the rounding of that explicit loop.
+    """
+    acc = weights[0] * lattice[block[:, 0]]
+    for x in range(1, len(weights)):
+        acc = acc + weights[x] * lattice[block[:, x]]
+    return acc
+
+
+def _float_scan(prior_w, post_w, rows: list, blocks, block_loss) -> tuple:
+    """Best level over ``blocks`` of kernel row indices, one kernel per row, in floats.
+
+    Losses below ``_FLOAT_ZERO`` read as exact zeros, the branches of
+    :func:`_error_ratio` apply, and a loss below ``-1e-9`` raises for the
+    first kernel that has one.  Returns ``(best level, first kernel attaining
+    it, kernels visited)`` like :func:`_exact_scan`.
+    """
+    import numpy as np
+
+    lattice = np.array(rows, dtype=float)
+    p = [float(w) for w in prior_w]
+    q = [float(w) for w in post_w]
+    best = best_kernel = None
+    count = 0
+    for block in map(np.asarray, blocks):
+        count += len(block)
+        raw_p = block_loss(_block_masses(p, lattice, block))
+        raw_q = block_loss(_block_masses(q, lattice, block))
+        err_p = np.where(raw_p < _FLOAT_ZERO, 0.0, raw_p)
+        err_q = np.where(raw_q < _FLOAT_ZERO, 0.0, raw_q)
+        bad = (raw_p < -1e-9) | (raw_q < -1e-9)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raw = raw_p[k] if raw_p[k] < -1e-9 else raw_q[k]
+            raise ValueError(f"guess masses exceed one: error {float(raw)!r}")
+        ratio = np.divide(
+            err_p,
+            err_q,
+            out=np.where(err_p == 0, 1.0, np.inf),
+            where=(err_p != 0) & (err_q != 0),
+        )
+        k = int(np.argmax(ratio))
+        value = _error_ratio(float(err_p[k]), float(err_q[k]))
+        if best is None or value > best:
+            best, best_kernel = value, block[k].tolist()
+    return best, best_kernel, count
+
+
+def _lambda_from_rows(prior_w, post_w, kernel_rows, adversary=_ERROR) -> ExtReal:
+    """One kernel's level: its backend's scan of a grid holding just that kernel."""
     if len(kernel_rows) != len(prior_w):
         raise DimensionMismatch(
             f"kernel has {len(kernel_rows)} rows, prior has {len(prior_w)} outcomes"
         )
     if _all_fractions(prior_w, post_w, *kernel_rows):
         *head, last = range(len(kernel_rows))
-        return _exact_scan(prior_w, post_w, kernel_rows, [(head, (last,))], loss)[0]
-    pu = _push(prior_w, kernel_rows, n_out)
-    pu_y = _push(post_w, kernel_rows, n_out)
-    return _error_ratio(loss(pu), loss(pu_y))
+        return _exact_scan(prior_w, post_w, kernel_rows, [(head, (last,))], adversary[0])[0]
+    return _float_scan(prior_w, post_w, kernel_rows, [[range(len(kernel_rows))]], adversary[1])[0]
 
 
 def randomized_function_leakage(joint: Joint, y: int, kernel: Channel) -> ExtReal:
@@ -245,9 +310,7 @@ def randomized_function_leakage(joint: Joint, y: int, kernel: Channel) -> ExtRea
     guess, both under the best deterministic guess; 0/0 counts as ratio one.
     Never exceeds the pointwise maximal cost of the same outcome.
     """
-    return _lambda_from_rows(
-        joint.prior.weights, joint.posterior(y), kernel.rows, kernel.n_outputs
-    )
+    return _lambda_from_rows(joint.prior.weights, joint.posterior(y), kernel.rows)
 
 
 def _expected_cost(column: int, table, weights) -> Number:
@@ -288,15 +351,6 @@ def cost_function_leakage(joint: Joint, y: int, cost: CostFunction) -> ExtReal:
     return _error_ratio(prior_min, post_min)
 
 
-def _min_guesswork(masses: Sequence[Number], one: Number = 1) -> Number:
-    """Smallest expected number of sequential guesses; linear, so ``one`` is unused.
-
-    Guessing in order of decreasing mass is optimal (Massey, "Guessing and
-    entropy", ISIT 1994).
-    """
-    return sum((i + 1) * m for i, m in enumerate(sorted(masses, reverse=True)))
-
-
 def guesswork_leakage(joint: Joint, y: int, kernel: Channel) -> ExtReal:
     """Leakage to an adversary minimizing expected sequential guesses.
 
@@ -304,9 +358,7 @@ def guesswork_leakage(joint: Joint, y: int, kernel: Channel) -> ExtReal:
     variable induced by ``kernel``; always finite because guesswork is at
     least one.
     """
-    return _lambda_from_rows(
-        joint.prior.weights, joint.posterior(y), kernel.rows, kernel.n_outputs, _min_guesswork
-    )
+    return _lambda_from_rows(joint.prior.weights, joint.posterior(y), kernel.rows, _GUESSWORK)
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +408,12 @@ def _is_exhaustive(n_x: int, u_size: int, cfg: SearchConfig) -> bool:
     return n_x * u_size <= cfg.exhaustive_limit
 
 
+def _grid_size(n_x: int, u_size: int, cfg: SearchConfig) -> tuple:
+    """``(lattice rows, vertex kernels of a sampled grid)``; none beyond ``_VERTEX_CAP``."""
+    n_rows, n_vertices = math.comb(cfg.resolution - 2 + u_size, u_size - 1), u_size**n_x
+    return n_rows, n_vertices if n_vertices <= _VERTEX_CAP else 0
+
+
 def _check_budget(n_x: int, cfg: SearchConfig) -> None:
     """Reject a search whose grid exceeds the cap, before any work.
 
@@ -365,14 +423,13 @@ def _check_budget(n_x: int, cfg: SearchConfig) -> None:
     alphabet size).  The enumerators below rely on this check having passed.
     """
     for u_size in range(2, cfg.max_u + 1):
-        n_rows = math.comb(cfg.resolution - 2 + u_size, u_size - 1)
+        n_rows, n_vertices = _grid_size(n_x, u_size, cfg)
         if _is_exhaustive(n_x, u_size, cfg):
             count, what = n_rows**n_x, "exhaustive grid would visit {} kernels"
         else:
             if n_rows * u_size > _ENUMERATION_CAP:
                 raise BudgetExceeded(f"sampled grid would build {n_rows * u_size} lattice entries")
-            vertices = u_size**n_x if u_size**n_x <= _VERTEX_CAP else 0
-            count, what = vertices + cfg.max_iterations, "sampled grid would visit {} kernels"
+            count, what = n_vertices + cfg.max_iterations, "sampled grid would visit {} kernels"
         if count > _ENUMERATION_CAP:
             raise BudgetExceeded(what.format(count))
 
@@ -381,17 +438,17 @@ def _grid_shape(n_x: int, u_size: int, cfg: SearchConfig) -> tuple:
     """``(number of lattice rows, vertex row indices or None, draws or None)``.
 
     Exhaustive grids have no vertices and no draws.  Sampled grids give the
-    vertex kernels (when there are at most ``_VERTEX_CAP``) and ``max_iterations``
+    vertex kernels (when :func:`_grid_size` counts any) and ``max_iterations``
     seeded draws of ``n_x`` row indices each, flattened kernel by kernel.
     """
-    den = cfg.resolution - 1
-    n_rows = math.comb(den + u_size - 1, u_size - 1)
+    n_rows, n_vertices = _grid_size(n_x, u_size, cfg)
     if _is_exhaustive(n_x, u_size, cfg):
         return n_rows, None, None
     vertices = None
-    if u_size**n_x <= _VERTEX_CAP:
+    if n_vertices:
         # the corner with all mass on guess i is preceded, in lexicographic
         # order, by every composition of den whose first i parts are zero
+        den = cfg.resolution - 1
         vertices = [math.comb(den + u_size - 1 - i, u_size - 1 - i) - 1 for i in range(u_size)]
     rng = random.Random(cfg.seed * 1_000_003 + u_size * 101 + n_x)
     return n_rows, vertices, _randrange_draws(rng, n_rows, cfg.max_iterations * n_x)
@@ -447,88 +504,27 @@ def _iter_kernels(n_x: int, u_size: int, cfg: SearchConfig) -> Iterator[tuple]:
         yield from (tuple(rows[i] for i in (*head, k)) for k in lasts)
 
 
-def _block_masses(weights: Sequence, lattice: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """Guess masses of every kernel in ``block``, one row per kernel.
+def _search(prior_w, post_w, cfg: SearchConfig, adversary, best, best_rows, skip: bool) -> tuple:
+    """``(best level, its rows, (u, kernels visited, exhaustive) per alphabet)`` from ``best``.
 
-    The pushes accumulate secret by secret, in the order of :func:`_push`,
-    so float masses carry the same rounding as the per-kernel definition.
-    """
-    acc = weights[0] * lattice[block[:, 0]]
-    for x in range(1, len(weights)):
-        acc = acc + weights[x] * lattice[block[:, x]]
-    return acc
-
-
-def _block_error(masses: np.ndarray) -> np.ndarray:
-    """:func:`_error_probability` of every row of masses, before its zero guard."""
-    return 1.0 - masses.max(axis=1)
-
-
-def _block_guesswork(masses: np.ndarray) -> np.ndarray:
-    """:func:`_min_guesswork` of every row, summed in the same order; sorts ``masses``."""
-    masses.sort(axis=1)
-    acc = masses[:, -1]
-    for i in range(1, masses.shape[1]):
-        acc = acc + (i + 1) * masses[:, -1 - i]
-    return acc
-
-
-def _float_scan(prior_w, post_w, rows: list, blocks, block_loss) -> tuple:
-    """Best level over ``blocks``, for float weights.
-
-    Applies the branches of :func:`_error_probability` and
-    :func:`_error_ratio` to the ``block_loss`` of each numpy block of
-    kernels, raising for the first kernel that they would reject.  Returns
-    ``(best level, first kernel attaining it, kernels visited)`` like
-    :func:`_exact_scan`.
-    """
-    import numpy as np
-
-    lattice = np.array(rows, dtype=float)
-    p = [float(w) for w in prior_w]
-    q = [float(w) for w in post_w]
-    best = best_kernel = None
-    count = 0
-    for block in blocks:
-        count += len(block)
-        raw_p = block_loss(_block_masses(p, lattice, block))
-        raw_q = block_loss(_block_masses(q, lattice, block))
-        err_p = np.where(raw_p < _FLOAT_ZERO, 0.0, raw_p)
-        err_q = np.where(raw_q < _FLOAT_ZERO, 0.0, raw_q)
-        bad = (raw_p < -1e-9) | (raw_q < -1e-9)
-        if bad.any():
-            k = int(np.argmax(bad))
-            raw = raw_p[k] if raw_p[k] < -1e-9 else raw_q[k]
-            raise ValueError(f"guess masses exceed one: error {float(raw)!r}")
-        ratio = np.divide(
-            err_p,
-            err_q,
-            out=np.where(err_p == 0, 1.0, np.inf),
-            where=(err_p != 0) & (err_q != 0),
-        )
-        k = int(np.argmax(ratio))
-        value = _error_ratio(float(err_p[k]), float(err_q[k]))
-        if best is None or value > best:
-            best, best_kernel = value, block[k].tolist()
-    return best, best_kernel, count
-
-
-def _scan_alphabet(prior_w, post_w, u_size: int, cfg: SearchConfig, loss, block_loss) -> tuple:
-    """``(best level, its kernel rows, kernels visited)`` on guess alphabet ``u_size``.
-
-    Scans in Python ints with ``loss`` when every weight is a ``Fraction``,
-    never importing numpy, and otherwise in numpy blocks with ``block_loss``.
-    Both find the first maximizing kernel of the per-kernel definition.
+    Scans each grid in Python ints when every weight is a ``Fraction``, never
+    importing numpy, and otherwise in numpy blocks; ``skip`` scans none.
     """
     n_x = len(prior_w)
-    rows = _lattice_rows(u_size, cfg.resolution)
     if _all_fractions(prior_w, post_w):
-        kernels = _kernel_indices(n_x, u_size, cfg)
-        value, kernel, count = _exact_scan(prior_w, post_w, rows, kernels, loss)
+        scan, kernels, loss = _exact_scan, _kernel_indices, adversary[0]
     else:
-        blocks = _kernel_blocks(n_x, u_size, cfg)
-        value, kernel, count = _float_scan(prior_w, post_w, rows, blocks, block_loss)
-    return value, tuple(rows[i] for i in kernel), count
+        scan, kernels, loss = _float_scan, _kernel_blocks, adversary[1]
+    visited = []
+    for u_size in range(2, cfg.max_u + 1):
+        count = 0
+        if not skip:
+            rows = _lattice_rows(u_size, cfg.resolution)
+            value, kernel, count = scan(prior_w, post_w, rows, kernels(n_x, u_size, cfg), loss)
+            if value > best:
+                best, best_rows = value, tuple(rows[i] for i in kernel)
+        visited.append((u_size, count, _is_exhaustive(n_x, u_size, cfg)))
+    return best, best_rows, tuple(visited)
 
 
 @dataclass(frozen=True)
@@ -571,30 +567,18 @@ def certify_pmc(joint: Joint, y: int, cfg: SearchConfig) -> OracleCertificate:
     """Run the grid search and report it against the closed form."""
     prior_w = joint.prior.weights
     post_w = joint.posterior(y)
-    n_x = len(prior_w)
-    _check_budget(n_x, cfg)
+    _check_budget(len(prior_w), cfg)
 
-    constant = tuple((Fraction(1),) for _ in range(n_x))
-    best = _lambda_from_rows(prior_w, post_w, constant, 1)
-    best_rows = constant
-
+    # the one-guess kernel: 0/0 reads as ratio one; an infinite indicator ends the search
+    best, best_rows = ZERO, tuple((Fraction(1),) for _ in prior_w)
     indicator = _support_indicator_rows(post_w)
     if indicator is not None:
-        value = _lambda_from_rows(prior_w, post_w, indicator, 2)
+        value = _lambda_from_rows(prior_w, post_w, indicator)
         if value > best:
             best, best_rows = value, indicator
-
-    searched = indicator is None or best.is_finite
-    visited = []
-    for u_size in range(2, cfg.max_u + 1):
-        count = 0
-        if searched:
-            value, rows, count = _scan_alphabet(
-                prior_w, post_w, u_size, cfg, _error_probability, _block_error
-            )
-            if value > best:
-                best, best_rows = value, rows
-        visited.append((u_size, count, _is_exhaustive(n_x, u_size, cfg)))
+    best, best_rows, visited = _search(
+        prior_w, post_w, cfg, _ERROR, best, best_rows, skip=not best.is_finite
+    )
 
     closed = leakage.pmc(joint, y)
     if closed.is_finite and best.is_finite:
@@ -603,9 +587,7 @@ def certify_pmc(joint: Joint, y: int, cfg: SearchConfig) -> OracleCertificate:
         gap = math.inf
     else:
         gap = 0.0
-    return OracleCertificate(
-        closed, best, RandomizedFunction(best_rows), gap, tuple(visited)
-    )
+    return OracleCertificate(closed, best, RandomizedFunction(best_rows), gap, visited)
 
 
 def brute_force_guesswork_leakage(joint: Joint, y: int, cfg: SearchConfig) -> ExtReal:
@@ -618,11 +600,7 @@ def brute_force_guesswork_leakage(joint: Joint, y: int, cfg: SearchConfig) -> Ex
     prior_w = joint.prior.weights
     post_w = joint.posterior(y)
     _check_budget(len(prior_w), cfg)
-    best = ZERO
-    for u_size in range(2, cfg.max_u + 1):
-        value = _scan_alphabet(prior_w, post_w, u_size, cfg, _min_guesswork, _block_guesswork)[0]
-        best = max(best, value)
-    return best
+    return _search(prior_w, post_w, cfg, _GUESSWORK, ZERO, None, skip=False)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,7 @@ def test_criterion_01_achievability_and_grid_dominance():
                     post_w = joint.posterior(y)
                     for u_size in (2, 3):
                         for rows in _iter_kernels(2, u_size, cfg):
-                            value = _lambda_from_rows(prior_w, post_w, rows, u_size)
+                            value = _lambda_from_rows(prior_w, post_w, rows)
                             assert value <= closed  # exact rational dominance
         assert instances >= 200
         assert time.monotonic() - started < 60.0

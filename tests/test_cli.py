@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import typing
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -237,6 +238,10 @@ class TestOracle:
             ("float_2x3", "float_2x3_grid11", ["--y", "0", "--grid", "11"]),
             # the default grid 11: the exhaustive integer scan at 287,496 kernels
             ("rational_3x3", "rational_3x3_grid11", ["--y", "0", "--mode", "rational"]),
+            # a zero channel entry: the support indicator certifies the infinite level
+            ("float_3x3_zero", "float_3x3_zero_y0_grid11", ["--y", "0"]),
+            # alphabet 2 is exhaustive, alphabets 3 and 4 are sampled
+            ("float_4x3", "float_4x3_grid5_u4", ["--y", "0", "--grid", "5", "--max-u", "4"]),
         ],
     )
     def test_output_bytes_match_recorded_fixture(self, doc, recorded, args, unit, tmp_path):
@@ -548,10 +553,28 @@ class TestLazyImports:
                 "assert g.is_exact and 1 < g.ratio <= infodens.pmc(j, 0).ratio",
                 set(),
             ),
+            (
+                # one float kernel runs the float scan on a block of one
+                "j = infodens.Joint.from_prior_channel(\n"
+                "    infodens.Pmf((0.5, 0.5)), infodens.Channel(((0.75, 0.25), (0.25, 0.75))))\n"
+                "k = infodens.RandomizedFunction(((1.0, 0.0), (0.0, 1.0)))\n"
+                "assert infodens.randomized_function_leakage(j, 0, k).nats > 0\n"
+                "assert infodens.guesswork_leakage(j, 0, k).nats > 0",
+                {"numpy"},
+            ),
+            (
+                "from fractions import Fraction as F\n"
+                "j = infodens.Joint.from_prior_channel(infodens.Pmf((F(1, 2), F(1, 2))),\n"
+                "    infodens.Channel(((F(3, 4), F(1, 4)), (F(1, 4), F(3, 4)))))\n"
+                "k = infodens.RandomizedFunction(((F(1), F(0)), (F(0), F(1))))\n"
+                "assert infodens.randomized_function_leakage(j, 0, k).ratio == 2\n"
+                "assert infodens.guesswork_leakage(j, 0, k).ratio == F(6, 5)",
+                set(),
+            ),
         ],
         ids=[
             "quadrature", "laplace-n2", "tail-frequency", "certify-float", "certify-exact",
-            "guesswork-float", "guesswork-exact",
+            "guesswork-float", "guesswork-exact", "single-kernel-float", "single-kernel-exact",
         ],
     )
     def test_lazy_path_runs_from_fresh_interpreter(self, snippet, heavy, tmp_path):
@@ -640,6 +663,29 @@ class TestMalformedDocuments:
     def test_overflow_exits_2_naming_it(self, sub, doc, message, tmp_path):
         argv = [sub, "--output", str(tmp_path / "out")] if sub == "analyze" else [sub]
         assert self._assert_one_error_line(argv, doc, tmp_path) == f"error: {message}\n"
+
+    @pytest.mark.parametrize("sub", ("analyze", "oracle", "mechanism"))
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"prior": ["1e400", 0.5], "channel": [[1, 0], [0, 1]]}, "prior[0]"),
+            ({"prior": [0.5, 0.5], "channel": [[0, "1e400"], [0, 1]]}, "channel[0][1]"),
+            ({"prior": [0.5, 0.5], "channel": [[10**400, 0], [0, 1]]}, "channel[0][0]"),
+            ({"family": "rr", "n": 2, "eps_ratio": "1e400", "prior": [0.5, 0.5]}, "rr.eps_ratio"),
+            ({"family": "extremal", "eps_ratio": "1e400", "prior": [0.5, 0.5]}, "extremal.eps_ratio"),
+        ],
+        ids=["prior-string", "channel-string", "channel-int", "rr-ratio", "extremal-ratio"],
+    )
+    def test_float_mode_number_beyond_float_range(self, sub, doc, field, tmp_path):
+        argv = {"analyze": [sub, "--output", str(tmp_path / "out")], "oracle": [sub, "--y", "0"]}
+        message = self._assert_one_error_line(argv.get(sub, [sub]), doc, tmp_path)
+        assert message == f"error: {field}: value beyond the float range\n"
+
+    def test_rational_mode_reads_numbers_beyond_float_range_exactly(self):
+        assert documents.coerce_probability("1e400", "x", exact=True) == 10**400
+        assert documents.coerce_probability(10**400, "x", exact=True) == 10**400
+        level = documents._doc_level({"eps_ratio": "1e400"}, "rr", exact=True)
+        assert level.ratio == 10**400 and type(level.ratio) is Fraction
 
     @staticmethod
     def _assert_one_error_line(argv, doc, tmp_path) -> str:

@@ -1,5 +1,4 @@
 import collections
-import functools
 import itertools
 import math
 import random
@@ -486,8 +485,8 @@ def _fraction_level(prior, post, rows):
     return ExtReal.from_ratio(err_p / err_q)
 
 
-def _float_guesswork(weights, rows):
-    """One kernel's guesswork in floats, from its definition.
+def _float_masses(weights, rows):
+    """One kernel's guess masses in floats, from their definition.
 
     The sums are explicit loops, left to right: from Python 3.12 on,
     ``sum()`` of floats is compensated and would round differently.
@@ -498,8 +497,23 @@ def _float_guesswork(weights, rows):
         for w, row in zip(weights, rows):
             mass += w * row[u]
         masses.append(mass)
+    return masses
+
+
+def _float_level(prior, post, rows):
+    """Randomized-function level of one kernel in floats, errors below the float zero read as 0."""
+    err_p, err_q = (1 - max(_float_masses(w, rows)) for w in (prior, post))
+    err_p, err_q = (0.0 if e < oracles._FLOAT_ZERO else e for e in (err_p, err_q))
+    if err_q == 0:
+        return ZERO if err_p == 0 else INF
+    # a prior error that rounds to zero stays zero a posteriori: ratio one
+    return ZERO if err_p == 0 else ExtReal.from_ratio(err_p / err_q)
+
+
+def _float_guesswork(weights, rows):
+    """One kernel's guesswork in floats, from its definition, summed like the masses."""
     guesses = 0.0
-    for i, mass in enumerate(sorted(masses, reverse=True)):
+    for i, mass in enumerate(sorted(_float_masses(weights, rows), reverse=True)):
         guesses += (i + 1) * mass
     return guesses
 
@@ -520,17 +534,12 @@ def _reference_kernels(n_x, u_size, cfg):
         yield tuple(rng.choice(rows) for _ in range(n_x))
 
 
-@functools.lru_cache(maxsize=None)
-def _kernel(rows):
-    return RandomizedFunction(rows)
-
-
 def _reference_level(joint, y, rows):
-    """One kernel's level: in ``Fraction`` arithmetic for a rational joint."""
+    """One kernel's level: in ``Fraction`` arithmetic for a rational joint, else in floats."""
     prior, post = joint.prior.weights, joint.posterior(y)
     if all(isinstance(w, Fraction) for w in prior + post):
         return _fraction_level(prior, post, rows)
-    return randomized_function_leakage(joint, y, _kernel(rows))
+    return _float_level(prior, post, rows)
 
 
 def _reference_scan(joint, y, cfg):
@@ -624,6 +633,30 @@ class TestBatchedGridSearch:
             assert type(got.ratio) is type(best.ratio)
         assert min(kinds[k] for k in ("float", "mixed", "zeros", "sampled")) >= 20
 
+    def test_float_single_kernel_levels_match_per_kernel_definition(self):
+        rng = random.Random(2023)
+        kinds = collections.Counter()
+        for kind, joint, y, _ in _differential_cases(300):
+            if kind == "exact":
+                continue
+            prior, post = joint.prior.weights, joint.posterior(y)
+            kernel = random_kernel(rng, joint.n_inputs, rng.randint(1, 4), exact=rng.random() < 0.5)
+            value = randomized_function_leakage(joint, y, kernel)
+            expected = _float_level(prior, post, kernel.rows)
+            guesswork = guesswork_leakage(joint, y, kernel)
+            ratio = _float_guesswork(prior, kernel.rows) / _float_guesswork(post, kernel.rows)
+            kinds[kind] += 1
+            kinds["zeros"] += any(q == 0 for q in post)
+            if kind == "mixed":
+                # a Fraction prior pushed in float rounds differently in the last bits
+                assert value.nats == pytest.approx(expected.nats, rel=1e-12)
+                assert guesswork.ratio == pytest.approx(ratio, rel=1e-12)
+                continue
+            assert value == expected
+            assert type(value.ratio) is type(expected.ratio)
+            assert guesswork.ratio == ratio and type(guesswork.ratio) is float
+        assert min(kinds[k] for k in ("float", "mixed", "zeros")) >= 20
+
     def test_vanishing_prior_error_matches_the_definition(self):
         # a prior mass below the float zero guard clears the prior error of a
         # vertex kernel but not its posterior error
@@ -705,7 +738,7 @@ class TestBatchedGridSearch:
         def fail(*args, **kwargs):
             raise AssertionError("a kernel was evaluated")
 
-        names = ("_lambda_from_rows", "_block_masses", "_push", "_int_masses", "_head_masses", "_randrange_draws")
+        names = ("_lambda_from_rows", "_block_masses", "_int_masses", "_head_masses", "_randrange_draws")
         for name in names:
             monkeypatch.setattr(oracles, name, fail)
         j = random_joint(random.Random(12), 3, 2)
