@@ -6,7 +6,7 @@ standard mechanisms exactly, and certify every closed form against
 brute-force adversary searches.
 """
 
-import importlib
+import importlib as _importlib
 
 from . import errors, leakage
 from .errors import InfodensError
@@ -40,14 +40,15 @@ _LAZY = {
     ),
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}
+_SUBMODULES = ("bounds", "mechanisms", "oracles", "properties", "sampling")
 
 
 def __getattr__(name: str):
-    if name in ("bounds", "mechanisms", "oracles", "properties", "sampling"):
-        return importlib.import_module(f".{name}", __name__)
+    if name in _SUBMODULES:
+        return _importlib.import_module(f".{name}", __name__)
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    value = globals()[name] = getattr(_importlib.import_module(f".{_HOME[name]}", __name__), name)
     return value
 
 
@@ -57,69 +58,8 @@ def __dir__():
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundedLaw",
-    "Channel",
-    "CostFunction",
-    "CurveTable",
-    "ExtReal",
-    "GaussianPerturbMechanism",
-    "Guarantee",
-    "GuaranteeKind",
-    "INF",
-    "InfodensError",
-    "Joint",
-    "LaplaceMeanMechanism",
-    "LeakageProfile",
-    "OracleCertificate",
-    "Pmf",
-    "RandomizedFunction",
-    "SearchConfig",
-    "TranslationResult",
-    "ZERO",
-    "achieving_kernel",
-    "all_guarantee_levels",
-    "as_level",
-    "bounds",
-    "brute_force_guesswork_leakage",
-    "certify_pmc",
-    "conditional_pmc",
-    "cost_from_kernel",
-    "cost_function_leakage",
-    "density_ratio",
-    "derive_implications",
-    "discrete_law",
-    "errors",
-    "expected_pmc",
-    "extremal_mechanism",
-    "extremal_mechanism_pmc",
-    "gaussian_tail_bound",
-    "guarantee_level",
-    "guesswork_leakage",
-    "high_privacy_bound",
-    "info_density",
-    "joint_from_doc",
-    "kernel_from_cost",
-    "ldp_to_context",
-    "ldp_to_pmc",
-    "leakage",
-    "leakage_profile",
-    "max_cost_leakage",
-    "max_divergence",
-    "max_realizable_cost",
-    "mechanisms",
-    "oracles",
-    "parse_mechanism_doc",
-    "pmc",
-    "pmc_to_pml",
-    "pml",
-    "pml_to_pmc",
-    "properties",
-    "randomized_function_leakage",
-    "randomized_response",
-    "randomized_response_pmc",
-    "sampling",
-    "sweep_curves",
-    "uniform_law",
-    "verify_boundedness_equivalence",
-]
+# The eager imports (less the ``probcore`` module), the lazy names and the lazy submodules.
+__all__ = sorted(
+    [name for name in globals() if not name.startswith("_") and name != "probcore"]
+    + [*_HOME, *_SUBMODULES]
+)

@@ -20,7 +20,7 @@ from typing import Tuple
 
 from .errors import InvalidPmin
 from .probcore import INF, ZERO, ExtReal, Joint, Number, as_level, csv_field
-from .leakage import Guarantee, GuaranteeKind, _guarantees, all_guarantee_levels
+from .leakage import Guarantee, GuaranteeKind, _guarantees
 
 
 def _check_pmin(p_min: Number) -> Number:
@@ -129,14 +129,11 @@ class TranslationResult:
 
 #: The guarantees each source kind implies, in output order.
 _IMPLIED = {
-    GuaranteeKind(source): tuple(GuaranteeKind(k) for k in implied.split())
-    for source, implied in (
-        ("pml", "pmc alip lip ldp"),
-        ("pmc", "pml alip lip ldp"),
-        ("ldp", "lip alip pml pmc"),
-        ("lip", "alip pml pmc ldp"),
-        ("alip", "pml pmc ldp"),
-    )
+    "pml": ("pmc", "alip", "lip", "ldp"),
+    "pmc": ("pml", "alip", "lip", "ldp"),
+    "ldp": ("lip", "alip", "pml", "pmc"),
+    "lip": ("alip", "pml", "pmc", "ldp"),
+    "alip": ("pml", "pmc", "ldp"),
 }
 
 
@@ -171,7 +168,7 @@ def derive_implications(g: Guarantee, p_min: Number) -> TranslationResult:
     # an ulp above eps_l although eps_u <= eps_l holds exactly.
     lip = eps_l if g.kind is GuaranteeKind.LDP else max(eps_l, eps_u)
     levels = _guarantees(eps_l, eps_u, lip, eps_l + eps_u)
-    implied = tuple(levels[k] for k in _IMPLIED[g.kind])
+    implied = tuple(levels[k] for k in _IMPLIED[g.kind.value])
     high_privacy = g.kind is not GuaranteeKind.PML or eps_l.is_finite
     return TranslationResult(g, implied, high_privacy, p)
 
@@ -246,12 +243,7 @@ def verify_boundedness_equivalence(joint: Joint) -> bool:
     the channel satisfies LDP with a finite parameter, and a finite cost
     level forces a finite leakage level.  Returns True when both hold.
     """
-    levels = all_guarantee_levels(joint)
-    pmc_finite = levels["pmc"].eps.is_finite
-    ldp_finite = levels["ldp"].eps.is_finite
-    pml_finite = levels["pml"].eps.is_finite
-    if pmc_finite != ldp_finite:
-        return False
-    if pmc_finite and not pml_finite:
-        return False
-    return True
+    rows = joint.profile_rows
+    pmc_finite = all(r.pmc.is_finite for r in rows)
+    pml_finite = all(r.pml.is_finite for r in rows)
+    return pmc_finite == joint.ldp_level.is_finite and (pml_finite or not pmc_finite)

@@ -218,9 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", required=True, help="mechanism JSON document")
+    def common(p):
+        p.add_argument("--input", required=True, help="mechanism JSON document")
         p.add_argument("--mode", choices=("float", "rational"), default="float")
         p.add_argument("--unit", choices=("nats", "bits"), default="nats")
 

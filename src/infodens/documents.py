@@ -22,9 +22,12 @@ if TYPE_CHECKING:
 
 def _to_float(value: Number, what: str) -> float:
     try:
-        return float(value)
+        result = float(value)
     except OverflowError:
         raise ParseError(f"{what}: value beyond the float range") from None
+    if result == 0 and value != 0:
+        raise ParseError(f"{what}: value below the float range")
+    return result
 
 
 def coerce_probability(value, what: str, exact: bool = False) -> Number:
@@ -32,7 +35,10 @@ def coerce_probability(value, what: str, exact: bool = False) -> Number:
 
     In exact mode, ints, decimal strings and "a/b" strings become Fractions;
     floats are converted through their shortest decimal representation so
-    that a document written as 0.3 really means 3/10.
+    that a document written as 0.3 really means 3/10.  In float mode a
+    positive string that rounds to 0.0 is rejected; a JSON float
+    literal such as ``1e-400`` is already 0.0 when ``json`` parses it, so
+    that case cannot be caught here.
     """
     if isinstance(value, bool):
         raise ParseError(f"{what}: booleans are not numbers")

@@ -30,7 +30,6 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import UndefinedOutcome
@@ -45,11 +44,6 @@ from .probcore import (
 # ---------------------------------------------------------------------------
 
 
-def _column(joint: Joint, y: int) -> tuple:
-    _check_outcome(joint, y)
-    return joint.channel.column(y)
-
-
 def pmc(joint: Joint, y: int) -> ExtReal:
     """Pointwise maximal cost of releasing outcome ``y``.
 
@@ -58,8 +52,8 @@ def pmc(joint: Joint, y: int) -> ExtReal:
     when some channel entry in the column is zero (the adversary can then be
     certain some secret value did not occur).
     """
-    col = _column(joint, y)
-    return _pmc_level(joint.marginal[y], min(col))
+    _check_outcome(joint, y)
+    return _pmc_level(joint.marginal[y], joint.column_stats[y][0])
 
 
 def pml(joint: Joint, y: int) -> ExtReal:
@@ -67,8 +61,8 @@ def pml(joint: Joint, y: int) -> ExtReal:
 
     ``log max_x P(x|y) / P(x)``; always finite for a full-support prior.
     """
-    col = _column(joint, y)
-    return _pml_level(joint.marginal[y], max(col))
+    _check_outcome(joint, y)
+    return _pml_level(joint.marginal[y], joint.column_stats[y][1])
 
 
 def conditional_pmc(
@@ -167,16 +161,16 @@ def guarantee_level(joint: Joint, kind: Union[GuaranteeKind, str]) -> Guarantee:
 
 
 def _guarantees(eps_l: ExtReal, eps_u: ExtReal, lip: ExtReal, ldp: ExtReal) -> dict:
-    """Each kind's guarantee under density bounds ``-eps_l <= i <= eps_u``.
+    """Each kind's guarantee under density bounds ``-eps_l <= i <= eps_u``, keyed by kind name.
 
     PMC takes eps_l, PML eps_u and ALIP both; the caller supplies LIP and LDP.
     """
     return {
-        GuaranteeKind.PML: Guarantee(GuaranteeKind.PML, eps=eps_u),
-        GuaranteeKind.PMC: Guarantee(GuaranteeKind.PMC, eps=eps_l),
-        GuaranteeKind.LIP: Guarantee(GuaranteeKind.LIP, eps=lip),
-        GuaranteeKind.ALIP: Guarantee(GuaranteeKind.ALIP, eps_l=eps_l, eps_u=eps_u),
-        GuaranteeKind.LDP: Guarantee(GuaranteeKind.LDP, eps=ldp),
+        "pml": Guarantee(GuaranteeKind.PML, eps=eps_u),
+        "pmc": Guarantee(GuaranteeKind.PMC, eps=eps_l),
+        "lip": Guarantee(GuaranteeKind.LIP, eps=lip),
+        "alip": Guarantee(GuaranteeKind.ALIP, eps_l=eps_l, eps_u=eps_u),
+        "ldp": Guarantee(GuaranteeKind.LDP, eps=ldp),
     }
 
 
@@ -185,8 +179,7 @@ def all_guarantee_levels(joint: Joint) -> dict:
     rows = joint.profile_rows
     eps_l = max(r.pmc for r in rows)
     eps_u = max(r.pml for r in rows)
-    levels = _guarantees(eps_l, eps_u, max(eps_l, eps_u), joint.ldp_level)
-    return {k.value: g for k, g in levels.items()}
+    return _guarantees(eps_l, eps_u, max(eps_l, eps_u), joint.ldp_level)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +195,7 @@ def max_cost_leakage(joint: Joint) -> ExtReal:
     pointwise values are constant over the support (Jensen gap).
     """
     lows = [lo for lo, _ in joint.column_stats]
-    if all(isinstance(lo, Fraction) for lo in lows):
+    if joint.channel.is_exact:
         total = _sum_entries(lows)  # the canonical Fraction of a running sum, faster
     else:
         # A plain left-to-right sum: Python 3.12's sum() compensates float rounding.

@@ -63,24 +63,26 @@ def csv_field(nats: float, unit: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-@functools.total_ordering
+@dataclass(frozen=True, order=True, slots=True, repr=False)
 class ExtReal:
     """A level in nats, finite or +infinity, keyed by its exponential.
 
     ``ExtReal.from_ratio(Fraction(3, 2))`` is the exact level ``log 1.5``;
     ``ExtReal.from_nats(0.3)`` is a float-backed level.  Addition of levels
-    multiplies ratios, so sums of exact levels stay exact.  Comparisons and
-    equality go through the stored ratio and are therefore exact whenever
-    both operands are rational-backed.
+    multiplies ratios, so sums of exact levels stay exact.  A frozen, ordered
+    dataclass: comparisons and equality go through the stored ratio and are
+    therefore exact whenever both operands are rational-backed.
     """
 
-    __slots__ = ("ratio",)
+    ratio: Number
 
-    def __init__(self, ratio: Number):
+    def __post_init__(self):
+        ratio = self.ratio
         if isinstance(ratio, bool):
             raise TypeError("ratio must be a number, not bool")
         if isinstance(ratio, int):
             ratio = Fraction(ratio)
+            object.__setattr__(self, "ratio", ratio)
         if isinstance(ratio, float):
             if math.isnan(ratio):
                 raise ValueError("ratio must not be NaN")
@@ -91,10 +93,6 @@ class ExtReal:
                 raise ValueError(f"ratio must be positive, got {ratio!r}")
         else:
             raise TypeError(f"unsupported ratio type: {type(ratio).__name__}")
-        object.__setattr__(self, "ratio", ratio)
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("ExtReal is immutable")
 
     # -- constructors -------------------------------------------------------
 
@@ -127,7 +125,7 @@ class ExtReal:
         """The level as a float in nats (+inf for the infinite level)."""
         r = self.ratio
         if isinstance(r, float):
-            return math.inf if r == math.inf else math.log(r)
+            return math.log(r)
         # math.log accepts arbitrarily large ints, so split the fraction.
         return math.log(r.numerator) - math.log(r.denominator)
 
@@ -151,16 +149,6 @@ class ExtReal:
         if self.ratio == math.inf or other.ratio == math.inf:
             return ExtReal(math.inf)
         return ExtReal(self.ratio * other.ratio)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExtReal):
-            return NotImplemented
-        return self.ratio == other.ratio
-
-    def __lt__(self, other) -> bool:
-        if not isinstance(other, ExtReal):
-            return NotImplemented
-        return self.ratio < other.ratio
 
     def __hash__(self) -> int:
         return hash(self.ratio)
@@ -261,6 +249,14 @@ def _fast_sum(entries: tuple):
     return None
 
 
+def _sum_text(total: Number) -> str:
+    """``repr(total)``; past 40 characters ``%.6g``, or ``~1e+400`` from 1e±308 on (the float range)."""
+    if len(repr(total)) <= 40:
+        return repr(total)
+    exponent = math.log10(total.numerator) - math.log10(total.denominator)
+    return f"{float(total):.6g}" if abs(exponent) < 308 else f"~1e{round(exponent):+d}"
+
+
 def _normalize_row(row: tuple, what: str) -> tuple:
     """``(entries, ints)``: a row checked to sum to 1 within tolerance; ``ints`` as in :func:`_sum_ints`."""
     fast = _fast_sum(row)
@@ -278,9 +274,9 @@ def _normalize_row(row: tuple, what: str) -> tuple:
         except OverflowError:
             raise StochasticityError(f"{what}: row sums beyond the float range") from None
     if total <= 0:
-        raise StochasticityError(f"{what}: row sums to {total!r}")
+        raise StochasticityError(f"{what}: row sums to {_sum_text(total)}")
     if abs(total - 1) > ROW_SUM_TOL:
-        raise StochasticityError(f"{what}: row sums to {total!r}, expected 1")
+        raise StochasticityError(f"{what}: row sums to {_sum_text(total)}, expected 1")
     if total != 1:
         entries = tuple(e / total for e in entries)
         ints = ints and _sum_ints(entries)[1]
@@ -403,9 +399,6 @@ class Channel:
     def n_outputs(self) -> int:
         return len(self.rows[0])
 
-    def column(self, y: int) -> tuple:
-        return tuple(r[y] for r in self.rows)
-
     @property
     def is_exact(self) -> bool:
         return self._int_columns is not None
@@ -457,8 +450,7 @@ class OutcomeLeakage:
 
     @property
     def info_density_min(self) -> float:
-        v = self.pmc.nats
-        return -v if v != math.inf else -math.inf
+        return -self.pmc.nats
 
     @property
     def info_density_max(self) -> float:
@@ -593,11 +585,7 @@ def info_density(joint: Joint, x: int, y: int) -> float:
     Positive values mean observing ``y`` makes ``x`` more likely.
     """
     r = density_ratio(joint, x, y)
-    if r == 0:
-        return -math.inf
-    if isinstance(r, Fraction):
-        return math.log(r.numerator) - math.log(r.denominator)
-    return math.log(r)
+    return ExtReal(r).nats if r > 0 else -math.inf
 
 
 def max_divergence(p: Iterable[Number], q: Iterable[Number]) -> ExtReal:

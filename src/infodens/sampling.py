@@ -20,9 +20,13 @@ if TYPE_CHECKING:
     from .oracles import CostFunction, RandomizedFunction
 
 
-def random_pmf(rng: random.Random, size: int, exact: bool = False, max_den: int = 24) -> Pmf:
+#: The largest integer weight an exact generator draws before normalizing.
+_MAX_WEIGHT = 24
+
+
+def random_pmf(rng: random.Random, size: int, exact: bool = False) -> Pmf:
     if exact:
-        return Pmf(tuple(Fraction(rng.randint(1, max_den)) for _ in range(size)))
+        return Pmf(tuple(Fraction(rng.randint(1, _MAX_WEIGHT)) for _ in range(size)))
     return Pmf(tuple(rng.uniform(0.1, 1.0) for _ in range(size)))
 
 
@@ -32,7 +36,6 @@ def random_channel(
     n_out: int,
     exact: bool = False,
     zero_prob: float = 0.0,
-    max_den: int = 24,
 ) -> Channel:
     """A random row-stochastic channel; ``zero_prob`` knocks out single entries.
 
@@ -42,7 +45,7 @@ def random_channel(
     for _ in range(n_in):
         while True:
             if exact:
-                row = [Fraction(rng.randint(1, max_den)) for _ in range(n_out)]
+                row = [Fraction(rng.randint(1, _MAX_WEIGHT)) for _ in range(n_out)]
             else:
                 row = [rng.uniform(0.05, 1.0) for _ in range(n_out)]
             if zero_prob:

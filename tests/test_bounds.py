@@ -12,6 +12,7 @@ from infodens import (
     Joint,
     Pmf,
     ZERO,
+    all_guarantee_levels,
     as_level,
     derive_implications,
     guarantee_level,
@@ -366,3 +367,20 @@ class TestBoundednessEquivalence:
                 rng, rng.randint(2, 5), rng.randint(2, 5), zero_prob=0.3
             )
             assert verify_boundedness_equivalence(j)
+
+    def test_matches_the_five_guarantee_definition(self):
+        """The check reads the same three finiteness bits as the full guarantee table."""
+
+        def reference(j):
+            levels = all_guarantee_levels(j)
+            pmc_finite = levels["pmc"].eps.is_finite
+            if pmc_finite != levels["ldp"].eps.is_finite:
+                return False
+            return not (pmc_finite and not levels["pml"].eps.is_finite)
+
+        rng = random.Random(707)
+        for exact in (False, True):
+            for _ in range(150):
+                j = random_joint(rng, rng.randint(1, 6), rng.randint(1, 6), exact=exact,
+                                 zero_prob=rng.choice((0.0, 0.3, 0.6)))
+                assert verify_boundedness_equivalence(j) == reference(j)

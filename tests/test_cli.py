@@ -681,6 +681,37 @@ class TestMalformedDocuments:
         message = self._assert_one_error_line(argv.get(sub, [sub]), doc, tmp_path)
         assert message == f"error: {field}: value beyond the float range\n"
 
+    @pytest.mark.parametrize("sub", ("analyze", "oracle", "mechanism"))
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"prior": ["1e-400", 0.5], "channel": [[1, 0], [0, 1]]}, "prior[0]"),
+            ({"prior": [0.5, 0.5], "channel": [["1e-400", 1], [0.5, 0.5]]}, "channel[0][0]"),
+        ],
+        ids=["prior-string", "channel-string"],
+    )
+    def test_float_mode_number_below_float_range(self, sub, doc, field, tmp_path):
+        argv = {"analyze": [sub, "--output", str(tmp_path / "out")], "oracle": [sub, "--y", "0"]}
+        message = self._assert_one_error_line(argv.get(sub, [sub]), doc, tmp_path)
+        assert message == f"error: {field}: value below the float range\n"
+
+    def test_rational_mode_reads_numbers_below_float_range_exactly(self, tmp_path, capsys):
+        assert documents.coerce_probability("1e-400", "x", exact=True) == Fraction(1, 10**400)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"prior": [0.5, 0.5], "channel": [["1e-400", 1], [0.5, 0.5]]}))
+        argv = ["oracle", "--input", str(path), "--y", "0", "--grid", "3", "--mode", "rational"]
+        assert main(argv) == 0
+        closed_form = json.loads(capsys.readouterr().out)["closed_form"]
+        # the marginal 1/4 over the column's smallest entry 1e-400
+        assert closed_form == pytest.approx(math.log(2.5) + 399 * math.log(10))
+
+    def test_long_row_sum_is_shown_short(self, tmp_path):
+        doc = {"prior": [0.5, 0.5], "channel": [["1e400", 0], [0, 1]]}
+        argv = ["analyze", "--mode", "rational", "--output", str(tmp_path / "out")]
+        message = self._assert_one_error_line(argv, doc, tmp_path)
+        assert message == "error: channel row 0: row sums to ~1e+400, expected 1\n"
+        assert len(message) < 120
+
     def test_rational_mode_reads_numbers_beyond_float_range_exactly(self):
         assert documents.coerce_probability("1e400", "x", exact=True) == 10**400
         assert documents.coerce_probability(10**400, "x", exact=True) == 10**400

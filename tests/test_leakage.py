@@ -419,6 +419,22 @@ class TestColumnReductionMatchesDefinitions:
             assert {k[i] for k in kinds} == {True, False}
 
 
+class TestPointwiseMatchesProfile:
+    def test_pmc_and_pml_are_the_profile_rows(self):
+        """Float, exact and mixed joints, with zero entries and all-zero columns."""
+        rng = random.Random("pointwise:profile")
+        kinds = set()
+        for _ in range(400):
+            j = _random_case(rng)
+            rows = {r.y: r for r in j.profile_rows}
+            assert list(rows) == list(j.support)
+            for y, r in rows.items():
+                _assert_same_level(pmc(j, y), r.pmc)
+                _assert_same_level(pml(j, y), r.pml)
+            kinds.add((j.channel.is_exact, j.prior.is_exact, len(j.support) < j.n_outputs))
+        assert kinds == set(itertools.product((True, False), repeat=3))
+
+
 class TestColumnReductionOncePerJoint:
     def test_one_reduction_across_a_full_analysis(self, monkeypatch):
         reduce = Joint.column_stats.func

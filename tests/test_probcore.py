@@ -30,7 +30,7 @@ from infodens.errors import (
 from infodens import probcore
 from infodens.documents import coerce_probability
 from infodens.probcore import _int_masses, _sum_entries
-from infodens.sampling import random_joint
+from infodens.sampling import random_channel, random_joint, random_pmf
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +81,36 @@ class TestExtReal:
             as_level(-0.1)
         with pytest.raises(TypeError):
             as_level(Fraction(1, 2))
+
+
+class TestExtRealDataclass:
+    def test_equal_levels_on_both_backends_compare_and_hash_alike(self):
+        exact, floating = ExtReal(Fraction(3, 2)), ExtReal(1.5)
+        assert exact == floating and not exact < floating and exact <= floating
+        assert hash(exact) == hash(floating) == hash(Fraction(3, 2))
+        assert len({exact, floating}) == 1
+
+    def test_ratio_is_read_only(self):
+        level = ExtReal(Fraction(3, 2))
+        with pytest.raises(AttributeError):
+            level.ratio = Fraction(2)
+        assert level.ratio == Fraction(3, 2)
+
+    @pytest.mark.parametrize("other", (1.5, Fraction(3, 2), None, "1.5"))
+    def test_ordering_against_other_types_raises(self, other):
+        with pytest.raises(TypeError):
+            ExtReal(Fraction(3, 2)) < other
+        assert ExtReal(Fraction(3, 2)) != other
+
+    def test_max_and_sorted_over_mixed_backends(self):
+        levels = [INF, ExtReal(2.5), ExtReal(Fraction(3, 2)), ZERO, ExtReal(1.25), ExtReal(Fraction(2))]
+        assert max(levels) is INF
+        assert max(levels[1:]) == ExtReal(Fraction(5, 2))
+        assert [v.ratio for v in sorted(levels)] == [1, 1.25, Fraction(3, 2), 2, 2.5, math.inf]
+        assert min(levels) is ZERO
+
+    def test_int_ratio_becomes_fraction(self):
+        assert type(ExtReal(2).ratio) is Fraction and ExtReal(2) == ExtReal(Fraction(2))
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +552,20 @@ class TestOnePassIngestion:
         with pytest.raises(ParseError, match=r"^pmf weights sum beyond the float range$"):
             Pmf(row)
 
+    @pytest.mark.parametrize(
+        "entry, shown",
+        [
+            (Fraction(10**50 + 1, 10**49), "10"),
+            (Fraction(10**400), "~1e+400"),
+            (Fraction(1, 10**400), "~1e-400"),
+            (Fraction(3, 7), "Fraction(3, 7)"),
+        ],
+    )
+    def test_long_row_sums_are_shown_short(self, entry, shown):
+        with pytest.raises(StochasticityError) as err:
+            Channel(((entry,),))
+        assert str(err.value) == f"channel row 0: row sums to {shown}, expected 1"
+
     def test_composition_matches_per_entry_products(self):
         rng = random.Random("ingest:then")
         for exact in (False, True):
@@ -613,6 +657,18 @@ class TestInfoDensity:
     def test_posterior_rejects_non_index_outcomes(self, binary_symmetric_joint, y):
         with pytest.raises(UndefinedOutcome):
             binary_symmetric_joint.posterior(y)
+
+    @pytest.mark.parametrize("exact, prior_exact", [(False, False), (True, True), (True, False), (False, True)])
+    def test_equals_level_of_density_ratio(self, exact, prior_exact):
+        rng = random.Random(f"density:{exact}:{prior_exact}")
+        for _ in range(40):
+            n_x = rng.randint(1, 5)
+            channel = random_channel(rng, n_x, rng.randint(1, 5), exact=exact, zero_prob=0.3)
+            j = Joint.from_prior_channel(random_pmf(rng, n_x, exact=prior_exact), channel)
+            for y in j.support:
+                for x in range(j.n_inputs):
+                    r = density_ratio(j, x, y)
+                    assert info_density(j, x, y) == (ExtReal(r).nats if r > 0 else -math.inf)
 
     def test_equals_posterior_prior_log_ratio(self, binary_symmetric_joint):
         j = binary_symmetric_joint
