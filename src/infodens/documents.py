@@ -145,10 +145,12 @@ def parse_mechanism_doc(
         if not isinstance(n, int) or isinstance(n, bool):
             raise ParseError("rr document needs an integer alphabet size 'n'")
         level = _doc_level(doc, "rr", exact)
-        channel = mechanisms.randomized_response(n, level)
         if "prior" not in doc:
             raise ParseError("rr document needs a 'prior' to analyze leakage")
-        return Joint.from_prior_channel(_doc_prior(doc["prior"], exact), channel)
+        prior = _doc_prior(doc["prior"], exact)
+        if len(prior) != n:
+            raise ParseError(f"rr prior has {len(prior)} outcomes, expected n = {n}")
+        return Joint.from_prior_channel(prior, mechanisms.randomized_response(n, level))
     if family == "extremal":
         if "prior" not in doc:
             raise ParseError("extremal document needs a 'prior'")

@@ -399,11 +399,16 @@ class GaussianPerturbMechanism:
         """Envelope for the pointwise cost of releasing ``y``.
 
         ``A|y|/sigma^2 <= cost <= A(A + 4|y|)/(2 sigma^2)``; the level
-        :meth:`pmc_at` always lies between them.
+        :meth:`pmc_at` always lies between them.  Where ``A|y|`` or
+        ``A(A + 4|y|)`` overflows, that bound is formed from ``A/sigma`` and
+        ``|y|/sigma`` instead.
         """
-        a = self.amplitude
-        s2 = self.sigma**2
-        return (a * abs(y) / s2, a * (a + 4.0 * abs(y)) / (2.0 * s2))
+        a, t, s = self.amplitude, abs(y), self.sigma
+        r, u = a / s, t / s
+        lower, upper = a * t, a * (a + 4.0 * t)
+        lower = lower / s**2 if math.isfinite(lower) else r * u
+        upper = upper / (2.0 * s**2) if math.isfinite(upper) else r * (r / 2.0 + 2.0 * u)
+        return lower, upper
 
     def _noise_pdf(self, u: float) -> float:
         s = self.sigma

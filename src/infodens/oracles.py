@@ -366,19 +366,19 @@ def guesswork_leakage(joint: Joint, y: int, kernel: Channel) -> ExtReal:
 # ---------------------------------------------------------------------------
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple]:
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
-
-
 def _lattice_rows(n_cols: int, resolution: int) -> list:
+    """Every row of ``n_cols`` multiples of ``1 / (resolution - 1)`` summing to 1.
+
+    Stars and bars: each row is a placement of ``n_cols - 1`` bars among
+    ``den + n_cols - 1`` slots, whose gaps are the row's numerators, and
+    :func:`itertools.combinations` gives the rows in lexicographic order.
+    """
     den = resolution - 1
+    steps = [Fraction(c, den) for c in range(den + 1)]
+    slots = den + n_cols - 1
     return [
-        tuple(Fraction(c, den) for c in comp) for comp in _compositions(den, n_cols)
+        tuple(steps[b - a - 1] for a, b in zip((-1, *bars), (*bars, slots)))
+        for bars in itertools.combinations(range(slots), n_cols - 1)
     ]
 
 
@@ -480,22 +480,22 @@ def _kernel_indices(n_x: int, u_size: int, cfg: SearchConfig) -> Iterator[tuple]
 def _kernel_blocks(n_x: int, u_size: int, cfg: SearchConfig) -> Iterator[np.ndarray]:
     """The kernels of :func:`_kernel_indices` as ``(K, n_x)`` numpy blocks.
 
-    Exhaustive grids come in blocks of at most ``_BLOCK`` kernels, computed
-    from the flat kernel number; for the float scan.
+    Exhaustive grids and the vertex product come in blocks of at most
+    ``_BLOCK`` kernels: the digits of each flat kernel number in base
+    ``len(lasts)``, read through ``lasts``.  For the float scan.
     """
     import numpy as np
 
     n_rows, vertices, draws = _grid_shape(n_x, u_size, cfg)
-    if draws is None:
-        total = n_rows**n_x
-        place = n_rows ** np.arange(n_x - 1, -1, -1)
+    lasts = range(n_rows) if draws is None else vertices
+    if lasts is not None:
+        values, n = np.asarray(lasts), len(lasts)
+        place, total = n ** np.arange(n_x - 1, -1, -1), n**n_x
         for start in range(0, total, _BLOCK):
             flat = np.arange(start, min(start + _BLOCK, total))
-            yield flat[:, None] // place % n_rows
-        return
-    if vertices is not None:
-        yield np.array(vertices)[np.indices((u_size,) * n_x).reshape(n_x, -1).T]
-    yield np.array(draws).reshape(cfg.max_iterations, n_x)
+            yield values[flat[:, None] // place % n]
+    if draws is not None:
+        yield np.array(draws).reshape(cfg.max_iterations, n_x)
 
 
 def _iter_kernels(n_x: int, u_size: int, cfg: SearchConfig) -> Iterator[tuple]:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import infodens
-from infodens import documents, oracles, sampling
+from infodens import documents, mechanisms, oracles, properties, sampling
 from infodens.cli import main
 
 
@@ -229,6 +229,21 @@ class TestOracle:
         assert payload["oracle_value"] == "inf"
         assert payload["gap"] == 0.0
 
+    def test_certificate_above_closed_form_exits_1(self, rr_doc, tmp_path, monkeypatch, capsys):
+        above = oracles.OracleCertificate(
+            infodens.ExtReal.from_nats(0.5),
+            infodens.ExtReal.from_nats(1.0),
+            oracles.RandomizedFunction(((1.0, 0.0), (0.0, 1.0))),
+            -0.5,
+        )
+        monkeypatch.setattr(oracles, "certify_pmc", lambda joint, y, cfg: above)
+        out = tmp_path / "cert.json"
+        assert main(["oracle", "--input", str(rr_doc), "--y", "0", "--output", str(out)]) == 1
+        payload = json.loads(out.read_text())
+        assert payload["dominance_ok"] is False
+        assert payload["gap"] == -0.5
+        captured = capsys.readouterr()
+        assert captured.err == "oracle value exceeds the closed form\n"
 
     @pytest.mark.parametrize("unit", ("nats", "bits"))
     @pytest.mark.parametrize(
@@ -287,6 +302,16 @@ class TestMechanismDump:
         payload = json.loads(capsys.readouterr().out)
         assert payload["pmc_bounds"]["1.0"] == [1.0, 2.5]
 
+    def test_gaussian_dump_beyond_the_bound_products(self, tmp_path, capsys):
+        doc = tmp_path / "g.json"
+        doc.write_text(json.dumps({"family": "gaussian", "amplitude": 1e200, "sigma": 1e100}))
+        assert main(["mechanism", "--input", str(doc)]) == 0
+        out = capsys.readouterr().out
+        assert "inf" not in out
+        bounds = json.loads(out)["pmc_bounds"]
+        assert bounds["0.0"] == [0.0, pytest.approx(5e199, rel=1e-12)]
+        assert bounds["2.0"] == [2.0, pytest.approx(5e199, rel=1e-12)]
+
 
 class TestProps:
     def test_small_run_passes(self, capsys):
@@ -294,6 +319,15 @@ class TestProps:
         out = capsys.readouterr().out
         assert out.count("PASS") == 7
         assert "FAIL" not in out
+
+    def test_failing_check_exits_1(self, monkeypatch, capsys):
+        def broken(rng):
+            return 1.0
+
+        monkeypatch.setattr(properties, "_CHECKS", (properties._check(broken),))
+        assert main(["props", "--instances", "3"]) == 1
+        out = capsys.readouterr().out
+        assert out == "broken  instances=3  failures=3  worst=1.000e+00  FAIL\n"
 
     @pytest.mark.parametrize(
         "flags",
@@ -717,6 +751,25 @@ class TestMalformedDocuments:
         assert documents.coerce_probability(10**400, "x", exact=True) == 10**400
         level = documents._doc_level({"eps_ratio": "1e400"}, "rr", exact=True)
         assert level.ratio == 10**400 and type(level.ratio) is Fraction
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"family": "rr", "n": 3, "eps_nats": 1}, "rr document needs a 'prior' to analyze leakage"),
+            ({"family": "rr", "n": 3, "eps_nats": 1, "prior": [0.5, 0.5]}, "rr prior has 2 outcomes, expected n = 3"),
+        ],
+        ids=["missing", "wrong-length"],
+    )
+    def test_rr_prior_checked_before_the_channel(self, doc, message, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(mechanisms, "randomized_response", lambda *args: calls.append(args))
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(["mechanism", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert calls == []
 
     @staticmethod
     def _assert_one_error_line(argv, doc, tmp_path) -> str:

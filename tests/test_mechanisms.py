@@ -408,6 +408,17 @@ class TestGaussianPerturb:
         assert lo2 == pytest.approx(lo1 / 4, abs=1e-15)
         assert hi2 == pytest.approx(hi1 / 4, abs=1e-15)
 
+    def test_bounds_stay_finite_where_the_products_overflow(self):
+        a, sigma = 1e200, 1e100
+        g = GaussianPerturbMechanism(a, sigma)
+        r = a / sigma
+        for y in (0.0, 1.0, -2.0, 3e100, -1e250):
+            lo, hi = g.pmc_bounds(y)
+            u = abs(y) / sigma
+            assert math.isfinite(lo) and math.isfinite(hi)
+            assert lo == pytest.approx(r * u, rel=1e-12, abs=0)
+            assert hi == pytest.approx(r * r / 2 + 2 * r * u, rel=1e-12, abs=0)
+
     def test_quadrature_inside_bounds(self):
         g = GaussianPerturbMechanism(1.0, 1.0)
         for y in (0.0, 0.5, -0.5, 1.0, -1.0, 3.0, -3.0):

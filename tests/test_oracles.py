@@ -276,6 +276,16 @@ class TestBruteForce:
         assert payload["gap"] == 0.0
         assert payload["oracle_value"] == pytest.approx(math.log(2))
 
+    def test_infinite_oracle_value_over_a_finite_closed_form_fails_dominance(self):
+        # the gap certify_pmc records when exactly one side is infinite
+        witness = RandomizedFunction(((HALF, HALF), (HALF, HALF)))
+        cert = oracles.OracleCertificate(ExtReal.from_ratio(Fraction(2)), INF, witness, math.inf)
+        assert cert.dominance_ok is False
+        payload = cert.to_dict()
+        assert payload["gap"] == "inf"
+        assert payload["oracle_value"] == "inf"
+        assert payload["dominance_ok"] is False
+
     def test_sampled_regime_still_dominated(self):
         rng = random.Random(11)
         j = random_joint(rng, 4, 3)
