@@ -340,9 +340,10 @@ class LaplaceMeanMechanism:
         from scipy.interpolate import BSpline
 
         a = (law.hi - law.lo) / self.n
+        splines = {k: BSpline.basis_element(range(k + 1)) for k in (self.n - 1, self.n)}
 
         def density(z: float, k: int) -> float:  # of z - a S + noise at 0, S summing k points
-            spline = BSpline.basis_element(range(k + 1))
+            spline = splines[k]
             breaks = sorted({*range(1, k), *([z / a] if 0 < z / a < k else [])})  # knots, kink
             return _checked_quad(
                 lambda s: float(spline(s)) * self._noise_pdf(z - a * s), 0.0, k, breaks
@@ -480,41 +481,70 @@ class GaussianPerturbMechanism:
     def tail_frequency(
         self, beta: float, n_samples: int = 1_000_000, seed: int = 0
     ) -> Tuple[float, float]:
-        """Seeded empirical frequency of the tail event, with its standard error.
+        """Probability of the tail event, exactly, with its standard error 0.0.
 
         The event is ``cost(Y) >= beta + A^2/(2 sigma^2)`` under the real
-        mechanism; the frequency never exceeds :meth:`tail_bound` beyond
-        sampling noise.  Needs a uniform input law, whose cost rises with
-        |y|: the event is ``|Y| >= r`` for one root r, found by bisection.
+        mechanism; its probability never exceeds :meth:`tail_bound`.  Needs a
+        uniform input law, whose cost rises with |y|: the event is ``|Y| >= r``
+        for one root r, found by bisection, and its mass has a closed form.
+        ``seed`` and ``n_samples`` are accepted and not read, since nothing
+        is sampled.
         """
         if self.law.family != "uniform":
-            raise ValueError("tail sampling implemented for uniform input laws")
+            raise ValueError(f"the tail mass needs a uniform input law, got {self.law.family!r}")
         if math.isnan(beta):
             raise ValueError("beta must not be NaN")
         if not isinstance(n_samples, int) or isinstance(n_samples, bool) or n_samples < 1:
             raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
-        import numpy as np
-
-        rng = np.random.default_rng(seed)
-        ys = rng.uniform(self.law.lo, self.law.hi, n_samples)
-        ys += rng.normal(0.0, self.sigma, n_samples)
         threshold = beta + self.amplitude**2 / (2.0 * self.sigma**2)
         # The cost is even in y and strictly increasing in |y|: for y > 0,
         # d/dy log f_Y(y) = -E[(y - X)/sigma^2 | Y = y] > -(y + A)/sigma^2, as
         # X > -A, and the floor term -log f_N(y + A) adds (y + A)/sigma^2.  The
         # envelope cost >= a|y|/sigma^2, a = hi of the law (at most A), brackets the
         # smallest float root r in [0, threshold sigma^2/a], capped where y/sigma overflows.
-        root = math.inf if threshold == math.inf else 0.0
-        if self._pmc_uniform(0.0) < threshold < math.inf:
-            below, root = 0.0, min(threshold * self.sigma**2 / self.law.hi, sys.float_info.max * self.sigma)
-            while below < (mid := below + (root - below) / 2.0) < root:
-                if self._pmc_uniform(mid) >= threshold:
-                    root = mid
-                else:
-                    below = mid
-        freq = int(np.count_nonzero(np.abs(ys, out=ys) >= root)) / n_samples
-        stderr = math.sqrt(freq * (1.0 - freq) / n_samples)
-        return freq, stderr
+        if threshold == math.inf:
+            return 0.0, 0.0
+        if not self._pmc_uniform(0.0) < threshold:
+            return 1.0, 0.0
+        below, root = 0.0, min(threshold * self.sigma**2 / self.law.hi, sys.float_info.max * self.sigma)
+        while below < (mid := below + (root - below) / 2.0) < root:
+            if self._pmc_uniform(mid) >= threshold:
+                root = mid
+            else:
+                below = mid
+        if root == math.inf:  # threshold sigma^2/a overflows: r/sigma is beyond 1e154
+            return 0.0, 0.0
+        lo, hi, s = self.law.lo, self.law.hi, self.sigma
+        return _window_tail_mass((root - hi) / s, (hi - lo) / s), 0.0
+
+
+def _window_tail_mass(a: float, w: float) -> float:
+    """``P(|Y| >= r)`` for ``Y = X + N(0, sigma^2)``, X uniform on [-h, h]: twice the
+    mean of the normal upper tail over [a, a + w], ``a = (r - h)/sigma``, ``w = 2h/sigma``.
+
+    That is ``(2/w) [G(a) - G(a + w)]``, ``G(z) = phi(z) - z Phi-bar(z)``, whose
+    derivative is ``-Phi-bar(z)``; r >= 0 gives a >= -w/2.  An underflowing mass is 0.0.
+    """
+    from scipy import special
+
+    # The tail's hazard rate at z is below max(z, 0) + 1, so over a window under this
+    # bound the integrand falls by less than e^(1.5 + w^2/2), and 8 Gauss-Legendre
+    # nodes hold its mean to rounding; the G difference would cancel there.
+    if w * (max(a, 0.0) + 1.0) <= 1.5:
+        nodes, weights = _legendre_rule()
+        return float(special.ndtr(-(a + (nodes + 1.0) * (w / 2.0))) @ weights)
+
+    def scaled_g(z: float) -> float:  # G(z)/phi(z) = 1 - z Phi-bar(z)/phi(z), for z > 0
+        return 1.0 - z * (math.sqrt(math.pi / 2.0) * float(special.erfcx(z / math.sqrt(2.0))))
+
+    b, unit = a + w, 2.0 / (w * math.sqrt(2.0 * math.pi))
+    if a <= 0.0:
+        # both terms of G(a) are non-negative, and G(b) <= G(-a) = G(a) - |a|
+        g_a = math.exp(-a * a / 2.0) / math.sqrt(2.0 * math.pi) - a * float(special.ndtr(-a))
+        return 2.0 / w * g_a - unit * math.exp(-b * b / 2.0) * scaled_g(b)
+    # phi(a) factored out of both terms, phi(b)/phi(a) = e^(-w (a + w/2)): the scaled
+    # G keeps the digits that phi(z) - z Phi-bar(z) cancels for large z
+    return unit * math.exp(-a * a / 2.0) * (scaled_g(a) - math.exp(-w * (a + w / 2.0)) * scaled_g(b))
 
 
 def gaussian_tail_bound(r: float, beta: float) -> float:

@@ -410,9 +410,10 @@ class Channel:
                 f"cannot chain {self.n_outputs} outputs into {other.n_inputs} inputs"
             )
         cols = tuple(zip(*other.rows))
-        return Channel(
-            tuple(tuple(_sum_entries(list(map(operator.mul, r, c))) for c in cols) for r in self.rows)
-        )
+        # on all-float channels every product is a float, and fsum is the sum _sum_entries takes
+        floats = {type(e) for rows in (self.rows, other.rows) for r in rows for e in r} == {float}
+        total = math.fsum if floats else (lambda products: _sum_entries(list(products)))
+        return Channel(tuple(tuple(total(map(operator.mul, r, c)) for c in cols) for r in self.rows))
 
     @staticmethod
     def identity(n: int) -> "Channel":

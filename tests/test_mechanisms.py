@@ -373,6 +373,22 @@ class TestLaplaceSpline:
         LaplaceMeanMechanism(0.0, 1.0, 3, b).pmc_at(y)
         assert len(calls) <= 21 * rules * 10
 
+    def test_each_basis_element_is_built_once_per_level(self, monkeypatch):
+        from scipy.interpolate import BSpline
+
+        m, ys = LaplaceMeanMechanism(0.0, 1.0, 3, 1.0), (0.2, 0.5)
+        levels = [m.pmc_at(y) for y in ys]
+        basis_element, orders = BSpline.basis_element, []
+
+        def counted(knots, *args, **kwargs):
+            orders.append(len(knots) - 1)
+            return basis_element(knots, *args, **kwargs)
+
+        monkeypatch.setattr(BSpline, "basis_element", counted)
+        assert [m.pmc_at(y) for y in ys] == levels
+        # f_Y needs the order-3 element, both floor densities the order-2 one
+        assert orders == [2, 3, 2, 3]
+
     def test_non_uniform_law_and_large_n_raise_before_integrating(self, monkeypatch):
         def no_quadrature(*args):
             raise AssertionError("integrated")
@@ -514,18 +530,68 @@ class TestGaussianPerturb:
     def test_tail_frequency_matches_the_exact_tail(self, a, sigma, amplitude):
         from scipy.special import ndtr
 
-        g, n = GaussianPerturbMechanism(amplitude, sigma, law=uniform_law(-a, a)), 1_000_000
+        g = GaussianPerturbMechanism(amplitude, sigma, law=uniform_law(-a, a))
 
         def big_g(z):  # G(z) = phi(z) - z Phi-bar(z), whose derivative is -Phi-bar(z)
             return math.exp(-z * z / 2) / math.sqrt(2 * math.pi) - z * float(ndtr(-z))
 
         for q in (0.25, 0.75, 1.0):
             # the event cost(Y) >= cost(r) is |Y| >= r: X uniform on [-a, a] leaves
-            # P(|Y| >= r) = (sigma/a) [G((r - a)/sigma) - G((r + a)/sigma)]
+            # P(|Y| >= r) = (sigma/a) [G((r - a)/sigma) - G((r + a)/sigma)], which
+            # this direct form holds to about 1e-14 for |z| <= 2.6
             r = q * (a + sigma)
             p = sigma / a * (big_g((r - a) / sigma) - big_g((r + a) / sigma))
-            freq, _ = g.tail_frequency(g.pmc_at(r) - g.variance_ratio / 2, n_samples=n, seed=18)
-            assert abs(freq - p) <= 4 * math.sqrt(p * (1 - p) / n)
+            freq, stderr = g.tail_frequency(g.pmc_at(r) - g.variance_ratio / 2)
+            assert (freq, stderr) == (pytest.approx(p, rel=1e-12, abs=0), 0.0)
+
+    @pytest.mark.parametrize(
+        "amplitude, sigma, beta, expected",
+        [
+            # 30-digit values of P(|Y| >= r) at the bisected root r, from mpmath.  The
+            # window 2A/sigma runs from 1e-8 to 40 and a = (r - A)/sigma from about
+            # 0.5 to 35, in both forms: the Gauss-Legendre mean where
+            # 2A/sigma (a + 1) <= 1.5, the factored G difference elsewhere
+            (5e-09, 1.0, 2.5e-09, 6.17075077011892177566604739251e-1),  # window 1e-8, a 0.5
+            (5e-09, 1.0, 1.75e-07, 2.24990179845864210021891511702e-268),  # window 1e-8, a 35
+            (0.0001, 2.0, 0.00100017, 5.49897668447740462851615141623e-89),  # window 1e-4, a 20
+            (0.005, 1.0, 0.180121, 1.90099386890248186451577031777e-268),  # window 0.01, a 35
+            (0.1, 1.0, 0.0589336, 5.49171628129437140710645032097e-1),  # window 0.2, a 0.5
+            (0.1, 1.0, 0.551258, 3.55087842208728253443941397794e-7),  # window 0.2, a 5
+            (0.1, 1.0, 1.17271, 6.52114405484286976839673520647e-24),  # window 0.2, a 10
+            (0.1, 1.0, 5.06739, 3.20337268753827198786320555353e-269),  # window 0.2, a 35
+            (0.25, 0.5, 1.44959, 1.62167905005289747440477384879e-2),  # window 1, a 2
+            (0.25, 0.5, 17.3768, 2.73904923431102448495546489234e-90),  # window 1, a 20
+            (1.0, 0.5, 6.48172, 9.88979958117889599231522563973e-2),  # window 4, a 0.5
+            (1.0, 0.5, 141.058, 1.5979417933300500773294348678e-270),  # window 4, a 35
+            (20.0, 1.0, 616.179, 9.88988561183392657470589323799e-3),  # window 40, a 0.5
+            (20.0, 1.0, 1393.31, 6.86007686631848202236834091528e-92),  # window 40, a 20
+            (20.0, 1.0, 1992.75, 1.61139377044793625807430665233e-271),  # window 40, a 35
+            # roots inside the window, r < A
+            (20.0, 1.0, 247.23, 5.00000098465154430016355073431e-1),  # window 40, a -10
+            (1.0, 0.5, 1.85828, 5.41467377134377850207498819077e-1),  # window 4, a -1
+        ],
+    )
+    def test_tail_mass_matches_recorded_values(self, amplitude, sigma, beta, expected):
+        freq, stderr = GaussianPerturbMechanism(amplitude, sigma).tail_frequency(beta)
+        assert freq == pytest.approx(expected, rel=1e-10, abs=0)
+        assert stderr == 0.0
+        assert all(type(v) is float for v in (freq, stderr))
+
+    def test_tail_frequency_needs_a_uniform_law(self):
+        g = GaussianPerturbMechanism(1.0, 1.0, law=discrete_law([-1.0, 0.0, 1.0], [1, 2, 1]))
+        with pytest.raises(ValueError, match="uniform input law, got 'discrete'"):
+            g.tail_frequency(1.0)
+
+    def test_tail_frequency_reads_neither_seed_nor_sample_count(self):
+        import time
+
+        for g, beta in ((GaussianPerturbMechanism(1.3, 0.9), 2.0), (GaussianPerturbMechanism(0.1, 1.0), 0.05)):
+            result = g.tail_frequency(beta)
+            for n_samples, seed in ((1, 0), (10, 3), (1_000_000, 808)):
+                assert g.tail_frequency(beta, n_samples=n_samples, seed=seed) == result
+            start = time.perf_counter()  # a draw of 10^12 samples would need 8 TB
+            assert g.tail_frequency(beta, n_samples=10**12, seed=2**40) == result
+            assert time.perf_counter() - start < 0.25
 
     @pytest.mark.parametrize(
         "amplitude, sigma, beta, expected",
@@ -533,16 +599,19 @@ class TestGaussianPerturb:
             (1.0, 1.0, math.inf, (0.0, 0.0)),
             (1.0, 1.0, -math.inf, (1.0, 0.0)),
             (1.0, 1.0, -5.0, (1.0, 0.0)),
-            (0.1, 1.0, 1e-4, (0.98552, 0.00037776089792354166)),
+            (0.1, 1.0, 1e-4, (pytest.approx(9.85941203276693101778751945678e-1, rel=1e-10, abs=0), 0.0)),
+            (1.0, 1.0, 80.0, (0.0, 0.0)),
             (1e-4, 0.01, 1e307, (0.0, 0.0)),
+            (1.0, 1e100, 1e300, (0.0, 0.0)),
         ],
-        ids=["inf", "minus-inf", "negative", "narrow", "y-over-sigma-overflows"],
+        ids=["inf", "minus-inf", "negative", "narrow", "underflow", "y-over-sigma-overflows", "bracket-overflows"],
     )
     def test_tail_frequency_at_the_bracket_ends(self, amplitude, sigma, beta, expected):
         # an infinite threshold has the root inf, one at or below the level at 0 the
-        # root 0; the narrow window's root lies just above 0, and the last bracket
-        # end, threshold sigma^2/A, is beyond 1e308 sigma (values recorded from
-        # evaluating the level at every sample)
+        # root 0, and their masses are exact; the narrow window's root lies just above
+        # 0 (a 30-digit mpmath mass), the root near 42.5 leaves a mass below the float
+        # range; the bracket end threshold sigma^2/A is beyond 1e308 sigma, and in
+        # the last case beyond the float range, which leaves the root inf
         mech = GaussianPerturbMechanism(amplitude, sigma)
         result = mech.tail_frequency(beta, n_samples=100_000, seed=3)
         assert result == expected

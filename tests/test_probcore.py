@@ -568,9 +568,11 @@ class TestOnePassIngestion:
 
     def test_composition_matches_per_entry_products(self):
         rng = random.Random("ingest:then")
-        for exact in (False, True):
-            a = random_joint(rng, 6, 7, exact=exact, zero_prob=0.2).channel
-            b = random_joint(rng, 7, 5, exact=exact, zero_prob=0.2).channel
+        for kind in ("float", "exact", "mixed"):
+            a = random_joint(rng, 6, 7, exact=kind != "float", zero_prob=0.2).channel
+            b = random_joint(rng, 7, 5, exact=kind != "float", zero_prob=0.2).channel
+            if kind == "mixed":  # one float row: the cells of the other rows stay exact
+                a = Channel((tuple(map(float, a.rows[0])),) + a.rows[1:])
             want = _ref_channel(tuple(
                 tuple(_ref_sum([r[y] * b.rows[y][z] for y in range(7)]) for z in range(5))
                 for r in a.rows
