@@ -496,7 +496,10 @@ class GaussianPerturbMechanism:
             raise ValueError("beta must not be NaN")
         if not isinstance(n_samples, int) or isinstance(n_samples, bool) or n_samples < 1:
             raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
-        threshold = beta + self.amplitude**2 / (2.0 * self.sigma**2)
+        try:
+            threshold = beta + self.amplitude**2 / (2.0 * self.sigma**2)
+        except OverflowError:  # A^2 is beyond the float range; (A/sigma)^2 is not
+            threshold = beta + self.variance_ratio / 2.0
         # The cost is even in y and strictly increasing in |y|: for y > 0,
         # d/dy log f_Y(y) = -E[(y - X)/sigma^2 | Y = y] > -(y + A)/sigma^2, as
         # X > -A, and the floor term -log f_N(y + A) adds (y + A)/sigma^2.  The
@@ -506,13 +509,16 @@ class GaussianPerturbMechanism:
             return 0.0, 0.0
         if not self._pmc_uniform(0.0) < threshold:
             return 1.0, 0.0
-        below, root = 0.0, min(threshold * self.sigma**2 / self.law.hi, sys.float_info.max * self.sigma)
+        bracket = threshold * self.sigma**2 / self.law.hi
+        if bracket == math.inf:  # sigma^2 or threshold sigma^2 overflows, the bracket may not
+            bracket = threshold * (self.sigma / self.law.hi) * self.sigma
+        below, root = 0.0, min(bracket, sys.float_info.max * self.sigma)
         while below < (mid := below + (root - below) / 2.0) < root:
             if self._pmc_uniform(mid) >= threshold:
                 root = mid
             else:
                 below = mid
-        if root == math.inf:  # threshold sigma^2/a overflows: r/sigma is beyond 1e154
+        if root == math.inf:  # r is beyond the float range, far past the window
             return 0.0, 0.0
         lo, hi, s = self.law.lo, self.law.hi, self.sigma
         return _window_tail_mass((root - hi) / s, (hi - lo) / s), 0.0
@@ -557,4 +563,8 @@ def gaussian_tail_bound(r: float, beta: float) -> float:
         raise ValueError(f"r must be positive, got {r!r}")
     if not beta >= 0:
         raise ValueError(f"beta must be non-negative, got {beta!r}")
-    return min(1.0, 2.0 * math.exp(-(beta**2) / (8.0 * (r * r + r))))
+    try:
+        exponent = beta**2 / (8.0 * (r * r + r))
+    except OverflowError:  # beta^2 is beyond the float range, and r^2 may be too
+        exponent = beta / r * (beta / (r + 1.0)) / 8.0
+    return min(1.0, 2.0 * math.exp(-exponent))

@@ -199,11 +199,12 @@ def _exact_scan(prior_w, post_w, rows: list, groups, loss) -> tuple:
     ``kernel[x]`` are int sums in units of ``1 / one``.  ``groups`` yields the
     ``(head, lasts)`` pairs of :func:`_kernel_indices`: a head's masses are
     summed once and each kernel adds its last row to them, while a group of
-    one (a seeded draw) sums its rows at once.  A kernel's prior and
+    one, such as a seeded draw, sums its rows at once.  A kernel's prior and
     posterior losses are ``loss(masses, one)``, with the branches of
     :func:`_error_ratio`; levels compare by cross-multiplication.  Only the
-    winner's losses become a ``Fraction``.  Returns ``(best level, first
-    kernel attaining it, kernels visited)``.
+    winner's losses become a ``Fraction``.  Every kernel in ``groups`` is
+    evaluated; an exhaustive grid's groups hold one kernel per relabelling
+    orbit.  Returns ``(best level, first kernel attaining it)``.
     """
     int_rows, r_scale = _int_masses(rows)
     tables = []
@@ -214,9 +215,7 @@ def _exact_scan(prior_w, post_w, rows: list, groups, loss) -> tuple:
     (tab_p, one_p), (tab_q, one_q) = tables
     last_p, last_q = tab_p[-1], tab_q[-1]
     best_a = best_b = best_kernel = None
-    count = 0
     for head, lasts in groups:
-        count += len(lasts)
         draw = len(lasts) == 1
         if not draw:
             head_p, head_q = _head_masses(tab_p, head), _head_masses(tab_q, head)
@@ -236,8 +235,7 @@ def _exact_scan(prior_w, post_w, rows: list, groups, loss) -> tuple:
             # (a, 0) is the infinite level: it beats every finite one and ties itself
             if best_kernel is None or a * best_b > best_a * b:
                 best_a, best_b, best_kernel = a, b, (*head, k)
-    value = _error_ratio(Fraction(best_a, one_p), Fraction(best_b, one_q))
-    return value, best_kernel, count
+    return _error_ratio(Fraction(best_a, one_p), Fraction(best_b, one_q)), best_kernel
 
 
 def _block_masses(weights: Sequence, lattice: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -258,7 +256,7 @@ def _float_scan(prior_w, post_w, rows: list, blocks, block_loss) -> tuple:
     Losses below ``_FLOAT_ZERO`` read as exact zeros, the branches of
     :func:`_error_ratio` apply, and a loss below ``-1e-9`` raises for the
     first kernel that has one.  Returns ``(best level, first kernel attaining
-    it, kernels visited)`` like :func:`_exact_scan`.
+    it)`` like :func:`_exact_scan`.
     """
     import numpy as np
 
@@ -266,9 +264,7 @@ def _float_scan(prior_w, post_w, rows: list, blocks, block_loss) -> tuple:
     p = [float(w) for w in prior_w]
     q = [float(w) for w in post_w]
     best = best_kernel = None
-    count = 0
     for block in map(np.asarray, blocks):
-        count += len(block)
         raw_p = block_loss(_block_masses(p, lattice, block))
         raw_q = block_loss(_block_masses(q, lattice, block))
         err_p = np.where(raw_p < _FLOAT_ZERO, 0.0, raw_p)
@@ -288,7 +284,7 @@ def _float_scan(prior_w, post_w, rows: list, blocks, block_loss) -> tuple:
         value = _error_ratio(float(err_p[k]), float(err_q[k]))
         if best is None or value > best:
             best, best_kernel = value, block[k].tolist()
-    return best, best_kernel, count
+    return best, best_kernel
 
 
 def _lambda_from_rows(prior_w, post_w, kernel_rows, adversary=_ERROR) -> ExtReal:
@@ -414,24 +410,30 @@ def _grid_size(n_x: int, u_size: int, cfg: SearchConfig) -> tuple:
     return n_rows, n_vertices if n_vertices <= _VERTEX_CAP else 0
 
 
+def _grid_count(n_x: int, u_size: int, cfg: SearchConfig) -> int:
+    """Kernels visited: a whole exhaustive grid, though the integer scan evaluates
+    one per relabelling orbit, or the vertices plus the draws of a sampled one."""
+    n_rows, n_vertices = _grid_size(n_x, u_size, cfg)
+    if _is_exhaustive(n_x, u_size, cfg):
+        return n_rows**n_x
+    return n_vertices + cfg.max_iterations
+
+
 def _check_budget(n_x: int, cfg: SearchConfig) -> None:
     """Reject a search whose grid exceeds the cap, before any work.
 
-    Each guess alphabet may visit at most ``_ENUMERATION_CAP`` kernels: the
-    whole grid when exhaustive, the vertices plus the draws when sampled.  A
-    sampled grid may also hold at most that many lattice entries (rows times
-    alphabet size).  The enumerators below rely on this check having passed.
+    Each guess alphabet may visit at most ``_ENUMERATION_CAP`` kernels
+    (:func:`_grid_count`).  A sampled grid may also hold at most that many
+    lattice entries (rows times alphabet size).  The enumerators below rely
+    on this check having passed.
     """
     for u_size in range(2, cfg.max_u + 1):
-        n_rows, n_vertices = _grid_size(n_x, u_size, cfg)
-        if _is_exhaustive(n_x, u_size, cfg):
-            count, what = n_rows**n_x, "exhaustive grid would visit {} kernels"
-        else:
-            if n_rows * u_size > _ENUMERATION_CAP:
-                raise BudgetExceeded(f"sampled grid would build {n_rows * u_size} lattice entries")
-            count, what = n_vertices + cfg.max_iterations, "sampled grid would visit {} kernels"
-        if count > _ENUMERATION_CAP:
-            raise BudgetExceeded(what.format(count))
+        kind = "exhaustive" if _is_exhaustive(n_x, u_size, cfg) else "sampled"
+        n_entries = _grid_size(n_x, u_size, cfg)[0] * u_size
+        if kind == "sampled" and n_entries > _ENUMERATION_CAP:
+            raise BudgetExceeded(f"sampled grid would build {n_entries} lattice entries")
+        if (count := _grid_count(n_x, u_size, cfg)) > _ENUMERATION_CAP:
+            raise BudgetExceeded(f"{kind} grid would visit {count} kernels")
 
 
 def _grid_shape(n_x: int, u_size: int, cfg: SearchConfig) -> tuple:
@@ -460,26 +462,57 @@ def _randrange_draws(rng: random.Random, n: int, count: int) -> list:
     return list(itertools.islice(filter(n.__gt__, bits), count))
 
 
-def _kernel_indices(n_x: int, u_size: int, cfg: SearchConfig) -> Iterator[tuple]:
+def _kernel_indices(n_x: int, u_size: int, cfg: SearchConfig, rows: list) -> Iterator[tuple]:
     """The kernels of guess alphabet ``u_size``, in search order, as ``(head, lasts)`` groups.
 
     A group holds the kernels ``(*head, k)`` for ``k`` in ``lasts``: ``n_x``
-    row indices into ``_lattice_rows(u_size, cfg.resolution)``.  Exhaustive
-    grids and the sampled grids' vertex product follow ``itertools.product``
-    order, one group per head; each seeded draw is a group of one.  Plain
-    Python, for the integer scan; :func:`_kernel_blocks` gives numpy blocks.
+    indices into ``rows = _lattice_rows(u_size, cfg.resolution)``.  An
+    exhaustive grid gives one kernel per relabelling orbit
+    (:func:`_sorted_column_kernels`); the vertex product of a sampled grid
+    follows ``itertools.product`` order, one group per head, and each
+    seeded draw is a group of one.  Plain Python, for the integer scan.
     """
-    n_rows, vertices, draws = _grid_shape(n_x, u_size, cfg)
-    lasts = range(n_rows) if draws is None else vertices
-    if lasts is not None:
-        yield from zip(itertools.product(lasts, repeat=n_x - 1), itertools.repeat(lasts))
+    _, vertices, draws = _grid_shape(n_x, u_size, cfg)
+    if draws is None:
+        yield from _sorted_column_kernels(n_x, rows)
+    elif vertices is not None:
+        yield from zip(itertools.product(vertices, repeat=n_x - 1), itertools.repeat(vertices))
     for start in range(n_x - 1, len(draws or ()), n_x):
         yield draws[start - n_x + 1 : start], draws[start : start + 1]
 
 
-def _kernel_blocks(n_x: int, u_size: int, cfg: SearchConfig) -> Iterator[np.ndarray]:
-    """The kernels of :func:`_kernel_indices` as ``(K, n_x)`` numpy blocks.
+def _sorted_column_kernels(n_x: int, rows: list) -> Iterator[tuple]:
+    """The grid's kernels with lexicographically non-decreasing columns, as groups.
 
+    Losses are symmetric in the guesses, so permuting the columns keeps the
+    level, and the sorted kernel is its orbit's first in ``itertools.product``
+    order over the lexicographic ``rows``.  Walking the secrets, a row is
+    admissible when it does not fall between two columns still tied.
+    """
+    int_rows, _ = _int_masses(rows)
+    steps = [list(zip(row, row[1:])) for row in int_rows]
+    admissible = {}  # (row index, ties after it) per tie pattern
+
+    def walk(head: tuple, ties: tuple) -> Iterator[tuple]:
+        if ties not in admissible:
+            admissible[ties] = [
+                (i, tuple(t and a == b for t, (a, b) in zip(ties, step)))
+                for i, step in enumerate(steps)
+                if all(a <= b for t, (a, b) in zip(ties, step) if t)
+            ]
+        if len(head) == n_x - 1:
+            yield head, [i for i, _ in admissible[ties]]
+        else:
+            for i, after in admissible[ties]:
+                yield from walk((*head, i), after)
+
+    return walk((), (True,) * (len(rows[0]) - 1))
+
+
+def _kernel_blocks(n_x: int, u_size: int, cfg: SearchConfig) -> Iterator[np.ndarray]:
+    """The kernels of guess alphabet ``u_size``, in search order, as ``(K, n_x)`` numpy blocks.
+
+    A whole exhaustive grid, or the sampled grid of :func:`_kernel_indices`.
     Exhaustive grids and the vertex product come in blocks of at most
     ``_BLOCK`` kernels: the digits of each flat kernel number in base
     ``len(lasts)``, read through ``lasts``.  For the float scan.
@@ -499,9 +532,10 @@ def _kernel_blocks(n_x: int, u_size: int, cfg: SearchConfig) -> Iterator[np.ndar
 
 
 def _iter_kernels(n_x: int, u_size: int, cfg: SearchConfig) -> Iterator[tuple]:
+    """The rows of every kernel :func:`_kernel_blocks` gives: the whole grid, relabellings included."""
     rows = _lattice_rows(u_size, cfg.resolution)
-    for head, lasts in _kernel_indices(n_x, u_size, cfg):
-        yield from (tuple(rows[i] for i in (*head, k)) for k in lasts)
+    for block in _kernel_blocks(n_x, u_size, cfg):
+        yield from (tuple(rows[i] for i in kernel) for kernel in block.tolist())
 
 
 def _search(prior_w, post_w, cfg: SearchConfig, adversary, best, best_rows, skip: bool) -> tuple:
@@ -511,18 +545,18 @@ def _search(prior_w, post_w, cfg: SearchConfig, adversary, best, best_rows, skip
     importing numpy, and otherwise in numpy blocks; ``skip`` scans none.
     """
     n_x = len(prior_w)
-    if _all_fractions(prior_w, post_w):
-        scan, kernels, loss = _exact_scan, _kernel_indices, adversary[0]
-    else:
-        scan, kernels, loss = _float_scan, _kernel_blocks, adversary[1]
+    exact = _all_fractions(prior_w, post_w)
+    scan, loss = (_exact_scan, adversary[0]) if exact else (_float_scan, adversary[1])
     visited = []
     for u_size in range(2, cfg.max_u + 1):
         count = 0
         if not skip:
             rows = _lattice_rows(u_size, cfg.resolution)
-            value, kernel, count = scan(prior_w, post_w, rows, kernels(n_x, u_size, cfg), loss)
+            kernels = _kernel_indices(n_x, u_size, cfg, rows) if exact else _kernel_blocks(n_x, u_size, cfg)
+            value, kernel = scan(prior_w, post_w, rows, kernels, loss)
             if value > best:
                 best, best_rows = value, tuple(rows[i] for i in kernel)
+            count = _grid_count(n_x, u_size, cfg)
         visited.append((u_size, count, _is_exhaustive(n_x, u_size, cfg)))
     return best, best_rows, tuple(visited)
 
@@ -535,7 +569,9 @@ class OracleCertificate:
     oracle_value: ExtReal
     witness: RandomizedFunction
     gap_nats: float
-    #: One ``(u, kernels visited, exhaustive)`` triple per guess alphabet.
+    #: One ``(u, kernels visited, exhaustive)`` triple per guess alphabet.  An
+    #: exhaustive grid counts all of its kernels, every relabelling of the
+    #: guesses included, although a rational scan evaluates one per orbit.
     kernels_visited: tuple = ()
 
     @property

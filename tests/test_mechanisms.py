@@ -510,6 +510,20 @@ class TestGaussianPerturb:
         assert gaussian_tail_bound(1.0, 4.0) == pytest.approx(2 / math.e, abs=1e-15)
         assert gaussian_tail_bound(1.0, 100.0) < 1e-200
 
+    def test_overflowing_squares_still_give_the_bound_and_the_mass(self):
+        # beta^2 and A^2 are beyond the float range; the ratios formed from them are not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gaussian_tail_bound(1.0, 1e200) == 0.0
+            assert gaussian_tail_bound(1e154, 1e155) == pytest.approx(2 * math.exp(-12.5), rel=1e-14)
+            big = GaussianPerturbMechanism(1.538e165, 1.0208e79)
+            assert big.tail_frequency(6.2e87) == pytest.approx((1.0, 0.0))
+            # the mass depends on A/sigma and beta alone: the same mechanism 1e100 times smaller
+            small = GaussianPerturbMechanism(1.538e65, 1.0208e-21)
+            for share in (0.01, 0.5, 1.0):
+                beta = share * big.variance_ratio
+                assert big.tail_frequency(beta)[0] == pytest.approx(small.tail_frequency(beta)[0], rel=1e-12)
+
     def test_tail_bound_validation(self):
         with pytest.raises(ValueError):
             gaussian_tail_bound(0.0, 1.0)

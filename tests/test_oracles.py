@@ -795,6 +795,47 @@ def _exact_cases(count, seed):
         yield joint, rng.choice(joint.support), cfg
 
 
+def _reference_guesswork(joint, y, cfg):
+    """Best guesswork leakage of a rational joint, one kernel of the whole grid at a time."""
+    prior, post = joint.prior.weights, joint.posterior(y)
+    best = ZERO
+    for u_size in range(2, cfg.max_u + 1):
+        for rows in _reference_kernels(joint.n_inputs, u_size, cfg):
+            value = ExtReal.from_ratio(
+                _permutation_guesswork(_fraction_masses(prior, rows))
+                / _permutation_guesswork(_fraction_masses(post, rows))
+            )
+            best = max(best, value)
+    return best
+
+
+def _tied_cases(count, seed):
+    """Rational joints whose kernels tie often: symmetric channels, repeated entries."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n_x, n_y = rng.randint(1, 4), rng.randint(2, 3)
+        pool = [Fraction(rng.randint(1, 3)) for _ in range(2)]
+        base = [rng.choice(pool) for _ in range(n_y)]
+        if rng.random() < 0.5:
+            # each secret's row is a cyclic shift of one row
+            raw = [base[x % n_y :] + base[: x % n_y] for x in range(n_x)]
+        else:
+            raw = [[rng.choice(pool) for _ in range(n_y)] for _ in range(n_x)]
+        channel = Channel(tuple(tuple(e / sum(r) for e in r) for r in raw))
+        weights = [Fraction(1)] * n_x if rng.random() < 0.5 else [rng.choice(pool) for _ in range(n_x)]
+        prior = Pmf(tuple(w / sum(weights) for w in weights))
+        cfg = SearchConfig(
+            resolution=rng.randint(2, {1: 7, 2: 4, 3: 3, 4: 3}[n_x]),
+            # four secrets and four guesses are never exhaustive under these limits
+            max_u=rng.randint(2, 4 if n_x < 4 else 3),
+            max_iterations=rng.randint(1, 10),
+            seed=rng.randrange(1000),
+            exhaustive_limit=rng.choice((4, 9, 12)),
+        )
+        joint = Joint.from_prior_channel(prior, channel)
+        yield joint, rng.choice(joint.support), cfg
+
+
 class TestSampledDraws:
     @pytest.mark.parametrize(
         "n_x, u_size, cfg, head, total",
@@ -835,15 +876,7 @@ class TestIntegerCore:
     def test_guesswork_search_matches_per_kernel_definition(self):
         sampled = 0
         for joint, y, cfg in _exact_cases(40, 1996):
-            prior, post = joint.prior.weights, joint.posterior(y)
-            best = ZERO
-            for u_size in range(2, cfg.max_u + 1):
-                for rows in _reference_kernels(joint.n_inputs, u_size, cfg):
-                    value = ExtReal.from_ratio(
-                        _permutation_guesswork(_fraction_masses(prior, rows))
-                        / _permutation_guesswork(_fraction_masses(post, rows))
-                    )
-                    best = max(best, value)
+            best = _reference_guesswork(joint, y, cfg)
             got = brute_force_guesswork_leakage(joint, y, cfg)
             assert got == best
             assert type(got.ratio) is Fraction
@@ -877,17 +910,53 @@ class TestIntegerCore:
                 exhaustive_limit=exhaustive_limit,
             )
             for u_size in (2, 3):
-                indices = [
-                    (*head, k)
-                    for head, lasts in oracles._kernel_indices(n_x, u_size, cfg)
-                    for k in lasts
-                ]
+                rows = _lattice_rows(u_size, resolution)
+                reference = list(_reference_kernels(n_x, u_size, cfg))
                 blocks = [
-                    tuple(kernel)
+                    tuple(rows[i] for i in kernel)
                     for block in oracles._kernel_blocks(n_x, u_size, cfg)
                     for kernel in block.tolist()
                 ]
-                assert indices == blocks
-                rows = _lattice_rows(u_size, resolution)
-                reference = list(_reference_kernels(n_x, u_size, cfg))
-                assert [tuple(rows[i] for i in k) for k in indices] == reference
+                assert blocks == reference
+                groups = [
+                    tuple(rows[i] for i in (*head, k))
+                    for head, lasts in oracles._kernel_indices(n_x, u_size, cfg, rows)
+                    for k in lasts
+                ]
+                if n_x * u_size > exhaustive_limit:
+                    assert groups == reference
+                    continue
+                # one kernel per relabelling of the guesses: the one with sorted columns
+                columns = [list(zip(*kernel)) for kernel in reference]
+                assert groups == [k for k, c in zip(reference, columns) if c == sorted(c)]
+                orbits = {tuple(zip(*kernel)) for kernel in groups}
+                assert all(tuple(sorted(c)) in orbits for c in columns)
+
+    def test_iter_kernels_covers_the_whole_exhaustive_grid(self):
+        # acceptance criterion 01 checks dominance on every kernel this yields
+        for n_x, u_size, resolution in ((1, 3, 6), (2, 2, 5), (2, 3, 5), (3, 3, 3), (4, 2, 4)):
+            cfg = SearchConfig(resolution=resolution, max_u=u_size)
+            rows = _lattice_rows(u_size, resolution)
+            kernels = list(oracles._iter_kernels(n_x, u_size, cfg))
+            assert len(kernels) == len(rows) ** n_x
+            assert kernels == list(itertools.product(rows, repeat=n_x))
+
+    def test_tied_kernels_match_the_whole_grid(self):
+        exhaustive = collections.Counter()
+        for joint, y, cfg in _tied_cases(40, 2026):
+            cert = certify_pmc(joint, y, cfg)
+            value, rows = _reference_scan(joint, y, cfg)
+            assert cert.oracle_value == value
+            assert type(cert.oracle_value.ratio) is type(value.ratio)
+            assert cert.witness.rows == rows
+            got = brute_force_guesswork_leakage(joint, y, cfg)
+            assert got == _reference_guesswork(joint, y, cfg)
+            assert type(got.ratio) is Fraction
+            visited = []
+            for u_size in range(2, cfg.max_u + 1):
+                whole = joint.n_inputs * u_size <= cfg.exhaustive_limit
+                grid = _reference_kernels(joint.n_inputs, u_size, cfg)
+                visited.append((u_size, sum(1 for _ in grid), whole))
+                exhaustive[u_size] += whole
+            assert cert.kernels_visited == tuple(visited)
+        assert exhaustive[3] >= 15 and exhaustive[4] >= 8
