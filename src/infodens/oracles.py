@@ -29,8 +29,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import repeat
 from operator import add, getitem
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
@@ -50,8 +52,8 @@ if TYPE_CHECKING:
 #: applying the 0/0 = 1 convention; the rational backend needs no such guard.
 _FLOAT_ZERO = 1e-13
 
-#: Hard cap on the kernels one guess alphabet visits, and on the lattice
-#: entries one sampled grid builds.
+#: Hard cap on the kernels one guess alphabet visits, and on the entries (rows times
+#: alphabet size) of a sampled grid's lattice, the shape of a float scan's array.
 _ENUMERATION_CAP = 2_000_000
 
 #: A sampled grid also visits its vertex kernels when there are at most this many.
@@ -187,54 +189,74 @@ def _all_fractions(*vectors) -> bool:
 
 def _head_masses(table: list, head: Sequence[int]) -> list:
     """Integer guess masses of the first ``len(head)`` secrets; zeros for an empty head."""
-    return list(map(sum, zip(*map(getitem, table, head)))) or [0] * len(table[0][0])
+    return list(map(sum, zip(*map(getitem, table, head)))) or [0] * len(next(iter(table[0].values())))
 
 
-def _exact_scan(prior_w, post_w, rows: list, groups, loss) -> tuple:
-    """Best level over the kernels of ``groups``, in integer arithmetic.
+def _packed_masses(table: list, draws: Sequence[int], one: int) -> Iterator[tuple]:
+    """Guess masses of the kernels in ``draws``, ``len(table)`` row indices each, summed at once.
 
-    The rows and each weight vector are scaled to integers
-    (:func:`_int_masses`), so ``table[x][i][u] == weights[x] * rows[i][u] *
-    one`` exactly and the guess masses of a kernel that gives secret ``x`` row
-    ``kernel[x]`` are int sums in units of ``1 / one``.  ``groups`` yields the
-    ``(head, lasts)`` pairs of :func:`_kernel_indices`: a head's masses are
-    summed once and each kernel adds its last row to them, while a group of
-    one, such as a seeded draw, sums its rows at once.  A kernel's prior and
-    posterior losses are ``loss(masses, one)``, with the branches of
-    :func:`_error_ratio`; levels compare by cross-multiplication.  Only the
-    winner's losses become a ``Fraction``.  Every kernel in ``groups`` is
-    evaluated; an exhaustive grid's groups hold one kernel per relabelling
-    orbit.  Returns ``(best level, first kernel attaining it)``.
+    SIMD within a register (Fisher and Dietz, LCPC 1998): a row's masses are
+    fields of a power-of-two byte width, the rows a secret draws are joined
+    into one int, and one addition sums the secrets.  A kernel's masses sum
+    to ``one``, so no field carries.
     """
-    int_rows, r_scale = _int_masses(rows)
+    n_x, order, u_size = len(table), sys.byteorder, len(next(iter(table[0].values())))
+    width = 1 << (-(-one.bit_length() // 8) - 1).bit_length()
+    total = 0
+    for x, rows in enumerate(table):
+        fields = {i: b"".join(map(int.to_bytes, row, repeat(width), repeat(order))) for i, row in rows.items()}
+        total += int.from_bytes(b"".join(map(fields.__getitem__, draws[x::n_x])), order)
+    packed = total.to_bytes(len(draws) // n_x * u_size * width, order)
+    if width <= 8:
+        flat = memoryview(packed).cast({1: "B", 2: "H", 4: "I", 8: "Q"}[width]).tolist()
+    else:
+        flat = [int.from_bytes(packed[j : j + width], order) for j in range(0, len(packed), width)]
+    return zip(*[iter(flat)] * u_size)
+
+
+def _exact_scan(prior_w, post_w, rows: dict, scale: int, groups, draws: Sequence[int], loss) -> tuple:
+    """Best level over the kernels of ``groups`` and then ``draws``, in integer arithmetic.
+
+    ``rows`` maps each row index read to its int masses in units of ``1 /
+    scale``; with the weights scaled to ints (:func:`_int_masses`), guess
+    masses are int sums in units of ``1 / one``.  Each ``(head, lasts)``
+    group of :func:`_kernel_indices` sums its head once and each kernel
+    ``(*head, k)`` adds its last row; :func:`_packed_masses` sums the
+    ``draws`` at once.  A kernel's losses are ``loss(masses, one)``, with the
+    branches of :func:`_error_ratio`, and levels compare by
+    cross-multiplication.  Returns ``(best level, first kernel attaining it)``.
+    """
     tables = []
     for weights in (prior_w, post_w):
         (int_w,), w_scale = _int_masses((weights,))
-        table = [[[w * e for e in row] for row in int_rows] for w in int_w]
-        tables.append((table, w_scale * r_scale))
+        table = [{i: [w * e for e in row] for i, row in rows.items()} for w in int_w]
+        tables.append((table, w_scale * scale))
     (tab_p, one_p), (tab_q, one_q) = tables
     last_p, last_q = tab_p[-1], tab_q[-1]
-    best_a = best_b = best_kernel = None
-    for head, lasts in groups:
-        draw = len(lasts) == 1
-        if not draw:
+    n_x = len(tab_p)
+
+    def kernels() -> Iterator[tuple]:
+        for head, lasts in groups:
             head_p, head_q = _head_masses(tab_p, head), _head_masses(tab_q, head)
-        for k in lasts:
-            if draw:
-                kernel = (*head, k)
-                a = loss(map(sum, zip(*map(getitem, tab_p, kernel))), one_p)
-                b = loss(map(sum, zip(*map(getitem, tab_q, kernel))), one_q)
-            else:
-                a = loss(map(add, head_p, last_p[k]), one_p)
-                b = loss(map(add, head_q, last_q[k]), one_q)
-            if b == 0:
-                if a == 0:
-                    a, b = one_p, one_q  # 0/0 reads as ratio one
-            elif a == 0:
-                raise ValueError("prior error vanished while posterior error did not")
-            # (a, 0) is the infinite level: it beats every finite one and ties itself
-            if best_kernel is None or a * best_b > best_a * b:
-                best_a, best_b, best_kernel = a, b, (*head, k)
+            for k in lasts:
+                yield head, k, map(add, head_p, last_p[k]), map(add, head_q, last_q[k])
+        if draws:
+            *columns, lasts = (draws[x::n_x] for x in range(n_x))
+            heads = zip(*columns) if columns else repeat(())
+            masses = _packed_masses(tab_p, draws, one_p), _packed_masses(tab_q, draws, one_q)
+            yield from zip(heads, lasts, *masses)
+
+    best_a = best_b = best_kernel = None
+    for head, k, masses_p, masses_q in kernels():
+        a, b = loss(masses_p, one_p), loss(masses_q, one_q)
+        if b == 0:
+            if a == 0:
+                a, b = one_p, one_q  # 0/0 reads as ratio one
+        elif a == 0:
+            raise ValueError("prior error vanished while posterior error did not")
+        # (a, 0) is the infinite level: it beats every finite one and ties itself
+        if best_kernel is None or a * best_b > best_a * b:
+            best_a, best_b, best_kernel = a, b, (*head, k)
     return _error_ratio(Fraction(best_a, one_p), Fraction(best_b, one_q)), best_kernel
 
 
@@ -250,17 +272,19 @@ def _block_masses(weights: Sequence, lattice: np.ndarray, block: np.ndarray) -> 
     return acc
 
 
-def _float_scan(prior_w, post_w, rows: list, blocks, block_loss) -> tuple:
+def _float_scan(prior_w, post_w, rows: dict, scale, blocks, block_loss) -> tuple:
     """Best level over ``blocks`` of kernel row indices, one kernel per row, in floats.
 
-    Losses below ``_FLOAT_ZERO`` read as exact zeros, the branches of
+    The lattice holds ``rows[i] / scale`` at row index ``i``, rounded once
+    for int rows.  Losses below ``_FLOAT_ZERO`` read as exact zeros, the branches of
     :func:`_error_ratio` apply, and a loss below ``-1e-9`` raises for the
     first kernel that has one.  Returns ``(best level, first kernel attaining
     it)`` like :func:`_exact_scan`.
     """
     import numpy as np
 
-    lattice = np.array(rows, dtype=float)
+    lattice = np.zeros((max(rows) + 1, len(next(iter(rows.values())))))
+    lattice[list(rows)] = np.array(list(rows.values()), dtype=float) / scale
     p = [float(w) for w in prior_w]
     q = [float(w) for w in post_w]
     best = best_kernel = None
@@ -293,10 +317,12 @@ def _lambda_from_rows(prior_w, post_w, kernel_rows, adversary=_ERROR) -> ExtReal
         raise DimensionMismatch(
             f"kernel has {len(kernel_rows)} rows, prior has {len(prior_w)} outcomes"
         )
+    n = len(kernel_rows)
     if _all_fractions(prior_w, post_w, *kernel_rows):
-        *head, last = range(len(kernel_rows))
-        return _exact_scan(prior_w, post_w, kernel_rows, [(head, (last,))], adversary[0])[0]
-    return _float_scan(prior_w, post_w, kernel_rows, [[range(len(kernel_rows))]], adversary[1])[0]
+        ints, scale = _int_masses(kernel_rows)
+        groups = [(range(n - 1), (n - 1,))]
+        return _exact_scan(prior_w, post_w, dict(enumerate(ints)), scale, groups, (), adversary[0])[0]
+    return _float_scan(prior_w, post_w, dict(enumerate(kernel_rows)), 1, [[range(n)]], adversary[1])[0]
 
 
 def randomized_function_leakage(joint: Joint, y: int, kernel: Channel) -> ExtReal:
@@ -362,20 +388,39 @@ def guesswork_leakage(joint: Joint, y: int, kernel: Channel) -> ExtReal:
 # ---------------------------------------------------------------------------
 
 
-def _lattice_rows(n_cols: int, resolution: int) -> list:
-    """Every row of ``n_cols`` multiples of ``1 / (resolution - 1)`` summing to 1.
+def _lattice_ints(n_cols: int, den: int) -> list:
+    """Every row of ``n_cols`` non-negative integers summing to ``den``, in lexicographic order.
 
     Stars and bars: each row is a placement of ``n_cols - 1`` bars among
     ``den + n_cols - 1`` slots, whose gaps are the row's numerators, and
     :func:`itertools.combinations` gives the rows in lexicographic order.
     """
-    den = resolution - 1
-    steps = [Fraction(c, den) for c in range(den + 1)]
     slots = den + n_cols - 1
     return [
-        tuple(steps[b - a - 1] for a, b in zip((-1, *bars), (*bars, slots)))
+        tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, slots)))
         for bars in itertools.combinations(range(slots), n_cols - 1)
     ]
+
+
+def _lattice_rows(n_cols: int, resolution: int) -> list:
+    """The rows of :func:`_lattice_ints` over ``resolution - 1`` as ``Fraction`` rows."""
+    return [tuple(Fraction(c, resolution - 1) for c in row) for row in _lattice_ints(n_cols, resolution - 1)]
+
+
+def _unrank(index: int, n_cols: int, den: int) -> tuple:
+    """Row ``index`` of :func:`_lattice_ints`, built alone.
+
+    ``comb(den - c + k - 2, k - 2)`` rows of ``k`` numerators summing to ``den`` start with ``c``.
+    """
+    row = []
+    for k in range(n_cols, 1, -1):
+        c = 0
+        while index >= (n := math.comb(den - c + k - 2, k - 2)):
+            index -= n
+            c += 1
+        row.append(c)
+        den -= c
+    return (*row, den)
 
 
 def _binary_kernel(losses: Sequence[Number]) -> tuple:
@@ -462,34 +507,26 @@ def _randrange_draws(rng: random.Random, n: int, count: int) -> list:
     return list(itertools.islice(filter(n.__gt__, bits), count))
 
 
-def _kernel_indices(n_x: int, u_size: int, cfg: SearchConfig, rows: list) -> Iterator[tuple]:
-    """The kernels of guess alphabet ``u_size``, in search order, as ``(head, lasts)`` groups.
+def _kernel_indices(n_x: int, shape: tuple, rows: dict) -> Iterator[tuple]:
+    """A grid's kernels but its draws, in search order, as ``(head, lasts)`` groups of ``(*head, k)``.
 
-    A group holds the kernels ``(*head, k)`` for ``k`` in ``lasts``: ``n_x``
-    indices into ``rows = _lattice_rows(u_size, cfg.resolution)``.  An
-    exhaustive grid gives one kernel per relabelling orbit
-    (:func:`_sorted_column_kernels`); the vertex product of a sampled grid
-    follows ``itertools.product`` order, one group per head, and each
-    seeded draw is a group of one.  Plain Python, for the integer scan.
+    One kernel per relabelling orbit of an exhaustive grid
+    (:func:`_sorted_column_kernels`), or the vertex product of a sampled one.
     """
-    _, vertices, draws = _grid_shape(n_x, u_size, cfg)
+    _, vertices, draws = shape
     if draws is None:
-        yield from _sorted_column_kernels(n_x, rows)
-    elif vertices is not None:
-        yield from zip(itertools.product(vertices, repeat=n_x - 1), itertools.repeat(vertices))
-    for start in range(n_x - 1, len(draws or ()), n_x):
-        yield draws[start - n_x + 1 : start], draws[start : start + 1]
+        return _sorted_column_kernels(n_x, list(rows.values()))
+    return zip(itertools.product(vertices, repeat=n_x - 1), repeat(vertices)) if vertices else ()
 
 
-def _sorted_column_kernels(n_x: int, rows: list) -> Iterator[tuple]:
+def _sorted_column_kernels(n_x: int, int_rows: list) -> Iterator[tuple]:
     """The grid's kernels with lexicographically non-decreasing columns, as groups.
 
     Losses are symmetric in the guesses, so permuting the columns keeps the
     level, and the sorted kernel is its orbit's first in ``itertools.product``
-    order over the lexicographic ``rows``.  Walking the secrets, a row is
-    admissible when it does not fall between two columns still tied.
+    order over the lexicographic integer ``int_rows``.  Walking the secrets,
+    a row is admissible when it does not fall between two columns still tied.
     """
-    int_rows, _ = _int_masses(rows)
     steps = [list(zip(row, row[1:])) for row in int_rows]
     admissible = {}  # (row index, ties after it) per tie pattern
 
@@ -506,20 +543,20 @@ def _sorted_column_kernels(n_x: int, rows: list) -> Iterator[tuple]:
             for i, after in admissible[ties]:
                 yield from walk((*head, i), after)
 
-    return walk((), (True,) * (len(rows[0]) - 1))
+    return walk((), (True,) * (len(int_rows[0]) - 1))
 
 
-def _kernel_blocks(n_x: int, u_size: int, cfg: SearchConfig) -> Iterator[np.ndarray]:
-    """The kernels of guess alphabet ``u_size``, in search order, as ``(K, n_x)`` numpy blocks.
+def _kernel_blocks(n_x: int, shape: tuple) -> Iterator[np.ndarray]:
+    """The kernels of a grid's ``shape``, in search order, as ``(K, n_x)`` numpy blocks.
 
-    A whole exhaustive grid, or the sampled grid of :func:`_kernel_indices`.
-    Exhaustive grids and the vertex product come in blocks of at most
-    ``_BLOCK`` kernels: the digits of each flat kernel number in base
-    ``len(lasts)``, read through ``lasts``.  For the float scan.
+    A whole exhaustive grid, or the vertex product and then the draws of a
+    sampled one.  Exhaustive grids and the vertex product come in blocks of
+    at most ``_BLOCK`` kernels: the digits of each flat kernel number in
+    base ``len(lasts)``, read through ``lasts``.  For the float scan.
     """
     import numpy as np
 
-    n_rows, vertices, draws = _grid_shape(n_x, u_size, cfg)
+    n_rows, vertices, draws = shape
     lasts = range(n_rows) if draws is None else vertices
     if lasts is not None:
         values, n = np.asarray(lasts), len(lasts)
@@ -528,13 +565,13 @@ def _kernel_blocks(n_x: int, u_size: int, cfg: SearchConfig) -> Iterator[np.ndar
             flat = np.arange(start, min(start + _BLOCK, total))
             yield values[flat[:, None] // place % n]
     if draws is not None:
-        yield np.array(draws).reshape(cfg.max_iterations, n_x)
+        yield np.array(draws).reshape(-1, n_x)
 
 
 def _iter_kernels(n_x: int, u_size: int, cfg: SearchConfig) -> Iterator[tuple]:
     """The rows of every kernel :func:`_kernel_blocks` gives: the whole grid, relabellings included."""
     rows = _lattice_rows(u_size, cfg.resolution)
-    for block in _kernel_blocks(n_x, u_size, cfg):
+    for block in _kernel_blocks(n_x, _grid_shape(n_x, u_size, cfg)):
         yield from (tuple(rows[i] for i in kernel) for kernel in block.tolist())
 
 
@@ -546,16 +583,25 @@ def _search(prior_w, post_w, cfg: SearchConfig, adversary, best, best_rows, skip
     """
     n_x = len(prior_w)
     exact = _all_fractions(prior_w, post_w)
-    scan, loss = (_exact_scan, adversary[0]) if exact else (_float_scan, adversary[1])
+    den = cfg.resolution - 1
     visited = []
     for u_size in range(2, cfg.max_u + 1):
         count = 0
         if not skip:
-            rows = _lattice_rows(u_size, cfg.resolution)
-            kernels = _kernel_indices(n_x, u_size, cfg, rows) if exact else _kernel_blocks(n_x, u_size, cfg)
-            value, kernel = scan(prior_w, post_w, rows, kernels, loss)
+            shape = n_rows, vertices, draws = _grid_shape(n_x, u_size, cfg)
+            # int numerators over den, keyed by lattice index: a sampled grid unranks
+            # the rows it reads, but a float scan takes a lattice no larger than its draws whole
+            if draws is None or (not exact and n_rows <= len(draws)):
+                rows = dict(enumerate(_lattice_ints(u_size, den)))
+            else:
+                rows = {i: _unrank(i, u_size, den) for i in {*(vertices or ()), *draws}}
+            if exact:
+                groups = _kernel_indices(n_x, shape, rows)
+                value, kernel = _exact_scan(prior_w, post_w, rows, den, groups, draws or (), adversary[0])
+            else:
+                value, kernel = _float_scan(prior_w, post_w, rows, den, _kernel_blocks(n_x, shape), adversary[1])
             if value > best:
-                best, best_rows = value, tuple(rows[i] for i in kernel)
+                best, best_rows = value, tuple(tuple(Fraction(e, den) for e in rows[i]) for i in kernel)
             count = _grid_count(n_x, u_size, cfg)
         visited.append((u_size, count, _is_exhaustive(n_x, u_size, cfg)))
     return best, best_rows, tuple(visited)

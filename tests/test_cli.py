@@ -257,6 +257,8 @@ class TestOracle:
             ("float_3x3_zero", "float_3x3_zero_y0_grid11", ["--y", "0"]),
             # alphabet 2 is exhaustive, alphabets 3 and 4 are sampled
             ("float_4x3", "float_4x3_grid5_u4", ["--y", "0", "--grid", "5", "--max-u", "4"]),
+            # alphabet 4 is sampled: the integer scan sums its draws at once
+            ("rational_3x3", "rational_3x3_grid11_u4", ["--y", "0", "--mode", "rational", "--grid", "11", "--max-u", "4"]),
         ],
     )
     def test_output_bytes_match_recorded_fixture(self, doc, recorded, args, unit, tmp_path):
@@ -526,11 +528,13 @@ class TestLazyImports:
             (["mechanism", "--input", "gaussian.json"], 0, set(), {"documents", "mechanisms"}),
             (["oracle", "--input", str(_FIXTURES / "oracle" / "float_2x3.json"), "--y", "0", "--grid", "5"], 0, {"numpy"}, {"documents", "oracles"}),
             (["oracle", "--input", str(_FIXTURES / "oracle" / "rational_3x3.json"), "--y", "0", "--mode", "rational", "--grid", "5"], 0, set(), {"documents", "oracles"}),
+            (["oracle", "--input", str(_FIXTURES / "oracle" / "rational_3x3.json"), "--y", "0", "--mode", "rational", "--grid", "11", "--max-u", "4"], 0, set(), {"documents", "oracles"}),
             (["analyze", "--input", "malformed.json", "--output", "bad"], 2, set(), {"documents"}),
         ],
         ids=[
             "translate", "sweep", "analyze", "props", "mechanism-rr",
-            "mechanism-laplace", "mechanism-gaussian", "oracle", "oracle-rational", "malformed",
+            "mechanism-laplace", "mechanism-gaussian", "oracle", "oracle-rational",
+            "oracle-rational-sampled", "malformed",
         ],
     )
     def test_cli_loads_only_what_it_uses(self, argv, code, heavy, modules, tmp_path):

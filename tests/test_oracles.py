@@ -701,10 +701,10 @@ class TestBatchedGridSearch:
             oracles._error_ratio(Fraction(0), Fraction(1, 3))
         # a posterior off the prior's support: kernel (0, 1) has prior error 0
         # and posterior error 1/2, and raises although (0, 0) outranks it
-        identity = _identity_kernel(2).rows
+        identity = {0: (1, 0), 1: (0, 1)}
         with pytest.raises(ValueError, match="prior error vanished"):
             oracles._exact_scan(
-                (Fraction(1), Fraction(0)), (HALF, HALF), identity, [((0,), (0, 1))],
+                (Fraction(1), Fraction(0)), (HALF, HALF), identity, 1, [((0,), (0, 1))], (),
                 oracles._error_probability,
             )
         assert oracles._error_ratio(0.0, 2e-6) == ZERO
@@ -748,7 +748,10 @@ class TestBatchedGridSearch:
         def fail(*args, **kwargs):
             raise AssertionError("a kernel was evaluated")
 
-        names = ("_lambda_from_rows", "_block_masses", "_int_masses", "_head_masses", "_randrange_draws")
+        names = (
+            "_lambda_from_rows", "_block_masses", "_int_masses", "_head_masses", "_randrange_draws",
+            "_lattice_ints", "_unrank", "_packed_masses",
+        )
         for name in names:
             monkeypatch.setattr(oracles, name, fail)
         j = random_joint(random.Random(12), 3, 2)
@@ -864,6 +867,111 @@ class TestDrawStream:
             assert rng.getstate() == reference.getstate()
 
 
+def _drawn_reference(prior, post, rows, draws, loss):
+    """Best level over the drawn kernels and the first kernel attaining it, in ``Fraction`` arithmetic."""
+    n_x, best, first = len(prior), None, None
+    fractions = {i: [Fraction(c, 4) for c in row] for i, row in rows.items()}
+    for start in range(0, len(draws), n_x):
+        kernel = tuple(draws[start : start + n_x])
+        kernel_rows = [fractions[i] for i in kernel]
+        a, b = (loss(_fraction_masses(w, kernel_rows)) for w in (prior, post))
+        if b == 0:
+            value = 1 if a == 0 else math.inf
+        elif a == 0:
+            raise ValueError("prior error vanished while posterior error did not")
+        else:
+            value = a / b
+        if best is None or value > best:
+            best, first = value, kernel
+    return best, first
+
+
+def _pmf_over(rng, den, n):
+    """``n`` positive weights in units of ``1 / den`` with LCM of denominators ``den``: the first is ``1 / den``."""
+    cuts = sorted(rng.sample(range(1, den - 1), n - 2))
+    parts = [b - a for a, b in zip([0, *cuts], [*cuts, den - 1])]
+    return (Fraction(1, den), *(Fraction(p, den) for p in parts))
+
+
+class TestPackedDraws:
+    """One sampled alphabet's draws, scanned on their own: 4 secrets, resolution 5, u = 3, 2,000 draws."""
+
+    _ADVERSARIES = {
+        "error": (oracles._error_probability, lambda masses: 1 - max(masses)),
+        "guesswork": (oracles._min_guesswork, _permutation_guesswork),
+    }
+
+    def _scan(self, prior, post, adversary, seed):
+        cfg = SearchConfig(resolution=5, seed=seed)
+        _, _, draws = _grid_shape(4, 3, cfg)
+        assert len(draws) == 2000 * 4
+        rows = {i: oracles._unrank(i, 3, 4) for i in set(draws)}
+        loss, reference = self._ADVERSARIES[adversary]
+        got = oracles._exact_scan(prior, post, rows, 4, (), draws, loss)
+        return got, _drawn_reference(prior, post, rows, draws, reference)
+
+    # the scan's unit is one = 4 * den: just below and above 2^8, 2^16, 2^32 and 2^64,
+    # so the packed fields are 1, 2, 4, 8 and 16 bytes wide
+    @pytest.mark.parametrize("den", [63, 65, 2**14 - 1, 2**14 + 1, 2**30 - 1, 2**30 + 1, 2**62 - 1, 2**62 + 1])
+    @pytest.mark.parametrize("adversary", ["error", "guesswork"])
+    def test_draws_match_per_kernel_fractions(self, den, adversary):
+        rng = random.Random(den)
+        prior, post = _pmf_over(rng, den, 4), _pmf_over(rng, den, 4)
+        (value, kernel), (best, first) = self._scan(prior, post, adversary, den % 1000)
+        assert value.ratio == best
+        assert kernel == first
+
+    @pytest.mark.parametrize("adversary", ["error", "guesswork"])
+    def test_infinite_and_unit_levels(self, adversary):
+        # a posterior on one secret: kernels whose row for it is a vertex have
+        # posterior error 0, and kernels guessing both a priori read 0/0
+        prior = (Fraction(1, 2), Fraction(1, 2), Fraction(0), Fraction(0))
+        post = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+        (value, kernel), (best, first) = self._scan(prior, post, adversary, 4243)
+        assert value.ratio == best and kernel == first
+        if adversary == "error":
+            assert value == INF
+
+    def test_vanishing_prior_error_in_a_draw_raises(self):
+        # prior error 0 wherever secret 0's drawn row is a vertex; secret 1 then
+        # gives a positive posterior error unless its row is the same vertex
+        prior = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+        post = (HALF, HALF, Fraction(0), Fraction(0))
+        with pytest.raises(ValueError, match="prior error vanished"):
+            self._scan(prior, post, "error", 4243)
+        cfg = SearchConfig(resolution=5, seed=4243)
+        draws = _grid_shape(4, 3, cfg)[2]
+        rows = {i: oracles._unrank(i, 3, 4) for i in set(draws)}
+        with pytest.raises(ValueError, match="prior error vanished"):
+            _drawn_reference(prior, post, rows, draws, lambda masses: 1 - max(masses))
+
+
+class TestLatticeUnranking:
+    def test_unrank_matches_every_lattice_row(self):
+        for u_size in range(1, 7):
+            for resolution in range(2, 13):
+                den = resolution - 1
+                for index, row in enumerate(_lattice_rows(u_size, resolution)):
+                    assert tuple(Fraction(c, den) for c in oracles._unrank(index, u_size, den)) == row
+
+    # a float scan takes a lattice no larger than its draws whole: 3 * 3 draws stay below 11 rows
+    @pytest.mark.parametrize("exact, iterations", [(True, 200), (False, 3)])
+    def test_sampled_search_builds_no_lattice(self, monkeypatch, exact, iterations):
+        def fail(*args, **kwargs):
+            raise AssertionError("a whole lattice was built")
+
+        joint = random_joint(random.Random(27), 3, 3, exact=exact)
+        cfg = SearchConfig(resolution=11, max_u=6, max_iterations=iterations, seed=5, exhaustive_limit=1)
+        expected = certify_pmc(joint, 0, cfg)
+        guesswork = brute_force_guesswork_leakage(joint, 0, cfg)
+        for name in ("_lattice_rows", "_lattice_ints"):
+            monkeypatch.setattr(oracles, name, fail)
+        cert = certify_pmc(joint, 0, cfg)
+        assert cert == expected
+        assert all(not exhaustive for _, _, exhaustive in cert.kernels_visited)
+        assert brute_force_guesswork_leakage(joint, 0, cfg) == guesswork
+
+
 class TestIntegerCore:
     def test_min_guesswork_matches_permutation_search(self):
         rng = random.Random(1994)
@@ -912,17 +1020,22 @@ class TestIntegerCore:
             for u_size in (2, 3):
                 rows = _lattice_rows(u_size, resolution)
                 reference = list(_reference_kernels(n_x, u_size, cfg))
+                shape = _grid_shape(n_x, u_size, cfg)
                 blocks = [
                     tuple(rows[i] for i in kernel)
-                    for block in oracles._kernel_blocks(n_x, u_size, cfg)
+                    for block in oracles._kernel_blocks(n_x, shape)
                     for kernel in block.tolist()
                 ]
                 assert blocks == reference
+                int_rows = dict(enumerate(oracles._lattice_ints(u_size, resolution - 1)))
                 groups = [
                     tuple(rows[i] for i in (*head, k))
-                    for head, lasts in oracles._kernel_indices(n_x, u_size, cfg, rows)
+                    for head, lasts in oracles._kernel_indices(n_x, shape, int_rows)
                     for k in lasts
                 ]
+                # the integer scan sums a sampled grid's draws apart, after its groups
+                draws = shape[2] or []
+                groups += [tuple(rows[i] for i in draws[s : s + n_x]) for s in range(0, len(draws), n_x)]
                 if n_x * u_size > exhaustive_limit:
                     assert groups == reference
                     continue
