@@ -272,7 +272,7 @@ def _block_masses(weights: Sequence, lattice: np.ndarray, block: np.ndarray) -> 
     return acc
 
 
-def _float_scan(prior_w, post_w, rows: dict, scale, blocks, block_loss) -> tuple:
+def _float_scan(prior_w, post_w, rows: dict, scale: int, blocks, block_loss) -> tuple:
     """Best level over ``blocks`` of kernel row indices, one kernel per row, in floats.
 
     The lattice holds ``rows[i] / scale`` at row index ``i``, rounded once

@@ -887,7 +887,7 @@ def _drawn_reference(prior, post, rows, draws, loss):
 
 
 def _pmf_over(rng, den, n):
-    """``n`` positive weights in units of ``1 / den`` with LCM of denominators ``den``: the first is ``1 / den``."""
+    """``n`` positive weights in units of ``1 / den``; the first, ``1 / den``, makes ``den`` their scale."""
     cuts = sorted(rng.sample(range(1, den - 1), n - 2))
     parts = [b - a for a, b in zip([0, *cuts], [*cuts, den - 1])]
     return (Fraction(1, den), *(Fraction(p, den) for p in parts))
