@@ -271,8 +271,10 @@ class LaplaceMeanMechanism:
             raise ValueError(f"the level (hi - lo)/(n b) overflows the float range: {self.dp_level!r}")
         if self.law is None:
             object.__setattr__(self, "law", uniform_law(self.lo, self.hi))
-        elif self.law.lo < self.lo - 1e-12 or self.law.hi > self.hi + 1e-12:
-            raise ValueError("input law must live inside the data interval")
+        else:
+            slack = 1e-12 * (self.hi - self.lo)
+            if self.law.lo < self.lo - slack or self.law.hi > self.hi + slack:
+                raise ValueError("input law must live inside the data interval")
 
     @property
     def dp_level(self) -> float:
@@ -386,9 +388,10 @@ class GaussianPerturbMechanism:
         if self.law is None:
             object.__setattr__(self, "law", uniform_law(-self.amplitude, self.amplitude))
         else:
-            if self.law.lo < -self.amplitude - 1e-12 or self.law.hi > self.amplitude + 1e-12:
+            reach = self.amplitude * (1.0 + 1e-12)
+            if self.law.lo < -reach or self.law.hi > reach:
                 raise ValueError("input law must live inside [-amplitude, amplitude]")
-            if abs(self.law.mean) > 1e-9:
+            if abs(self.law.mean) > 1e-9 * self.amplitude:
                 raise ValueError("input law must have zero mean")
 
     @property
@@ -427,25 +430,25 @@ class GaussianPerturbMechanism:
         """
         if not math.isfinite(y):
             raise ValueError(f"y must be finite, got {y!r}")
-        if not math.isfinite(abs(y) / self.sigma * (2.0 * self.amplitude / self.sigma)):
+        u = abs(y) / self.sigma
+        if not math.isfinite(u * (2.0 * (self.amplitude / self.sigma))):
             raise ValueError(f"the level at y = {y!r} overflows the float range")
         if self.law.family != "uniform":
             return _quadrature_pmc(self.law, self._noise_pdf, y, kink=None)
-        return self._pmc_uniform(float(y))
+        return self._uniform_level(float(u))
 
-    def _pmc_uniform(self, y: float) -> float:
+    def _uniform_level(self, u: float) -> float:
+        """The level of a uniform law at |y| = u sigma, read in units of sigma."""
         from scipy import special
 
-        s = self.sigma
-        lo, hi = self.law.lo, self.law.hi
-        window = (hi - lo) / s
+        lo, hi = self.law.lo / self.sigma, self.law.hi / self.sigma
+        window = hi - lo
         # The zero-mean uniform law is symmetric, so the cost is even in y:
-        # at -|y| the mass below the window never cancels against one.
-        upper = (-abs(y) - lo) / s
-        lower = (-abs(y) - hi) / s
+        # at -u the mass below the window never cancels against one.
+        upper, lower = -u - lo, -u - hi
         # A level is about -lower * window / 2.  In a narrow window, up to half
         # a nat the normal-CDF form would cancel it against l^2/2; every other
-        # y has -lower > 1/window >= 2.5, so u < 0 and the far form holds.
+        # u has -lower > 1/window >= 2.5, so upper < 0 and the far form holds.
         if window <= _NARROW_WINDOW and lower * window >= -1.0:
             import numpy as np
 
@@ -460,19 +463,19 @@ class GaussianPerturbMechanism:
         below = special.ndtr(lower)
         if window <= _NARROW_WINDOW or (below == 0.0 and upper < 0.0):
             # Where Phi(l) underflows, its share of the mass is lost.  Far out,
-            # log Phi(z) + z^2/2 = log(erfcx(-z/sqrt 2)/2), which needs u < 0 to
-            # stay finite, and the gap (l^2 - u^2)/2 is formed without the
+            # log Phi(z) + z^2/2 = log(erfcx(-z/sqrt 2)/2), which needs upper < 0
+            # to stay finite, and the gap (l^2 - upper^2)/2 is formed without the
             # squares, which would cancel (or overflow) against each other;
             # this form drops l^2/2.
             tail_u = special.erfcx(upper / -math.sqrt(2.0))
             tail_l = special.erfcx(lower / -math.sqrt(2.0))
-            gap = (abs(y) + (lo + hi) / 2.0) / s * window
+            gap = (u + (lo + hi) / 2.0) * window
             log_mass = math.log(tail_u / 2.0) + gap + math.log1p(-tail_l / tail_u * math.exp(-gap))
             lower = 0.0
         else:
             log_mass = math.log(special.ndtr(upper) - below)
         # the far end of the window, hi, is -lower standard deviations away
-        return log_mass - math.log(hi - lo) + 0.5 * lower * lower + math.log(s * math.sqrt(2.0 * math.pi))
+        return log_mass - math.log(window) + 0.5 * lower * lower + math.log(math.sqrt(2.0 * math.pi))
 
     def tail_bound(self, beta: float) -> float:
         """Probability bound for the cost exceeding its center by ``beta``."""
@@ -485,10 +488,11 @@ class GaussianPerturbMechanism:
 
         The event is ``cost(Y) >= beta + A^2/(2 sigma^2)`` under the real
         mechanism; its probability never exceeds :meth:`tail_bound`.  Needs a
-        uniform input law, whose cost rises with |y|: the event is ``|Y| >= r``
-        for one root r, found by bisection, and its mass has a closed form.
-        ``seed`` and ``n_samples`` are accepted and not read, since nothing
-        is sampled.
+        uniform input law, whose cost rises with |y|: the event is
+        ``|Y| >= u sigma`` for one root u, found by bisection in units of
+        sigma, and its mass has a closed form.  Both read A/sigma, the law's
+        ends over sigma and ``beta`` alone.  ``seed`` and ``n_samples`` are
+        accepted and not read, since nothing is sampled.
         """
         if self.law.family != "uniform":
             raise ValueError(f"the tail mass needs a uniform input law, got {self.law.family!r}")
@@ -496,32 +500,25 @@ class GaussianPerturbMechanism:
             raise ValueError("beta must not be NaN")
         if not isinstance(n_samples, int) or isinstance(n_samples, bool) or n_samples < 1:
             raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
-        try:
-            threshold = beta + self.amplitude**2 / (2.0 * self.sigma**2)
-        except OverflowError:  # A^2 is beyond the float range; (A/sigma)^2 is not
-            threshold = beta + self.variance_ratio / 2.0
-        # The cost is even in y and strictly increasing in |y|: for y > 0,
+        threshold = beta + self.variance_ratio / 2.0
+        # The cost is even in y and strictly increasing in u = |y|/sigma: for y > 0,
         # d/dy log f_Y(y) = -E[(y - X)/sigma^2 | Y = y] > -(y + A)/sigma^2, as
         # X > -A, and the floor term -log f_N(y + A) adds (y + A)/sigma^2.  The
-        # envelope cost >= a|y|/sigma^2, a = hi of the law (at most A), brackets the
-        # smallest float root r in [0, threshold sigma^2/a], capped where y/sigma overflows.
+        # envelope cost >= u hi/sigma, hi the law's upper end (at most A), brackets
+        # the smallest float root in [0, threshold / (hi/sigma)], capped at the
+        # float range; a law whose hi/sigma underflows to 0 takes the whole range.
         if threshold == math.inf:
             return 0.0, 0.0
-        if not self._pmc_uniform(0.0) < threshold:
+        if not self._uniform_level(0.0) < threshold:
             return 1.0, 0.0
-        bracket = threshold * self.sigma**2 / self.law.hi
-        if bracket == math.inf:  # sigma^2 or threshold sigma^2 overflows, the bracket may not
-            bracket = threshold * (self.sigma / self.law.hi) * self.sigma
-        below, root = 0.0, min(bracket, sys.float_info.max * self.sigma)
+        lo, hi = self.law.lo / self.sigma, self.law.hi / self.sigma
+        below, root = 0.0, min(threshold / hi if hi > 0.0 else math.inf, sys.float_info.max)
         while below < (mid := below + (root - below) / 2.0) < root:
-            if self._pmc_uniform(mid) >= threshold:
+            if self._uniform_level(mid) >= threshold:
                 root = mid
             else:
                 below = mid
-        if root == math.inf:  # r is beyond the float range, far past the window
-            return 0.0, 0.0
-        lo, hi, s = self.law.lo, self.law.hi, self.sigma
-        return _window_tail_mass((root - hi) / s, (hi - lo) / s), 0.0
+        return _window_tail_mass(root - hi, hi - lo), 0.0
 
 
 def _window_tail_mass(a: float, w: float) -> float:

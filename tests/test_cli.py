@@ -431,6 +431,7 @@ _RECORDED = [
     ("mechanism", "rr", ["--input", "{fixtures}/mechanism/rr.json"]),
     ("mechanism", "laplace_mean", ["--input", "{fixtures}/mechanism/laplace_mean.json"]),
     ("mechanism", "gaussian", ["--input", "{fixtures}/mechanism/gaussian.json"]),
+    ("mechanism", "gaussian_unsaturated", ["--input", "{fixtures}/mechanism/gaussian_unsaturated.json"]),
 ]
 
 

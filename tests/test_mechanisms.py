@@ -1,6 +1,7 @@
 import decimal
 import math
 import random
+import sys
 import warnings
 from fractions import Fraction
 
@@ -303,6 +304,13 @@ class TestLaplaceMean:
             LaplaceMeanMechanism(0.0, 1.0, 0, 1.0)
         with pytest.raises(ValueError):
             LaplaceMeanMechanism(0.0, 1.0, 1, -1.0)
+
+    def test_law_reach_is_checked_relative_to_the_interval(self):
+        # an absolute slack of 1e-12 would let this law reach a whole width below lo
+        with pytest.raises(ValueError, match="inside the data interval"):
+            LaplaceMeanMechanism(0.0, 1e-12, 1, 1e-12, law=uniform_law(-1e-12, 2e-12))
+        within = LaplaceMeanMechanism(0.0, 1.0, 1, 1.0, law=uniform_law(-1e-13, 1.0 + 1e-13))
+        assert within.law.lo == -1e-13
 
 
 def _spline_corpus():
@@ -659,6 +667,75 @@ class TestGaussianPerturb:
             GaussianPerturbMechanism(1.0, 0.0)
         with pytest.raises(ValueError):
             GaussianPerturbMechanism(1.0, 1.0, law=uniform_law(0.0, 1.0))  # mean 1/2
+
+    def test_law_reach_is_checked_relative_to_the_amplitude(self):
+        # with an absolute slack of 1e-12 the law reached 2A, and pmc_at(3e-12), 10.19,
+        # rose above its own pmc_bounds upper bound 6.5
+        with pytest.raises(ValueError, match=r"inside \[-amplitude, amplitude\]"):
+            GaussianPerturbMechanism(1e-12, 1e-12, law=uniform_law(-2e-12, 2e-12))
+        g = GaussianPerturbMechanism(1.0, 1.0, law=uniform_law(-1.0 - 1e-13, 1.0 + 1e-13))
+        assert g.law.hi == 1.0 + 1e-13
+
+    def test_law_mean_is_checked_relative_to_the_amplitude(self):
+        # with an absolute slack of 1e-9 the law's mean A/2 passed as zero
+        with pytest.raises(ValueError, match="zero mean"):
+            GaussianPerturbMechanism(1e-12, 1.0, law=uniform_law(0.0, 1e-12))
+        g = GaussianPerturbMechanism(1e12, 1.0, law=uniform_law(-1e12 + 1.0, 1e12))
+        assert g.law.mean == 0.5
+
+    def test_levels_and_masses_are_exactly_scale_free(self):
+        # A, sigma and y enter only as A/sigma, |y|/sigma and the law's ends over sigma,
+        # so scaling all three by a power of two leaves every bit: sigma from 1e-2 to
+        # 1e2, A/sigma from 1e-3 to 30, |y| from 1e-3 to 1e3 sigma, beta up to 100 A^2/sigma^2
+        rng = random.Random(29)
+        for _ in range(200):
+            sigma = 10 ** rng.uniform(-2, 2)
+            amplitude = 10 ** rng.uniform(-3, math.log10(30)) * sigma
+            y = rng.choice((-1, 1)) * 10 ** rng.uniform(-3, 3) * sigma
+            beta = rng.uniform(0, 100) * (amplitude / sigma) ** 2
+            g = GaussianPerturbMechanism(amplitude, sigma)
+            expected = g.pmc_at(y), g.tail_frequency(beta), g.pmc_bounds(y)
+            for k in (-200, -60, -7, 9, 80, 200):
+                scale = 2.0**k
+                scaled = GaussianPerturbMechanism(amplitude * scale, sigma * scale)
+                assert (scaled.pmc_at(y * scale), scaled.tail_frequency(beta), scaled.pmc_bounds(y * scale)) == expected
+
+    def test_tail_frequency_where_the_law_end_underflows_in_units_of_sigma(self):
+        # hi/sigma is 0.0, so the bracket threshold/(hi/sigma) spans the float range
+        g = GaussianPerturbMechanism(3.6e-92, 1.4e69, law=uniform_law(-2.7e-317, 2.7e-317))
+        for beta in (1e-300, 1.0, 1e300):
+            assert g.tail_frequency(beta) == (0.0, 0.0)
+
+    def test_no_untyped_error_across_the_float_range(self):
+        # A and sigma from 1e-150 to 1e150, half the laws U[-h, h] with h down to
+        # A 1e-330 (so that hi/sigma may underflow), |y| up to 1e300 sigma, beta up to
+        # 1e307, half of it from 1e-3 to 1e2 (A/sigma)^2, where the mass is seldom 0 or 1
+        from infodens import InfodensError
+
+        rng = random.Random(16)
+        accepted = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(4000):
+                amplitude, sigma = 10 ** rng.uniform(-150, 150), 10 ** rng.uniform(-150, 150)
+                custom, half = rng.random() < 0.5, amplitude * 10 ** -rng.uniform(0, 330)
+                y = rng.choice((-1, 1)) * min(10 ** rng.uniform(-3, 300) * sigma, sys.float_info.max)
+                ratio = amplitude / sigma
+                beta = 10 ** rng.uniform(-10, 307) if rng.random() < 0.5 else 10 ** rng.uniform(-3, 2) * ratio * ratio
+                beta = min(beta, 1e307)
+                try:
+                    g = GaussianPerturbMechanism(amplitude, sigma, law=uniform_law(-half, half) if custom else None)
+                except (InfodensError, ValueError):
+                    continue
+                accepted += 1
+                try:
+                    level = g.pmc_at(y)
+                except (InfodensError, ValueError):
+                    level = 0.0
+                (mass, stderr), bound = g.tail_frequency(beta), g.tail_bound(beta)
+                assert not any(math.isnan(v) for v in (level, *g.pmc_bounds(y)))
+                assert 0.0 <= mass <= 1.0 and stderr == 0.0 and 0.0 <= bound <= 1.0
+        assert accepted > 2500
 
     @pytest.mark.parametrize(
         "amplitude, sigma", [(1e308, 1.0), (1e200, 1e-200), (1.0, 1e200), (1e-200, 1.0), (1.0, 1e-170)]
