@@ -7,9 +7,11 @@ levels can be compared against the closed forms with exact equality.
 The continuous families (Laplace-noised sample mean, Gaussian perturbation
 of a bounded value) evaluate the pointwise cost through the density identity
 ``log f_Y(y) / inf_x f_{Y|X=x}(y)``; for log-concave noise the infimum sits
-at a support endpoint, which the closed forms use and the quadrature path
-mirrors.  Interior Laplace levels are integrated for every n: the mean of n
-uniform points has the Irwin-Hall density, a cardinal B-spline.
+at a support endpoint, which the closed forms and the integrals use.  Each
+density of an interior Laplace level of n uniform points is one fixed rule:
+16 Gauss-Legendre nodes on each piece of the Irwin-Hall density of their
+mean, a cardinal B-spline from the Cox-de Boor recursion, with the pieces
+split at the noise's kink and graded towards it.  A custom law takes QUADPACK.
 
 Mechanism documents, the JSON format the CLI reads, are parsed in
 :mod:`infodens.documents`, which loads this module only for a ``family``
@@ -34,9 +36,8 @@ from .errors import (
 )
 from .probcore import ExtReal, Channel, Number, Pmf, as_level
 
-#: Requested and accepted relative accuracy for the 1-D density quadratures.
-_QUAD_EPSREL = 1e-9
-_QUAD_ACCEPT_REL = 1e-6
+#: Requested and accepted relative accuracy for the density quadratures of custom laws.
+_QUAD_EPSREL, _QUAD_ACCEPT_REL = 1e-9, 1e-6
 #: Gaussian windows 2A/sigma at or below this integrate levels under a nat,
 #: which the normal-CDF form would cancel away.
 _NARROW_WINDOW = 0.4
@@ -45,11 +46,23 @@ _MAX_SPLINE_ORDER = 128
 
 
 @functools.cache
-def _legendre_rule() -> tuple:
-    """The 8-node Gauss-Legendre ``(nodes, weights)`` on [-1, 1], solved for on first use."""
+def _legendre_rule(count: int) -> tuple:
+    """The ``count``-node Gauss-Legendre ``(nodes, weights)`` on [-1, 1], solved for on first use."""
     import numpy as np
 
-    return np.polynomial.legendre.leggauss(8)
+    return np.polynomial.legendre.leggauss(count)
+
+
+def _cardinal_bspline(offsets, k: int):
+    """``M_k(t + j)`` for offsets t in [0, 1] (rows) and pieces j < k (columns), by the Cox-de Boor
+    recursion: its terms are non-negative, where the truncated-power sum would cancel at large k."""
+    import numpy as np
+
+    x, table = offsets[:, None] + np.arange(k), np.zeros((len(offsets), k + 1))
+    table[:, 1] = 1.0  # M_1; column 0 is the zero piece below 0
+    for m in range(2, k + 1):  # M_m(x) = (x M_{m-1}(x) + (m - x) M_{m-1}(x - 1)) / (m - 1)
+        table[:, 1 : m + 1] = (x[:, :m] * table[:, 1 : m + 1] + (m - x[:, :m]) * table[:, :m]) / (m - 1)
+    return table[:, 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -71,9 +84,7 @@ def randomized_response(n: int, eps_r) -> Channel:
     denom = n - 1 + r
     diag = r / denom
     off = 1 / denom
-    return Channel(
-        tuple(tuple(diag if i == j else off for j in range(n)) for i in range(n))
-    )
+    return Channel(tuple(tuple(diag if i == j else off for j in range(n)) for i in range(n)))
 
 
 def randomized_response_pmc(n: int, eps_r, prior: Pmf) -> ExtReal:
@@ -109,15 +120,10 @@ def extremal_mechanism(prior: Pmf, eps_u) -> Channel:
     entries stay positive.
     """
     r = _high_privacy_ratio(prior, eps_u)
-    n = len(prior)
-    rows = []
-    for i in range(n):
-        rows.append(
-            tuple(
-                (1 - r * (1 - prior[i])) if i == j else r * prior[j] for j in range(n)
-            )
-        )
-    return Channel(tuple(rows))
+    cols = range(len(prior))
+    return Channel(
+        tuple(tuple(1 - r * (1 - prior[i]) if i == j else r * prior[j] for j in cols) for i in cols)
+    )
 
 
 def extremal_mechanism_pmc(prior: Pmf, eps_u) -> ExtReal:
@@ -142,7 +148,7 @@ class BoundedLaw:
 
     ``cgf`` is the cumulant generating function of the centered variable and
     drives the closed-form cost levels; ``pdf`` feeds the quadrature path of
-    a single point.  Either may be omitted when the corresponding evaluation
+    a custom law.  Either may be omitted when the corresponding evaluation
     is not needed.  Interior Laplace levels of n > 1 points need the uniform
     ``family``.  Evaluations are exact when the law places mass arbitrarily
     close to both endpoints, and upper bounds otherwise.
@@ -184,14 +190,11 @@ def uniform_law(lo: float, hi: float) -> BoundedLaw:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     half = (hi - lo) / 2.0
     density = 1.0 / (hi - lo)
-    return BoundedLaw(
-        lo=lo,
-        hi=hi,
-        mean=(lo + hi) / 2.0,
-        cgf=lambda t: _uniform_cgf(half, t),
-        pdf=lambda x, _d=density, _lo=lo, _hi=hi: _d if _lo <= x <= _hi else 0.0,
-        family="uniform",
-    )
+
+    def pdf(x: float) -> float:
+        return density if lo <= x <= hi else 0.0
+
+    return BoundedLaw(lo, hi, (lo + hi) / 2.0, lambda t: _uniform_cgf(half, t), pdf, family="uniform")
 
 
 def discrete_law(points: Sequence[float], probs: Sequence[float]) -> BoundedLaw:
@@ -212,31 +215,22 @@ def discrete_law(points: Sequence[float], probs: Sequence[float]) -> BoundedLaw:
     return BoundedLaw(lo=min(pts), hi=max(pts), mean=mean, cgf=cgf, family="discrete")
 
 
-def _checked_quad(integrand, lo: float, hi: float, points: Sequence[float]) -> float:
-    """A density over [lo, hi] with interior breakpoints ``points``, to a relative tolerance.
-
-    Raises QuadratureFailure unless it is a normal float, whose log keeps its digits,
-    within the accepted error.
-    """
-    from scipy import integrate
-
-    value, err = integrate.quad(
-        integrand, lo, hi, points=points or None, limit=200, epsabs=0.0, epsrel=_QUAD_EPSREL
-    )
-    if not value >= sys.float_info.min or err > _QUAD_ACCEPT_REL * value:
-        raise QuadratureFailure(f"the density {value!r} underflows or misses the tolerance: error {err!r}")
-    return value
-
-
 def _quadrature_pmc(law: BoundedLaw, noise_pdf, y: float, kink: Optional[float]) -> float:
-    """Pointwise cost of releasing ``y`` under additive noise, by quadrature, in nats."""
+    """Pointwise cost of releasing ``y`` under additive noise, by quadrature, in nats; QuadratureFailure
+    unless both densities are normal floats, whose logs keep their digits, within the accepted error."""
     if law.pdf is None:
         raise ValueError("the input law needs a density for quadrature")
     f_floor = min(noise_pdf(y - law.lo), noise_pdf(y - law.hi))
-    if f_floor < sys.float_info.min:  # a subnormal floor keeps too few digits for its log
+    if f_floor < sys.float_info.min:
         raise QuadratureFailure(f"the noise density at the support ends underflows at y = {y!r}")
-    points = [kink] if kink is not None and law.lo < kink < law.hi else []
-    f_y = _checked_quad(lambda x: law.pdf(x) * noise_pdf(y - x), law.lo, law.hi, points)
+    from scipy import integrate
+
+    f_y, err = integrate.quad(
+        lambda x: law.pdf(x) * noise_pdf(y - x), law.lo, law.hi, limit=200, epsabs=0.0, epsrel=_QUAD_EPSREL,
+        points=[kink] if kink is not None and law.lo < kink < law.hi else None,
+    )
+    if not f_y >= sys.float_info.min or err > _QUAD_ACCEPT_REL * f_y:
+        raise QuadratureFailure(f"the density {f_y!r} underflows or misses the tolerance: error {err!r}")
     return math.log(f_y) - math.log(f_floor)
 
 
@@ -296,9 +290,8 @@ class LaplaceMeanMechanism:
         data range), where it equals the plateau values below; for uniform
         data this collapses to ``log( nb/(hi-lo) (e^{(hi-lo)/(nb)} - 1) )``.
         """
-        if self.law.family == "uniform" and math.isclose(
-            self.law.lo, self.lo
-        ) and math.isclose(self.law.hi, self.hi):
+        law = self.law
+        if law.family == "uniform" and math.isclose(law.lo, self.lo) and math.isclose(law.hi, self.hi):
             w = (self.hi - self.lo) / (self.n * self.b)
             try:
                 return math.log(math.expm1(w) / w)
@@ -311,8 +304,8 @@ class LaplaceMeanMechanism:
         """Pointwise cost of releasing the value ``y``, in nats.
 
         Released values at or beyond the data range take the plateau closed
-        forms; interior values are integrated to a relative tolerance.  For
-        n > 1 that needs the uniform law and n <= 128, else ValueError.
+        forms; interior values are integrated, for a uniform law up to n = 128
+        and for a custom law at n = 1 only, else ValueError.
         ``method="quadrature"`` forces the numerical path everywhere.  NaN
         raises ValueError.  ``seed`` and ``mc_samples`` are accepted and not
         read, since no path samples.
@@ -324,35 +317,45 @@ class LaplaceMeanMechanism:
         if method == "auto" and not self.lo < y < self.hi:
             upper, lower = self._plateaus()
             return upper if y >= self.hi else lower
-        if self.n == 1:
-            return _quadrature_pmc(self.law, self._noise_pdf, y, kink=y)
-        return self._pmc_spline(y)
+        if self.law.family == "uniform":
+            return self._pmc_spline(y)
+        if self.n > 1:
+            raise ValueError(f"the interior level for n > 1 needs a uniform law, got {self.law.family!r}")
+        return _quadrature_pmc(self.law, self._noise_pdf, y, kink=y)
 
-    def _noise_pdf(self, u: float) -> float:
-        return math.exp(-abs(u) / self.b) / (2.0 * self.b)
+    def _noise_pdf(self, u):  # at a float or a numpy array
+        import numpy as np
 
-    def _pmc_spline(self, y: float) -> float:
-        """The level of n > 1 uniform points: the mean is ``lo + a S``, ``a = (hi - lo)/n``,
-        and S, a sum of U[0, 1] points, has the cardinal B-spline density (Irwin-Hall)."""
-        law = self.law
-        if law.family != "uniform":
-            raise ValueError(f"the interior level for n > 1 needs a uniform law, got {law.family!r}")
+        return np.exp(-np.abs(u) / self.b) / (2.0 * self.b)
+
+    def _pmc_spline(self, y: float) -> float:  # the rule of the module docstring
+        import numpy as np
+
         if self.n > _MAX_SPLINE_ORDER:
             raise ValueError(f"the interior level needs n <= {_MAX_SPLINE_ORDER}, got {self.n}")
-        from scipy.interpolate import BSpline
-
-        a = (law.hi - law.lo) / self.n
-        splines = {k: BSpline.basis_element(range(k + 1)) for k in (self.n - 1, self.n)}
+        a, (nodes, weights) = (self.law.hi - self.law.lo) / self.n, _legendre_rule(16)
 
         def density(z: float, k: int) -> float:  # of z - a S + noise at 0, S summing k points
-            spline = splines[k]
-            breaks = sorted({*range(1, k), *([z / a] if 0 < z / a < k else [])})  # knots, kink
-            return _checked_quad(
-                lambda s: float(spline(s)) * self._noise_pdf(z - a * s), 0.0, k, breaks
-            )
+            if k == 0:  # the order-0 spline is a point mass at 0
+                value = float(self._noise_pdf(z))
+            else:
+                centre, cuts, step = min(max(z / a, 0.0), k), {z / a, *range(k + 1)}, self.b / a
+                while step < k:  # at c +- (b/a) 2^i, c the kink clamped into [0, k]
+                    cuts.update((centre - step, centre + step))
+                    step *= 2.0
+                breaks = np.array(sorted(c for c in cuts if 0 <= c <= k), dtype=float)
+                piece, width = breaks[:-1].astype(int), breaks[1:] - breaks[:-1]
+                offsets = (breaks[:-1] - piece)[:, None] + width[:, None] * (nodes + 1.0) / 2.0
+                shared, row = np.unique(offsets, return_inverse=True)  # whole pieces share rows
+                spline = _cardinal_bspline(shared, k)[row.reshape(offsets.shape), piece[:, None]]
+                noise = self._noise_pdf(z - a * (piece[:, None] + offsets))
+                value = float((spline * noise) @ weights @ width) / 2.0
+            if not value >= sys.float_info.min:  # a subnormal density keeps too few digits for its log
+                raise QuadratureFailure(f"the density {value!r} underflows at y = {y!r}")
+            return value
 
         # one point pinned at lo or hi leaves the n - 1 spline, shifted by 0 or a
-        z = y - law.lo
+        z = y - self.law.lo
         floor = min(density(z, self.n - 1), density(z - a, self.n - 1))
         return math.log(density(z, self.n)) - math.log(floor)
 
@@ -452,13 +455,13 @@ class GaussianPerturbMechanism:
         if window <= _NARROW_WINDOW and lower * window >= -1.0:
             import numpy as np
 
-            # f_Y / f_N(y - hi) is the mean over t in [0, window] of e^h(t),
-            # h(t) = t (-lower - t/2) the log noise-density ratio between the
-            # secrets hi - t sigma and hi; log1p of the mean of expm1(h) keeps
-            # the digits of a small level, and 8 nodes are exact to rounding.
-            nodes, weights = _legendre_rule()
-            nodes = (nodes + 1.0) * (window / 2.0)
-            h = nodes * (-lower - nodes / 2.0)
+            # f_Y / f_N(y - hi) is the mean over t in [0, window] of e^h(t), h(t) = t (-lower - t/2)
+            # the log noise-density ratio between the secrets hi - t sigma and hi, t = x/sigma read
+            # from x in the law's units, as a subnormal window keeps few digits; log1p of the mean
+            # of expm1(h) keeps the digits of a small level, and 8 nodes are exact to rounding.
+            nodes, weights = _legendre_rule(8)
+            s, x = self.sigma, (nodes + 1.0) * ((self.law.hi - self.law.lo) / 2.0)
+            h = x * (-lower - x / (2.0 * s)) / s
             return float(np.log1p(np.expm1(h) @ weights / 2.0))
         below = special.ndtr(lower)
         if window <= _NARROW_WINDOW or (below == 0.0 and upper < 0.0):
@@ -534,7 +537,7 @@ def _window_tail_mass(a: float, w: float) -> float:
     # bound the integrand falls by less than e^(1.5 + w^2/2), and 8 Gauss-Legendre
     # nodes hold its mean to rounding; the G difference would cancel there.
     if w * (max(a, 0.0) + 1.0) <= 1.5:
-        nodes, weights = _legendre_rule()
+        nodes, weights = _legendre_rule(8)
         return float(special.ndtr(-(a + (nodes + 1.0) * (w / 2.0))) @ weights)
 
     def scaled_g(z: float) -> float:  # G(z)/phi(z) = 1 - z Phi-bar(z)/phi(z), for z > 0

@@ -556,7 +556,15 @@ class TestLazyImports:
             (
                 "m = infodens.LaplaceMeanMechanism(0.0, 1.0, 2, 1.0)\n"
                 "assert 0 < m.pmc_at(0.5) < m.sup_pmc()",
-                {"numpy", "scipy"},
+                {"numpy"},
+            ),
+            (
+                "import sys\n"
+                "for n in (1, 128):\n"
+                "    m = infodens.LaplaceMeanMechanism(0.0, 1.0, n, 0.5)\n"
+                "    assert 0 < m.pmc_at(0.4) < m.sup_pmc()\n"
+                "assert not {'scipy.integrate', 'scipy.interpolate'} & set(sys.modules)",
+                {"numpy"},
             ),
             (
                 "m = infodens.GaussianPerturbMechanism(1.0, 1.0)\n"
@@ -612,7 +620,7 @@ class TestLazyImports:
             ),
         ],
         ids=[
-            "quadrature", "laplace-n2", "tail-frequency", "certify-float", "certify-exact",
+            "quadrature", "laplace-n2", "laplace-uniform-n1-n128", "tail-frequency", "certify-float", "certify-exact",
             "guesswork-float", "guesswork-exact", "single-kernel-float", "single-kernel-exact",
         ],
     )

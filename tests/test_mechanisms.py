@@ -325,6 +325,29 @@ def _spline_corpus():
     return cases
 
 
+def _bspline_quadpack_level(m, y):
+    """The interior level of a uniform law by QUADPACK over scipy's B-spline basis elements."""
+    from scipy import integrate
+    from scipy.interpolate import BSpline
+
+    a = (m.hi - m.lo) / m.n
+
+    def noise(u):
+        return math.exp(-abs(u) / m.b) / (2.0 * m.b)
+
+    def density(z, k):
+        if k == 0:
+            return noise(z)
+        spline, breaks = BSpline.basis_element(range(k + 1)), {*range(1, k), *([z / a] if 0 < z / a < k else [])}
+        return integrate.quad(
+            lambda s: float(spline(s)) * noise(z - a * s), 0.0, k, points=sorted(breaks) or None, limit=200,
+            epsabs=0.0, epsrel=1e-9,
+        )[0]
+
+    z = y - m.lo
+    return math.log(density(z, m.n)) - math.log(min(density(z, m.n - 1), density(z - a, m.n - 1)))
+
+
 class TestLaplaceSpline:
     """Interior levels of n > 1 uniform points, integrated against B-splines."""
 
@@ -369,39 +392,44 @@ class TestLaplaceSpline:
             stderr = math.hypot(*(dens[i].std(ddof=1) / math.sqrt(samples) / dens[i].mean() for i in (0, floor)))
             assert abs(m.pmc_at(y) - estimate) <= 4 * stderr
 
-    @pytest.mark.parametrize("b, y, rules", [(1.0, 0.4, 1), (0.01, 0.37, 2)])
-    def test_kink_breakpoint_bounds_the_rules_per_piece(self, b, y, rules, monkeypatch):
-        # n = 3 splits f_Y at the knots 1, 2 and the kink z/a into 4 pieces, and each
-        # pinned density at knot 1 and its kink into 3; one 21-point Gauss-Kronrod
-        # rule takes a piece (two where the noise is narrow).  Without the kink quad
-        # bisects the kinked pieces: 1,365 and 2,373 calls.
-        calls = []
+    @pytest.mark.parametrize("b, y, nodes", [(1.0, 0.4, 160), (0.01, 0.37, 656)])
+    def test_kink_breakpoint_bounds_the_rules_per_piece(self, b, y, nodes, monkeypatch):
+        # 16 nodes per interval.  n = 3 splits f_Y at the knots 1, 2 and the kink z/a into 4
+        # intervals, and each pinned density at knot 1 and its kink into 3.  Where the noise is
+        # narrow (b/a = 0.03) the breakpoints c +- (b/a) 2^i inside the support add 8 to 12
+        # intervals to each density: the count grows with log(a/b), not with a/b.
+        import numpy as np
+
+        sizes = []
         noise_pdf = LaplaceMeanMechanism._noise_pdf
-        monkeypatch.setattr(LaplaceMeanMechanism, "_noise_pdf", lambda m, u: calls.append(u) or noise_pdf(m, u))
+        monkeypatch.setattr(
+            LaplaceMeanMechanism, "_noise_pdf", lambda m, u: sizes.append(np.size(u)) or noise_pdf(m, u)
+        )
         LaplaceMeanMechanism(0.0, 1.0, 3, b).pmc_at(y)
-        assert len(calls) <= 21 * rules * 10
+        assert len(sizes) == 3 and sum(sizes) <= nodes
 
-    def test_each_basis_element_is_built_once_per_level(self, monkeypatch):
-        from scipy.interpolate import BSpline
-
-        m, ys = LaplaceMeanMechanism(0.0, 1.0, 3, 1.0), (0.2, 0.5)
-        levels = [m.pmc_at(y) for y in ys]
-        basis_element, orders = BSpline.basis_element, []
-
-        def counted(knots, *args, **kwargs):
-            orders.append(len(knots) - 1)
-            return basis_element(knots, *args, **kwargs)
-
-        monkeypatch.setattr(BSpline, "basis_element", counted)
-        assert [m.pmc_at(y) for y in ys] == levels
-        # f_Y needs the order-3 element, both floor densities the order-2 one
-        assert orders == [2, 3, 2, 3]
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 32, 128])
+    def test_levels_match_quadpack_over_scipy_basis_elements(self, n):
+        # Against the removed route, QUADPACK over BSpline.basis_element with the knots and the
+        # kink as breakpoints, on a seeded grid: b/a from 1e-3 to 1e2, y in the interior and
+        # within 1e-9 (hi - lo) of a knot, of lo and of hi.
+        rng = random.Random(2900 + n)
+        for _ in range(2):
+            lo = rng.uniform(-3.0, 3.0)
+            width = 10 ** rng.uniform(-2, 2)
+            m = LaplaceMeanMechanism(lo, lo + width, n, width / n * 10 ** rng.uniform(-3, 2))
+            near = 1e-9 * width * rng.random()
+            knot = lo + rng.randint(1, n - 1) * width / n if n > 1 else lo + width / 2
+            for y in (lo + rng.random() * width, knot + rng.choice((-near, near)), lo + near, lo + width - near):
+                expected = _bspline_quadpack_level(m, y)
+                assert m.pmc_at(y) == pytest.approx(expected, rel=1e-12, abs=1e-14 if expected < 0.01 else 0)
 
     def test_non_uniform_law_and_large_n_raise_before_integrating(self, monkeypatch):
         def no_quadrature(*args):
             raise AssertionError("integrated")
 
-        monkeypatch.setattr(mechanisms, "_checked_quad", no_quadrature)
+        monkeypatch.setattr(mechanisms, "_quadrature_pmc", no_quadrature)
+        monkeypatch.setattr(mechanisms, "_cardinal_bspline", no_quadrature)
         law = discrete_law([0.0, 0.5, 1.0], [1, 2, 1])
         with pytest.raises(ValueError, match="uniform law"):
             LaplaceMeanMechanism(0.0, 1.0, 2, 1.0, law=law).pmc_at(0.5)
@@ -699,6 +727,20 @@ class TestGaussianPerturb:
                 scale = 2.0**k
                 scaled = GaussianPerturbMechanism(amplitude * scale, sigma * scale)
                 assert (scaled.pmc_at(y * scale), scaled.tail_frequency(beta), scaled.pmc_bounds(y * scale)) == expected
+
+    def test_narrow_window_level_where_the_law_end_over_sigma_is_subnormal(self):
+        # hi/sigma below the normal range carries few digits into the window, so the exponent is
+        # read from the law's width in its own units.  The level is L = |y| h/sigma^2 up to a
+        # relative (h/sigma)/(3 u) + L/6, u = |y|/sigma, below 1e-13 here.
+        rng = random.Random(2929)
+        for _ in range(200):
+            scale, ratio = rng.uniform(24, 60), rng.uniform(-323, -309)  # log10 sigma and h/sigma
+            sigma, half = 10**scale, 10 ** (scale + ratio)  # h is a normal float with all its digits
+            u = 10 ** rng.uniform(-300 - ratio, min(300 - scale, -13 - ratio))
+            g = GaussianPerturbMechanism(sigma * 10 ** rng.uniform(-150, -1), sigma, law=uniform_law(-half, half))
+            y = rng.choice((-1, 1)) * u * sigma
+            exact = Fraction(abs(y)) * Fraction(g.law.hi) / Fraction(sigma) ** 2
+            assert g.pmc_at(y) == pytest.approx(float(exact), rel=1e-12, abs=0)
 
     def test_tail_frequency_where_the_law_end_underflows_in_units_of_sigma(self):
         # hi/sigma is 0.0, so the bracket threshold/(hi/sigma) spans the float range
