@@ -11,7 +11,10 @@ at a support endpoint, which the closed forms and the integrals use.  Each
 density of an interior Laplace level of n uniform points is one fixed rule:
 16 Gauss-Legendre nodes on each piece of the Irwin-Hall density of their
 mean, a cardinal B-spline from the Cox-de Boor recursion, with the pieces
-split at the noise's kink and graded towards it.  A custom law takes QUADPACK.
+split at the noise's kink and graded towards it.  The Gaussian level and tail
+mass of a uniform law are closed forms in the normal CDF and the scaled
+complementary error function, built on ``math.erf`` and ``math.erfc``.  Only
+a custom law loads scipy, whose QUADPACK integrates its levels.
 
 Mechanism documents, the JSON format the CLI reads, are parsed in
 :mod:`infodens.documents`, which loads this module only for a ``family``
@@ -63,6 +66,26 @@ def _cardinal_bspline(offsets, k: int):
     for m in range(2, k + 1):  # M_m(x) = (x M_{m-1}(x) + (m - x) M_{m-1}(x - 1)) / (m - 1)
         table[:, 1 : m + 1] = (x[:, :m] * table[:, 1 : m + 1] + (m - x[:, :m]) * table[:, :m]) / (m - 1)
     return table[:, 1:]
+
+
+def _ndtr(x: float) -> float:
+    """Phi(x), the standard normal CDF, split as cephes does: erf near 0, erfc beyond."""
+    z = x * math.sqrt(0.5)
+    if abs(z) < math.sqrt(0.5):
+        return 0.5 + 0.5 * math.erf(z)
+    return 0.5 * math.erfc(-z) if z < 0.0 else 1.0 - 0.5 * math.erfc(z)
+
+
+def _erfcx(x: float) -> float:
+    """``e^(x^2) erfc(x)`` for x >= 0: below 26 with x^2 split exactly into hi + lo (Dekker 1971),
+    beyond by seven terms of the asymptotic series (A&S 7.1.23), divided last by x to stay finite."""
+    if x < 26.0:
+        head = (c := 134217729.0 * x) - (c - x)  # x's upper 26 bits; 2^27 + 1 is Veltkamp's factor
+        hi, tail = x * x, x - head
+        return math.exp(hi) * math.erfc(x) * (1.0 + ((head * head - hi) + 2.0 * head * tail + tail * tail))
+    q = 0.5 / x / x  # the sum over m < 7 of (-1)^m (2m - 1)!! q^m, by Horner
+    total = 1.0 - q * (1.0 - q * (3.0 - q * (15.0 - q * (105.0 - q * (945.0 - q * 10395.0)))))
+    return total * (1.0 / math.sqrt(math.pi)) / x
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +349,8 @@ class LaplaceMeanMechanism:
     def _noise_pdf(self, u):  # at a float or a numpy array
         import numpy as np
 
-        return np.exp(-np.abs(u) / self.b) / (2.0 * self.b)
+        with np.errstate(over="ignore"):  # |u|/b beyond the float range leaves the density 0.0
+            return np.exp(-np.abs(u) / self.b) / (2.0 * self.b)
 
     def _pmc_spline(self, y: float) -> float:  # the rule of the module docstring
         import numpy as np
@@ -334,13 +358,17 @@ class LaplaceMeanMechanism:
         if self.n > _MAX_SPLINE_ORDER:
             raise ValueError(f"the interior level needs n <= {_MAX_SPLINE_ORDER}, got {self.n}")
         a, (nodes, weights) = (self.law.hi - self.law.lo) / self.n, _legendre_rule(16)
+        if a == 0.0:
+            raise QuadratureFailure(f"the spline's unit (hi - lo)/n underflows to 0.0 at n = {self.n}")
 
         def density(z: float, k: int) -> float:  # of z - a S + noise at 0, S summing k points
             if k == 0:  # the order-0 spline is a point mass at 0
                 value = float(self._noise_pdf(z))
             else:
                 centre, cuts, step = min(max(z / a, 0.0), k), {z / a, *range(k + 1)}, self.b / a
-                while step < k:  # at c +- (b/a) 2^i, c the kink clamped into [0, k]
+                # at c +- (b/a) 2^i, c the kink clamped into [0, k], out to 1024 b/a: the integrand is
+                # log-concave with its peak within (k - 1) b/a of c, and falls below e^-780 of it beyond
+                while step < min(k, 2048.0 * (self.b / a)):
                     cuts.update((centre - step, centre + step))
                     step *= 2.0
                 breaks = np.array(sorted(c for c in cuts if 0 <= c <= k), dtype=float)
@@ -442,8 +470,6 @@ class GaussianPerturbMechanism:
 
     def _uniform_level(self, u: float) -> float:
         """The level of a uniform law at |y| = u sigma, read in units of sigma."""
-        from scipy import special
-
         lo, hi = self.law.lo / self.sigma, self.law.hi / self.sigma
         window = hi - lo
         # The zero-mean uniform law is symmetric, so the cost is even in y:
@@ -451,7 +477,7 @@ class GaussianPerturbMechanism:
         upper, lower = -u - lo, -u - hi
         # A level is about -lower * window / 2.  In a narrow window, up to half
         # a nat the normal-CDF form would cancel it against l^2/2; every other
-        # u has -lower > 1/window >= 2.5, so upper < 0 and the far form holds.
+        # u has -lower > 1/window >= 2.5, so upper < -2 and the far form holds.
         if window <= _NARROW_WINDOW and lower * window >= -1.0:
             import numpy as np
 
@@ -463,20 +489,18 @@ class GaussianPerturbMechanism:
             s, x = self.sigma, (nodes + 1.0) * ((self.law.hi - self.law.lo) / 2.0)
             h = x * (-lower - x / (2.0 * s)) / s
             return float(np.log1p(np.expm1(h) @ weights / 2.0))
-        below = special.ndtr(lower)
-        if window <= _NARROW_WINDOW or (below == 0.0 and upper < 0.0):
-            # Where Phi(l) underflows, its share of the mass is lost.  Far out,
-            # log Phi(z) + z^2/2 = log(erfcx(-z/sqrt 2)/2), which needs upper < 0
-            # to stay finite, and the gap (l^2 - upper^2)/2 is formed without the
-            # squares, which would cancel (or overflow) against each other;
-            # this form drops l^2/2.
-            tail_u = special.erfcx(upper / -math.sqrt(2.0))
-            tail_l = special.erfcx(lower / -math.sqrt(2.0))
+        if upper <= -1.0:
+            # Phi(z) at z <= -1 takes an error of about z^2 ulps from the rounding of z/sqrt 2,
+            # and underflows past z = -37.5.  Here log Phi(z) + z^2/2 = log(erfcx(-z/sqrt 2)/2), the
+            # gap (l^2 - upper^2)/2, at least 0.48 here, is formed without the squares,
+            # which would cancel (or overflow) against each other; this form drops l^2/2.
+            tail_u = _erfcx(upper / -math.sqrt(2.0))
+            tail_l = _erfcx(lower / -math.sqrt(2.0))
             gap = (u + (lo + hi) / 2.0) * window
             log_mass = math.log(tail_u / 2.0) + gap + math.log1p(-tail_l / tail_u * math.exp(-gap))
             lower = 0.0
         else:
-            log_mass = math.log(special.ndtr(upper) - below)
+            log_mass = math.log(_ndtr(upper) - _ndtr(lower))
         # the far end of the window, hi, is -lower standard deviations away
         return log_mass - math.log(window) + 0.5 * lower * lower + math.log(math.sqrt(2.0 * math.pi))
 
@@ -531,22 +555,20 @@ def _window_tail_mass(a: float, w: float) -> float:
     That is ``(2/w) [G(a) - G(a + w)]``, ``G(z) = phi(z) - z Phi-bar(z)``, whose
     derivative is ``-Phi-bar(z)``; r >= 0 gives a >= -w/2.  An underflowing mass is 0.0.
     """
-    from scipy import special
-
     # The tail's hazard rate at z is below max(z, 0) + 1, so over a window under this
     # bound the integrand falls by less than e^(1.5 + w^2/2), and 8 Gauss-Legendre
     # nodes hold its mean to rounding; the G difference would cancel there.
     if w * (max(a, 0.0) + 1.0) <= 1.5:
         nodes, weights = _legendre_rule(8)
-        return float(special.ndtr(-(a + (nodes + 1.0) * (w / 2.0))) @ weights)
+        return float([_ndtr(z) for z in -(a + (nodes + 1.0) * (w / 2.0))] @ weights)
 
     def scaled_g(z: float) -> float:  # G(z)/phi(z) = 1 - z Phi-bar(z)/phi(z), for z > 0
-        return 1.0 - z * (math.sqrt(math.pi / 2.0) * float(special.erfcx(z / math.sqrt(2.0))))
+        return 1.0 - z * (math.sqrt(math.pi / 2.0) * _erfcx(z / math.sqrt(2.0)))
 
     b, unit = a + w, 2.0 / (w * math.sqrt(2.0 * math.pi))
     if a <= 0.0:
         # both terms of G(a) are non-negative, and G(b) <= G(-a) = G(a) - |a|
-        g_a = math.exp(-a * a / 2.0) / math.sqrt(2.0 * math.pi) - a * float(special.ndtr(-a))
+        g_a = math.exp(-a * a / 2.0) / math.sqrt(2.0 * math.pi) - a * _ndtr(-a)
         return 2.0 / w * g_a - unit * math.exp(-b * b / 2.0) * scaled_g(b)
     # phi(a) factored out of both terms, phi(b)/phi(a) = e^(-w (a + w/2)): the scaled
     # G keeps the digits that phi(z) - z Phi-bar(z) cancels for large z

@@ -551,7 +551,7 @@ class TestLazyImports:
             (
                 "assert 0 < infodens.LaplaceMeanMechanism(0.0, 1.0, 1, 1.0).pmc_at(0.5) < 1\n"
                 "assert infodens.GaussianPerturbMechanism(1.0, 1.0).pmc_at(0.5) > 0",
-                {"numpy", "scipy"},
+                {"numpy"},
             ),
             (
                 "m = infodens.LaplaceMeanMechanism(0.0, 1.0, 2, 1.0)\n"
@@ -570,7 +570,20 @@ class TestLazyImports:
                 "m = infodens.GaussianPerturbMechanism(1.0, 1.0)\n"
                 "freq, _ = m.tail_frequency(1.0, n_samples=10_000)\n"
                 "assert freq <= m.tail_bound(1.0)",
-                {"numpy", "scipy"},
+                set(),
+            ),
+            (
+                # levels in a narrow window, by the normal-CDF difference and by the far erfcx
+                # form; tail masses by the Gauss-Legendre mean (window 0.2) and by the G difference
+                "import sys\n"
+                "G = infodens.GaussianPerturbMechanism\n"
+                "for g, y in ((G(0.1, 1.0), 0.5), (G(1.0, 1.0), 0.5), (G(1.0, 1.0), 40.0)):\n"
+                "    lower, upper = g.pmc_bounds(y)\n"
+                "    assert lower <= g.pmc_at(y) <= upper\n"
+                "for g, beta in ((G(0.1, 1.0), 0.05), (G(1.0, 1.0), 1.0), (G(20.0, 1.0), 247.23)):\n"
+                "    assert 0 < g.tail_frequency(beta)[0] < 1\n"
+                "assert not [name for name in sys.modules if name.split('.')[0] == 'scipy']",
+                {"numpy"},
             ),
             (
                 "j = infodens.Joint.from_prior_channel(\n"
@@ -620,7 +633,8 @@ class TestLazyImports:
             ),
         ],
         ids=[
-            "quadrature", "laplace-n2", "laplace-uniform-n1-n128", "tail-frequency", "certify-float", "certify-exact",
+            "quadrature", "laplace-n2", "laplace-uniform-n1-n128", "tail-frequency", "gaussian-uniform-regimes",
+            "certify-float", "certify-exact",
             "guesswork-float", "guesswork-exact", "single-kernel-float", "single-kernel-exact",
         ],
     )

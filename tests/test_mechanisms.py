@@ -442,6 +442,106 @@ class TestLaplaceSpline:
         with pytest.raises(QuadratureFailure, match="underflows"):
             LaplaceMeanMechanism(0.0, width, 2, 1.0).pmc_at(1.0)
 
+    def test_spline_unit_underflow_is_typed(self):
+        # the level (hi - lo)/(n b) is finite, but the spline's unit (hi - lo)/n, which the rule
+        # divides by, underflows to 0.0
+        m = LaplaceMeanMechanism(0.0, 1e-322, 128, 1e-300)
+        for y, method in ((0.0, "quadrature"), (5e-324, "auto"), (1e-322, "quadrature")):
+            with pytest.raises(QuadratureFailure, match="underflows"):
+                m.pmc_at(y, method=method)
+
+    @pytest.mark.parametrize("b", [1e-30, 1e-100])
+    def test_noise_below_the_float_resolution_is_typed_or_exact(self, b):
+        # b/a far below the spacing of floats near the kink: the noise acts as a point mass,
+        # whose level is log M_3(1.3)/min(M_2(1.3), M_2(0.3)) = log(0.71/0.3).  The rule's
+        # nodes cannot resolve it, so it gives that level or QuadratureFailure, never a value
+        # made by the rounding of nodes onto the kink (2.04 here)
+        m = LaplaceMeanMechanism(0.0, 3.0, 3, b)
+        try:
+            level = m.pmc_at(1.3)
+        except QuadratureFailure:
+            return
+        assert level == pytest.approx(math.log(0.71 / 0.3), rel=1e-9)
+
+    def test_no_untyped_error_across_the_float_range(self):
+        # lo (of either sign), hi - lo and b from 1e-300 to 1e300, y inside and at both ends,
+        # under both methods, with warnings as errors; most mechanisms are rejected for an
+        # overflowing level or raise QuadratureFailure for an underflowing density
+        from infodens import InfodensError
+
+        rng = random.Random(30)
+        accepted = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(500):
+                lo = rng.choice((-1, 1)) * 10 ** rng.uniform(-300, 300)
+                width, b = 10 ** rng.uniform(-300, 300), 10 ** rng.uniform(-300, 300)
+                try:
+                    m = LaplaceMeanMechanism(lo, lo + width, rng.choice((1, 2, 3, 8, 128)), b)
+                except (InfodensError, ValueError):
+                    continue
+                accepted += 1
+                for y in (lo + rng.random() * (m.hi - lo), lo, m.hi):
+                    for method in ("auto", "quadrature"):
+                        try:
+                            level = m.pmc_at(y, method=method)
+                        except (InfodensError, ValueError):
+                            continue
+                        assert type(level) is float and not math.isnan(level)
+        assert accepted > 150
+
+
+class TestNormalTails:
+    """The standard normal CDF and the scaled complementary error function, from the math module."""
+
+    @pytest.mark.parametrize(
+        "x, expected",
+        [
+            # 30-digit values of e^(x^2) erfc(x), from mpmath; the series takes over at 26
+            (0.0, 1.0),
+            (1e-300, 1.0),
+            (0.5, 6.15690344192925874870793422684e-1),
+            (3.0, 1.79001151181389950419294815314e-1),
+            (10.0, 5.61409927438225858575173872205e-2),
+            (25.9, 2.17671811507382125618806661023e-2),
+            (26.0, 2.16835848505629066161729916873e-2),
+            (26.1, 2.16006277263462066023384267365e-2),
+            (1e10, 5.64189583547756286945258503643e-11),
+            (1e154, 5.64189583547756266102659036704e-155),
+            (1e200, 5.64189583547756304024336625775e-201),
+            # x sqrt(pi) overflows: scaled by 1/sqrt(pi) before the division by x, the value stays a float
+            (1.7e308, 3.31876225616327239558049452456e-309),
+        ],
+    )
+    def test_erfcx_matches_recorded_values(self, x, expected):
+        assert mechanisms._erfcx(x) == pytest.approx(expected, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize(
+        "x, expected",
+        [
+            # 30-digit values of Phi(x), from mpmath; erf below |x| = 1, erfc from there
+            (0.0, 0.5),
+            (0.5, 6.91462461274013103637704610608e-1),
+            (0.99, 8.3891294048916908663040257944e-1),
+            (1.01, 8.43752354978745404205936785188e-1),
+            (-0.99, 1.6108705951083091336959742056e-1),
+            (-1.01, 1.56247645021254595794063214812e-1),
+            (-3.0, 1.34989803163009452665181476759e-3),
+            (5.0, 9.99999713348428120806088326248e-1),
+            (8.0, 9.99999999999999377903942572822e-1),
+            (-10.0, 7.6198530241605260659733432516e-24),
+            (-26.0, 2.47606331550338928578693059557e-149),
+            (-37.5, 4.60535300958195484382796909761e-308),
+        ],
+    )
+    def test_ndtr_matches_recorded_values(self, x, expected):
+        # the rounding of x/sqrt 2 leaves about x^2 units in the last place far out
+        assert mechanisms._ndtr(x) == pytest.approx(expected, rel=4e-16 * (1 + x * x), abs=0)
+
+    def test_ndtr_below_the_normal_range(self):
+        # Phi(-38) is subnormal, with about 8 significant digits: it holds to a few units of 5e-324
+        assert mechanisms._ndtr(-38.0) == pytest.approx(2.88542836006878430835097048157e-316, rel=0, abs=2e-323)
+
 
 class TestGaussianPerturb:
     def test_bounds_at_origin(self):
