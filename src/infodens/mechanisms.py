@@ -13,8 +13,9 @@ density of an interior Laplace level of n uniform points is one fixed rule:
 mean, a cardinal B-spline from the Cox-de Boor recursion, with the pieces
 split at the noise's kink and graded towards it.  The Gaussian level and tail
 mass of a uniform law are closed forms in the normal CDF and the scaled
-complementary error function, built on ``math.erf`` and ``math.erfc``.  Only
-a custom law loads scipy, whose QUADPACK integrates its levels.
+complementary error function, built on ``math.erf`` and ``math.erfc``.  The
+density of a custom law's level takes the same 16-node rule on the same graded
+cuts, with each panel halved until it agrees with the sum over its halves.
 
 Mechanism documents, the JSON format the CLI reads, are parsed in
 :mod:`infodens.documents`, which loads this module only for a ``family``
@@ -39,8 +40,8 @@ from .errors import (
 )
 from .probcore import ExtReal, Channel, Number, Pmf, as_level
 
-#: Requested and accepted relative accuracy for the density quadratures of custom laws.
-_QUAD_EPSREL, _QUAD_ACCEPT_REL = 1e-9, 1e-6
+#: Relative split target, panel cap and accepted relative error of the density quadrature of custom laws.
+_QUAD_SPLIT_REL, _QUAD_MAX_PANELS, _QUAD_ACCEPT_REL = 1e-13, 1000, 1e-6
 #: Gaussian windows 2A/sigma at or below this integrate levels under a nat,
 #: which the normal-CDF form would cancel away.
 _NARROW_WINDOW = 0.4
@@ -66,6 +67,17 @@ def _cardinal_bspline(offsets, k: int):
     for m in range(2, k + 1):  # M_m(x) = (x M_{m-1}(x) + (m - x) M_{m-1}(x - 1)) / (m - 1)
         table[:, 1 : m + 1] = (x[:, :m] * table[:, 1 : m + 1] + (m - x[:, :m]) * table[:, :m]) / (m - 1)
     return table[:, 1:]
+
+
+def _graded_cuts(lo: float, hi: float, centre: float, scale: float) -> list:
+    """Sorted cuts in [lo, hi] graded towards ``centre`` for a kernel of width ``scale``: both ends, the
+    centre and c +- scale 2^i, c the centre clamped into [lo, hi], out to 1024 scale.  Beyond that, a
+    log-concave integrand whose peak is within 127 scales of c is below e^-780 of the peak."""
+    c, cuts, step = min(max(centre, lo), hi), {lo, centre, hi}, scale
+    while step < min(hi - lo, 2048.0 * scale):
+        cuts.update((c - step, c + step))
+        step *= 2.0
+    return sorted(cut for cut in cuts if lo <= cut <= hi)
 
 
 def _ndtr(x: float) -> float:
@@ -170,11 +182,12 @@ class BoundedLaw:
     """A data distribution on a bounded interval.
 
     ``cgf`` is the cumulant generating function of the centered variable and
-    drives the closed-form cost levels; ``pdf`` feeds the quadrature path of
-    a custom law.  Either may be omitted when the corresponding evaluation
-    is not needed.  Interior Laplace levels of n > 1 points need the uniform
-    ``family``.  Evaluations are exact when the law places mass arbitrarily
-    close to both endpoints, and upper bounds otherwise.
+    drives the closed-form cost levels; ``pdf`` feeds the Gauss-Legendre
+    panels of a custom law's level, which read it inside (lo, hi) only.
+    Either may be omitted when the corresponding evaluation is not needed.
+    Interior Laplace levels of n > 1 points need the uniform ``family``.
+    Evaluations are exact when the law places mass arbitrarily close to
+    both endpoints, and upper bounds otherwise.
     """
 
     lo: float
@@ -238,22 +251,56 @@ def discrete_law(points: Sequence[float], probs: Sequence[float]) -> BoundedLaw:
     return BoundedLaw(lo=min(pts), hi=max(pts), mean=mean, cgf=cgf, family="discrete")
 
 
-def _quadrature_pmc(law: BoundedLaw, noise_pdf, y: float, kink: Optional[float]) -> float:
-    """Pointwise cost of releasing ``y`` under additive noise, by quadrature, in nats; QuadratureFailure
-    unless both densities are normal floats, whose logs keep their digits, within the accepted error."""
+def _quadrature_pmc(law: BoundedLaw, noise_pdf, y: float, scale: float) -> float:
+    """Pointwise cost of releasing ``y`` under additive noise of width ``scale``, in nats.
+
+    f_Y sums 16-node Gauss-Legendre panels on the cuts graded about y.  A panel is halved while its
+    value and the sum over its halves, with the jumps at its ends that ``rule`` bounds, differ by more
+    than _QUAD_SPLIT_REL of the first estimate, up to _QUAD_MAX_PANELS panels.  QuadratureFailure
+    unless both densities are normal floats, whose logs keep their digits, and the summed differences,
+    the error estimate, are within _QUAD_ACCEPT_REL of f_Y.
+    """
     if law.pdf is None:
         raise ValueError("the input law needs a density for quadrature")
     f_floor = min(noise_pdf(y - law.lo), noise_pdf(y - law.hi))
     if f_floor < sys.float_info.min:
         raise QuadratureFailure(f"the noise density at the support ends underflows at y = {y!r}")
-    from scipy import integrate
+    import numpy as np
 
-    f_y, err = integrate.quad(
-        lambda x: law.pdf(x) * noise_pdf(y - x), law.lo, law.hi, limit=200, epsabs=0.0, epsrel=_QUAD_EPSREL,
-        points=[kink] if kink is not None and law.lo < kink < law.hi else None,
-    )
-    if not f_y >= sys.float_info.min or err > _QUAD_ACCEPT_REL * f_y:
-        raise QuadratureFailure(f"the density {f_y!r} underflows or misses the tolerance: error {err!r}")
+    nodes, weights = _legendre_rule(16)
+    vander = np.polynomial.legendre.legvander
+    ends = vander([-1.0, 1.0], 15) @ np.linalg.inv(vander(nodes, 15))  # the nodes' interpolant at -1 and 1
+
+    def integrand(points):  # at an array of points in [law.lo, law.hi]
+        return np.array([law.pdf(x) for x in points.tolist()], dtype=float) * noise_pdf(y - points)
+
+    def rule(lo: float, hi: float) -> Tuple[float, float]:
+        """The 16-node value over [lo, hi], and a bound on the mass of a step between an end and its
+        nearest node, which no rule on the panel sees: the jump there from the nodes' interpolant, times
+        that sliver.  The law's own ends, where its density need not be defined, are left out."""
+        values = integrand(lo + (hi - lo) / 2.0 * (nodes + 1.0))
+        inner = np.array([law.lo < lo, hi < law.hi])
+        jumps = np.abs(integrand(np.array([lo, hi])[inner]) - (ends @ values)[inner])
+        half = (hi - lo) / 2.0
+        return half * float(values @ weights), float(jumps.sum() * (1.0 + nodes[0])) * half
+
+    cuts = _graded_cuts(law.lo, law.hi, y, scale)
+    panels = [(lo, hi, rule(lo, hi)[0]) for lo, hi in zip(cuts, cuts[1:])]
+    target = _QUAD_SPLIT_REL * sum(whole for _, _, whole in panels)
+    count, f_y, error = len(panels), 0.0, 0.0
+    while panels:
+        lo, hi, whole = panels.pop()
+        mid = (lo + hi) / 2.0
+        (left, edge_l), (right, edge_r) = rule(lo, mid), rule(mid, hi)
+        gap = abs(whole - left - right) + edge_l + edge_r
+        halvable = lo < (lo + mid) / 2.0 < mid < (mid + hi) / 2.0 < hi  # floats leave room for both halves
+        if gap > target and count < _QUAD_MAX_PANELS and halvable:
+            panels += [(lo, mid, left), (mid, hi, right)]
+            count += 1
+        else:
+            f_y, error = f_y + left + right, error + gap
+    if not f_y >= sys.float_info.min or not error <= _QUAD_ACCEPT_REL * f_y:
+        raise QuadratureFailure(f"the density {f_y!r} underflows or misses the tolerance: error {error!r}")
     return math.log(f_y) - math.log(f_floor)
 
 
@@ -303,8 +350,12 @@ class LaplaceMeanMechanism:
         law = self.law
         if law.cgf is None:
             raise CgfUnavailable("the input law needs a cumulant generating function for closed forms")
+        below, above = law.mean - self.lo, self.hi - law.mean
+        if law.family == "uniform":  # the rounded mean (lo + hi)/2 loses a narrow width's digits
+            half = (law.hi - law.lo) / 2.0
+            below, above = (law.lo - self.lo) + half, (self.hi - law.hi) + half
         t = 1.0 / (self.n * self.b)
-        return (law.mean - self.lo) * t + law.cgf(t), (self.hi - law.mean) * t + law.cgf(-t)
+        return below * t + law.cgf(t), above * t + law.cgf(-t)
 
     def sup_pmc(self) -> float:
         """Largest pointwise cost over all released values, in nats.
@@ -316,6 +367,8 @@ class LaplaceMeanMechanism:
         law = self.law
         if law.family == "uniform" and math.isclose(law.lo, self.lo) and math.isclose(law.hi, self.hi):
             w = (self.hi - self.lo) / (self.n * self.b)
+            if w < 1.0:  # the plateaus keep the digits that e^w - 1 loses, by the series of _uniform_cgf
+                return max(self._plateaus())
             try:
                 return math.log(math.expm1(w) / w)
             except OverflowError:
@@ -344,7 +397,7 @@ class LaplaceMeanMechanism:
             return self._pmc_spline(y)
         if self.n > 1:
             raise ValueError(f"the interior level for n > 1 needs a uniform law, got {self.law.family!r}")
-        return _quadrature_pmc(self.law, self._noise_pdf, y, kink=y)
+        return _quadrature_pmc(self.law, self._noise_pdf, y, self.b)
 
     def _noise_pdf(self, u):  # at a float or a numpy array
         import numpy as np
@@ -364,14 +417,9 @@ class LaplaceMeanMechanism:
         def density(z: float, k: int) -> float:  # of z - a S + noise at 0, S summing k points
             if k == 0:  # the order-0 spline is a point mass at 0
                 value = float(self._noise_pdf(z))
-            else:
-                centre, cuts, step = min(max(z / a, 0.0), k), {z / a, *range(k + 1)}, self.b / a
-                # at c +- (b/a) 2^i, c the kink clamped into [0, k], out to 1024 b/a: the integrand is
-                # log-concave with its peak within (k - 1) b/a of c, and falls below e^-780 of it beyond
-                while step < min(k, 2048.0 * (self.b / a)):
-                    cuts.update((centre - step, centre + step))
-                    step *= 2.0
-                breaks = np.array(sorted(c for c in cuts if 0 <= c <= k), dtype=float)
+            else:  # the integrand's peak is within (k - 1) b/a of the clamped kink
+                cuts = {*_graded_cuts(0.0, k, z / a, self.b / a), *range(1, k)}
+                breaks = np.array(sorted(cuts), dtype=float)
                 piece, width = breaks[:-1].astype(int), breaks[1:] - breaks[:-1]
                 offsets = (breaks[:-1] - piece)[:, None] + width[:, None] * (nodes + 1.0) / 2.0
                 shared, row = np.unique(offsets, return_inverse=True)  # whole pieces share rows
@@ -445,19 +493,22 @@ class GaussianPerturbMechanism:
         upper = upper / (2.0 * s**2) if math.isfinite(upper) else r * (r / 2.0 + 2.0 * u)
         return lower, upper
 
-    def _noise_pdf(self, u: float) -> float:
-        s = self.sigma
-        z = u / s  # z * z goes to inf where z ** 2 would raise OverflowError
-        return math.exp(-0.5 * z * z) / (s * math.sqrt(2.0 * math.pi))
+    def _noise_pdf(self, u):  # at a float or a numpy array
+        import numpy as np
+
+        with np.errstate(over="ignore"):  # u/sigma or its square beyond the float range leaves 0.0
+            z = u / self.sigma
+            return np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
 
     def pmc_at(self, y: float) -> float:
         """Pointwise cost of releasing a finite ``y``, in nats.
 
         A uniform law takes a normal-CDF form, or an 8-node Gauss-Legendre
         mean in a narrow window, accurate out to |y| = 1e300 sigma; any other
-        law is integrated, and raises QuadratureFailure where the noise
-        density at a support end is not a normal float.  A level beyond the
-        float range, about 2A|y|/sigma^2, raises ValueError.
+        law is integrated on cuts graded about y in units of sigma, and raises
+        QuadratureFailure where the noise density at a support end is not a
+        normal float or the integral misses its accepted error.  A level
+        beyond the float range, about 2A|y|/sigma^2, raises ValueError.
         """
         if not math.isfinite(y):
             raise ValueError(f"y must be finite, got {y!r}")
@@ -465,7 +516,7 @@ class GaussianPerturbMechanism:
         if not math.isfinite(u * (2.0 * (self.amplitude / self.sigma))):
             raise ValueError(f"the level at y = {y!r} overflows the float range")
         if self.law.family != "uniform":
-            return _quadrature_pmc(self.law, self._noise_pdf, y, kink=None)
+            return _quadrature_pmc(self.law, self._noise_pdf, y, self.sigma)
         return self._uniform_level(float(u))
 
     def _uniform_level(self, u: float) -> float:

@@ -586,6 +586,18 @@ class TestLazyImports:
                 {"numpy"},
             ),
             (
+                # a custom law's levels, Laplace at n = 1 and Gaussian, by the graded Gauss-Legendre panels
+                "import sys\n"
+                "law = infodens.BoundedLaw(-1.0, 1.0, 0.0, pdf=lambda x: 0.75 * (1.0 - x * x))\n"
+                "m = infodens.LaplaceMeanMechanism(-1.0, 1.0, 1, 0.5, law=law)\n"
+                "assert 0 < m.pmc_at(0.3) < m.dp_level\n"
+                "g = infodens.GaussianPerturbMechanism(1.0, 1.0, law=law)\n"
+                "lower, upper = g.pmc_bounds(2.0)\n"
+                "assert lower <= g.pmc_at(2.0) <= upper\n"
+                "assert not [name for name in sys.modules if name.split('.')[0] == 'scipy']",
+                {"numpy"},
+            ),
+            (
                 "j = infodens.Joint.from_prior_channel(\n"
                 "    infodens.Pmf((0.5, 0.5)), infodens.Channel(((0.75, 0.25), (0.25, 0.75))))\n"
                 "assert infodens.certify_pmc(j, 0, infodens.SearchConfig(resolution=5, max_u=2)).dominance_ok",
@@ -634,7 +646,7 @@ class TestLazyImports:
         ],
         ids=[
             "quadrature", "laplace-n2", "laplace-uniform-n1-n128", "tail-frequency", "gaussian-uniform-regimes",
-            "certify-float", "certify-exact",
+            "custom-law", "certify-float", "certify-exact",
             "guesswork-float", "guesswork-exact", "single-kernel-float", "single-kernel-exact",
         ],
     )

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from infodens import (
+    BoundedLaw,
     ExtReal,
     GaussianPerturbMechanism,
     Joint,
@@ -236,6 +237,33 @@ class TestLaplaceMean:
         # beyond the float range, (hi - lo)/(n b) would make sup_pmc NaN
         with pytest.raises(ValueError, match="overflows the float range"):
             LaplaceMeanMechanism(lo, hi, n, b)
+
+    @pytest.mark.parametrize(
+        "lo, hi, n, b, expected",
+        [
+            # 30-digit values of log((e^w - 1)/w), w = (hi - lo)/(n b) from the exact float inputs, from
+            # mpmath; e^w - 1 keeps few digits of a small w, which the plateau series keeps
+            (0.0, 1.0, 1, 1e300, 4.99999999999999973747619872398e-301),
+            (0.0, 1.0, 1, 1e100, 4.9999999999999999204855444512e-101),
+            (0.0, 1.0, 1, 1e20, 5.00000000000000000000416666667e-21),
+            (0.0, 1.0, 1, 1e10, 5.00000000004166666666666666667e-11),
+            (0.0, 1.0, 3, 1e4, 1.66667129629629625342935528196e-5),
+            (-2.0, 5.0, 7, 123.0, 4.06779474147107668933499187791e-3),
+            (0.0, 1.0, 1, 4.0, 1.2760281167385848473198711111e-1),
+            (0.0, 1.0, 1, 1.0000001, 5.41324796415253604464449129008e-1),
+            (-99878607.70052722, -99878602.99613656, 1, 10.0, 2.44423957204860586081635516144e-1),
+        ],
+    )
+    def test_small_supremum_matches_recorded_values(self, lo, hi, n, b, expected):
+        m = LaplaceMeanMechanism(lo, hi, n, b)
+        assert m.sup_pmc() == pytest.approx(expected, rel=1e-14, abs=0)
+        assert m.pmc_at(hi + 1.0) == pytest.approx(expected, rel=1e-14, abs=0)
+
+    def test_plateaus_near_a_huge_lo_stay_below_the_dp_level(self):
+        # the rounded mean (lo + hi)/2 put the lower plateau 1.6e-9 above dp_level; a uniform
+        # law's plateaus are read from its half-width
+        m = LaplaceMeanMechanism(-99878607.70052722, -99878602.99613656, 1, 2.9522926492017306e-192)
+        assert all(level <= m.dp_level * (1 + 1e-14) for level in m._plateaus())
 
     def test_vanishes_with_many_points(self):
         m = LaplaceMeanMechanism(0.0, 1.0, 10**6, 1.0)
@@ -581,7 +609,7 @@ class TestGaussianPerturb:
     def test_quadrature_matches_normal_cdf_form(self):
         g = GaussianPerturbMechanism(1.0, 1.0)
         for y in (0.3, 1.7, -2.2, 8.0, -8.0, 9.0, -9.0):
-            quadrature = _quadrature_pmc(g.law, g._noise_pdf, y, kink=None)
+            quadrature = _quadrature_pmc(g.law, g._noise_pdf, y, g.sigma)
             assert g.pmc_at(y) == pytest.approx(quadrature, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize(
@@ -634,7 +662,7 @@ class TestGaussianPerturb:
         g = GaussianPerturbMechanism(1.0, 1.0, law=law)
         default = GaussianPerturbMechanism(1.0, 1.0)
         # the same pdf values through the same integrator give the same bits
-        assert g.pmc_at(3.0) == _quadrature_pmc(default.law, default._noise_pdf, 3.0, kink=None)
+        assert g.pmc_at(3.0) == _quadrature_pmc(default.law, default._noise_pdf, 3.0, default.sigma)
         assert g.pmc_at(3.0) == pytest.approx(default.pmc_at(3.0), rel=1e-12, abs=0)
         # 37.2 and -37.5 leave a subnormal noise floor, the others none at all
         for y in (37.2, -37.5, 38.0, 40.0, -45.0, 1e200):
@@ -894,6 +922,103 @@ class TestGaussianPerturb:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="overflows the float range"):
                 g.pmc_at(y)
+
+
+def _custom_law(kind, lo, hi, share):
+    """A symmetric law on [lo, hi] given by its density alone, and the points where it has a kink or a
+    step: ``share`` of the half-width sets the steps of the ``step`` law."""
+    c, h = (lo + hi) / 2.0, (hi - lo) / 2.0
+    band, inner = share * h, 3.0
+    mass = 2.0 * (h + (inner - 1.0) * band)
+    pdfs = {
+        "epanechnikov": (lambda x: 0.75 * (1.0 - ((x - c) / h) ** 2) / h, []),
+        "beta22": (lambda x: 0.75 * (x - lo) * (hi - x) / h**3, []),
+        "uniform": (lambda x: 0.5 / h, []),
+        "triangle": (lambda x: (1.0 - abs(x - c) / h) / h, [c]),
+        "step": (lambda x: (inner if abs(x - c) < band else 1.0) / mass, [c - band, c + band]),
+    }
+    pdf, breaks = pdfs[kind]
+    return BoundedLaw(lo, hi, c, pdf=lambda x: pdf(x) if lo <= x <= hi else 0.0), breaks
+
+
+def _quadpack_level(law, noise, y, breaks):
+    """The level by QUADPACK, told the law's kinks and steps and the kink of the noise at y."""
+    from scipy import integrate
+
+    points = sorted(p for p in {y, *breaks} if law.lo < p < law.hi)
+    f_y, _ = integrate.quad(
+        lambda x: law.pdf(x) * noise(y - x), law.lo, law.hi, points=points or None, limit=500, epsabs=0.0,
+        epsrel=1e-13,
+    )
+    return math.log(f_y) - math.log(min(noise(y - law.lo), noise(y - law.hi)))
+
+
+def _custom_cases(kinds, seed):
+    """Seeded custom-law levels: Laplace at n = 1 with b from 0.01 to 10 widths and y from 0.2 widths
+    below lo to 0.2 above hi, Gaussian with sigma from 0.01 to 10 A and |y| from 0.01 to 16 A.  Each is
+    (a call giving the level, the noise density, y, the law, its kinks and steps)."""
+    rng = random.Random(seed)
+    for i in range(40):
+        kind, share = kinds[i % len(kinds)], rng.uniform(0.05, 0.95)
+        if i % 2:
+            lo = rng.uniform(-3.0, 3.0)
+            width = 10 ** rng.uniform(-1, 1)
+            b = width * 10 ** rng.uniform(-2, 1)
+            law, breaks = _custom_law(kind, lo, lo + width, share)
+            m, y = LaplaceMeanMechanism(lo, lo + width, 1, b, law=law), lo + width * rng.uniform(-0.2, 1.2)
+
+            def noise(u, b=b):
+                return math.exp(-abs(u) / b) / (2.0 * b)
+
+            yield (lambda m=m, y=y: m.pmc_at(y, method="quadrature")), noise, y, law, breaks
+        else:
+            amplitude = 10 ** rng.uniform(-1, 1)
+            sigma = amplitude * 10 ** rng.uniform(-2, 1)
+            law, breaks = _custom_law(kind, -amplitude, amplitude, share)
+            g = GaussianPerturbMechanism(amplitude, sigma, law=law)
+            y = rng.choice((-1, 1)) * amplitude * 10 ** rng.uniform(-2, 1.2)
+
+            def noise(u, sigma=sigma):
+                return math.exp(-0.5 * (u / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
+
+            yield (lambda g=g, y=y: g.pmc_at(y)), noise, y, law, breaks
+
+
+class TestCustomLawQuadrature:
+    """Levels of laws given by a density: 16-node Gauss-Legendre panels on the graded cuts, against QUADPACK."""
+
+    @pytest.mark.parametrize(
+        "kinds, seed, rel",
+        [
+            (("epanechnikov", "beta22", "uniform"), 3101, 1e-12),
+            # a kink or a step inside the law, which the cuts do not know of; the steps lie at least
+            # 5 % of the half-width inside the law, as a step within a fraction of a percent of a
+            # panel from the law's own ends, where its density is not read, goes unseen
+            (("triangle", "step"), 3102, 1e-9),
+        ],
+        ids=["smooth", "kinked-and-step"],
+    )
+    def test_levels_match_quadpack(self, kinds, seed, rel):
+        levels = 0
+        for level, noise, y, law, breaks in _custom_cases(kinds, seed):
+            if min(noise(y - law.lo), noise(y - law.hi)) < sys.float_info.min:
+                with pytest.raises(QuadratureFailure, match="support ends underflows"):
+                    level()
+                continue
+            levels += 1
+            assert level() == pytest.approx(_quadpack_level(law, noise, y, breaks), rel=rel, abs=0)
+        assert levels >= 30
+
+    def test_panel_cap_is_typed(self):
+        # 10^4 periods of a sine in the density need about 10^5 panels, far beyond the cap
+        law = BoundedLaw(0.0, 1.0, 0.5, pdf=lambda x: 1.0 + math.sin(2e4 * math.pi * x))
+        with pytest.raises(QuadratureFailure, match="misses the tolerance"):
+            LaplaceMeanMechanism(0.0, 1.0, 1, 0.5, law=law).pmc_at(0.3)
+
+    def test_law_without_a_density_raises(self):
+        law = BoundedLaw(-1.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match="needs a density"):
+            GaussianPerturbMechanism(1.0, 1.0, law=law).pmc_at(0.5)
 
 
 @pytest.mark.parametrize(
