@@ -32,6 +32,7 @@ import random
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import reduce
 from itertools import repeat
 from operator import add, getitem
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
@@ -143,8 +144,10 @@ def _error_probability(masses, one: int) -> int:
 
 
 def _block_error(masses: np.ndarray) -> np.ndarray:
-    """:func:`_error_probability` of every row of masses."""
-    return 1.0 - masses.max(axis=1)
+    """:func:`_error_probability` of every row; the modal mass is an exact fold of ``np.maximum``."""
+    import numpy as np
+
+    return 1.0 - reduce(np.maximum, masses.T)
 
 
 def _min_guesswork(masses: Sequence[Number], one: Number = 1) -> Number:
@@ -226,14 +229,20 @@ def _exact_scan(prior_w, post_w, rows: dict, scale: int, groups, draws: Sequence
     branches of :func:`_error_ratio`, and levels compare by
     cross-multiplication.  Returns ``(best level, first kernel attaining it)``.
     """
+    n_x = len(prior_w)
+    reads = [rows] * n_x
+    if draws and len(draws) // n_x < len(rows):
+        # a secret cannot read every row: its table holds only those of its draws and the groups
+        groups = list(groups)
+        grouped = {i for head, lasts in groups for i in (*head, *lasts)}
+        reads = [{i: rows[i] for i in grouped.union(draws[x::n_x])} for x in range(n_x)]
     tables = []
     for weights in (prior_w, post_w):
         (int_w,), w_scale = _int_masses((weights,))
-        table = [{i: [w * e for e in row] for i, row in rows.items()} for w in int_w]
+        table = [{i: [w * e for e in row] for i, row in read.items()} for w, read in zip(int_w, reads)]
         tables.append((table, w_scale * scale))
     (tab_p, one_p), (tab_q, one_q) = tables
     last_p, last_q = tab_p[-1], tab_q[-1]
-    n_x = len(tab_p)
 
     def kernels() -> Iterator[tuple]:
         for head, lasts in groups:
@@ -264,22 +273,24 @@ def _block_masses(weights: Sequence, lattice: np.ndarray, block: np.ndarray) -> 
     """Guess masses of every kernel in ``block``, one row per kernel.
 
     The pushes accumulate secret by secret, left to right, so every kernel's
-    float masses carry the rounding of that explicit loop.
+    float masses carry the rounding of that explicit loop.  ``take`` gathers
+    each secret's lattice rows along the kernel axis, faster than fancy indexing.
     """
-    acc = weights[0] * lattice[block[:, 0]]
+    acc = weights[0] * lattice.take(block[:, 0], axis=0)
     for x in range(1, len(weights)):
-        acc = acc + weights[x] * lattice[block[:, x]]
+        acc = acc + weights[x] * lattice.take(block[:, x], axis=0)
     return acc
 
 
 def _float_scan(prior_w, post_w, rows: dict, scale: int, blocks, block_loss) -> tuple:
     """Best level over ``blocks`` of kernel row indices, one kernel per row, in floats.
 
-    The lattice holds ``rows[i] / scale`` at row index ``i``, rounded once
-    for int rows.  Losses below ``_FLOAT_ZERO`` read as exact zeros, the branches of
-    :func:`_error_ratio` apply, and a loss below ``-1e-9`` raises for the
-    first kernel that has one.  Returns ``(best level, first kernel attaining
-    it)`` like :func:`_exact_scan`.
+    Blocks are ``(K, n_x)`` and masses ``(K, u)``: no numpy reduction or fancy
+    gather runs along the short guess axis.  The lattice holds ``rows[i] / scale``
+    at row index ``i``, rounded once for int rows.  Losses below ``_FLOAT_ZERO``
+    read as exact zeros, the branches of :func:`_error_ratio` apply, and a loss
+    below ``-1e-9`` raises for the first kernel that has one.  Returns ``(best
+    level, first kernel attaining it)`` like :func:`_exact_scan`.
     """
     import numpy as np
 
@@ -565,7 +576,7 @@ def _kernel_blocks(n_x: int, shape: tuple) -> Iterator[np.ndarray]:
             flat = np.arange(start, min(start + _BLOCK, total))
             yield values[flat[:, None] // place % n]
     if draws is not None:
-        yield np.array(draws).reshape(-1, n_x)
+        yield np.fromiter(draws, np.intp, len(draws)).reshape(-1, n_x)
 
 
 def _iter_kernels(n_x: int, u_size: int, cfg: SearchConfig) -> Iterator[tuple]:

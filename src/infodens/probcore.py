@@ -135,7 +135,8 @@ class ExtReal:
 
     @property
     def is_finite(self) -> bool:
-        return self.ratio != math.inf
+        # only a float ratio can be infinite; comparing a Fraction with math.inf costs microseconds
+        return not isinstance(self.ratio, float) or self.ratio != math.inf
 
     @property
     def is_exact(self) -> bool:

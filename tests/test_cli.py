@@ -251,6 +251,8 @@ class TestOracle:
         [
             ("rational_3x3", "rational_3x3_grid5", ["--y", "2", "--mode", "rational", "--grid", "5", "--max-u", "3"]),
             ("float_2x3", "float_2x3_grid11", ["--y", "0", "--grid", "11"]),
+            # four guesses, every alphabet exhaustive: 286^2 kernels in two blocks, modal masses over four columns
+            ("float_2x3", "float_2x3_grid11_u4", ["--y", "0", "--grid", "11", "--max-u", "4"]),
             # the default grid 11: the exhaustive integer scan at 287,496 kernels
             ("rational_3x3", "rational_3x3_grid11", ["--y", "0", "--mode", "rational"]),
             # a zero channel entry: the support indicator certifies the infinite level

@@ -545,11 +545,15 @@ def _reference_kernels(n_x, u_size, cfg):
 
 
 def _reference_level(joint, y, rows):
-    """One kernel's level: in ``Fraction`` arithmetic for a rational joint, else in floats."""
+    """One kernel's level: in ``Fraction`` arithmetic for a rational joint, else in floats.
+
+    A float scan reads each weight as a float, so a ``Fraction`` prior of a
+    float channel is rounded before it is pushed.
+    """
     prior, post = joint.prior.weights, joint.posterior(y)
     if all(isinstance(w, Fraction) for w in prior + post):
         return _fraction_level(prior, post, rows)
-    return _float_level(prior, post, rows)
+    return _float_level(list(map(float, prior)), list(map(float, post)), rows)
 
 
 def _reference_scan(joint, y, cfg):
@@ -839,6 +843,51 @@ def _tied_cases(count, seed):
         yield joint, rng.choice(joint.support), cfg
 
 
+def _wide_alphabet_cases(count, seed):
+    """Float and mixed joints searched up to four or five guesses.
+
+    One or two secrets search every alphabet exhaustively; three secrets
+    sample every alphabet, vertex kernels included.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        kind = rng.choice(("float", "mixed"))
+        n_x = rng.choice((1, 2, 3))
+        prior = random_pmf(rng, n_x, exact=kind == "mixed")
+        channel = random_channel(rng, n_x, rng.randint(2, 3), zero_prob=rng.choice((0.0, 0.0, 0.3)))
+        joint = Joint.from_prior_channel(prior, channel)
+        cfg = SearchConfig(
+            # at most 35^2 kernels in an exhaustive grid of five guesses
+            resolution=rng.randint(3, {1: 8, 2: 4, 3: 8}[n_x]),
+            max_u=rng.choice((4, 5)),
+            max_iterations=rng.randint(1, 25),
+            seed=rng.randrange(1000),
+            exhaustive_limit=10 if n_x <= 2 else 4,
+        )
+        yield kind, joint, rng.choice(joint.support), cfg
+
+
+class TestWideGuessAlphabets:
+    """The float modal mass is a fold over the guess columns: more than three of them."""
+
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_float_grids_match_per_kernel_definition(self, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(oracles, "_BLOCK", block)
+        kinds = collections.Counter()
+        for kind, joint, y, cfg in _wide_alphabet_cases(80, 32):
+            cert = certify_pmc(joint, y, cfg)
+            value, rows = _reference_scan(joint, y, cfg)
+            assert cert.oracle_value == value
+            assert type(cert.oracle_value.ratio) is type(value.ratio)
+            assert cert.witness.rows == rows
+            kinds[kind] += 1
+            u_size, count, exhaustive = cert.kernels_visited[-1]
+            if count:  # an infinite support indicator skips the grids
+                kinds[f"u{u_size} " + ("exhaustive" if exhaustive else "sampled")] += 1
+        assert min(kinds.values()) >= 5 and len(kinds) == 6, kinds
+
+
 class TestSampledDraws:
     @pytest.mark.parametrize(
         "n_x, u_size, cfg, head, total",
@@ -970,6 +1019,22 @@ class TestLatticeUnranking:
         assert cert == expected
         assert all(not exhaustive for _, _, exhaustive in cert.kernels_visited)
         assert brute_force_guesswork_leakage(joint, 0, cfg) == guesswork
+
+    def test_each_secret_packs_only_the_rows_it_reads(self, monkeypatch):
+        # u = 6 at resolution 11 has 3,003 rows; each secret draws 50 of them
+        packed, tables = oracles._packed_masses, []
+        monkeypatch.setattr(oracles, "_packed_masses", lambda t, *a: tables.append(t) or packed(t, *a))
+        joint = random_joint(random.Random(28), 3, 3, exact=True)
+        cfg = SearchConfig(resolution=11, max_u=6, max_iterations=50, seed=6, exhaustive_limit=1)
+        certify_pmc(joint, 0, cfg)
+        for u_size in range(2, 7):
+            _, vertices, draws = _grid_shape(3, u_size, cfg)
+            reads = [{*vertices, *draws[x::3]} for x in range(3)]
+            if u_size == 2:  # 50 draws each may read all 11 rows: one table over every row read
+                reads = [{*vertices, *draws}] * 3
+            # the prior's and the posterior's tables
+            for table in tables[2 * u_size - 4 : 2 * u_size - 2]:
+                assert [set(rows) for rows in table] == reads
 
 
 class TestIntegerCore:

@@ -74,6 +74,13 @@ class TestExtReal:
         level = ExtReal.from_ratio(Fraction(10**400, 3))
         assert level.nats == pytest.approx(400 * math.log(10) - math.log(3))
 
+    def test_finiteness_of_overflowed_floats_and_huge_fractions(self):
+        overflowed = ExtReal(1e300) + ExtReal(1e300)
+        assert overflowed == INF and not overflowed.is_finite
+        huge = ExtReal.from_ratio(Fraction(10**400, 3))
+        assert huge.is_finite and huge < INF
+        assert ExtReal(1e300).is_finite and not INF.is_finite and ZERO.is_finite
+
     def test_as_level_reads_nats(self):
         assert as_level(0.5).nats == pytest.approx(0.5)
         assert as_level(ExtReal.from_ratio(Fraction(2))).ratio == Fraction(2)
