@@ -21,7 +21,9 @@ rational instances.
 
 An adversary is a pair of losses, on integer and on float-block guess
 masses.  One scan per backend evaluates a single kernel and whole grids
-alike; :func:`_search` is the one loop over the guess alphabets.
+alike; :func:`_search` is the one loop over the guess alphabets and
+:func:`_kernel_indices` the one walk choosing the kernels both scans
+evaluate, in order: one per relabelling orbit of an exhaustive grid.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import reduce
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, getitem
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
@@ -60,7 +62,8 @@ _ENUMERATION_CAP = 2_000_000
 #: A sampled grid also visits its vertex kernels when there are at most this many.
 _VERTEX_CAP = 4096
 
-#: Kernels evaluated per batched step of an exhaustive grid; bounds memory.
+#: Bounds a float scan's batched step, and so its memory: ``_BLOCK // rows`` kernel
+#: groups, at least one, of at most ``rows`` kernels each.
 _BLOCK = 1 << 16
 
 
@@ -282,24 +285,41 @@ def _block_masses(weights: Sequence, lattice: np.ndarray, block: np.ndarray) -> 
     return acc
 
 
-def _float_scan(prior_w, post_w, rows: dict, scale: int, blocks, block_loss) -> tuple:
-    """Best level over ``blocks`` of kernel row indices, one kernel per row, in floats.
+def _float_scan(prior_w, post_w, rows: dict, scale: int, groups, draws: Sequence[int], block_loss) -> tuple:
+    """Best level over the kernels of ``groups`` and then ``draws``, in floats.
 
-    Blocks are ``(K, n_x)`` and masses ``(K, u)``: no numpy reduction or fancy
-    gather runs along the short guess axis.  The lattice holds ``rows[i] / scale``
-    at row index ``i``, rounded once for int rows.  Losses below ``_FLOAT_ZERO``
-    read as exact zeros, the branches of :func:`_error_ratio` apply, and a loss
-    below ``-1e-9`` raises for the first kernel that has one.  Returns ``(best
-    level, first kernel attaining it)`` like :func:`_exact_scan`.
+    Takes :func:`_exact_scan`'s grid as ``(K, n_x)`` blocks of row indices:
+    each chunk of ``_BLOCK // len(rows)`` groups, at least one, with each head
+    repeated once per last, then the draws.  Masses are ``(K, u)``: no numpy
+    reduction or fancy gather runs along the short guess axis.  The lattice
+    holds ``rows[i] / scale`` at row index ``i``, rounded once for int rows.
+    Losses below ``_FLOAT_ZERO`` read as exact zeros, the branches of
+    :func:`_error_ratio` apply, and a loss below ``-1e-9`` raises for the
+    first kernel that has one.  Returns ``(best level, first kernel attaining
+    it)`` like :func:`_exact_scan`.
     """
     import numpy as np
+
+    n_x, groups, per_chunk = len(prior_w), iter(groups), max(1, _BLOCK // len(rows))
+
+    def blocks() -> Iterator[np.ndarray]:
+        while chunk := list(itertools.islice(groups, per_chunk)):
+            heads, lasts = zip(*chunk)
+            counts = list(map(len, lasts))
+            block = np.empty((sum(counts), n_x), np.intp)
+            heads = np.fromiter(chain.from_iterable(heads), np.intp, len(chunk) * (n_x - 1))
+            block[:, :-1] = np.repeat(heads.reshape(len(chunk), n_x - 1), counts, axis=0)
+            block[:, -1] = np.fromiter(chain.from_iterable(lasts), np.intp, len(block))
+            yield block
+        if draws:
+            yield np.fromiter(draws, np.intp, len(draws)).reshape(-1, n_x)
 
     lattice = np.zeros((max(rows) + 1, len(next(iter(rows.values())))))
     lattice[list(rows)] = np.array(list(rows.values()), dtype=float) / scale
     p = [float(w) for w in prior_w]
     q = [float(w) for w in post_w]
     best = best_kernel = None
-    for block in map(np.asarray, blocks):
+    for block in blocks():
         raw_p = block_loss(_block_masses(p, lattice, block))
         raw_q = block_loss(_block_masses(q, lattice, block))
         err_p = np.where(raw_p < _FLOAT_ZERO, 0.0, raw_p)
@@ -329,11 +349,11 @@ def _lambda_from_rows(prior_w, post_w, kernel_rows, adversary=_ERROR) -> ExtReal
             f"kernel has {len(kernel_rows)} rows, prior has {len(prior_w)} outcomes"
         )
     n = len(kernel_rows)
+    groups = [(range(n - 1), (n - 1,))]
     if _all_fractions(prior_w, post_w, *kernel_rows):
         ints, scale = _int_masses(kernel_rows)
-        groups = [(range(n - 1), (n - 1,))]
         return _exact_scan(prior_w, post_w, dict(enumerate(ints)), scale, groups, (), adversary[0])[0]
-    return _float_scan(prior_w, post_w, dict(enumerate(kernel_rows)), 1, [[range(n)]], adversary[1])[0]
+    return _float_scan(prior_w, post_w, dict(enumerate(kernel_rows)), 1, groups, (), adversary[1])[0]
 
 
 def randomized_function_leakage(joint: Joint, y: int, kernel: Channel) -> ExtReal:
@@ -467,8 +487,8 @@ def _grid_size(n_x: int, u_size: int, cfg: SearchConfig) -> tuple:
 
 
 def _grid_count(n_x: int, u_size: int, cfg: SearchConfig) -> int:
-    """Kernels visited: a whole exhaustive grid, though the integer scan evaluates
-    one per relabelling orbit, or the vertices plus the draws of a sampled one."""
+    """Kernels visited: a whole exhaustive grid, though the scans evaluate one
+    per relabelling orbit, or the vertices plus the draws of a sampled one."""
     n_rows, n_vertices = _grid_size(n_x, u_size, cfg)
     if _is_exhaustive(n_x, u_size, cfg):
         return n_rows**n_x
@@ -533,57 +553,39 @@ def _kernel_indices(n_x: int, shape: tuple, rows: dict) -> Iterator[tuple]:
 def _sorted_column_kernels(n_x: int, int_rows: list) -> Iterator[tuple]:
     """The grid's kernels with lexicographically non-decreasing columns, as groups.
 
-    Losses are symmetric in the guesses, so permuting the columns keeps the
-    level, and the sorted kernel is its orbit's first in ``itertools.product``
-    order over the lexicographic integer ``int_rows``.  Walking the secrets,
-    a row is admissible when it does not fall between two columns still tied.
+    Losses are symmetric in the guesses, in floats bit for bit: each column's
+    mass is pushed in the same order, and neither ``np.maximum`` nor the
+    guesswork sort rounds.  So the sorted kernel, its orbit's first in
+    ``itertools.product`` order over the lexicographic integer ``int_rows``,
+    is the first to attain its level.  Walking the secrets depth first, a row
+    is admissible when it does not fall between two columns still tied.  Bit
+    ``j`` of a tie mask, and of a row's two step masks (non-decreasing and
+    equal), stands for columns ``j`` and ``j + 1``.
     """
-    steps = [list(zip(row, row[1:])) for row in int_rows]
-    admissible = {}  # (row index, ties after it) per tie pattern
-
-    def walk(head: tuple, ties: tuple) -> Iterator[tuple]:
-        if ties not in admissible:
-            admissible[ties] = [
-                (i, tuple(t and a == b for t, (a, b) in zip(ties, step)))
-                for i, step in enumerate(steps)
-                if all(a <= b for t, (a, b) in zip(ties, step) if t)
-            ]
+    steps = []
+    for row in int_rows:
+        up = equal = 0
+        for j in range(len(row) - 1):
+            up |= (row[j] <= row[j + 1]) << j
+            equal |= (row[j] == row[j + 1]) << j
+        steps.append((up, equal))
+    admissible = {}  # tie mask: (row indices, ((row index,), ties after it) in reverse)
+    stack = [((), (1 << (len(int_rows[0]) - 1)) - 1)]
+    while stack:
+        head, ties = stack.pop()
+        entry = admissible.get(ties)
+        if entry is None:
+            pairs = [(i, ties & equal) for i, (up, equal) in enumerate(steps) if ties & up == ties]
+            entry = admissible[ties] = [i for i, _ in pairs], [((i,), after) for i, after in reversed(pairs)]
         if len(head) == n_x - 1:
-            yield head, [i for i, _ in admissible[ties]]
+            yield head, entry[0]
         else:
-            for i, after in admissible[ties]:
-                yield from walk((*head, i), after)
-
-    return walk((), (True,) * (len(int_rows[0]) - 1))
-
-
-def _kernel_blocks(n_x: int, shape: tuple) -> Iterator[np.ndarray]:
-    """The kernels of a grid's ``shape``, in search order, as ``(K, n_x)`` numpy blocks.
-
-    A whole exhaustive grid, or the vertex product and then the draws of a
-    sampled one.  Exhaustive grids and the vertex product come in blocks of
-    at most ``_BLOCK`` kernels: the digits of each flat kernel number in
-    base ``len(lasts)``, read through ``lasts``.  For the float scan.
-    """
-    import numpy as np
-
-    n_rows, vertices, draws = shape
-    lasts = range(n_rows) if draws is None else vertices
-    if lasts is not None:
-        values, n = np.asarray(lasts), len(lasts)
-        place, total = n ** np.arange(n_x - 1, -1, -1), n**n_x
-        for start in range(0, total, _BLOCK):
-            flat = np.arange(start, min(start + _BLOCK, total))
-            yield values[flat[:, None] // place % n]
-    if draws is not None:
-        yield np.fromiter(draws, np.intp, len(draws)).reshape(-1, n_x)
+            stack += [(head + i, after) for i, after in entry[1]]
 
 
 def _iter_kernels(n_x: int, u_size: int, cfg: SearchConfig) -> Iterator[tuple]:
-    """The rows of every kernel :func:`_kernel_blocks` gives: the whole grid, relabellings included."""
-    rows = _lattice_rows(u_size, cfg.resolution)
-    for block in _kernel_blocks(n_x, _grid_shape(n_x, u_size, cfg)):
-        yield from (tuple(rows[i] for i in kernel) for kernel in block.tolist())
+    """The rows of every kernel of the whole grid, relabellings included, in product order."""
+    return itertools.product(_lattice_rows(u_size, cfg.resolution), repeat=n_x)
 
 
 def _search(prior_w, post_w, cfg: SearchConfig, adversary, best, best_rows, skip: bool) -> tuple:
@@ -594,6 +596,7 @@ def _search(prior_w, post_w, cfg: SearchConfig, adversary, best, best_rows, skip
     """
     n_x = len(prior_w)
     exact = _all_fractions(prior_w, post_w)
+    scan, loss = (_exact_scan, adversary[0]) if exact else (_float_scan, adversary[1])
     den = cfg.resolution - 1
     visited = []
     for u_size in range(2, cfg.max_u + 1):
@@ -606,11 +609,7 @@ def _search(prior_w, post_w, cfg: SearchConfig, adversary, best, best_rows, skip
                 rows = dict(enumerate(_lattice_ints(u_size, den)))
             else:
                 rows = {i: _unrank(i, u_size, den) for i in {*(vertices or ()), *draws}}
-            if exact:
-                groups = _kernel_indices(n_x, shape, rows)
-                value, kernel = _exact_scan(prior_w, post_w, rows, den, groups, draws or (), adversary[0])
-            else:
-                value, kernel = _float_scan(prior_w, post_w, rows, den, _kernel_blocks(n_x, shape), adversary[1])
+            value, kernel = scan(prior_w, post_w, rows, den, _kernel_indices(n_x, shape, rows), draws or (), loss)
             if value > best:
                 best, best_rows = value, tuple(tuple(Fraction(e, den) for e in rows[i]) for i in kernel)
             count = _grid_count(n_x, u_size, cfg)
@@ -628,7 +627,7 @@ class OracleCertificate:
     gap_nats: float
     #: One ``(u, kernels visited, exhaustive)`` triple per guess alphabet.  An
     #: exhaustive grid counts all of its kernels, every relabelling of the
-    #: guesses included, although a rational scan evaluates one per orbit.
+    #: guesses included, although both scans evaluate one per orbit.
     kernels_visited: tuple = ()
 
     @property

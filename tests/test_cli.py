@@ -255,6 +255,8 @@ class TestOracle:
             ("float_2x3", "float_2x3_grid11_u4", ["--y", "0", "--grid", "11", "--max-u", "4"]),
             # the default grid 11: the exhaustive integer scan at 287,496 kernels
             ("rational_3x3", "rational_3x3_grid11", ["--y", "0", "--mode", "rational"]),
+            # the README's default float run: 288,827 kernels, one evaluated per relabelling orbit
+            ("rational_3x3", "float_3x3_grid11", ["--y", "0"]),
             # a zero channel entry: the support indicator certifies the infinite level
             ("float_3x3_zero", "float_3x3_zero_y0_grid11", ["--y", "0"]),
             # alphabet 2 is exhaustive, alphabets 3 and 4 are sampled
@@ -679,8 +681,7 @@ class TestLazyImports:
 
     def test_numpy_hints_resolve_for_type_checkers(self):
         """Annotations naming ``np`` resolve once the ``TYPE_CHECKING`` imports run."""
-        for obj in (oracles._block_masses, oracles._kernel_blocks):
-            assert _hints_with_type_checking_imports(obj)
+        assert _hints_with_type_checking_imports(oracles._block_masses)
 
     def test_hints_on_lazily_loaded_classes_resolve_for_type_checkers(self):
         """Return types from modules loaded on first use resolve through ``TYPE_CHECKING``."""

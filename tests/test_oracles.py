@@ -803,16 +803,19 @@ def _exact_cases(count, seed):
 
 
 def _reference_guesswork(joint, y, cfg):
-    """Best guesswork leakage of a rational joint, one kernel of the whole grid at a time."""
+    """Best guesswork leakage, one kernel of the whole grid at a time; in floats for a float joint."""
     prior, post = joint.prior.weights, joint.posterior(y)
+    exact = all(isinstance(w, Fraction) for w in prior + post)
     best = ZERO
     for u_size in range(2, cfg.max_u + 1):
         for rows in _reference_kernels(joint.n_inputs, u_size, cfg):
-            value = ExtReal.from_ratio(
-                _permutation_guesswork(_fraction_masses(prior, rows))
-                / _permutation_guesswork(_fraction_masses(post, rows))
-            )
-            best = max(best, value)
+            if exact:
+                ratio = _permutation_guesswork(_fraction_masses(prior, rows)) / _permutation_guesswork(
+                    _fraction_masses(post, rows)
+                )
+            else:
+                ratio = _float_guesswork(prior, rows) / _float_guesswork(post, rows)
+            best = max(best, ExtReal.from_ratio(ratio))
     return best
 
 
@@ -1074,8 +1077,7 @@ class TestIntegerCore:
             assert type(guesswork.ratio) is Fraction
 
     @pytest.mark.parametrize("exhaustive_limit", (9, 4))
-    def test_both_enumerations_give_the_same_kernels(self, monkeypatch, exhaustive_limit):
-        monkeypatch.setattr(oracles, "_BLOCK", 7)
+    def test_both_enumerations_give_the_same_kernels(self, exhaustive_limit):
         # 3**8 > 4096 kernels: the sampled grid has no vertex product
         for n_x, resolution in ((1, 6), (2, 5), (3, 4), (4, 3), (8, 3)):
             cfg = SearchConfig(
@@ -1086,19 +1088,13 @@ class TestIntegerCore:
                 rows = _lattice_rows(u_size, resolution)
                 reference = list(_reference_kernels(n_x, u_size, cfg))
                 shape = _grid_shape(n_x, u_size, cfg)
-                blocks = [
-                    tuple(rows[i] for i in kernel)
-                    for block in oracles._kernel_blocks(n_x, shape)
-                    for kernel in block.tolist()
-                ]
-                assert blocks == reference
                 int_rows = dict(enumerate(oracles._lattice_ints(u_size, resolution - 1)))
                 groups = [
                     tuple(rows[i] for i in (*head, k))
                     for head, lasts in oracles._kernel_indices(n_x, shape, int_rows)
                     for k in lasts
                 ]
-                # the integer scan sums a sampled grid's draws apart, after its groups
+                # both scans take a sampled grid's draws apart, after its groups
                 draws = shape[2] or []
                 groups += [tuple(rows[i] for i in draws[s : s + n_x]) for s in range(0, len(draws), n_x)]
                 if n_x * u_size > exhaustive_limit:
@@ -1119,17 +1115,28 @@ class TestIntegerCore:
             assert len(kernels) == len(rows) ** n_x
             assert kernels == list(itertools.product(rows, repeat=n_x))
 
-    def test_tied_kernels_match_the_whole_grid(self):
+    @pytest.mark.parametrize("kind, block", [("exact", None), ("float", None), ("float", 7)])
+    def test_tied_kernels_match_the_whole_grid(self, kind, block, monkeypatch):
+        # both scans evaluate one kernel per orbit: its witness must be the whole grid's first
+        if block is not None:
+            monkeypatch.setattr(oracles, "_BLOCK", block)
         exhaustive = collections.Counter()
         for joint, y, cfg in _tied_cases(40, 2026):
+            if kind == "float":
+                # repeated entries stay repeated in floats, so the twin's kernels tie as often
+                joint = Joint.from_prior_channel(
+                    Pmf(tuple(map(float, joint.prior.weights))),
+                    Channel(tuple(tuple(map(float, row)) for row in joint.channel.rows)),
+                )
             cert = certify_pmc(joint, y, cfg)
             value, rows = _reference_scan(joint, y, cfg)
             assert cert.oracle_value == value
             assert type(cert.oracle_value.ratio) is type(value.ratio)
             assert cert.witness.rows == rows
             got = brute_force_guesswork_leakage(joint, y, cfg)
-            assert got == _reference_guesswork(joint, y, cfg)
-            assert type(got.ratio) is Fraction
+            expected = _reference_guesswork(joint, y, cfg)
+            assert got == expected
+            assert type(got.ratio) is type(expected.ratio)
             visited = []
             for u_size in range(2, cfg.max_u + 1):
                 whole = joint.n_inputs * u_size <= cfg.exhaustive_limit
