@@ -19,10 +19,10 @@ of an infinite level) is one binary kernel, whose level is a ratio of prior
 to posterior expected losses, so each certifies equality exactly on
 rational instances.
 
-An adversary is a pair of losses, on integer and on float-block guess
-masses.  One scan per backend evaluates a single kernel and whole grids
-alike; :func:`_search` is the one loop over the guess alphabets and
-:func:`_kernel_indices` the one walk choosing the kernels both scans
+An adversary is a pair of losses on a chunk of kernels, packed in big ints
+or in a float block.  One scan per backend evaluates a single kernel and
+whole grids alike; :func:`_search` is the one loop over the guess alphabets
+and :func:`_kernel_indices` the one walk choosing the kernels both scans
 evaluate, in order: one per relabelling orbit of an exhaustive grid.
 """
 
@@ -36,16 +36,11 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, repeat
-from operator import add, getitem
+from operator import floordiv, mul
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from . import leakage
-from .errors import (
-    AllInfinitePrior,
-    BudgetExceeded,
-    DimensionMismatch,
-    NormalizationDegenerate,
-)
+from .errors import AllInfinitePrior, BudgetExceeded, DimensionMismatch, NormalizationDegenerate
 from .probcore import INF, ZERO, Channel, ExtReal, Joint, Number, _int_masses, in_unit
 
 if TYPE_CHECKING:
@@ -62,9 +57,9 @@ _ENUMERATION_CAP = 2_000_000
 #: A sampled grid also visits its vertex kernels when there are at most this many.
 _VERTEX_CAP = 4096
 
-#: Bounds a float scan's batched step, and so its memory: ``_BLOCK // rows`` kernel
-#: groups, at least one, of at most ``rows`` kernels each.
-_BLOCK = 1 << 16
+#: Bounds a scan's batched step, and so its memory: ``_BLOCK // rows`` kernel groups, at
+#: least one, of at most ``rows`` kernels each, or an integer scan's next ``_BLOCK`` draws.
+_BLOCK = 1 << 12
 
 
 class RandomizedFunction(Channel):
@@ -141,25 +136,53 @@ class SearchConfig:
 # ---------------------------------------------------------------------------
 
 
-def _error_probability(masses, one: int) -> int:
-    """The error of the modal guess; the float zero rule is :func:`_float_scan`'s."""
-    return one - max(masses)
+def _fields(packed: int, count: int, width: int, step: int = 1) -> list:
+    """Every ``step``-th of the ``count`` fields of ``width`` bytes in ``packed``, lowest first."""
+    data = packed.to_bytes(count * width, sys.byteorder)
+    if width <= 8:
+        return memoryview(data).cast({1: "B", 2: "H", 4: "I", 8: "Q"}[width])[::step].tolist()
+    return [int.from_bytes(data[j : j + width], sys.byteorder) for j in range(0, len(data), step * width)]
+
+
+def _packed_error(masses: int, count: int, u_size: int, width: int, one: int) -> list:
+    """``one`` minus the modal mass of each kernel in ``masses``, a max fold over its fields.
+
+    ``masses`` holds ``count`` fields of ``width`` bytes, ``u_size`` a kernel,
+    each below its spare top bit ``h``.  ``(a | h) - b`` borrows across no
+    field and keeps ``h`` where ``a >= b``: each step keeps every field's
+    larger with the field ``step`` above, in spans that double to ``u_size``.
+    """
+    order, bits = sys.byteorder, 8 * width
+    ones = int.from_bytes((1).to_bytes(width, order) * count, order)
+    high, span = ones << bits - 1, 1
+    while span < u_size:
+        step = min(span, u_size - span)
+        above = masses >> step * bits
+        ge = ((masses | high) - above) & high
+        masses = above ^ ((masses ^ above) & (ge - (ge >> bits - 1)))
+        span += step
+    return _fields(ones * one - masses, count, width, u_size)
 
 
 def _block_error(masses: np.ndarray) -> np.ndarray:
-    """:func:`_error_probability` of every row; the modal mass is an exact fold of ``np.maximum``."""
+    """One minus the modal mass of every row; the modal mass is an exact fold of ``np.maximum``."""
     import numpy as np
 
     return 1.0 - reduce(np.maximum, masses.T)
 
 
-def _min_guesswork(masses: Sequence[Number], one: Number = 1) -> Number:
-    """Smallest expected number of sequential guesses; linear, so ``one`` is unused.
+def _min_guesswork(masses: Sequence[Number]) -> Number:
+    """Smallest expected number of sequential guesses.
 
     Guessing in order of decreasing mass is optimal (Massey, "Guessing and
     entropy", ISIT 1994).
     """
     return sum((i + 1) * m for i, m in enumerate(sorted(masses, reverse=True)))
+
+
+def _packed_guesswork(masses: int, count: int, u_size: int, width: int, one: int) -> list:
+    """:func:`_min_guesswork` of each kernel in ``masses`` (:func:`_packed_error`); ``one`` is unused."""
+    return list(map(_min_guesswork, zip(*[iter(_fields(masses, count, width))] * u_size)))
 
 
 def _block_guesswork(masses: np.ndarray) -> np.ndarray:
@@ -171,9 +194,9 @@ def _block_guesswork(masses: np.ndarray) -> np.ndarray:
     return acc
 
 
-#: An adversary: its loss on one kernel's int masses and on a float block's masses.
-_ERROR = (_error_probability, _block_error)
-_GUESSWORK = (_min_guesswork, _block_guesswork)
+#: An adversary: its loss on packed int masses and on a float block's masses.
+_ERROR = (_packed_error, _block_error)
+_GUESSWORK = (_packed_guesswork, _block_guesswork)
 
 
 def _error_ratio(prior_err: Number, post_err: Number) -> ExtReal:
@@ -193,83 +216,62 @@ def _all_fractions(*vectors) -> bool:
     return all(isinstance(e, Fraction) for v in vectors for e in v)
 
 
-def _head_masses(table: list, head: Sequence[int]) -> list:
-    """Integer guess masses of the first ``len(head)`` secrets; zeros for an empty head."""
-    return list(map(sum, zip(*map(getitem, table, head)))) or [0] * len(next(iter(table[0].values())))
-
-
-def _packed_masses(table: list, draws: Sequence[int], one: int) -> Iterator[tuple]:
-    """Guess masses of the kernels in ``draws``, ``len(table)`` row indices each, summed at once.
-
-    SIMD within a register (Fisher and Dietz, LCPC 1998): a row's masses are
-    fields of a power-of-two byte width, the rows a secret draws are joined
-    into one int, and one addition sums the secrets.  A kernel's masses sum
-    to ``one``, so no field carries.
-    """
-    n_x, order, u_size = len(table), sys.byteorder, len(next(iter(table[0].values())))
-    width = 1 << (-(-one.bit_length() // 8) - 1).bit_length()
-    total = 0
-    for x, rows in enumerate(table):
-        fields = {i: b"".join(map(int.to_bytes, row, repeat(width), repeat(order))) for i, row in rows.items()}
-        total += int.from_bytes(b"".join(map(fields.__getitem__, draws[x::n_x])), order)
-    packed = total.to_bytes(len(draws) // n_x * u_size * width, order)
-    if width <= 8:
-        flat = memoryview(packed).cast({1: "B", 2: "H", 4: "I", 8: "Q"}[width]).tolist()
-    else:
-        flat = [int.from_bytes(packed[j : j + width], order) for j in range(0, len(packed), width)]
-    return zip(*[iter(flat)] * u_size)
+def _packed_rows(rows: dict, width: int) -> dict:
+    """Each row's ints as fields of ``width`` bytes, lowest first, keyed by row index."""
+    return {i: b"".join(map(int.to_bytes, row, repeat(width), repeat(sys.byteorder))) for i, row in rows.items()}
 
 
 def _exact_scan(prior_w, post_w, rows: dict, scale: int, groups, draws: Sequence[int], loss) -> tuple:
     """Best level over the kernels of ``groups`` and then ``draws``, in integer arithmetic.
 
     ``rows`` maps each row index read to its int masses in units of ``1 /
-    scale``; with the weights scaled to ints (:func:`_int_masses`), guess
-    masses are int sums in units of ``1 / one``.  Each ``(head, lasts)``
-    group of :func:`_kernel_indices` sums its head once and each kernel
-    ``(*head, k)`` adds its last row; :func:`_packed_masses` sums the
-    ``draws`` at once.  A kernel's losses are ``loss(masses, one)``, with the
-    branches of :func:`_error_ratio`, and levels compare by
+    scale``; with int weights (:func:`_int_masses`), masses are in units of
+    ``1 / one``.  SIMD within a register (Fisher and Dietz, LCPC 1998): each
+    row is packed once, unweighted, with a spare bit above both ``one``s; a
+    chunk joins each secret's rows into one int ``P_x``, and ``sum(w_x *
+    P_x)`` holds every kernel's masses, no field carrying.  Only zero losses
+    take the branches of :func:`_error_ratio`.  Ratios whose denominators are
+    at most ``sqrt(L)`` differ by ``1 / L`` if at all, so the first largest
+    ``a * L // b`` is the first largest ``a / b``; chunks compare by
     cross-multiplication.  Returns ``(best level, first kernel attaining it)``.
     """
-    n_x = len(prior_w)
-    reads = [rows] * n_x
-    if draws and len(draws) // n_x < len(rows):
-        # a secret cannot read every row: its table holds only those of its draws and the groups
-        groups = list(groups)
-        grouped = {i for head, lasts in groups for i in (*head, *lasts)}
-        reads = [{i: rows[i] for i in grouped.union(draws[x::n_x])} for x in range(n_x)]
-    tables = []
-    for weights in (prior_w, post_w):
-        (int_w,), w_scale = _int_masses((weights,))
-        table = [{i: [w * e for e in row] for i, row in read.items()} for w, read in zip(int_w, reads)]
-        tables.append((table, w_scale * scale))
-    (tab_p, one_p), (tab_q, one_q) = tables
-    last_p, last_q = tab_p[-1], tab_q[-1]
+    n_x, u_size = len(prior_w), len(next(iter(rows.values())))
+    (w_p, one_p), (w_q, one_q) = ((w, s * scale) for (w,), s in (_int_masses((prior_w,)), _int_masses((post_w,))))
+    # the fewest power-of-two bytes that hold a mass below a spare bit
+    width = 1 << (max(one_p, one_q).bit_length() // 8).bit_length()
+    packed, groups = _packed_rows(rows, width), iter(groups)
 
-    def kernels() -> Iterator[tuple]:
-        for head, lasts in groups:
-            head_p, head_q = _head_masses(tab_p, head), _head_masses(tab_q, head)
-            for k in lasts:
-                yield head, k, map(add, head_p, last_p[k]), map(add, head_q, last_q[k])
-        if draws:
-            *columns, lasts = (draws[x::n_x] for x in range(n_x))
-            heads = zip(*columns) if columns else repeat(())
-            masses = _packed_masses(tab_p, draws, one_p), _packed_masses(tab_q, draws, one_q)
-            yield from zip(heads, lasts, *masses)
+    def chunks() -> Iterator[list]:
+        """Each chunk's row indices, one column per secret."""
+        while chunk := list(itertools.islice(groups, max(1, _BLOCK // len(rows)))):
+            heads, lasts = zip(*chunk)
+            counts = list(map(len, lasts))
+            heads = (list(chain.from_iterable(map(repeat, c, counts))) for c in zip(*heads))
+            yield [*heads, list(chain.from_iterable(lasts))]
+        for start in range(0, len(draws), _BLOCK * n_x):
+            block = draws[start : start + _BLOCK * n_x]
+            yield [block[x::n_x] for x in range(n_x)]
 
-    best_a = best_b = best_kernel = None
-    for head, k, masses_p, masses_q in kernels():
-        a, b = loss(masses_p, one_p), loss(masses_q, one_q)
-        if b == 0:
-            if a == 0:
-                a, b = one_p, one_q  # 0/0 reads as ratio one
-        elif a == 0:
-            raise ValueError("prior error vanished while posterior error did not")
+    best = None
+    for columns in chunks():
+        joined = [int.from_bytes(b"".join(map(packed.__getitem__, c)), sys.byteorder) for c in columns]
+        count = len(columns[0]) * u_size
+        a, b = (loss(sum(map(mul, w, joined)), count, u_size, width, one) for w, one in ((w_p, one_p), (w_q, one_q)))
+        k = -1
+        for _ in range(a.count(0)):
+            k = a.index(0, k + 1)
+            if b[k]:
+                raise ValueError("prior error vanished while posterior error did not")
+            a[k], b[k] = one_p, one_q  # 0/0 reads as ratio one
+        if 0 in b:
+            k = b.index(0)  # the first infinite level
+        else:
+            keys = list(map(floordiv, map(mul, a, repeat(max(b) ** 2)), b))
+            k = keys.index(max(keys))
         # (a, 0) is the infinite level: it beats every finite one and ties itself
-        if best_kernel is None or a * best_b > best_a * b:
-            best_a, best_b, best_kernel = a, b, (*head, k)
-    return _error_ratio(Fraction(best_a, one_p), Fraction(best_b, one_q)), best_kernel
+        if best is None or a[k] * best[1] > best[0] * b[k]:
+            best = a[k], b[k], tuple(column[k] for column in columns)
+    return _error_ratio(Fraction(best[0], one_p), Fraction(best[1], one_q)), best[2]
 
 
 def _block_masses(weights: Sequence, lattice: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -343,17 +345,14 @@ def _float_scan(prior_w, post_w, rows: dict, scale: int, groups, draws: Sequence
 
 
 def _lambda_from_rows(prior_w, post_w, kernel_rows, adversary=_ERROR) -> ExtReal:
-    """One kernel's level: its backend's scan of a grid holding just that kernel."""
+    """One kernel's level: its backend's scan of a grid drawing just that kernel."""
     if len(kernel_rows) != len(prior_w):
-        raise DimensionMismatch(
-            f"kernel has {len(kernel_rows)} rows, prior has {len(prior_w)} outcomes"
-        )
-    n = len(kernel_rows)
-    groups = [(range(n - 1), (n - 1,))]
+        raise DimensionMismatch(f"kernel has {len(kernel_rows)} rows, prior has {len(prior_w)} outcomes")
+    draws = range(len(kernel_rows))
     if _all_fractions(prior_w, post_w, *kernel_rows):
         ints, scale = _int_masses(kernel_rows)
-        return _exact_scan(prior_w, post_w, dict(enumerate(ints)), scale, groups, (), adversary[0])[0]
-    return _float_scan(prior_w, post_w, dict(enumerate(kernel_rows)), 1, groups, (), adversary[1])[0]
+        return _exact_scan(prior_w, post_w, dict(enumerate(ints)), scale, (), draws, adversary[0])[0]
+    return _float_scan(prior_w, post_w, dict(enumerate(kernel_rows)), 1, (), draws, adversary[1])[0]
 
 
 def randomized_function_leakage(joint: Joint, y: int, kernel: Channel) -> ExtReal:

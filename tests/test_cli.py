@@ -263,6 +263,8 @@ class TestOracle:
             ("float_4x3", "float_4x3_grid5_u4", ["--y", "0", "--grid", "5", "--max-u", "4"]),
             # alphabet 4 is sampled: the integer scan sums its draws at once
             ("rational_3x3", "rational_3x3_grid11_u4", ["--y", "0", "--mode", "rational", "--grid", "11", "--max-u", "4"]),
+            # alphabets 4 to 10 are sampled: up to 3,003 lattice rows, each drawn row unranked and packed
+            ("rational_3x3", "rational_3x3_grid11_u10", ["--y", "0", "--mode", "rational", "--max-u", "10"]),
         ],
     )
     def test_output_bytes_match_recorded_fixture(self, doc, recorded, args, unit, tmp_path):

@@ -709,22 +709,35 @@ class TestBatchedGridSearch:
         with pytest.raises(ValueError, match="prior error vanished"):
             oracles._exact_scan(
                 (Fraction(1), Fraction(0)), (HALF, HALF), identity, 1, [((0,), (0, 1))], (),
-                oracles._error_probability,
+                oracles._packed_error,
             )
         assert oracles._error_ratio(0.0, 2e-6) == ZERO
 
     def test_block_size_does_not_change_the_certificate(self, monkeypatch):
         rng = random.Random(3)
-        cfg = SearchConfig(resolution=6, max_u=3)
-        joints = [random_joint(rng, 2, 3, exact=exact) for exact in (False, True)]
-        expected = [certify_pmc(j, 0, cfg) for j in joints]
+        exhaustive, sampled = SearchConfig(resolution=6, max_u=3), SearchConfig(resolution=5, max_iterations=60)
+        cases = [(random_joint(rng, 2, 3, exact=exact), exhaustive) for exact in (False, True)]
+        # four secrets: u = 2 is exhaustive, u = 3 has 27 vertex groups and 60 draws
+        cases.append((random_joint(rng, 4, 3, exact=True), sampled))
+        expected = [(certify_pmc(j, 0, cfg), brute_force_guesswork_leakage(j, 0, cfg)) for j, cfg in cases]
+        # a chunk is then one group, or seven draws
         monkeypatch.setattr(oracles, "_BLOCK", 7)
-        for joint, cert in zip(joints, expected):
+        for (joint, cfg), (cert, guesswork) in zip(cases, expected):
             blocked = certify_pmc(joint, 0, cfg)
             assert blocked.oracle_value == cert.oracle_value
             assert type(blocked.oracle_value.ratio) is type(cert.oracle_value.ratio)
             assert blocked.witness == cert.witness
             assert blocked.kernels_visited == cert.kernels_visited
+            got = brute_force_guesswork_leakage(joint, 0, cfg)
+            assert got == guesswork and type(got.ratio) is type(guesswork.ratio)
+        # the four secrets' witness is at u = 2, five rows: the first chunk is the first group,
+        # which opens with a constant kernel (level 0/0), and the witness has another head
+        rows = dict(enumerate(oracles._lattice_ints(2, 4)))
+        head, lasts = next(oracles._kernel_indices(4, _grid_shape(4, 2, sampled), rows))
+        first = [tuple(Fraction(e, 4) for e in rows[i]) for i in (*head, lasts[0])]
+        assert len(set(first)) == 1 and first[0] in ((0, 1), (1, 0))
+        assert blocked.witness_u == 2 and blocked.oracle_value > ZERO
+        assert blocked.witness.rows[:-1] != tuple(first[:-1])
 
     def test_kernels_visited_per_guess_alphabet(self):
         rng = random.Random(8)
@@ -753,8 +766,8 @@ class TestBatchedGridSearch:
             raise AssertionError("a kernel was evaluated")
 
         names = (
-            "_lambda_from_rows", "_block_masses", "_int_masses", "_head_masses", "_randrange_draws",
-            "_lattice_ints", "_unrank", "_packed_masses",
+            "_lambda_from_rows", "_block_masses", "_int_masses", "_packed_rows", "_fields",
+            "_randrange_draws", "_lattice_ints", "_unrank",
         )
         for name in names:
             monkeypatch.setattr(oracles, name, fail)
@@ -949,8 +962,8 @@ class TestPackedDraws:
     """One sampled alphabet's draws, scanned on their own: 4 secrets, resolution 5, u = 3, 2,000 draws."""
 
     _ADVERSARIES = {
-        "error": (oracles._error_probability, lambda masses: 1 - max(masses)),
-        "guesswork": (oracles._min_guesswork, _permutation_guesswork),
+        "error": (oracles._packed_error, lambda masses: 1 - max(masses)),
+        "guesswork": (oracles._packed_guesswork, _permutation_guesswork),
     }
 
     def _scan(self, prior, post, adversary, seed):
@@ -962,9 +975,15 @@ class TestPackedDraws:
         got = oracles._exact_scan(prior, post, rows, 4, (), draws, loss)
         return got, _drawn_reference(prior, post, rows, draws, reference)
 
-    # the scan's unit is one = 4 * den: just below and above 2^8, 2^16, 2^32 and 2^64,
-    # so the packed fields are 1, 2, 4, 8 and 16 bytes wide
-    @pytest.mark.parametrize("den", [63, 65, 2**14 - 1, 2**14 + 1, 2**30 - 1, 2**30 + 1, 2**62 - 1, 2**62 + 1])
+    # The scan's unit is one = 4 * den, and a field holds a spare bit above it: one just below
+    # and above 2^7, 2^15, 2^31 and 2^63 steps the fields from 1 to 2, 4, 8 and 16 bytes; one
+    # just below and above 2^8, 2^16, 2^32 and 2^64 fills a field or spills into its spare bit.
+    _DENS = [
+        31, 33, 2**13 - 1, 2**13 + 1, 2**29 - 1, 2**29 + 1, 2**61 - 1, 2**61 + 1,
+        63, 65, 2**14 - 1, 2**14 + 1, 2**30 - 1, 2**30 + 1, 2**62 - 1, 2**62 + 1,
+    ]
+
+    @pytest.mark.parametrize("den", _DENS)
     @pytest.mark.parametrize("adversary", ["error", "guesswork"])
     def test_draws_match_per_kernel_fractions(self, den, adversary):
         rng = random.Random(den)
@@ -972,6 +991,28 @@ class TestPackedDraws:
         (value, kernel), (best, first) = self._scan(prior, post, adversary, den % 1000)
         assert value.ratio == best
         assert kernel == first
+
+    @pytest.mark.parametrize("den", _DENS)
+    @pytest.mark.parametrize("adversary", ["error", "guesswork"])
+    def test_exhaustive_groups_match_the_whole_grid(self, den, adversary):
+        # the twin over groups: 2 secrets at resolution 5 scan every kernel of u = 2 and 3
+        prior = (Fraction(1, den), Fraction(den - 1, den))
+        post = prior[::-1]
+        # outcome 0 of this channel has posterior exactly ``post``
+        c = min(p / q for p, q in zip(prior, post))
+        rows = tuple((c * q / p, 1 - c * q / p) for p, q in zip(prior, post))
+        joint = Joint.from_prior_channel(Pmf(prior), Channel(rows))
+        assert joint.posterior(0) == post
+        cfg = SearchConfig(resolution=5, max_u=3)
+        if adversary == "error":
+            cert = certify_pmc(joint, 0, cfg)
+            value, witness = _reference_scan(joint, 0, cfg)
+            assert cert.oracle_value == value and type(cert.oracle_value.ratio) is Fraction
+            assert cert.witness.rows == witness
+            assert all(exhaustive for _, _, exhaustive in cert.kernels_visited)
+        else:
+            got = brute_force_guesswork_leakage(joint, 0, cfg)
+            assert got == _reference_guesswork(joint, 0, cfg) and type(got.ratio) is Fraction
 
     @pytest.mark.parametrize("adversary", ["error", "guesswork"])
     def test_infinite_and_unit_levels(self, adversary):
@@ -996,6 +1037,20 @@ class TestPackedDraws:
         rows = {i: oracles._unrank(i, 3, 4) for i in set(draws)}
         with pytest.raises(ValueError, match="prior error vanished"):
             _drawn_reference(prior, post, rows, draws, lambda masses: 1 - max(masses))
+
+
+class TestMaxFold:
+    @pytest.mark.parametrize("width", [1, 2, 4, 8, 16])
+    def test_packed_error_is_one_minus_each_kernels_largest_mass(self, width):
+        # every alphabet from 1 to 10 guesses: the fold's spans double and overlap at the end
+        rng = random.Random(width)
+        one = (1 << 8 * width - 1) - 1
+        for u_size in range(1, 11):
+            kernels = [[rng.choice((0, one, rng.randrange(one + 1))) for _ in range(u_size)] for _ in range(50)]
+            fields = [m for kernel in kernels for m in kernel]
+            packed = sum(m << 8 * width * j for j, m in enumerate(fields))
+            got = oracles._packed_error(packed, len(fields), u_size, width, one)
+            assert got == [one - max(kernel) for kernel in kernels]
 
 
 class TestLatticeUnranking:
@@ -1023,21 +1078,20 @@ class TestLatticeUnranking:
         assert all(not exhaustive for _, _, exhaustive in cert.kernels_visited)
         assert brute_force_guesswork_leakage(joint, 0, cfg) == guesswork
 
-    def test_each_secret_packs_only_the_rows_it_reads(self, monkeypatch):
-        # u = 6 at resolution 11 has 3,003 rows; each secret draws 50 of them
-        packed, tables = oracles._packed_masses, []
-        monkeypatch.setattr(oracles, "_packed_masses", lambda t, *a: tables.append(t) or packed(t, *a))
+    def test_packs_only_the_rows_it_reads(self, monkeypatch):
+        # u = 6 at resolution 11 has 3,003 rows; the three secrets draw 150 of them
+        pack, packed = oracles._packed_rows, []
+        monkeypatch.setattr(oracles, "_packed_rows", lambda rows, *a: packed.append(set(rows)) or pack(rows, *a))
         joint = random_joint(random.Random(28), 3, 3, exact=True)
         cfg = SearchConfig(resolution=11, max_u=6, max_iterations=50, seed=6, exhaustive_limit=1)
         certify_pmc(joint, 0, cfg)
-        for u_size in range(2, 7):
-            _, vertices, draws = _grid_shape(3, u_size, cfg)
-            reads = [{*vertices, *draws[x::3]} for x in range(3)]
-            if u_size == 2:  # 50 draws each may read all 11 rows: one table over every row read
-                reads = [{*vertices, *draws}] * 3
-            # the prior's and the posterior's tables
-            for table in tables[2 * u_size - 4 : 2 * u_size - 2]:
-                assert [set(rows) for rows in table] == reads
+        # each alphabet packs its rows once, for both sides and every secret
+        assert len(packed) == 5
+        for u_size, rows in zip(range(2, 7), packed):
+            n_rows, vertices, draws = _grid_shape(3, u_size, cfg)
+            assert rows == {*vertices, *draws}
+            # 150 draws may read all 11 rows of u = 2, never a larger lattice whole
+            assert u_size == 2 or len(rows) < n_rows
 
 
 class TestIntegerCore:
