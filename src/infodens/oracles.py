@@ -32,10 +32,12 @@ import itertools
 import math
 import random
 import sys
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from operator import floordiv, mul
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
@@ -292,13 +294,13 @@ def _float_scan(prior_w, post_w, rows: dict, scale: int, groups, draws: Sequence
 
     Takes :func:`_exact_scan`'s grid as ``(K, n_x)`` blocks of row indices:
     each chunk of ``_BLOCK // len(rows)`` groups, at least one, with each head
-    repeated once per last, then the draws.  Masses are ``(K, u)``: no numpy
-    reduction or fancy gather runs along the short guess axis.  The lattice
-    holds ``rows[i] / scale`` at row index ``i``, rounded once for int rows.
-    Losses below ``_FLOAT_ZERO`` read as exact zeros, the branches of
-    :func:`_error_ratio` apply, and a loss below ``-1e-9`` raises for the
-    first kernel that has one.  Returns ``(best level, first kernel attaining
-    it)`` like :func:`_exact_scan`.
+    repeated once per last, then the draws, a buffer that numpy views whole.
+    Masses are ``(K, u)``: no numpy reduction or fancy gather runs along the
+    short guess axis.  The lattice holds ``rows[i] / scale`` at row index
+    ``i``, rounded once for int rows.  Losses below ``_FLOAT_ZERO`` read as
+    exact zeros, the branches of :func:`_error_ratio` apply, and a loss below
+    ``-1e-9`` raises for the first kernel that has one.  Returns ``(best
+    level, first kernel attaining it)`` like :func:`_exact_scan`.
     """
     import numpy as np
 
@@ -314,7 +316,7 @@ def _float_scan(prior_w, post_w, rows: dict, scale: int, groups, draws: Sequence
             block[:, -1] = np.fromiter(chain.from_iterable(lasts), np.intp, len(block))
             yield block
         if draws:
-            yield np.fromiter(draws, np.intp, len(draws)).reshape(-1, n_x)
+            yield np.asarray(memoryview(draws)).reshape(-1, n_x)
 
     lattice = np.zeros((max(rows) + 1, len(next(iter(rows.values())))))
     lattice[list(rows)] = np.array(list(rows.values()), dtype=float) / scale
@@ -348,7 +350,7 @@ def _lambda_from_rows(prior_w, post_w, kernel_rows, adversary=_ERROR) -> ExtReal
     """One kernel's level: its backend's scan of a grid drawing just that kernel."""
     if len(kernel_rows) != len(prior_w):
         raise DimensionMismatch(f"kernel has {len(kernel_rows)} rows, prior has {len(prior_w)} outcomes")
-    draws = range(len(kernel_rows))
+    draws = array("L", range(len(kernel_rows)))
     if _all_fractions(prior_w, post_w, *kernel_rows):
         ints, scale = _int_masses(kernel_rows)
         return _exact_scan(prior_w, post_w, dict(enumerate(ints)), scale, (), draws, adversary[0])[0]
@@ -437,19 +439,24 @@ def _lattice_rows(n_cols: int, resolution: int) -> list:
     return [tuple(Fraction(c, resolution - 1) for c in row) for row in _lattice_ints(n_cols, resolution - 1)]
 
 
-def _unrank(index: int, n_cols: int, den: int) -> tuple:
-    """Row ``index`` of :func:`_lattice_ints`, built alone.
+def _lattice_sizes(n_cols: int, den: int) -> list:
+    """``sizes[k][d]``: ``comb(d + k - 1, k - 1)`` rows of ``k <= n_cols`` numerators sum to ``d <= den``."""
+    return list(accumulate(range(n_cols), lambda row, _: list(accumulate(row)), initial=[1] + [0] * den))
 
-    ``comb(den - c + k - 2, k - 2)`` rows of ``k`` numerators summing to ``den`` start with ``c``.
+
+def _unrank(index: int, n_cols: int, den: int, sizes: Optional[list] = None) -> tuple:
+    """Row ``index`` of :func:`_lattice_ints`, built alone; ``sizes`` is :func:`_lattice_sizes`.
+
+    Of the rows of ``k`` numerators summing to ``den``, ``sizes[k][den - c]`` start with ``c`` or
+    more: the row with ``left`` rows from it to the last starts with ``den - j``, ``j`` the least
+    with ``sizes[k][j] >= left``.
     """
     row = []
-    for k in range(n_cols, 1, -1):
-        c = 0
-        while index >= (n := math.comb(den - c + k - 2, k - 2)):
-            index -= n
-            c += 1
-        row.append(c)
-        den -= c
+    for table in (sizes or _lattice_sizes(n_cols, den))[n_cols:1:-1]:
+        left = table[den] - index
+        j = bisect_left(table, left, 0, den)
+        row.append(den - j)
+        index, den = table[j] - left, j
     return (*row, den)
 
 
@@ -516,7 +523,7 @@ def _grid_shape(n_x: int, u_size: int, cfg: SearchConfig) -> tuple:
 
     Exhaustive grids have no vertices and no draws.  Sampled grids give the
     vertex kernels (when :func:`_grid_size` counts any) and ``max_iterations``
-    seeded draws of ``n_x`` row indices each, flattened kernel by kernel.
+    seeded draws of ``n_x`` row indices each, one :func:`_randrange_draws` buffer.
     """
     n_rows, n_vertices = _grid_size(n_x, u_size, cfg)
     if _is_exhaustive(n_x, u_size, cfg):
@@ -531,10 +538,22 @@ def _grid_shape(n_x: int, u_size: int, cfg: SearchConfig) -> tuple:
     return n_rows, vertices, _randrange_draws(rng, n_rows, cfg.max_iterations * n_x)
 
 
-def _randrange_draws(rng: random.Random, n: int, count: int) -> list:
-    """``count`` calls of ``rng.randrange(n)``: its rejection loop over ``getrandbits``, run in C."""
-    bits = map(rng.getrandbits, itertools.repeat(n.bit_length()))
-    return list(itertools.islice(filter(n.__gt__, bits), count))
+def _randrange_draws(rng: random.Random, n: int, count: int) -> Sequence[int]:
+    """``count`` calls of ``rng.randrange(n)`` as a buffer of unsigned ints, ``rng`` left as after them.
+
+    Each call draws ``getrandbits(n.bit_length())``, the top bits of one 32-bit word, until one is
+    below ``n``.  Below 256 rows a round reads one word per draw still needed, so none past the last,
+    as one ``getrandbits(32 * m)``, least significant first; one ``bytes.translate`` shifts each top
+    byte down and drops those at or above ``n``.  Wider draws take one call each, in C.
+    """
+    k = n.bit_length()
+    if k > 8:
+        return array("L", itertools.islice(filter(n.__gt__, map(rng.getrandbits, repeat(k))), count))
+    table, rejected = bytes(b >> 8 - k for b in range(256)), bytes(range(n << 8 - k, 256))
+    draws = b""
+    while m := count - len(draws):
+        draws += rng.getrandbits(32 * m).to_bytes(4 * m, "little")[3::4].translate(table, rejected)
+    return draws
 
 
 def _kernel_indices(n_x: int, shape: tuple, rows: dict) -> Iterator[tuple]:
@@ -607,7 +626,8 @@ def _search(prior_w, post_w, cfg: SearchConfig, adversary, best, best_rows, skip
             if draws is None or (not exact and n_rows <= len(draws)):
                 rows = dict(enumerate(_lattice_ints(u_size, den)))
             else:
-                rows = {i: _unrank(i, u_size, den) for i in {*(vertices or ()), *draws}}
+                sizes = _lattice_sizes(u_size, den)
+                rows = {i: _unrank(i, u_size, den, sizes) for i in {*(vertices or ()), *draws}}
             value, kernel = scan(prior_w, post_w, rows, den, _kernel_indices(n_x, shape, rows), draws or (), loss)
             if value > best:
                 best, best_rows = value, tuple(tuple(Fraction(e, den) for e in rows[i]) for i in kernel)

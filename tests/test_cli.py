@@ -536,12 +536,13 @@ class TestLazyImports:
             (["oracle", "--input", str(_FIXTURES / "oracle" / "float_2x3.json"), "--y", "0", "--grid", "5"], 0, {"numpy"}, {"documents", "oracles"}),
             (["oracle", "--input", str(_FIXTURES / "oracle" / "rational_3x3.json"), "--y", "0", "--mode", "rational", "--grid", "5"], 0, set(), {"documents", "oracles"}),
             (["oracle", "--input", str(_FIXTURES / "oracle" / "rational_3x3.json"), "--y", "0", "--mode", "rational", "--grid", "11", "--max-u", "4"], 0, set(), {"documents", "oracles"}),
+            (["oracle", "--input", str(_FIXTURES / "oracle" / "rational_3x3.json"), "--y", "0", "--mode", "rational", "--grid", "5", "--max-u", "4"], 0, set(), {"documents", "oracles"}),
             (["analyze", "--input", "malformed.json", "--output", "bad"], 2, set(), {"documents"}),
         ],
         ids=[
             "translate", "sweep", "analyze", "props", "mechanism-rr",
             "mechanism-laplace", "mechanism-gaussian", "oracle", "oracle-rational",
-            "oracle-rational-sampled", "malformed",
+            "oracle-rational-sampled", "oracle-rational-sampled-bytes", "malformed",
         ],
     )
     def test_cli_loads_only_what_it_uses(self, argv, code, heavy, modules, tmp_path):

@@ -767,7 +767,7 @@ class TestBatchedGridSearch:
 
         names = (
             "_lambda_from_rows", "_block_masses", "_int_masses", "_packed_rows", "_fields",
-            "_randrange_draws", "_lattice_ints", "_unrank",
+            "_randrange_draws", "_lattice_ints", "_lattice_sizes", "_unrank",
         )
         for name in names:
             monkeypatch.setattr(oracles, name, fail)
@@ -910,26 +910,87 @@ class TestSampledDraws:
         [
             (4, 3, SearchConfig(resolution=5), [10, 8, 4, 12, 11, 4, 8, 7, 6, 4, 0, 10], 55744),
             (3, 4, SearchConfig(resolution=4, seed=7), [14, 7, 14, 11, 8, 18, 19, 17, 4, 14, 3, 10], 56952),
+            # 66, 210 and 286 lattice rows: both sides of the one-byte draws below 256 rows
+            (4, 3, SearchConfig(resolution=11, seed=1), [0, 6, 0, 28, 44, 8, 23, 39, 45, 45, 40, 53], 262170),
+            (2, 7, SearchConfig(resolution=5, seed=2), [4, 115, 20, 116, 182, 174, 7, 203, 56, 83, 175, 117], 419357),
+            (3, 4, SearchConfig(resolution=11, seed=3), [83, 16, 271, 168, 248, 222, 135, 193, 252, 205, 162, 270], 854525),
         ],
     )
     def test_sampled_grid_draws_are_pinned(self, n_x, u_size, cfg, head, total):
         # Recorded from the per-index rng.choice(range(n)) draws; randrange(n) is the same stream.
         _, _, draws = _grid_shape(n_x, u_size, cfg)
         assert len(draws) == cfg.max_iterations * n_x
-        assert draws[:12] == head and sum(draws) == total
+        assert list(draws[:12]) == head and sum(draws) == total
 
 
 class TestDrawStream:
     @pytest.mark.parametrize(
-        "n", (1, 2, 3, 5, 15, 66, 100, 1000, 4096, 4097, 65535, 65536, 65537, 10**9 + 7)
+        "n",
+        (
+            1, 2, 3, 5, 15, 66, 100, 127, 128, 129, 210, 255, 256, 257,
+            1000, 4096, 4097, 65535, 65536, 65537, 10**9 + 7,
+        ),
     )
     def test_draws_are_the_randrange_stream(self, n):
         for seed in range(300):
             rng, reference = random.Random(seed), random.Random(seed)
             got = oracles._randrange_draws(rng, n, 40)
-            assert got == [reference.randrange(n) for _ in range(40)]
+            assert list(got) == [reference.randrange(n) for _ in range(40)]
             # both generators are left in the same state
             assert rng.getstate() == reference.getstate()
+
+    def test_many_draws_over_several_rounds(self):
+        # about half of the words fall at or above 129, so the draws take several rounds
+        rng, reference = random.Random(129), random.Random(129)
+        got = oracles._randrange_draws(rng, 129, 8000)
+        assert list(got) == [reference.randrange(129) for _ in range(8000)]
+        assert rng.getstate() == reference.getstate()
+
+
+class TestSampledCertificates:
+    """Every alphabet sampled (``exhaustive_limit=1``), with no vertex kernels (2^13 > 4096).
+
+    Recorded from the per-index ``randrange`` draws.  The certificates' witnesses
+    are u = 3 draws of 66 rows, the guesswork levels u = 4 draws of 286 rows.
+    """
+
+    _WEIGHTS = (2, 2, 3, 4, 1, 1, 4, 3, 2, 2, 4, 4, 4)
+    _CHANNEL = (
+        (2, 2, 2), (5, 4, 1), (1, 2, 5), (1, 3, 1), (3, 4, 5), (4, 4, 4), (5, 4, 2),
+        (3, 1, 1), (2, 4, 2), (3, 4, 3), (4, 5, 4), (5, 3, 5), (5, 4, 5),
+    )
+    _WITNESS = [
+        (2, 6, 2), (2, 1, 7), (2, 5, 3), (5, 4, 1), (6, 0, 4), (3, 1, 6), (0, 1, 9),
+        (0, 1, 9), (0, 2, 8), (1, 1, 8), (0, 5, 5), (1, 1, 8), (3, 1, 6),
+    ]
+
+    @pytest.mark.parametrize(
+        "exact, value, guesswork",
+        [
+            (
+                True,
+                "ExtReal(nats=0.19480220075874577, ratio=Fraction(6094307, 5015599))",
+                "ExtReal(nats=0.07132510628602517, ratio=Fraction(141157327, 131439932))",
+            ),
+            (
+                False,
+                "ExtReal(nats=0.19480220075874607, ratio=1.2150706226713897)",
+                "ExtReal(nats=0.07132510628602533, ratio=1.073930310615194)",
+            ),
+        ],
+    )
+    def test_sampled_only_certificates_are_pinned(self, exact, value, guesswork):
+        prior = tuple(Fraction(w, sum(self._WEIGHTS)) for w in self._WEIGHTS)
+        rows = tuple(tuple(Fraction(e, sum(r)) for e in r) for r in self._CHANNEL)
+        if not exact:
+            prior, rows = tuple(map(float, prior)), tuple(tuple(map(float, r)) for r in rows)
+        joint = Joint.from_prior_channel(Pmf(prior), Channel(rows))
+        cfg = SearchConfig(resolution=11, max_u=4, max_iterations=100, seed=7, exhaustive_limit=1)
+        cert = certify_pmc(joint, 0, cfg)
+        assert repr(cert.oracle_value) == value
+        assert [tuple(e * 10 for e in row) for row in cert.witness.rows] == self._WITNESS
+        assert cert.kernels_visited == ((2, 100, False), (3, 100, False), (4, 100, False))
+        assert repr(brute_force_guesswork_leakage(joint, 0, cfg)) == guesswork
 
 
 def _drawn_reference(prior, post, rows, draws, loss):
