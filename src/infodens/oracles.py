@@ -22,8 +22,9 @@ rational instances.
 An adversary is a pair of losses on a chunk of kernels, packed in big ints
 or in a float block.  One scan per backend evaluates a single kernel and
 whole grids alike; :func:`_search` is the one loop over the guess alphabets
-and :func:`_kernel_indices` the one walk choosing the kernels both scans
-evaluate, in order: one per relabelling orbit of an exhaustive grid.
+giving both scans the same kernels in the same order: one per relabelling
+orbit of an exhaustive grid, or a sampled grid's vertex kernels and then its
+draws.
 """
 
 from __future__ import annotations
@@ -556,18 +557,6 @@ def _randrange_draws(rng: random.Random, n: int, count: int) -> Sequence[int]:
     return draws
 
 
-def _kernel_indices(n_x: int, shape: tuple, rows: dict) -> Iterator[tuple]:
-    """A grid's kernels but its draws, in search order, as ``(head, lasts)`` groups of ``(*head, k)``.
-
-    One kernel per relabelling orbit of an exhaustive grid
-    (:func:`_sorted_column_kernels`), or the vertex product of a sampled one.
-    """
-    _, vertices, draws = shape
-    if draws is None:
-        return _sorted_column_kernels(n_x, list(rows.values()))
-    return zip(itertools.product(vertices, repeat=n_x - 1), repeat(vertices)) if vertices else ()
-
-
 def _sorted_column_kernels(n_x: int, int_rows: list) -> Iterator[tuple]:
     """The grid's kernels with lexicographically non-decreasing columns, as groups.
 
@@ -620,7 +609,7 @@ def _search(prior_w, post_w, cfg: SearchConfig, adversary, best, best_rows, skip
     for u_size in range(2, cfg.max_u + 1):
         count = 0
         if not skip:
-            shape = n_rows, vertices, draws = _grid_shape(n_x, u_size, cfg)
+            n_rows, vertices, draws = _grid_shape(n_x, u_size, cfg)
             # int numerators over den, keyed by lattice index: a sampled grid unranks
             # the rows it reads, but a float scan takes a lattice no larger than its draws whole
             if draws is None or (not exact and n_rows <= len(draws)):
@@ -628,7 +617,12 @@ def _search(prior_w, post_w, cfg: SearchConfig, adversary, best, best_rows, skip
             else:
                 sizes = _lattice_sizes(u_size, den)
                 rows = {i: _unrank(i, u_size, den, sizes) for i in {*(vertices or ()), *draws}}
-            value, kernel = scan(prior_w, post_w, rows, den, _kernel_indices(n_x, shape, rows), draws or (), loss)
+            # an exhaustive grid is scanned one kernel per relabelling orbit
+            groups = _sorted_column_kernels(n_x, list(rows.values())) if draws is None else ()
+            if vertices:  # a sampled grid's vertex kernels head its draws, in the draws' own buffer
+                head = chain.from_iterable(itertools.product(vertices, repeat=n_x))
+                draws = bytes(head) + draws if isinstance(draws, bytes) else array("L", head) + draws
+            value, kernel = scan(prior_w, post_w, rows, den, groups, draws or (), loss)
             if value > best:
                 best, best_rows = value, tuple(tuple(Fraction(e, den) for e in rows[i]) for i in kernel)
             count = _grid_count(n_x, u_size, cfg)

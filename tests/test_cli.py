@@ -1,8 +1,11 @@
 import ast
+import importlib.metadata
 import inspect
 import json
 import math
 import os
+import re
+import shutil
 import subprocess
 import sys
 import typing
@@ -14,6 +17,9 @@ import pytest
 import infodens
 from infodens import documents, mechanisms, oracles, properties, sampling
 from infodens.cli import main
+
+_FIXTURES = Path(__file__).parent / "fixtures"
+_PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 @pytest.fixture
@@ -92,30 +98,6 @@ class TestAnalyze:
             )
         )
         assert main(["analyze", "--input", str(doc), "--output", str(tmp_path / "o")]) == 2
-
-    @pytest.mark.parametrize("unit", ("nats", "bits"))
-    @pytest.mark.parametrize(
-        "doc, mode",
-        [
-            ("float_zeros_3x4", "float"),
-            ("float_4x3", "float"),
-            ("rational_3x3", "rational"),
-            ("rational_forms_4x4", "rational"),
-        ],
-    )
-    def test_output_bytes_match_recorded_fixture(self, doc, mode, unit, tmp_path):
-        """Profiles and levels recorded from the pairwise LDP code must not change.
-
-        ``rational_forms_4x4`` mixes "a/b" strings (with spaces, signs and leading
-        zeros), decimal strings and JSON ints, so every exact input form is pinned.
-        """
-        fixtures = Path(__file__).parent / "fixtures" / "analyze"
-        out = tmp_path / "out"
-        argv = ["analyze", "--input", str(fixtures / f"{doc}.json"), "--mode", mode]
-        assert main([*argv, "--unit", unit, "--output", str(out)]) == 0
-        for name in ("profile.csv", "levels.json"):
-            recorded = fixtures / f"{doc}_{unit}_{name}"
-            assert (out / name).read_bytes() == recorded.read_bytes()
 
 
 class TestTranslate:
@@ -245,36 +227,6 @@ class TestOracle:
         captured = capsys.readouterr()
         assert captured.err == "oracle value exceeds the closed form\n"
 
-    @pytest.mark.parametrize("unit", ("nats", "bits"))
-    @pytest.mark.parametrize(
-        "doc, recorded, args",
-        [
-            ("rational_3x3", "rational_3x3_grid5", ["--y", "2", "--mode", "rational", "--grid", "5", "--max-u", "3"]),
-            ("float_2x3", "float_2x3_grid11", ["--y", "0", "--grid", "11"]),
-            # four guesses, every alphabet exhaustive: 286^2 kernels in two blocks, modal masses over four columns
-            ("float_2x3", "float_2x3_grid11_u4", ["--y", "0", "--grid", "11", "--max-u", "4"]),
-            # the default grid 11: the exhaustive integer scan at 287,496 kernels
-            ("rational_3x3", "rational_3x3_grid11", ["--y", "0", "--mode", "rational"]),
-            # the README's default float run: 288,827 kernels, one evaluated per relabelling orbit
-            ("rational_3x3", "float_3x3_grid11", ["--y", "0"]),
-            # a zero channel entry: the support indicator certifies the infinite level
-            ("float_3x3_zero", "float_3x3_zero_y0_grid11", ["--y", "0"]),
-            # alphabet 2 is exhaustive, alphabets 3 and 4 are sampled
-            ("float_4x3", "float_4x3_grid5_u4", ["--y", "0", "--grid", "5", "--max-u", "4"]),
-            # alphabet 4 is sampled: the integer scan sums its draws at once
-            ("rational_3x3", "rational_3x3_grid11_u4", ["--y", "0", "--mode", "rational", "--grid", "11", "--max-u", "4"]),
-            # alphabets 4 to 10 are sampled: up to 3,003 lattice rows, each drawn row unranked and packed
-            ("rational_3x3", "rational_3x3_grid11_u10", ["--y", "0", "--mode", "rational", "--max-u", "10"]),
-        ],
-    )
-    def test_output_bytes_match_recorded_fixture(self, doc, recorded, args, unit, tmp_path):
-        """Certificates recorded from the per-kernel search must not change."""
-        fixtures = Path(__file__).parent / "fixtures" / "oracle"
-        out = tmp_path / "cert.json"
-        argv = ["oracle", "--input", str(fixtures / f"{doc}.json"), *args]
-        assert main([*argv, "--unit", unit, "--output", str(out)]) == 0
-        assert out.read_bytes() == (fixtures / f"{recorded}_{unit}.json").read_bytes()
-
 
 class TestMechanismDump:
     def test_finite_dump(self, rr_doc, capsys):
@@ -376,18 +328,6 @@ class TestUnwritableOutput:
 
 
 class TestDeterminism:
-    def test_identical_runs_are_byte_identical(self, rr_doc, tmp_path):
-        out_a = tmp_path / "a"
-        out_b = tmp_path / "b"
-        for out in (out_a, out_b):
-            assert main(["analyze", "--input", str(rr_doc), "--output", str(out)]) == 0
-            assert (
-                main(["sweep", "--pmin", "0.2", "--steps", "25", "--output", str(out)])
-                == 0
-            )
-        for name in ("profile.csv", "levels.json", "pml_to_pmc.csv", "pmc_to_pml.csv"):
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
-
     def test_oracle_deterministic_for_fixed_seed(self, tmp_path, capsys):
         doc = tmp_path / "wide.json"
         doc.write_text(
@@ -426,7 +366,32 @@ class TestDeterminism:
         assert outputs[0] == outputs[1]
 
 
+#: Every recorded CLI run, as ``(subcommand, recorded name, args)``.  A run writes the
+#: files of :data:`_WRITES` under ``tests/fixtures/<subcommand>/``, named
+#: ``<name>_<unit>_<file>``, or else one JSON file, ``<name>_<unit>.json``.
 _RECORDED = [
+    # profiles and levels; rational_forms_4x4 mixes "a/b" strings (with spaces, signs and
+    # leading zeros), decimal strings and JSON ints, so every exact input form is pinned
+    ("analyze", "float_zeros_3x4", ["--input", "{fixtures}/analyze/float_zeros_3x4.json"]),
+    ("analyze", "float_4x3", ["--input", "{fixtures}/analyze/float_4x3.json"]),
+    ("analyze", "rational_3x3", ["--input", "{fixtures}/analyze/rational_3x3.json", "--mode", "rational"]),
+    ("analyze", "rational_forms_4x4", ["--input", "{fixtures}/analyze/rational_forms_4x4.json", "--mode", "rational"]),
+    ("oracle", "rational_3x3_grid5", ["--input", "{fixtures}/oracle/rational_3x3.json", "--y", "2", "--mode", "rational", "--grid", "5", "--max-u", "3"]),
+    ("oracle", "float_2x3_grid11", ["--input", "{fixtures}/oracle/float_2x3.json", "--y", "0", "--grid", "11"]),
+    # four guesses, every alphabet exhaustive: 286^2 kernels in two blocks, modal masses over four columns
+    ("oracle", "float_2x3_grid11_u4", ["--input", "{fixtures}/oracle/float_2x3.json", "--y", "0", "--grid", "11", "--max-u", "4"]),
+    # the default grid 11: the exhaustive integer scan at 287,496 kernels
+    ("oracle", "rational_3x3_grid11", ["--input", "{fixtures}/oracle/rational_3x3.json", "--y", "0", "--mode", "rational"]),
+    # the README's default float run: 288,827 kernels, one evaluated per relabelling orbit
+    ("oracle", "float_3x3_grid11", ["--input", "{fixtures}/oracle/rational_3x3.json", "--y", "0"]),
+    # a zero channel entry: the support indicator certifies the infinite level
+    ("oracle", "float_3x3_zero_y0_grid11", ["--input", "{fixtures}/oracle/float_3x3_zero.json", "--y", "0"]),
+    # alphabet 2 is exhaustive, alphabets 3 and 4 are sampled
+    ("oracle", "float_4x3_grid5_u4", ["--input", "{fixtures}/oracle/float_4x3.json", "--y", "0", "--grid", "5", "--max-u", "4"]),
+    # alphabet 4 is sampled: the integer scan sums its draws at once
+    ("oracle", "rational_3x3_grid11_u4", ["--input", "{fixtures}/oracle/rational_3x3.json", "--y", "0", "--mode", "rational", "--grid", "11", "--max-u", "4"]),
+    # alphabets 4 to 10 are sampled: up to 3,003 lattice rows, each drawn row unranked and packed
+    ("oracle", "rational_3x3_grid11_u10", ["--input", "{fixtures}/oracle/rational_3x3.json", "--y", "0", "--mode", "rational", "--max-u", "10"]),
     ("translate", "pml", ["--pml", "0.2", "--pmin", "0.25"]),
     ("translate", "pml_beyond_bound", ["--pml", "0.9", "--pmin", "0.25"]),
     ("translate", "pmc", ["--pmc", "0.7", "--pmin", "0.25"]),
@@ -439,26 +404,61 @@ _RECORDED = [
     ("mechanism", "gaussian", ["--input", "{fixtures}/mechanism/gaussian.json"]),
     ("mechanism", "gaussian_unsaturated", ["--input", "{fixtures}/mechanism/gaussian_unsaturated.json"]),
 ]
+_RECORDED_IDS = [f"{sub}-{name}" for sub, name, _ in _RECORDED]
+
+#: The files written under the output directory, by the subcommands that write more than one.
+_WRITES = {"analyze": ("profile.csv", "levels.json"), "sweep": ("pml_to_pmc.csv", "pmc_to_pml.csv")}
+
+
+def _recorded_run(sub, name, args, unit, out):
+    """``(argv, {written file: recorded file})`` of one recorded run writing under ``out``."""
+    fixtures = _FIXTURES / sub
+    if sub in _WRITES:
+        target, recorded = out, {out / f: fixtures / f"{name}_{unit}_{f}" for f in _WRITES[sub]}
+    else:
+        target = out / "out.json"
+        recorded = {target: fixtures / f"{name}_{unit}.json"}
+    argv = [sub, *(a.format(fixtures=_FIXTURES) for a in args), "--unit", unit, "--output", str(target)]
+    return argv, recorded
+
+
+def _console_script() -> tuple:
+    """``(command, environment)`` running the ``infodens`` console script.
+
+    The installed script where there is one.  Elsewhere, the ``[project.scripts]``
+    target that ``pyproject.toml`` names, run from ``src`` under this interpreter.  A
+    CI job tests the installed script, so there the fallback is a failure.
+    """
+    script = shutil.which("infodens")
+    if script:
+        return [script], None
+    assert not os.environ.get("CI"), "CI has no installed infodens script on PATH"
+    import tomllib
+
+    target = tomllib.loads(_PYPROJECT.read_text())["project"]["scripts"]["infodens"]
+    module, func = target.split(":")
+    return [sys.executable, "-c", f"import sys\nfrom {module} import {func}\nsys.exit({func}())"], _src_env()
 
 
 class TestRecordedOutputs:
     @pytest.mark.parametrize("unit", ("nats", "bits"))
-    @pytest.mark.parametrize(
-        "sub, name, args", _RECORDED, ids=[f"{sub}-{name}" for sub, name, _ in _RECORDED]
-    )
+    @pytest.mark.parametrize("sub, name, args", _RECORDED, ids=_RECORDED_IDS)
     def test_output_bytes_match_recorded_fixture(self, sub, name, args, unit, tmp_path):
         """JSON and CSV numbers, units and ``inf`` tokens as recorded before any change."""
-        fixtures = _FIXTURES / sub
-        if sub == "sweep":
-            target = tmp_path
-            recorded = {f: fixtures / f"{name}_{unit}_{f}" for f in ("pml_to_pmc.csv", "pmc_to_pml.csv")}
-        else:
-            target = tmp_path / "out.json"
-            recorded = {"out.json": fixtures / f"{name}_{unit}.json"}
-        argv = [sub, *(a.format(fixtures=_FIXTURES) for a in args), "--unit", unit]
-        assert main([*argv, "--output", str(target)]) == 0
-        for out_name, path in recorded.items():
-            assert (tmp_path / out_name).read_bytes() == path.read_bytes()
+        argv, recorded = _recorded_run(sub, name, args, unit, tmp_path)
+        assert main(argv) == 0
+        for written, path in recorded.items():
+            assert written.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("sub, name, args", _RECORDED, ids=_RECORDED_IDS)
+    def test_console_script_matches_recorded_fixture(self, sub, name, args, tmp_path):
+        """The same runs through the console script, in a fresh interpreter each."""
+        command, env = _console_script()
+        argv, recorded = _recorded_run(sub, name, args, "nats", tmp_path)
+        proc = subprocess.run([*command, *argv], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        for written, path in recorded.items():
+            assert written.read_bytes() == path.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +470,6 @@ _DOCS = {
     "laplace.json": {"family": "laplace_mean", "interval": [0, 1], "count": 1, "scale": 1.0},
     "gaussian.json": {"family": "gaussian", "amplitude": 1, "sigma": 1},
 }
-_FIXTURES = Path(__file__).parent / "fixtures"
-
-
 def _src_env():
     """The environment with the tested package's ``src`` first on ``PYTHONPATH``."""
     src = str(Path(infodens.__file__).resolve().parents[1])
@@ -502,6 +499,11 @@ def _fresh_run(source, cwd, argv=(), code=0):
     loaded = proc.stderr.rsplit("loaded:", 1)[1].split()
     heavy = {name.split(".")[0] for name in loaded} & {"numpy", "scipy"}
     return heavy, {name.split(".", 1)[1] for name in loaded if name.startswith("infodens.")}
+
+
+def _requirement_name(requirement: str) -> str:
+    """The project name a requirement string such as ``scipy>=1.10; extra == "test"`` opens with."""
+    return re.match(r"[\w.-]+", requirement).group().lower()
 
 
 def _hints_with_type_checking_imports(obj) -> dict:
@@ -659,6 +661,26 @@ class TestLazyImports:
     )
     def test_lazy_path_runs_from_fresh_interpreter(self, snippet, heavy, tmp_path):
         assert _fresh_run("import infodens\n" + snippet, tmp_path)[0] == heavy
+
+    def test_numpy_is_the_only_runtime_dependency(self):
+        """scipy checks the numerics in the tests and is listed under the ``test`` extra alone.
+
+        Read from ``pyproject.toml``, and from the installed metadata where there is one.
+        """
+        import tomllib
+
+        project = tomllib.loads(_PYPROJECT.read_text())["project"]
+        assert list(map(_requirement_name, project["dependencies"])) == ["numpy"]
+        extras = project["optional-dependencies"].items()
+        assert [extra for extra, reqs in extras if "scipy" in map(_requirement_name, reqs)] == ["test"]
+        try:
+            installed = importlib.metadata.requires("infodens")
+        except importlib.metadata.PackageNotFoundError:
+            assert not os.environ.get("CI"), "CI has no installed infodens metadata"
+            return
+        assert [_requirement_name(r) for r in installed if ";" not in r] == ["numpy"]
+        scipy = [r.partition(";")[2].split() for r in installed if _requirement_name(r) == "scipy"]
+        assert scipy == [["extra", "==", '"test"']]
 
     def test_every_public_name_resolves_on_first_access(self, tmp_path):
         snippet = (

@@ -544,6 +544,21 @@ def _reference_kernels(n_x, u_size, cfg):
         yield tuple(rng.choice(rows) for _ in range(n_x))
 
 
+def _scanned_kernels(n_x, cfg, monkeypatch):
+    """Per guess alphabet, the kernels the search hands the integer scan, as row indices in order."""
+    scanned = []
+
+    def record(prior_w, post_w, rows, scale, groups, draws, loss):
+        kernels = [(*head, k) for head, lasts in groups for k in lasts]
+        scanned.append(kernels + [tuple(draws[s : s + n_x]) for s in range(0, len(draws), n_x)])
+        return ZERO, None
+
+    monkeypatch.setattr(oracles, "_exact_scan", record)
+    weights = (Fraction(1, n_x),) * n_x
+    oracles._search(weights, weights, cfg, oracles._ERROR, ZERO, None, skip=False)
+    return scanned
+
+
 def _reference_level(joint, y, rows):
     """One kernel's level: in ``Fraction`` arithmetic for a rational joint, else in floats.
 
@@ -732,8 +747,8 @@ class TestBatchedGridSearch:
             assert got == guesswork and type(got.ratio) is type(guesswork.ratio)
         # the four secrets' witness is at u = 2, five rows: the first chunk is the first group,
         # which opens with a constant kernel (level 0/0), and the witness has another head
-        rows = dict(enumerate(oracles._lattice_ints(2, 4)))
-        head, lasts = next(oracles._kernel_indices(4, _grid_shape(4, 2, sampled), rows))
+        rows = oracles._lattice_ints(2, 4)
+        head, lasts = next(oracles._sorted_column_kernels(4, rows))
         first = [tuple(Fraction(e, 4) for e in rows[i]) for i in (*head, lasts[0])]
         assert len(set(first)) == 1 and first[0] in ((0, 1), (1, 0))
         assert blocked.witness_u == 2 and blocked.oracle_value > ZERO
@@ -1192,33 +1207,25 @@ class TestIntegerCore:
             assert type(guesswork.ratio) is Fraction
 
     @pytest.mark.parametrize("exhaustive_limit", (9, 4))
-    def test_both_enumerations_give_the_same_kernels(self, exhaustive_limit):
+    def test_both_enumerations_give_the_same_kernels(self, exhaustive_limit, monkeypatch):
         # 3**8 > 4096 kernels: the sampled grid has no vertex product
         for n_x, resolution in ((1, 6), (2, 5), (3, 4), (4, 3), (8, 3)):
             cfg = SearchConfig(
                 resolution=resolution, max_iterations=30, seed=n_x,
                 exhaustive_limit=exhaustive_limit,
             )
-            for u_size in (2, 3):
+            for u_size, scanned in zip((2, 3), _scanned_kernels(n_x, cfg, monkeypatch)):
                 rows = _lattice_rows(u_size, resolution)
                 reference = list(_reference_kernels(n_x, u_size, cfg))
-                shape = _grid_shape(n_x, u_size, cfg)
-                int_rows = dict(enumerate(oracles._lattice_ints(u_size, resolution - 1)))
-                groups = [
-                    tuple(rows[i] for i in (*head, k))
-                    for head, lasts in oracles._kernel_indices(n_x, shape, int_rows)
-                    for k in lasts
-                ]
-                # both scans take a sampled grid's draws apart, after its groups
-                draws = shape[2] or []
-                groups += [tuple(rows[i] for i in draws[s : s + n_x]) for s in range(0, len(draws), n_x)]
+                kernels = [tuple(rows[i] for i in kernel) for kernel in scanned]
                 if n_x * u_size > exhaustive_limit:
-                    assert groups == reference
+                    # a sampled grid's vertex kernels, then its draws
+                    assert kernels == reference
                     continue
                 # one kernel per relabelling of the guesses: the one with sorted columns
                 columns = [list(zip(*kernel)) for kernel in reference]
-                assert groups == [k for k, c in zip(reference, columns) if c == sorted(c)]
-                orbits = {tuple(zip(*kernel)) for kernel in groups}
+                assert kernels == [k for k, c in zip(reference, columns) if c == sorted(c)]
+                orbits = {tuple(zip(*kernel)) for kernel in kernels}
                 assert all(tuple(sorted(c)) in orbits for c in columns)
 
     def test_iter_kernels_covers_the_whole_exhaustive_grid(self):
