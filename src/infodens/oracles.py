@@ -126,12 +126,9 @@ class SearchConfig:
             value = getattr(self, f.name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
-        if self.resolution < 2:
-            raise ValueError("resolution must be at least 2")
-        if self.max_u < 2:
-            raise ValueError("max_u must be at least 2")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        for name, least in (("resolution", 2), ("max_u", 2), ("max_iterations", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}")
 
 
 # ---------------------------------------------------------------------------
@@ -174,22 +171,25 @@ def _block_error(masses: np.ndarray) -> np.ndarray:
     return 1.0 - reduce(np.maximum, masses.T)
 
 
-def _min_guesswork(masses: Sequence[Number]) -> Number:
-    """Smallest expected number of sequential guesses.
-
-    Guessing in order of decreasing mass is optimal (Massey, "Guessing and
-    entropy", ISIT 1994).
-    """
-    return sum((i + 1) * m for i, m in enumerate(sorted(masses, reverse=True)))
-
-
 def _packed_guesswork(masses: int, count: int, u_size: int, width: int, one: int) -> list:
-    """:func:`_min_guesswork` of each kernel in ``masses`` (:func:`_packed_error`); ``one`` is unused."""
-    return list(map(_min_guesswork, zip(*[iter(_fields(masses, count, width))] * u_size)))
+    """Least expected number of guesses of each kernel in ``masses`` (:func:`_packed_error`), unsorted.
+
+    In decreasing order of mass, optimal (Massey, "Guessing and entropy", ISIT 1994), that is ``sum(m) +
+    sum(min(m_i, m_j) for i < j)``: shift ``s`` adds each field's min with the field ``s`` above in its
+    kernel, by :func:`_packed_error`'s borrow, and a product sums each kernel into its lowest field."""
+    order, bits = sys.byteorder, 8 * width
+    high, acc = int.from_bytes((1 << bits - 1).to_bytes(width, order) * count, order), masses
+    for s in range(1, u_size):
+        above = masses >> s * bits
+        ge = ((masses | high) - above) & high
+        inside = int.from_bytes((b"\xff" * (u_size - s) * width + bytes(s * width)) * (count // u_size), "little")
+        acc += (masses ^ ((masses ^ above) & (ge - (ge >> bits - 1)))) & inside
+    ones = int.from_bytes((1).to_bytes(width, order) * u_size, order)
+    return _fields(acc * ones >> (u_size - 1) * bits, count, width, u_size)
 
 
 def _block_guesswork(masses: np.ndarray) -> np.ndarray:
-    """:func:`_min_guesswork` of every row, summed in the same order; sorts ``masses``."""
+    """Every row's masses in decreasing order weighted by 1, 2, 3, ... (:func:`_packed_guesswork`); sorts ``masses``."""
     masses.sort(axis=1)
     acc = masses[:, -1]
     for i in range(1, masses.shape[1]):
@@ -227,22 +227,33 @@ def _packed_rows(rows: dict, width: int) -> dict:
 def _exact_scan(prior_w, post_w, rows: dict, scale: int, groups, draws: Sequence[int], loss) -> tuple:
     """Best level over the kernels of ``groups`` and then ``draws``, in integer arithmetic.
 
-    ``rows`` maps each row index read to its int masses in units of ``1 /
-    scale``; with int weights (:func:`_int_masses`), masses are in units of
-    ``1 / one``.  SIMD within a register (Fisher and Dietz, LCPC 1998): each
-    row is packed once, unweighted, with a spare bit above both ``one``s; a
-    chunk joins each secret's rows into one int ``P_x``, and ``sum(w_x *
-    P_x)`` holds every kernel's masses, no field carrying.  Only zero losses
-    take the branches of :func:`_error_ratio`.  Ratios whose denominators are
-    at most ``sqrt(L)`` differ by ``1 / L`` if at all, so the first largest
-    ``a * L // b`` is the first largest ``a / b``; chunks compare by
-    cross-multiplication.  Returns ``(best level, first kernel attaining it)``.
+    ``rows`` maps each row index read to its int masses in units of ``1 / scale``; with int
+    weights (:func:`_int_masses`), masses are in units of ``1 / one``.  SIMD within a register
+    (Fisher and Dietz, LCPC 1998): each row is packed once, unweighted; a chunk joins each
+    secret's rows into one int ``P_x`` (byte draws byte plane by byte plane, each one
+    ``translate`` of the column), and ``sum(w_x * P_x)`` holds every kernel's masses, no field
+    carrying.  Only zero losses take the branches of :func:`_error_ratio`.  Ratios whose
+    denominators are at most ``sqrt(L)`` differ by ``1 / L`` if at all, so the first largest
+    ``a * L // b`` is the first largest ``a / b``; chunks compare by cross-multiplication.
+    Returns ``(best level, first kernel attaining it)``.
     """
     n_x, u_size = len(prior_w), len(next(iter(rows.values())))
     (w_p, one_p), (w_q, one_q) = ((w, s * scale) for (w,), s in (_int_masses((prior_w,)), _int_masses((post_w,))))
-    # the fewest power-of-two bytes that hold a mass below a spare bit
-    width = 1 << (max(one_p, one_q).bit_length() // 8).bit_length()
-    packed, groups = _packed_rows(rows, width), iter(groups)
+    # the fewest power-of-two bytes holding h * one, one below a spare bit: guesswork sums u_size fields
+    h = max(2, u_size) if loss is _packed_guesswork else 2
+    width = 1 << (((h * max(one_p, one_q)).bit_length() - 1) // 8).bit_length()
+    packed, groups, size = _packed_rows(rows, width), iter(groups), u_size * width
+    if isinstance(draws, bytes):  # plane j: byte j of rows 0 to 255, zero where a row was not read
+        table = b"".join(map(packed.get, range(256), repeat(bytes(size))))
+        planes = [table[j::size] for j in range(size)]
+
+    def gather(column) -> int:
+        if not isinstance(column, bytes):
+            return int.from_bytes(b"".join(map(packed.__getitem__, column)), sys.byteorder)
+        buf = bytearray(len(column) * size)
+        for j, plane in enumerate(planes):
+            buf[j::size] = column.translate(plane)
+        return int.from_bytes(buf, sys.byteorder)
 
     def chunks() -> Iterator[list]:
         """Each chunk's row indices, one column per secret."""
@@ -257,7 +268,7 @@ def _exact_scan(prior_w, post_w, rows: dict, scale: int, groups, draws: Sequence
 
     best = None
     for columns in chunks():
-        joined = [int.from_bytes(b"".join(map(packed.__getitem__, c)), sys.byteorder) for c in columns]
+        joined = list(map(gather, columns))
         count = len(columns[0]) * u_size
         a, b = (loss(sum(map(mul, w, joined)), count, u_size, width, one) for w, one in ((w_p, one_p), (w_q, one_q)))
         k = -1
@@ -614,9 +625,10 @@ def _search(prior_w, post_w, cfg: SearchConfig, adversary, best, best_rows, skip
             # the rows it reads, but a float scan takes a lattice no larger than its draws whole
             if draws is None or (not exact and n_rows <= len(draws)):
                 rows = dict(enumerate(_lattice_ints(u_size, den)))
-            else:
+            else:  # one memchr per row finds the rows that byte draws read
                 sizes = _lattice_sizes(u_size, den)
-                rows = {i: _unrank(i, u_size, den, sizes) for i in {*(vertices or ()), *draws}}
+                read = filter(draws.__contains__, range(n_rows)) if isinstance(draws, bytes) else draws
+                rows = {i: _unrank(i, u_size, den, sizes) for i in {*(vertices or ()), *read}}
             # an exhaustive grid is scanned one kernel per relabelling orbit
             groups = _sorted_column_kernels(n_x, list(rows.values())) if draws is None else ()
             if vertices:  # a sampled grid's vertex kernels head its draws, in the draws' own buffer

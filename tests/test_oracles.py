@@ -813,6 +813,11 @@ def _permutation_guesswork(masses):
     )
 
 
+def _decreasing_guesswork(masses):
+    """Expected number of guesses in order of decreasing mass (Massey, ISIT 1994)."""
+    return sum(k * m for k, m in enumerate(sorted(masses, reverse=True), 1))
+
+
 def _exact_cases(count, seed):
     rng = random.Random(seed)
     for _ in range(count):
@@ -1054,9 +1059,12 @@ class TestPackedDraws:
     # The scan's unit is one = 4 * den, and a field holds a spare bit above it: one just below
     # and above 2^7, 2^15, 2^31 and 2^63 steps the fields from 1 to 2, 4, 8 and 16 bytes; one
     # just below and above 2^8, 2^16, 2^32 and 2^64 fills a field or spills into its spare bit.
+    # A guesswork field holds 3 * one = 12 * den: the last eight, the floor and the ceiling of
+    # 2^k / 12, put it just below and above 2^8, 2^16, 2^32 and 2^64.
     _DENS = [
         31, 33, 2**13 - 1, 2**13 + 1, 2**29 - 1, 2**29 + 1, 2**61 - 1, 2**61 + 1,
         63, 65, 2**14 - 1, 2**14 + 1, 2**30 - 1, 2**30 + 1, 2**62 - 1, 2**62 + 1,
+        *(2**k // 12 + up for k in (8, 16, 32, 64) for up in (0, 1)),
     ]
 
     @pytest.mark.parametrize("den", _DENS)
@@ -1115,6 +1123,29 @@ class TestPackedDraws:
             _drawn_reference(prior, post, rows, draws, lambda masses: 1 - max(masses))
 
 
+class TestByteGather:
+    """Four secrets at u = 3 on both sides of the one-byte draws: 253 and 276 lattice rows."""
+
+    @pytest.mark.parametrize(
+        "resolution, iterations, byte_draws",
+        # three draws of four rows leave most of the 253 rows unread
+        [(22, 500, True), (22, 3, True), (23, 500, False)],
+    )
+    def test_gathered_grids_match_per_kernel_definition(self, resolution, iterations, byte_draws):
+        joint = random_joint(random.Random(resolution + iterations), 4, 3, exact=True)
+        cfg = SearchConfig(resolution=resolution, max_u=3, max_iterations=iterations, seed=37, exhaustive_limit=1)
+        n_rows, _, draws = _grid_shape(4, 3, cfg)
+        assert isinstance(draws, bytes) is byte_draws and n_rows == (253 if byte_draws else 276)
+        assert (len(set(draws)) < n_rows - 200) is (iterations == 3)
+        cert = certify_pmc(joint, 0, cfg)
+        value, rows = _reference_scan(joint, 0, cfg)
+        assert cert.oracle_value == value and type(cert.oracle_value.ratio) is Fraction
+        assert cert.witness.rows == rows
+        assert cert.kernels_visited == ((2, 16 + iterations, False), (3, 81 + iterations, False))
+        got, expected = brute_force_guesswork_leakage(joint, 0, cfg), _reference_guesswork(joint, 0, cfg)
+        assert got == expected and type(got.ratio) is Fraction
+
+
 class TestMaxFold:
     @pytest.mark.parametrize("width", [1, 2, 4, 8, 16])
     def test_packed_error_is_one_minus_each_kernels_largest_mass(self, width):
@@ -1127,6 +1158,27 @@ class TestMaxFold:
             packed = sum(m << 8 * width * j for j, m in enumerate(fields))
             got = oracles._packed_error(packed, len(fields), u_size, width, one)
             assert got == [one - max(kernel) for kernel in kernels]
+
+    @pytest.mark.parametrize("width", [1, 2, 4, 8, 16])
+    def test_packed_guesswork_at_the_largest_unit_its_width_allows(self, width):
+        # every kernel's fields sum into its lowest: at u guesses they hold u * one, with one the
+        # largest whose u * one fits the width, and one-hot, equal and random kernels side by side
+        rng = random.Random(width)
+        for u_size in range(2, 11):
+            one = ((1 << 8 * width) - 1) // u_size
+            kernels = []
+            for _ in range(20):
+                hot = [0] * u_size
+                hot[rng.randrange(u_size)] = one
+                cuts = sorted(rng.randrange(one + 1) for _ in range(u_size - 1))
+                kernels += [hot, [one // u_size] * u_size, [b - a for a, b in zip([0, *cuts], [*cuts, one])]]
+            fields = [m for kernel in kernels for m in kernel]
+            packed = sum(m << 8 * width * j for j, m in enumerate(fields))
+            got = oracles._packed_guesswork(packed, len(fields), u_size, width, one)
+            # past seven guesses, the permutation search gives way to Massey's decreasing order
+            # (checked against it by test_packed_guesswork_matches_permutation_search)
+            reference = _permutation_guesswork if u_size <= 7 else _decreasing_guesswork
+            assert got == list(map(reference, kernels))
 
 
 class TestLatticeUnranking:
@@ -1171,13 +1223,23 @@ class TestLatticeUnranking:
 
 
 class TestIntegerCore:
-    def test_min_guesswork_matches_permutation_search(self):
+    def test_packed_guesswork_matches_permutation_search(self):
         rng = random.Random(1994)
         for n in [1, 2, 3, 4, 5, 6] * 10 + [7] * 4:
             pool = [Fraction(rng.randint(0, 6), rng.randint(1, 9)) for _ in range(3)]
             # draws from a small pool give ties, as lattice kernels do
             masses = [rng.choice(pool) for _ in range(n)]
-            assert oracles._min_guesswork(masses) == _permutation_guesswork(masses)
+            # the masses in units of 1 / den, packed as two kernels: as drawn and reversed
+            den = math.lcm(*(m.denominator for m in masses))
+            ints = [int(m * den) for m in masses]
+            # power-of-two bytes with room for the n * one that a field may sum
+            one = max(1, sum(ints))
+            width = 1 << ((max(2, n) * one).bit_length() // 8).bit_length()
+            fields = ints + ints[::-1]
+            packed = sum(m << 8 * width * j for j, m in enumerate(fields))
+            got = oracles._packed_guesswork(packed, 2 * n, n, width, one)
+            assert [Fraction(g, den) for g in got] == [_permutation_guesswork(masses)] * 2
+            assert _decreasing_guesswork(masses) == _permutation_guesswork(masses)
 
     def test_guesswork_search_matches_per_kernel_definition(self):
         sampled = 0
