@@ -21,10 +21,10 @@ rational instances.
 
 An adversary is a pair of losses on a chunk of kernels, packed in big ints
 or in a float block.  One scan per backend evaluates a single kernel and
-whole grids alike; :func:`_search` is the one loop over the guess alphabets
-giving both scans the same kernels in the same order: one per relabelling
-orbit of an exhaustive grid, or a sampled grid's vertex kernels and then its
-draws.
+whole grids alike; :func:`_search` is the one loop over the guess alphabets,
+and its :func:`_kernel_chunks` gives both scans the same chunks of kernels
+in the same order: one per relabelling orbit of an exhaustive grid, or a
+sampled grid's vertex kernels and then its draws.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from itertools import accumulate, chain, repeat
 from operator import floordiv, mul
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
@@ -60,8 +60,8 @@ _ENUMERATION_CAP = 2_000_000
 #: A sampled grid also visits its vertex kernels when there are at most this many.
 _VERTEX_CAP = 4096
 
-#: Bounds a scan's batched step, and so its memory: ``_BLOCK // rows`` kernel groups, at
-#: least one, of at most ``rows`` kernels each, or an integer scan's next ``_BLOCK`` draws.
+#: Bounds both scans' batched step, and so their memory: a chunk is ``_BLOCK // rows`` kernel
+#: groups, at least one, of at most ``rows`` kernels each, or the next ``_BLOCK`` draws.
 _BLOCK = 1 << 12
 
 
@@ -144,22 +144,27 @@ def _fields(packed: int, count: int, width: int, step: int = 1) -> list:
     return [int.from_bytes(data[j : j + width], sys.byteorder) for j in range(0, len(data), step * width)]
 
 
+def _min_max(a: int, b: int, high: int, bits: int) -> tuple:
+    """Field-wise ``(min, max)`` of ``a`` and ``b``, fields of ``bits`` bits below their spare bits in ``high``:
+    ``(a | high) - b`` borrows across no field and keeps the spare bit where ``a >= b``."""
+    ge = ((a | high) - b) & high
+    swap = (a ^ b) & (ge - (ge >> bits - 1))
+    return a ^ swap, b ^ swap
+
+
 def _packed_error(masses: int, count: int, u_size: int, width: int, one: int) -> list:
     """``one`` minus the modal mass of each kernel in ``masses``, a max fold over its fields.
 
-    ``masses`` holds ``count`` fields of ``width`` bytes, ``u_size`` a kernel,
-    each below its spare top bit ``h``.  ``(a | h) - b`` borrows across no
-    field and keeps ``h`` where ``a >= b``: each step keeps every field's
-    larger with the field ``step`` above, in spans that double to ``u_size``.
+    ``masses`` holds ``count`` fields of ``width`` bytes, ``u_size`` a kernel, each below its spare
+    top bit: each step keeps every field's larger with the field ``step`` above (:func:`_min_max`),
+    in spans that double to ``u_size``.
     """
     order, bits = sys.byteorder, 8 * width
     ones = int.from_bytes((1).to_bytes(width, order) * count, order)
     high, span = ones << bits - 1, 1
     while span < u_size:
         step = min(span, u_size - span)
-        above = masses >> step * bits
-        ge = ((masses | high) - above) & high
-        masses = above ^ ((masses ^ above) & (ge - (ge >> bits - 1)))
+        masses = _min_max(masses, masses >> step * bits, high, bits)[1]
         span += step
     return _fields(ones * one - masses, count, width, u_size)
 
@@ -176,14 +181,12 @@ def _packed_guesswork(masses: int, count: int, u_size: int, width: int, one: int
 
     In decreasing order of mass, optimal (Massey, "Guessing and entropy", ISIT 1994), that is ``sum(m) +
     sum(min(m_i, m_j) for i < j)``: shift ``s`` adds each field's min with the field ``s`` above in its
-    kernel, by :func:`_packed_error`'s borrow, and a product sums each kernel into its lowest field."""
+    kernel (:func:`_min_max`), and a product sums each kernel into its lowest field."""
     order, bits = sys.byteorder, 8 * width
     high, acc = int.from_bytes((1 << bits - 1).to_bytes(width, order) * count, order), masses
     for s in range(1, u_size):
-        above = masses >> s * bits
-        ge = ((masses | high) - above) & high
         inside = int.from_bytes((b"\xff" * (u_size - s) * width + bytes(s * width)) * (count // u_size), "little")
-        acc += (masses ^ ((masses ^ above) & (ge - (ge >> bits - 1)))) & inside
+        acc += _min_max(masses, masses >> s * bits, high, bits)[0] & inside
     ones = int.from_bytes((1).to_bytes(width, order) * u_size, order)
     return _fields(acc * ones >> (u_size - 1) * bits, count, width, u_size)
 
@@ -224,28 +227,28 @@ def _packed_rows(rows: dict, width: int) -> dict:
     return {i: b"".join(map(int.to_bytes, row, repeat(width), repeat(sys.byteorder))) for i, row in rows.items()}
 
 
-def _exact_scan(prior_w, post_w, rows: dict, scale: int, groups, draws: Sequence[int], loss) -> tuple:
-    """Best level over the kernels of ``groups`` and then ``draws``, in integer arithmetic.
+def _exact_scan(prior_w, post_w, rows: dict, scale: int, chunks, loss) -> tuple:
+    """Best level over the kernels of ``chunks`` (:func:`_kernel_chunks`), in integer arithmetic.
 
     ``rows`` maps each row index read to its int masses in units of ``1 / scale``; with int
     weights (:func:`_int_masses`), masses are in units of ``1 / one``.  SIMD within a register
     (Fisher and Dietz, LCPC 1998): each row is packed once, unweighted; a chunk joins each
-    secret's rows into one int ``P_x`` (byte draws byte plane by byte plane, each one
+    secret's rows into one int ``P_x`` (byte columns byte plane by byte plane, each one
     ``translate`` of the column), and ``sum(w_x * P_x)`` holds every kernel's masses, no field
     carrying.  Only zero losses take the branches of :func:`_error_ratio`.  Ratios whose
     denominators are at most ``sqrt(L)`` differ by ``1 / L`` if at all, so the first largest
     ``a * L // b`` is the first largest ``a / b``; chunks compare by cross-multiplication.
     Returns ``(best level, first kernel attaining it)``.
     """
-    n_x, u_size = len(prior_w), len(next(iter(rows.values())))
+    u_size = len(next(iter(rows.values())))
     (w_p, one_p), (w_q, one_q) = ((w, s * scale) for (w,), s in (_int_masses((prior_w,)), _int_masses((post_w,))))
     # the fewest power-of-two bytes holding h * one, one below a spare bit: guesswork sums u_size fields
     h = max(2, u_size) if loss is _packed_guesswork else 2
     width = 1 << (((h * max(one_p, one_q)).bit_length() - 1) // 8).bit_length()
-    packed, groups, size = _packed_rows(rows, width), iter(groups), u_size * width
-    if isinstance(draws, bytes):  # plane j: byte j of rows 0 to 255, zero where a row was not read
-        table = b"".join(map(packed.get, range(256), repeat(bytes(size))))
-        planes = [table[j::size] for j in range(size)]
+    packed, size = _packed_rows(rows, width), u_size * width
+    if (top := max(rows)) < 256:  # plane j: byte j of each row, zero where a row was not read
+        table = b"".join(map(packed.get, range(top + 1), repeat(bytes(size))))
+        planes = [table[j::size].ljust(256, b"\0") for j in range(size)]
 
     def gather(column) -> int:
         if not isinstance(column, bytes):
@@ -255,19 +258,8 @@ def _exact_scan(prior_w, post_w, rows: dict, scale: int, groups, draws: Sequence
             buf[j::size] = column.translate(plane)
         return int.from_bytes(buf, sys.byteorder)
 
-    def chunks() -> Iterator[list]:
-        """Each chunk's row indices, one column per secret."""
-        while chunk := list(itertools.islice(groups, max(1, _BLOCK // len(rows)))):
-            heads, lasts = zip(*chunk)
-            counts = list(map(len, lasts))
-            heads = (list(chain.from_iterable(map(repeat, c, counts))) for c in zip(*heads))
-            yield [*heads, list(chain.from_iterable(lasts))]
-        for start in range(0, len(draws), _BLOCK * n_x):
-            block = draws[start : start + _BLOCK * n_x]
-            yield [block[x::n_x] for x in range(n_x)]
-
     best = None
-    for columns in chunks():
+    for columns in chunks:
         joined = list(map(gather, columns))
         count = len(columns[0]) * u_size
         a, b = (loss(sum(map(mul, w, joined)), count, u_size, width, one) for w, one in ((w_p, one_p), (w_q, one_q)))
@@ -288,54 +280,38 @@ def _exact_scan(prior_w, post_w, rows: dict, scale: int, groups, draws: Sequence
     return _error_ratio(Fraction(best[0], one_p), Fraction(best[1], one_q)), best[2]
 
 
-def _block_masses(weights: Sequence, lattice: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """Guess masses of every kernel in ``block``, one row per kernel.
+def _block_masses(weights: Sequence, lattice: np.ndarray, columns: list) -> np.ndarray:
+    """Guess masses of every kernel of a chunk, one row per kernel; ``columns`` holds each secret's row indices.
 
     The pushes accumulate secret by secret, left to right, so every kernel's
     float masses carry the rounding of that explicit loop.  ``take`` gathers
     each secret's lattice rows along the kernel axis, faster than fancy indexing.
     """
-    acc = weights[0] * lattice.take(block[:, 0], axis=0)
+    acc = weights[0] * lattice.take(columns[0], axis=0)
     for x in range(1, len(weights)):
-        acc = acc + weights[x] * lattice.take(block[:, x], axis=0)
+        acc = acc + weights[x] * lattice.take(columns[x], axis=0)
     return acc
 
 
-def _float_scan(prior_w, post_w, rows: dict, scale: int, groups, draws: Sequence[int], block_loss) -> tuple:
-    """Best level over the kernels of ``groups`` and then ``draws``, in floats.
+def _float_scan(prior_w, post_w, rows: dict, scale: int, chunks, block_loss) -> tuple:
+    """Best level over the kernels of ``chunks`` (:func:`_kernel_chunks`), in floats.
 
-    Takes :func:`_exact_scan`'s grid as ``(K, n_x)`` blocks of row indices:
-    each chunk of ``_BLOCK // len(rows)`` groups, at least one, with each head
-    repeated once per last, then the draws, a buffer that numpy views whole.
-    Masses are ``(K, u)``: no numpy reduction or fancy gather runs along the
-    short guess axis.  The lattice holds ``rows[i] / scale`` at row index
-    ``i``, rounded once for int rows.  Losses below ``_FLOAT_ZERO`` read as
-    exact zeros, the branches of :func:`_error_ratio` apply, and a loss below
-    ``-1e-9`` raises for the first kernel that has one.  Returns ``(best
-    level, first kernel attaining it)`` like :func:`_exact_scan`.
+    Numpy views each chunk's columns in place.  Masses are ``(K, u)``: no numpy reduction or
+    fancy gather runs along the short guess axis.  The lattice holds ``rows[i] / scale`` at row
+    index ``i``, rounded once for int rows.  Losses below ``_FLOAT_ZERO`` read as exact zeros, the
+    branches of :func:`_error_ratio` apply, and a loss below ``-1e-9`` raises for the first kernel
+    that has one.  ``argmax`` keeps a chunk's first largest ratio, and a strict ``>`` on the same
+    ratios the first chunk's.  Returns ``(best level, first kernel attaining it)``.
     """
     import numpy as np
-
-    n_x, groups, per_chunk = len(prior_w), iter(groups), max(1, _BLOCK // len(rows))
-
-    def blocks() -> Iterator[np.ndarray]:
-        while chunk := list(itertools.islice(groups, per_chunk)):
-            heads, lasts = zip(*chunk)
-            counts = list(map(len, lasts))
-            block = np.empty((sum(counts), n_x), np.intp)
-            heads = np.fromiter(chain.from_iterable(heads), np.intp, len(chunk) * (n_x - 1))
-            block[:, :-1] = np.repeat(heads.reshape(len(chunk), n_x - 1), counts, axis=0)
-            block[:, -1] = np.fromiter(chain.from_iterable(lasts), np.intp, len(block))
-            yield block
-        if draws:
-            yield np.asarray(memoryview(draws)).reshape(-1, n_x)
 
     lattice = np.zeros((max(rows) + 1, len(next(iter(rows.values())))))
     lattice[list(rows)] = np.array(list(rows.values()), dtype=float) / scale
     p = [float(w) for w in prior_w]
     q = [float(w) for w in post_w]
     best = best_kernel = None
-    for block in blocks():
+    for columns in chunks:
+        block = [np.asarray(memoryview(column)) for column in columns]
         raw_p = block_loss(_block_masses(p, lattice, block))
         raw_q = block_loss(_block_masses(q, lattice, block))
         err_p = np.where(raw_p < _FLOAT_ZERO, 0.0, raw_p)
@@ -345,16 +321,11 @@ def _float_scan(prior_w, post_w, rows: dict, scale: int, groups, draws: Sequence
             k = int(np.argmax(bad))
             raw = raw_p[k] if raw_p[k] < -1e-9 else raw_q[k]
             raise ValueError(f"guess masses exceed one: error {float(raw)!r}")
-        ratio = np.divide(
-            err_p,
-            err_q,
-            out=np.where(err_p == 0, 1.0, np.inf),
-            where=(err_p != 0) & (err_q != 0),
-        )
+        ratio = np.divide(err_p, err_q, out=np.where(err_p == 0, 1.0, np.inf), where=(err_p != 0) & (err_q != 0))
         k = int(np.argmax(ratio))
         value = _error_ratio(float(err_p[k]), float(err_q[k]))
         if best is None or value > best:
-            best, best_kernel = value, block[k].tolist()
+            best, best_kernel = value, [column[k] for column in columns]
     return best, best_kernel
 
 
@@ -362,11 +333,11 @@ def _lambda_from_rows(prior_w, post_w, kernel_rows, adversary=_ERROR) -> ExtReal
     """One kernel's level: its backend's scan of a grid drawing just that kernel."""
     if len(kernel_rows) != len(prior_w):
         raise DimensionMismatch(f"kernel has {len(kernel_rows)} rows, prior has {len(prior_w)} outcomes")
-    draws = array("L", range(len(kernel_rows)))
+    chunks = [[array("L", (x,)) for x in range(len(kernel_rows))]]
     if _all_fractions(prior_w, post_w, *kernel_rows):
         ints, scale = _int_masses(kernel_rows)
-        return _exact_scan(prior_w, post_w, dict(enumerate(ints)), scale, (), draws, adversary[0])[0]
-    return _float_scan(prior_w, post_w, dict(enumerate(kernel_rows)), 1, (), draws, adversary[1])[0]
+        return _exact_scan(prior_w, post_w, dict(enumerate(ints)), scale, chunks, adversary[0])[0]
+    return _float_scan(prior_w, post_w, dict(enumerate(kernel_rows)), 1, chunks, adversary[1])[0]
 
 
 def randomized_function_leakage(joint: Joint, y: int, kernel: Channel) -> ExtReal:
@@ -606,6 +577,23 @@ def _iter_kernels(n_x: int, u_size: int, cfg: SearchConfig) -> Iterator[tuple]:
     return itertools.product(_lattice_rows(u_size, cfg.resolution), repeat=n_x)
 
 
+def _kernel_chunks(groups, n_rows: int, draws: Sequence[int], n_x: int, pack) -> Iterator[list]:
+    """A grid's kernels, chunk by chunk, each chunk ``n_x`` columns of row indices, one per secret.
+
+    First ``_BLOCK // n_rows`` groups at a time, at least one, each head repeated once per
+    last, then the next ``_BLOCK`` draws.  ``pack`` makes a group column the draws' buffer type.
+    """
+    groups = iter(groups)
+    while chunk := list(itertools.islice(groups, max(1, _BLOCK // n_rows))):
+        heads, lasts = zip(*chunk)
+        counts = list(map(len, lasts))
+        heads = (pack(chain.from_iterable(map(repeat, c, counts))) for c in zip(*heads))
+        yield [*heads, pack(chain.from_iterable(lasts))]
+    for start in range(0, len(draws), _BLOCK * n_x):
+        block = draws[start : start + _BLOCK * n_x]
+        yield [block[x::n_x] for x in range(n_x)]
+
+
 def _search(prior_w, post_w, cfg: SearchConfig, adversary, best, best_rows, skip: bool) -> tuple:
     """``(best level, its rows, (u, kernels visited, exhaustive) per alphabet)`` from ``best``.
 
@@ -621,6 +609,8 @@ def _search(prior_w, post_w, cfg: SearchConfig, adversary, best, best_rows, skip
         count = 0
         if not skip:
             n_rows, vertices, draws = _grid_shape(n_x, u_size, cfg)
+            # every column one buffer type, that of the draws: bytes below 256 rows
+            pack = bytes if n_rows.bit_length() <= 8 else partial(array, "L")
             # int numerators over den, keyed by lattice index: a sampled grid unranks
             # the rows it reads, but a float scan takes a lattice no larger than its draws whole
             if draws is None or (not exact and n_rows <= len(draws)):
@@ -631,10 +621,10 @@ def _search(prior_w, post_w, cfg: SearchConfig, adversary, best, best_rows, skip
                 rows = {i: _unrank(i, u_size, den, sizes) for i in {*(vertices or ()), *read}}
             # an exhaustive grid is scanned one kernel per relabelling orbit
             groups = _sorted_column_kernels(n_x, list(rows.values())) if draws is None else ()
-            if vertices:  # a sampled grid's vertex kernels head its draws, in the draws' own buffer
-                head = chain.from_iterable(itertools.product(vertices, repeat=n_x))
-                draws = bytes(head) + draws if isinstance(draws, bytes) else array("L", head) + draws
-            value, kernel = scan(prior_w, post_w, rows, den, groups, draws or (), loss)
+            if vertices:  # a sampled grid's vertex kernels head its draws
+                draws = pack(chain.from_iterable(itertools.product(vertices, repeat=n_x))) + draws
+            chunks = _kernel_chunks(groups, n_rows, draws or (), n_x, pack)
+            value, kernel = scan(prior_w, post_w, rows, den, chunks, loss)
             if value > best:
                 best, best_rows = value, tuple(tuple(Fraction(e, den) for e in rows[i]) for i in kernel)
             count = _grid_count(n_x, u_size, cfg)

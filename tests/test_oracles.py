@@ -1,3 +1,4 @@
+import array
 import collections
 import itertools
 import math
@@ -544,17 +545,16 @@ def _reference_kernels(n_x, u_size, cfg):
         yield tuple(rng.choice(rows) for _ in range(n_x))
 
 
-def _scanned_kernels(n_x, cfg, monkeypatch):
-    """Per guess alphabet, the kernels the search hands the integer scan, as row indices in order."""
+def _scanned_kernels(n_x, cfg, monkeypatch, exact=True):
+    """Per guess alphabet, the kernels the search hands the integer or the float scan, as row indices in order."""
     scanned = []
 
-    def record(prior_w, post_w, rows, scale, groups, draws, loss):
-        kernels = [(*head, k) for head, lasts in groups for k in lasts]
-        scanned.append(kernels + [tuple(draws[s : s + n_x]) for s in range(0, len(draws), n_x)])
+    def record(prior_w, post_w, rows, scale, chunks, loss):
+        scanned.append([k for columns in chunks for k in zip(*columns)])
         return ZERO, None
 
-    monkeypatch.setattr(oracles, "_exact_scan", record)
-    weights = (Fraction(1, n_x),) * n_x
+    monkeypatch.setattr(oracles, "_exact_scan" if exact else "_float_scan", record)
+    weights = (Fraction(1, n_x) if exact else 1 / n_x,) * n_x
     oracles._search(weights, weights, cfg, oracles._ERROR, ZERO, None, skip=False)
     return scanned
 
@@ -723,8 +723,7 @@ class TestBatchedGridSearch:
         identity = {0: (1, 0), 1: (0, 1)}
         with pytest.raises(ValueError, match="prior error vanished"):
             oracles._exact_scan(
-                (Fraction(1), Fraction(0)), (HALF, HALF), identity, 1, [((0,), (0, 1))], (),
-                oracles._packed_error,
+                (Fraction(1), Fraction(0)), (HALF, HALF), identity, 1, [[b"\0\0", b"\0\1"]], oracles._packed_error
             )
         assert oracles._error_ratio(0.0, 2e-6) == ZERO
 
@@ -732,10 +731,10 @@ class TestBatchedGridSearch:
         rng = random.Random(3)
         exhaustive, sampled = SearchConfig(resolution=6, max_u=3), SearchConfig(resolution=5, max_iterations=60)
         cases = [(random_joint(rng, 2, 3, exact=exact), exhaustive) for exact in (False, True)]
-        # four secrets: u = 2 is exhaustive, u = 3 has 27 vertex groups and 60 draws
-        cases.append((random_joint(rng, 4, 3, exact=True), sampled))
+        # four secrets: u = 2 is exhaustive, u = 3 has 81 vertex kernels and 60 draws
+        cases += [(random_joint(rng, 4, 3, exact=exact), sampled) for exact in (True, False)]
         expected = [(certify_pmc(j, 0, cfg), brute_force_guesswork_leakage(j, 0, cfg)) for j, cfg in cases]
-        # a chunk is then one group, or seven draws
+        # a chunk is then one group, or seven draws, in both scans
         monkeypatch.setattr(oracles, "_BLOCK", 7)
         for (joint, cfg), (cert, guesswork) in zip(cases, expected):
             blocked = certify_pmc(joint, 0, cfg)
@@ -745,14 +744,28 @@ class TestBatchedGridSearch:
             assert blocked.kernels_visited == cert.kernels_visited
             got = brute_force_guesswork_leakage(joint, 0, cfg)
             assert got == guesswork and type(got.ratio) is type(guesswork.ratio)
-        # the four secrets' witness is at u = 2, five rows: the first chunk is the first group,
+        # the exact four secrets' witness is at u = 2, five rows: the first chunk is the first group,
         # which opens with a constant kernel (level 0/0), and the witness has another head
+        blocked = certify_pmc(cases[2][0], 0, sampled)
         rows = oracles._lattice_ints(2, 4)
         head, lasts = next(oracles._sorted_column_kernels(4, rows))
         first = [tuple(Fraction(e, 4) for e in rows[i]) for i in (*head, lasts[0])]
         assert len(set(first)) == 1 and first[0] in ((0, 1), (1, 0))
         assert blocked.witness_u == 2 and blocked.oracle_value > ZERO
         assert blocked.witness.rows[:-1] != tuple(first[:-1])
+
+    def test_float_draws_are_scanned_in_bounded_chunks(self, monkeypatch):
+        # 16 vertex kernels and 2 * _BLOCK + 3 draws at u = 2: three chunks, the last of 19 kernels
+        joint = random_joint(random.Random(38), 4, 3)
+        cfg = SearchConfig(resolution=5, max_u=2, max_iterations=2 * oracles._BLOCK + 3, seed=38, exhaustive_limit=1)
+        masses, sizes = oracles._block_masses, []
+        monkeypatch.setattr(oracles, "_block_masses", lambda *args: sizes.append(len(m := masses(*args))) or m)
+        cert = certify_pmc(joint, 0, cfg)
+        value, rows = _reference_scan(joint, 0, cfg)
+        assert cert.oracle_value == value and type(cert.oracle_value.ratio) is float
+        assert cert.witness.rows == rows
+        # each chunk's masses are pushed twice, prior and posterior
+        assert sizes == [oracles._BLOCK] * 4 + [19] * 2
 
     def test_kernels_visited_per_guess_alphabet(self):
         rng = random.Random(8)
@@ -1053,7 +1066,7 @@ class TestPackedDraws:
         assert len(draws) == 2000 * 4
         rows = {i: oracles._unrank(i, 3, 4) for i in set(draws)}
         loss, reference = self._ADVERSARIES[adversary]
-        got = oracles._exact_scan(prior, post, rows, 4, (), draws, loss)
+        got = oracles._exact_scan(prior, post, rows, 4, oracles._kernel_chunks((), 15, draws, 4, bytes), loss)
         return got, _drawn_reference(prior, post, rows, draws, reference)
 
     # The scan's unit is one = 4 * den, and a field holds a spare bit above it: one just below
@@ -1144,6 +1157,42 @@ class TestByteGather:
         assert cert.kernels_visited == ((2, 16 + iterations, False), (3, 81 + iterations, False))
         got, expected = brute_force_guesswork_leakage(joint, 0, cfg), _reference_guesswork(joint, 0, cfg)
         assert got == expected and type(got.ratio) is Fraction
+
+    # two secrets scan every kernel of u = 3, one per orbit: the groups' columns are bytes
+    # below 256 rows, at resolution 22, and arrays at resolution 23
+    @pytest.mark.parametrize(
+        "resolution, exact, value, witness, guesswork",
+        [
+            (22, False, "ExtReal(nats=0.24081687266569246, ratio=1.2722880232592717)", ((1, 20), (0, 21)),
+             "ExtReal(nats=0.10976719817237292, ratio=1.11601822913087)"),
+            (23, False, "ExtReal(nats=0.19178344514749696, ratio=1.211408152244019)", ((0, 22), (1, 21)),
+             "ExtReal(nats=0.07825746673680276, ratio=1.081401047629505)"),
+            (22, True, "ExtReal(nats=1.4844612322813058, ratio=Fraction(631, 143))", ((0, 21), (21, 0)),
+             "ExtReal(nats=0.32861186456446845, ratio=Fraction(67517, 48607))"),
+            (23, True, "ExtReal(nats=1.0892445386645102, ratio=Fraction(425, 143))", ((1, 21), (0, 22)),
+             "ExtReal(nats=0.3907734768518143, ratio=Fraction(23885, 16159))"),
+        ],
+        ids=["float-253-rows", "float-276-rows", "exact-253-rows", "exact-276-rows"],
+    )
+    def test_exhaustive_grids_keep_their_pins(self, monkeypatch, resolution, exact, value, witness, guesswork):
+        chunk_kinds, chunks = set(), oracles._kernel_chunks
+
+        def record(*args):
+            for columns in chunks(*args):
+                chunk_kinds.add(type(columns[0]))
+                yield columns
+
+        monkeypatch.setattr(oracles, "_kernel_chunks", record)
+        joint = random_joint(random.Random(resolution), 2, 3, exact=exact)
+        cfg = SearchConfig(resolution=resolution, max_u=3)
+        cert = certify_pmc(joint, 0, cfg)
+        den = resolution - 1
+        assert repr(cert.oracle_value) == value
+        assert cert.witness.rows == tuple(tuple(Fraction(e, den) for e in row) for row in witness)
+        n_rows = 253 if resolution == 22 else 276
+        assert cert.kernels_visited == ((2, resolution**2, True), (3, n_rows**2, True))
+        assert repr(brute_force_guesswork_leakage(joint, 0, cfg)) == guesswork
+        assert chunk_kinds == ({bytes} if resolution == 22 else {bytes, array.array})
 
 
 class TestMaxFold:
@@ -1276,7 +1325,10 @@ class TestIntegerCore:
                 resolution=resolution, max_iterations=30, seed=n_x,
                 exhaustive_limit=exhaustive_limit,
             )
-            for u_size, scanned in zip((2, 3), _scanned_kernels(n_x, cfg, monkeypatch)):
+            exact = _scanned_kernels(n_x, cfg, monkeypatch)
+            # both scans take one stream of chunks: the same kernels in the same order
+            assert _scanned_kernels(n_x, cfg, monkeypatch, exact=False) == exact
+            for u_size, scanned in zip((2, 3), exact):
                 rows = _lattice_rows(u_size, resolution)
                 reference = list(_reference_kernels(n_x, u_size, cfg))
                 kernels = [tuple(rows[i] for i in kernel) for kernel in scanned]
