@@ -19,12 +19,12 @@ of an infinite level) is one binary kernel, whose level is a ratio of prior
 to posterior expected losses, so each certifies equality exactly on
 rational instances.
 
-An adversary is a pair of losses on a chunk of kernels, packed in big ints
-or in a float block.  One scan per backend evaluates a single kernel and
-whole grids alike; :func:`_search` is the one loop over the guess alphabets,
-and its :func:`_kernel_chunks` gives both scans the same chunks of kernels
-in the same order: one per relabelling orbit of an exhaustive grid, or a
-sampled grid's vertex kernels and then its draws.
+An adversary is a pair of losses on a chunk of kernels, packed in big ints or
+in one float block for prior and posterior.  One scan per backend evaluates a
+single kernel and whole grids alike; :func:`_search` loops over the guess
+alphabets, and :func:`_kernel_chunks` gives both scans the same chunks in the
+same order: one kernel per relabelling orbit of an exhaustive grid, built
+column by column, or a sampled grid's vertex kernels and then its draws.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import accumulate, chain, repeat
-from operator import floordiv, mul
+from operator import and_, eq, floordiv, le, mul, sub
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from . import leakage
@@ -280,50 +280,46 @@ def _exact_scan(prior_w, post_w, rows: dict, scale: int, chunks, loss) -> tuple:
     return _error_ratio(Fraction(best[0], one_p), Fraction(best[1], one_q)), best[2]
 
 
-def _block_masses(weights: Sequence, lattice: np.ndarray, columns: list) -> np.ndarray:
-    """Guess masses of every kernel of a chunk, one row per kernel; ``columns`` holds each secret's row indices.
+def _block_masses(weights: np.ndarray, lattice: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Guess masses of every kernel of a chunk, ``(weightings, kernels, guesses)``.
 
-    The pushes accumulate secret by secret, left to right, so every kernel's
-    float masses carry the rounding of that explicit loop.  ``take`` gathers
-    each secret's lattice rows along the kernel axis, faster than fancy indexing.
+    ``weights[x]`` is secret ``x``'s weights, ``(weightings, 1, 1)``, and ``columns[x]`` its row indices.
+    The pushes accumulate secret by secret, left to right, the rounding of that explicit loop; ``take``
+    gathers the lattice rows along the kernel axis, faster than fancy indexing.
     """
     acc = weights[0] * lattice.take(columns[0], axis=0)
     for x in range(1, len(weights)):
-        acc = acc + weights[x] * lattice.take(columns[x], axis=0)
+        acc += weights[x] * lattice.take(columns[x], axis=0)
     return acc
 
 
 def _float_scan(prior_w, post_w, rows: dict, scale: int, chunks, block_loss) -> tuple:
     """Best level over the kernels of ``chunks`` (:func:`_kernel_chunks`), in floats.
 
-    Numpy views each chunk's columns in place.  Masses are ``(K, u)``: no numpy reduction or
-    fancy gather runs along the short guess axis.  The lattice holds ``rows[i] / scale`` at row
-    index ``i``, rounded once for int rows.  Losses below ``_FLOAT_ZERO`` read as exact zeros, the
-    branches of :func:`_error_ratio` apply, and a loss below ``-1e-9`` raises for the first kernel
-    that has one.  ``argmax`` keeps a chunk's first largest ratio, and a strict ``>`` on the same
-    ratios the first chunk's.  Returns ``(best level, first kernel attaining it)``.
+    Numpy reads each chunk's columns as one index array; prior and posterior masses are one ``(2, K, u)``
+    push, whose ``(2K, u)`` view takes one ``block_loss``, reducing each row alone, along no short axis.
+    The lattice holds ``rows[i] / scale``, rounded once for int rows.  Losses below ``_FLOAT_ZERO`` read as
+    exact zeros, the branches of :func:`_error_ratio` apply, a loss below ``-1e-9`` raises, and ``argmax``
+    in a chunk and a strict ``>`` across chunks keep the first largest ratio.  Returns ``(level, kernel)``.
     """
     import numpy as np
 
-    lattice = np.zeros((max(rows) + 1, len(next(iter(rows.values())))))
-    lattice[list(rows)] = np.array(list(rows.values()), dtype=float) / scale
-    p = [float(w) for w in prior_w]
-    q = [float(w) for w in post_w]
+    lattice = np.array(list(rows.values()), dtype=float) / scale
+    if list(rows) != list(range(len(rows))):  # the rows a sampled grid reads, spread to their indices
+        lattice, values = np.zeros((max(rows) + 1, lattice.shape[1])), lattice
+        lattice[list(rows)] = values
+    weights = np.array([prior_w, post_w], dtype=float).T[:, :, None, None]
     best = best_kernel = None
     for columns in chunks:
-        block = [np.asarray(memoryview(column)) for column in columns]
-        raw_p = block_loss(_block_masses(p, lattice, block))
-        raw_q = block_loss(_block_masses(q, lattice, block))
-        err_p = np.where(raw_p < _FLOAT_ZERO, 0.0, raw_p)
-        err_q = np.where(raw_q < _FLOAT_ZERO, 0.0, raw_q)
-        bad = (raw_p < -1e-9) | (raw_q < -1e-9)
-        if bad.any():
-            k = int(np.argmax(bad))
-            raw = raw_p[k] if raw_p[k] < -1e-9 else raw_q[k]
-            raise ValueError(f"guess masses exceed one: error {float(raw)!r}")
-        ratio = np.divide(err_p, err_q, out=np.where(err_p == 0, 1.0, np.inf), where=(err_p != 0) & (err_q != 0))
+        block = np.frombuffer(b"".join(columns), memoryview(columns[0]).format).reshape(len(columns), -1)
+        raw = block_loss(_block_masses(weights, lattice, block).reshape(-1, lattice.shape[1])).reshape(2, -1)
+        if raw.min() < -1e-9:  # the first kernel with such a loss, its prior's before its posterior's
+            k, x = divmod(int(np.argmax(raw.T < -1e-9)), 2)
+            raise ValueError(f"guess masses exceed one: error {float(raw[x, k])!r}")
+        live = raw >= _FLOAT_ZERO
+        ratio = np.divide(raw[0], raw[1], out=np.where(live[0], np.inf, 1.0), where=live.all(axis=0))
         k = int(np.argmax(ratio))
-        value = _error_ratio(float(err_p[k]), float(err_q[k]))
+        value = _error_ratio(*(0.0 if e < _FLOAT_ZERO else e for e in raw[:, k].tolist()))
         if best is None or value > best:
             best, best_kernel = value, [column[k] for column in columns]
     return best, best_kernel
@@ -406,15 +402,13 @@ def guesswork_leakage(joint: Joint, y: int, kernel: Channel) -> ExtReal:
 def _lattice_ints(n_cols: int, den: int) -> list:
     """Every row of ``n_cols`` non-negative integers summing to ``den``, in lexicographic order.
 
-    Stars and bars: each row is a placement of ``n_cols - 1`` bars among
-    ``den + n_cols - 1`` slots, whose gaps are the row's numerators, and
-    :func:`itertools.combinations` gives the rows in lexicographic order.
+    Column by column: the prefix sums of a row's first ``n_cols - 1`` numerators, non-decreasing, come in
+    lexicographic order from :func:`itertools.combinations_with_replacement`; a row is their differences.
     """
-    slots = den + n_cols - 1
-    return [
-        tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, slots)))
-        for bars in itertools.combinations(range(slots), n_cols - 1)
-    ]
+    if n_cols == 1:
+        return [(den,)]
+    sums = list(zip(*itertools.combinations_with_replacement(range(den + 1), n_cols - 1)))
+    return list(zip(sums[0], *map(map, repeat(sub), sums[1:], sums), map(den.__sub__, sums[-1])))
 
 
 def _lattice_rows(n_cols: int, resolution: int) -> list:
@@ -540,36 +534,42 @@ def _randrange_draws(rng: random.Random, n: int, count: int) -> Sequence[int]:
 
 
 def _sorted_column_kernels(n_x: int, int_rows: list) -> Iterator[tuple]:
-    """The grid's kernels with lexicographically non-decreasing columns, as groups.
+    """The grid's kernels with lexicographically non-decreasing columns, as groups ``(head, lasts)``.
 
     Losses are symmetric in the guesses, in floats bit for bit: each column's
     mass is pushed in the same order, and neither ``np.maximum`` nor the
     guesswork sort rounds.  So the sorted kernel, its orbit's first in
     ``itertools.product`` order over the lexicographic integer ``int_rows``,
     is the first to attain its level.  Walking the secrets depth first, a row
-    is admissible when it does not fall between two columns still tied.  Bit
-    ``j`` of a tie mask, and of a row's two step masks (non-decreasing and
-    equal), stands for columns ``j`` and ``j + 1``.
+    is admissible when it does not fall between two columns still tied; bit
+    ``j`` of a tie mask stands for columns ``j`` and ``j + 1``.  Steps are
+    compared column by column, each tie mask's rows and children found once.
     """
-    steps = []
-    for row in int_rows:
-        up = equal = 0
-        for j in range(len(row) - 1):
-            up |= (row[j] <= row[j + 1]) << j
-            equal |= (row[j] == row[j + 1]) << j
-        steps.append((up, equal))
-    admissible = {}  # tie mask: (row indices, ((row index,), ties after it) in reverse)
-    stack = [((), (1 << (len(int_rows[0]) - 1)) - 1)]
+    columns, n_rows = list(zip(*int_rows)), len(int_rows)
+    steps, bits = list(zip(columns, columns[1:])), [1 << j for j in range(len(columns) - 1)]
+    up = [int.from_bytes(bytes(map(le, a, b)), "big") for a, b in steps]  # step j: byte i is row i's ``<=``
+    equal = list(zip(*(bytes(map(eq, a, b)) for a, b in steps)))  # row i: 1 per step it ties
+    every, admissible = int.from_bytes(b"\1" * n_rows, "big"), {}  # tie mask: [lasts, ties, children]
+
+    def entry(ties: int) -> list:
+        if ties not in admissible:
+            keep = reduce(and_, itertools.compress(up, map(ties.__and__, bits)), every).to_bytes(n_rows, "big")
+            admissible[ties] = [list(itertools.compress(range(n_rows), keep)), ties, None]
+        return admissible[ties]
+
+    stack = [((), entry(sum(bits)))]
     while stack:
-        head, ties = stack.pop()
-        entry = admissible.get(ties)
-        if entry is None:
-            pairs = [(i, ties & equal) for i, (up, equal) in enumerate(steps) if ties & up == ties]
-            entry = admissible[ties] = [i for i, _ in pairs], [((i,), after) for i, after in reversed(pairs)]
-        if len(head) == n_x - 1:
-            yield head, entry[0]
-        else:
-            stack += [(head + i, after) for i, after in entry[1]]
+        head, node = stack.pop()
+        if len(head) == n_x - 1:  # one secret: the root is the only group
+            yield head, node[0]
+            continue
+        if node[2] is None:  # ((row index,), entry of the ties after it) per admissible row
+            node[2] = [((i,), entry(node[1] & sum(itertools.compress(bits, equal[i])))) for i in node[0]]
+        if len(head) < n_x - 2:
+            stack += [(head + i, child) for i, child in reversed(node[2])]
+        else:  # the last secret's groups, straight from their entries
+            for i, child in node[2]:
+                yield head + i, child[0]
 
 
 def _iter_kernels(n_x: int, u_size: int, cfg: SearchConfig) -> Iterator[tuple]:
@@ -580,15 +580,15 @@ def _iter_kernels(n_x: int, u_size: int, cfg: SearchConfig) -> Iterator[tuple]:
 def _kernel_chunks(groups, n_rows: int, draws: Sequence[int], n_x: int, pack) -> Iterator[list]:
     """A grid's kernels, chunk by chunk, each chunk ``n_x`` columns of row indices, one per secret.
 
-    First ``_BLOCK // n_rows`` groups at a time, at least one, each head repeated once per
-    last, then the next ``_BLOCK`` draws.  ``pack`` makes a group column the draws' buffer type.
+    First ``_BLOCK // n_rows`` groups at a time, at least one, then the next ``_BLOCK`` draws.  A chunk's
+    heads are one join, each packed head once per last, whose every ``n_x - 1``-th index is a column,
+    like a block of draws; ``pack`` gives the draws' buffer type, from ints or the join's raw bytes.
     """
     groups = iter(groups)
     while chunk := list(itertools.islice(groups, max(1, _BLOCK // n_rows))):
         heads, lasts = zip(*chunk)
-        counts = list(map(len, lasts))
-        heads = (pack(chain.from_iterable(map(repeat, c, counts))) for c in zip(*heads))
-        yield [*heads, pack(chain.from_iterable(lasts))]
+        rows = pack(b"".join(map(mul, map(pack, heads), map(len, lasts))))
+        yield [*(rows[x :: n_x - 1] for x in range(n_x - 1)), pack(chain.from_iterable(lasts))]
     for start in range(0, len(draws), _BLOCK * n_x):
         block = draws[start : start + _BLOCK * n_x]
         yield [block[x::n_x] for x in range(n_x)]

@@ -1,5 +1,7 @@
 import array
 import collections
+import functools
+import hashlib
 import itertools
 import math
 import random
@@ -759,13 +761,42 @@ class TestBatchedGridSearch:
         joint = random_joint(random.Random(38), 4, 3)
         cfg = SearchConfig(resolution=5, max_u=2, max_iterations=2 * oracles._BLOCK + 3, seed=38, exhaustive_limit=1)
         masses, sizes = oracles._block_masses, []
-        monkeypatch.setattr(oracles, "_block_masses", lambda *args: sizes.append(len(m := masses(*args))) or m)
+        monkeypatch.setattr(oracles, "_block_masses", lambda *args: sizes.append((m := masses(*args)).shape) or m)
         cert = certify_pmc(joint, 0, cfg)
         value, rows = _reference_scan(joint, 0, cfg)
         assert cert.oracle_value == value and type(cert.oracle_value.ratio) is float
         assert cert.witness.rows == rows
-        # each chunk's masses are pushed twice, prior and posterior
-        assert sizes == [oracles._BLOCK] * 4 + [19] * 2
+        # each chunk's masses are pushed once, prior and posterior stacked
+        assert sizes == [(2, oracles._BLOCK, 2)] * 2 + [(2, 19, 2)]
+
+    @pytest.mark.parametrize("adversary", [oracles._ERROR, oracles._GUESSWORK], ids=["error", "guesswork"])
+    def test_stacked_weightings_match_separate_pushes(self, adversary):
+        # prior and posterior pushed as one (2, K, u) block lose exactly what each loses when its
+        # masses are pushed alone, secret by secret, left to right
+        import numpy as np
+
+        rng = random.Random(39)
+        for n_x, u_size, resolution in ((2, 2, 11), (3, 3, 5), (4, 5, 4), (7, 3, 6)):
+            lattice = np.array(_lattice_rows(u_size, resolution), dtype=float)
+            columns = np.array([[rng.randrange(len(lattice)) for _ in range(500)] for _ in range(n_x)])
+            prior, post = (random_pmf(rng, n_x).weights for _ in range(2))
+            stacked = np.array([prior, post]).T[:, :, None, None]
+            masses = oracles._block_masses(stacked, lattice, columns)
+            assert masses.shape == (2, 500, u_size)
+            got = adversary[1](masses.reshape(-1, u_size)).reshape(2, -1)
+            for row, weights in zip(got, (prior, post)):
+                alone = weights[0] * lattice[columns[0]]
+                for x in range(1, n_x):
+                    alone = alone + weights[x] * lattice[columns[x]]
+                assert list(map(float.hex, row.tolist())) == list(map(float.hex, adversary[1](alone).tolist()))
+
+    def test_masses_above_one_raise_for_the_first_kernel(self):
+        # kernel 0 is sound; kernel 1 reads rows 0 and 2 (errors -0.5 and -0.25), kernel 2 rows 2 and 0
+        rows = {0: (1.5, 0.0), 1: (0.5, 0.5), 2: (1.25, 0.0)}
+        chunks = [[array.array("L", (1, 0, 2)), array.array("L", (1, 2, 0))]]
+        for prior, post, error in (((1.0, 0.0), (0.0, 1.0), -0.5), ((0.0, 1.0), (1.0, 0.0), -0.25)):
+            with pytest.raises(ValueError, match=f"guess masses exceed one: error {error!r}$"):
+                oracles._float_scan(prior, post, rows, 1, chunks, oracles._block_error)
 
     def test_kernels_visited_per_guess_alphabet(self):
         rng = random.Random(8)
@@ -1195,6 +1226,62 @@ class TestByteGather:
         assert chunk_kinds == ({bytes} if resolution == 22 else {bytes, array.array})
 
 
+class TestKernelStreams:
+    """Exhaustive grids' kernel columns, one chunk at a time, as :func:`_search` builds them."""
+
+    @staticmethod
+    def _chunks(n_x, resolution, u_size, groups=None):
+        rows = oracles._lattice_ints(u_size, resolution - 1)
+        pack = bytes if len(rows) < 256 else functools.partial(array.array, "L")
+        groups = oracles._sorted_column_kernels(n_x, rows) if groups is None else groups(n_x, rows)
+        return oracles._kernel_chunks(groups, len(rows), (), n_x, pack)
+
+    # sha256 of each secret's column, its indices joined by commas, one chunk after another
+    @pytest.mark.parametrize(
+        "n_x, resolution, u_size, kernels, kind, digests",
+        [
+            (3, 5, 3, 576, bytes, ("0426b6580ecf2ab375bd8e40e772681243c93867b3c88e9bc1cecc1a671063d3",
+                                   "ee7668c4dfde460a9c8ca325d0acf54cfd5cbad8cb8aad57e517b22162a31fbe",
+                                   "537983bd36bb5fb3a75450122545c08d47766b87f9793a475cf8e94abea247c7")),
+            (4, 5, 2, 313, bytes, ("59955bde74349fcd753707172634530f66f8f2404b054d70a47b13535785e26e",
+                                   "86d3c947edec6bae224bbcf1df51b3b3a3ca271f1215d29dcbf588aa3cccd6af",
+                                   "48f609d76250d96a6d2ad68401f0c56a260937f0c39b2718568d3abd8708ef02",
+                                   "d7e64d09e4c369b5218030b5a5359627c85ec4b019a840fd34c3bdc8bfabac78")),
+            (2, 11, 3, 744, bytes, ("3e990c1e42a0fefbbf1d408491d33ebfacdadf5f6a1150952429cffad44f6dea",
+                                    "80b7a965116bfd16da901a8a378b9f882f78d192f185d2ec03486d87e4e6d59c")),
+            # 276 rows: the columns are array("L")
+            (2, 23, 3, 12768, array.array, ("0583db0d5f420b182a63d91b529d1b62f1e0babb265360a3b85455e7dff6d2b8",
+                                             "0cc33ab38d5ed7ee407cb97779c0c1384024635fba0c67d89e8c57d02015dc6e")),
+        ],
+        ids=["3x3-res5", "4x2-res5", "2x3-res11", "2x3-res23"],
+    )
+    def test_exhaustive_streams_keep_their_pins(self, n_x, resolution, u_size, kernels, kind, digests):
+        hashes, sizes = [hashlib.sha256() for _ in range(n_x)], []
+        for columns in self._chunks(n_x, resolution, u_size):
+            assert len(columns) == n_x and {type(c) for c in columns} == {kind}
+            assert len({len(c) for c in columns}) == 1
+            sizes.append(len(columns[0]))
+            for h, column in zip(hashes, columns):
+                h.update(",".join(map(str, column)).encode() + b";")
+        assert sum(sizes) == kernels and max(sizes) <= oracles._BLOCK
+        assert tuple(h.hexdigest() for h in hashes) == digests
+
+    def test_a_huge_exhaustive_stream_starts_at_once(self):
+        # two secrets at resolution 3000: of the 1,500 sorted heads, the first has all 3,000
+        # rows as lasts, so the first chunk is that one group, one step into the walk
+        pulled = []
+
+        def walk(n_x, rows):
+            for group in oracles._sorted_column_kernels(n_x, rows):
+                pulled.append(group)
+                yield group
+
+        columns = next(self._chunks(2, 3000, 2, walk))
+        assert len(pulled) == 1 and pulled[0][0] == (0,)
+        assert [type(c) for c in columns] == [array.array] * 2
+        assert list(columns[0]) == [0] * 3000 and list(columns[1]) == list(range(3000))
+
+
 class TestMaxFold:
     @pytest.mark.parametrize("width", [1, 2, 4, 8, 16])
     def test_packed_error_is_one_minus_each_kernels_largest_mass(self, width):
@@ -1231,6 +1318,13 @@ class TestMaxFold:
 
 
 class TestLatticeUnranking:
+    def test_lattice_rows_are_the_product_rows_summing_to_the_denominator(self):
+        # one column is the single row (den,), built apart from the column-wise differences
+        for n_cols in range(1, 6):
+            for den in range(13):
+                rows = [r for r in itertools.product(range(den + 1), repeat=n_cols) if sum(r) == den]
+                assert oracles._lattice_ints(n_cols, den) == rows
+
     def test_unrank_matches_every_lattice_row(self):
         for u_size in range(1, 7):
             for resolution in range(2, 13):
