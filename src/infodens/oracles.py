@@ -21,10 +21,11 @@ rational instances.
 
 An adversary is a pair of losses on a chunk of kernels, packed in big ints or
 in one float block for prior and posterior.  One scan per backend evaluates a
-single kernel and whole grids alike; :func:`_search` loops over the guess
-alphabets, and :func:`_kernel_chunks` gives both scans the same chunks in the
-same order: one kernel per relabelling orbit of an exhaustive grid, built
-column by column, or a sampled grid's vertex kernels and then its draws.
+single kernel and whole grids alike; :func:`_search` scans the plans of
+:func:`_grids`, the one budget check, and :func:`_kernel_chunks` gives both
+scans the same chunks in the same order: one kernel per relabelling orbit of
+an exhaustive grid, built column by column, or a sampled grid's vertex
+kernels and then its draws.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ if TYPE_CHECKING:
 _FLOAT_ZERO = 1e-13
 
 #: Hard cap on the kernels one guess alphabet visits, and on the entries (rows times
-#: alphabet size) of a sampled grid's lattice, the shape of a float scan's array.
+#: alphabet size) of its lattice, the shape of a float scan's array.
 _ENUMERATION_CAP = 2_000_000
 
 #: A sampled grid also visits its vertex kernels when there are at most this many.
@@ -459,60 +460,40 @@ def _support_indicator_rows(posterior: Sequence[Number]) -> Optional[tuple]:
     return _binary_kernel([Fraction(p == 0) for p in posterior])
 
 
-def _is_exhaustive(n_x: int, u_size: int, cfg: SearchConfig) -> bool:
-    return n_x * u_size <= cfg.exhaustive_limit
+def _grid(n_x: int, u_size: int, cfg: SearchConfig) -> tuple:
+    """One guess alphabet's plan: ``(lattice rows, vertex row indices or None, kernels visited, exhaustive)``.
 
-
-def _grid_size(n_x: int, u_size: int, cfg: SearchConfig) -> tuple:
-    """``(lattice rows, vertex kernels of a sampled grid)``; none beyond ``_VERTEX_CAP``."""
-    n_rows, n_vertices = math.comb(cfg.resolution - 2 + u_size, u_size - 1), u_size**n_x
-    return n_rows, n_vertices if n_vertices <= _VERTEX_CAP else 0
-
-
-def _grid_count(n_x: int, u_size: int, cfg: SearchConfig) -> int:
-    """Kernels visited: a whole exhaustive grid, though the scans evaluate one
-    per relabelling orbit, or the vertices plus the draws of a sampled one."""
-    n_rows, n_vertices = _grid_size(n_x, u_size, cfg)
-    if _is_exhaustive(n_x, u_size, cfg):
-        return n_rows**n_x
-    return n_vertices + cfg.max_iterations
-
-
-def _check_budget(n_x: int, cfg: SearchConfig) -> None:
-    """Reject a search whose grid exceeds the cap, before any work.
-
-    Each guess alphabet may visit at most ``_ENUMERATION_CAP`` kernels
-    (:func:`_grid_count`).  A sampled grid may also hold at most that many
-    lattice entries (rows times alphabet size).  The enumerators below rely
-    on this check having passed.
+    An exhaustive grid visits all of its kernels, though the scans evaluate one per relabelling
+    orbit; a sampled grid visits ``max_iterations`` draws (:func:`_grid_draws`) after its vertex
+    kernels, when there are at most ``_VERTEX_CAP``.  Raises :class:`BudgetExceeded` when the lattice
+    would hold more than ``_ENUMERATION_CAP`` entries (rows times alphabet size) or the grid would
+    visit more kernels.  The enumerators below rely on this check having passed.
     """
-    for u_size in range(2, cfg.max_u + 1):
-        kind = "exhaustive" if _is_exhaustive(n_x, u_size, cfg) else "sampled"
-        n_entries = _grid_size(n_x, u_size, cfg)[0] * u_size
-        if kind == "sampled" and n_entries > _ENUMERATION_CAP:
-            raise BudgetExceeded(f"sampled grid would build {n_entries} lattice entries")
-        if (count := _grid_count(n_x, u_size, cfg)) > _ENUMERATION_CAP:
-            raise BudgetExceeded(f"{kind} grid would visit {count} kernels")
-
-
-def _grid_shape(n_x: int, u_size: int, cfg: SearchConfig) -> tuple:
-    """``(number of lattice rows, vertex row indices or None, draws or None)``.
-
-    Exhaustive grids have no vertices and no draws.  Sampled grids give the
-    vertex kernels (when :func:`_grid_size` counts any) and ``max_iterations``
-    seeded draws of ``n_x`` row indices each, one :func:`_randrange_draws` buffer.
-    """
-    n_rows, n_vertices = _grid_size(n_x, u_size, cfg)
-    if _is_exhaustive(n_x, u_size, cfg):
-        return n_rows, None, None
-    vertices = None
-    if n_vertices:
+    n_rows, exhaustive = math.comb(cfg.resolution - 2 + u_size, u_size - 1), n_x * u_size <= cfg.exhaustive_limit
+    kind = "exhaustive" if exhaustive else "sampled"
+    if (n_entries := n_rows * u_size) > _ENUMERATION_CAP:
+        raise BudgetExceeded(f"{kind} grid would build {n_entries} lattice entries")
+    vertices, count = None, n_rows**n_x if exhaustive else cfg.max_iterations
+    if not exhaustive and u_size**n_x <= _VERTEX_CAP:
         # the corner with all mass on guess i is preceded, in lexicographic
         # order, by every composition of den whose first i parts are zero
         den = cfg.resolution - 1
         vertices = [math.comb(den + u_size - 1 - i, u_size - 1 - i) - 1 for i in range(u_size)]
+        count += u_size**n_x
+    if count > _ENUMERATION_CAP:
+        raise BudgetExceeded(f"{kind} grid would visit {count} kernels")
+    return n_rows, vertices, count, exhaustive
+
+
+def _grids(n_x: int, cfg: SearchConfig) -> list:
+    """``(u, *plan)`` per guess alphabet (:func:`_grid`): the one budget check, before any work."""
+    return [(u_size, *_grid(n_x, u_size, cfg)) for u_size in range(2, cfg.max_u + 1)]
+
+
+def _grid_draws(n_x: int, u_size: int, n_rows: int, cfg: SearchConfig) -> Sequence[int]:
+    """A sampled grid's ``max_iterations`` seeded draws of ``n_x`` row indices, one :func:`_randrange_draws` buffer."""
     rng = random.Random(cfg.seed * 1_000_003 + u_size * 101 + n_x)
-    return n_rows, vertices, _randrange_draws(rng, n_rows, cfg.max_iterations * n_x)
+    return _randrange_draws(rng, n_rows, cfg.max_iterations * n_x)
 
 
 def _randrange_draws(rng: random.Random, n: int, count: int) -> Sequence[int]:
@@ -594,42 +575,38 @@ def _kernel_chunks(groups, n_rows: int, draws: Sequence[int], n_x: int, pack) ->
         yield [block[x::n_x] for x in range(n_x)]
 
 
-def _search(prior_w, post_w, cfg: SearchConfig, adversary, best, best_rows, skip: bool) -> tuple:
-    """``(best level, its rows, (u, kernels visited, exhaustive) per alphabet)`` from ``best``.
+def _search(prior_w, post_w, grids: list, cfg: SearchConfig, adversary) -> tuple:
+    """``(best level, its rows)``, the first largest over the plans of :func:`_grids`.
 
     Scans each grid in Python ints when every weight is a ``Fraction``, never
-    importing numpy, and otherwise in numpy blocks; ``skip`` scans none.
+    importing numpy, and otherwise in numpy blocks.
     """
     n_x = len(prior_w)
     exact = _all_fractions(prior_w, post_w)
     scan, loss = (_exact_scan, adversary[0]) if exact else (_float_scan, adversary[1])
     den = cfg.resolution - 1
-    visited = []
-    for u_size in range(2, cfg.max_u + 1):
-        count = 0
-        if not skip:
-            n_rows, vertices, draws = _grid_shape(n_x, u_size, cfg)
-            # every column one buffer type, that of the draws: bytes below 256 rows
-            pack = bytes if n_rows.bit_length() <= 8 else partial(array, "L")
-            # int numerators over den, keyed by lattice index: a sampled grid unranks
-            # the rows it reads, but a float scan takes a lattice no larger than its draws whole
-            if draws is None or (not exact and n_rows <= len(draws)):
-                rows = dict(enumerate(_lattice_ints(u_size, den)))
-            else:  # one memchr per row finds the rows that byte draws read
-                sizes = _lattice_sizes(u_size, den)
-                read = filter(draws.__contains__, range(n_rows)) if isinstance(draws, bytes) else draws
-                rows = {i: _unrank(i, u_size, den, sizes) for i in {*(vertices or ()), *read}}
-            # an exhaustive grid is scanned one kernel per relabelling orbit
-            groups = _sorted_column_kernels(n_x, list(rows.values())) if draws is None else ()
-            if vertices:  # a sampled grid's vertex kernels head its draws
-                draws = pack(chain.from_iterable(itertools.product(vertices, repeat=n_x))) + draws
-            chunks = _kernel_chunks(groups, n_rows, draws or (), n_x, pack)
-            value, kernel = scan(prior_w, post_w, rows, den, chunks, loss)
-            if value > best:
-                best, best_rows = value, tuple(tuple(Fraction(e, den) for e in rows[i]) for i in kernel)
-            count = _grid_count(n_x, u_size, cfg)
-        visited.append((u_size, count, _is_exhaustive(n_x, u_size, cfg)))
-    return best, best_rows, tuple(visited)
+    best = best_rows = None
+    for u_size, n_rows, vertices, _, exhaustive in grids:
+        draws = None if exhaustive else _grid_draws(n_x, u_size, n_rows, cfg)
+        # every column one buffer type, that of the draws: bytes below 256 rows
+        pack = bytes if n_rows.bit_length() <= 8 else partial(array, "L")
+        # int numerators over den, keyed by lattice index: a sampled grid unranks
+        # the rows it reads, but a float scan takes a lattice no larger than its draws whole
+        if draws is None or (not exact and n_rows <= len(draws)):
+            rows = dict(enumerate(_lattice_ints(u_size, den)))
+        else:  # one memchr per row finds the rows that byte draws read
+            sizes = _lattice_sizes(u_size, den)
+            read = filter(draws.__contains__, range(n_rows)) if isinstance(draws, bytes) else draws
+            rows = {i: _unrank(i, u_size, den, sizes) for i in {*(vertices or ()), *read}}
+        # an exhaustive grid is scanned one kernel per relabelling orbit
+        groups = _sorted_column_kernels(n_x, list(rows.values())) if draws is None else ()
+        if vertices:  # a sampled grid's vertex kernels head its draws
+            draws = pack(chain.from_iterable(itertools.product(vertices, repeat=n_x))) + draws
+        chunks = _kernel_chunks(groups, n_rows, draws or (), n_x, pack)
+        value, kernel = scan(prior_w, post_w, rows, den, chunks, loss)
+        if best is None or value > best:
+            best, best_rows = value, tuple(tuple(Fraction(e, den) for e in rows[i]) for i in kernel)
+    return best, best_rows
 
 
 @dataclass(frozen=True)
@@ -642,7 +619,8 @@ class OracleCertificate:
     gap_nats: float
     #: One ``(u, kernels visited, exhaustive)`` triple per guess alphabet.  An
     #: exhaustive grid counts all of its kernels, every relabelling of the
-    #: guesses included, although both scans evaluate one per orbit.
+    #: guesses included, although both scans evaluate one per orbit.  Visits
+    #: read 0 when the support indicator already certifies an infinite level.
     kernels_visited: tuple = ()
 
     @property
@@ -674,7 +652,7 @@ def certify_pmc(joint: Joint, y: int, cfg: SearchConfig) -> OracleCertificate:
     """Run the grid search and report it against the closed form."""
     prior_w = joint.prior.weights
     post_w = joint.posterior(y)
-    _check_budget(len(prior_w), cfg)
+    grids = _grids(len(prior_w), cfg)
 
     # the one-guess kernel: 0/0 reads as ratio one; an infinite indicator ends the search
     best, best_rows = ZERO, tuple((Fraction(1),) for _ in prior_w)
@@ -683,9 +661,12 @@ def certify_pmc(joint: Joint, y: int, cfg: SearchConfig) -> OracleCertificate:
         value = _lambda_from_rows(prior_w, post_w, indicator)
         if value > best:
             best, best_rows = value, indicator
-    best, best_rows, visited = _search(
-        prior_w, post_w, cfg, _ERROR, best, best_rows, skip=not best.is_finite
-    )
+    scanned = best.is_finite
+    if scanned:
+        value, rows = _search(prior_w, post_w, grids, cfg, _ERROR)
+        if value > best:
+            best, best_rows = value, rows
+    visited = tuple((u_size, count if scanned else 0, exhaustive) for u_size, _, _, count, exhaustive in grids)
 
     closed = leakage.pmc(joint, y)
     if closed.is_finite and best.is_finite:
@@ -706,8 +687,7 @@ def brute_force_guesswork_leakage(joint: Joint, y: int, cfg: SearchConfig) -> Ex
     """
     prior_w = joint.prior.weights
     post_w = joint.posterior(y)
-    _check_budget(len(prior_w), cfg)
-    return _search(prior_w, post_w, cfg, _GUESSWORK, ZERO, None, skip=False)[0]
+    return max(ZERO, _search(prior_w, post_w, _grids(len(prior_w), cfg), cfg, _GUESSWORK)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from infodens.errors import (
     DimensionMismatch,
     NormalizationDegenerate,
 )
-from infodens.oracles import _grid_shape, _lattice_rows
+from infodens.oracles import _lattice_rows
 from infodens.sampling import (
     random_channel,
     random_cost,
@@ -547,17 +547,23 @@ def _reference_kernels(n_x, u_size, cfg):
         yield tuple(rng.choice(rows) for _ in range(n_x))
 
 
+def _grid_shape(n_x, u_size, cfg):
+    """``(lattice rows, vertex row indices or None, draws or None)`` of one guess alphabet's grid."""
+    n_rows, vertices, _, exhaustive = oracles._grid(n_x, u_size, cfg)
+    return n_rows, vertices, None if exhaustive else oracles._grid_draws(n_x, u_size, n_rows, cfg)
+
+
 def _scanned_kernels(n_x, cfg, monkeypatch, exact=True):
     """Per guess alphabet, the kernels the search hands the integer or the float scan, as row indices in order."""
     scanned = []
 
     def record(prior_w, post_w, rows, scale, chunks, loss):
         scanned.append([k for columns in chunks for k in zip(*columns)])
-        return ZERO, None
+        return ZERO, scanned[-1][0]
 
     monkeypatch.setattr(oracles, "_exact_scan" if exact else "_float_scan", record)
     weights = (Fraction(1, n_x) if exact else 1 / n_x,) * n_x
-    oracles._search(weights, weights, cfg, oracles._ERROR, ZERO, None, skip=False)
+    oracles._search(weights, weights, oracles._grids(n_x, cfg), cfg, oracles._ERROR)
     return scanned
 
 
@@ -815,10 +821,18 @@ class TestBatchedGridSearch:
             assert cert.witness_u == len(cert.witness.rows[0])
             assert "kernels_visited" not in cert.to_dict()
 
-    def test_indicator_short_circuits_the_grid(self, zero_entry_joint):
-        cert = certify_pmc(zero_entry_joint, 0, SearchConfig(resolution=5, max_u=3))
-        assert cert.kernels_visited == ((2, 0, True), (3, 0, True))
-        assert cert.witness_u == 2
+    def test_indicator_short_circuits_the_grid(self, zero_entry_joint, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a skipped grid was built")
+
+        for name in ("_randrange_draws", "_lattice_ints", "_unrank"):
+            monkeypatch.setattr(oracles, name, fail)
+        for exhaustive_limit, exhaustive in ((9, True), (1, False)):
+            cfg = SearchConfig(resolution=5, max_u=3, exhaustive_limit=exhaustive_limit)
+            cert = certify_pmc(zero_entry_joint, 0, cfg)
+            assert cert.kernels_visited == ((2, 0, exhaustive), (3, 0, exhaustive))
+            assert cert.oracle_value == INF
+            assert cert.witness_u == 2
 
     def test_budgets_checked_before_any_kernel(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -832,21 +846,29 @@ class TestBatchedGridSearch:
             monkeypatch.setattr(oracles, name, fail)
         j = random_joint(random.Random(12), 3, 2)
         huge = SearchConfig(resolution=40, max_u=3)
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded, match="^exhaustive grid would visit 551368000 kernels$"):
             certify_pmc(j, 0, huge)
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded, match="^exhaustive grid would visit 551368000 kernels$"):
             brute_force_guesswork_leakage(j, 0, huge)
+        # u = 11 has 184,756 rows of 11 entries
         sampled = SearchConfig(resolution=11, max_u=14)
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded, match="^sampled grid would build 2032316 lattice entries$"):
             certify_pmc(j, 0, sampled)
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded, match="^sampled grid would build 2032316 lattice entries$"):
             brute_force_guesswork_leakage(j, 0, sampled)
         # u = 4 is sampled: 4^3 vertex kernels plus the draws exceed the cap
         many_draws = SearchConfig(max_u=4, max_iterations=oracles._ENUMERATION_CAP)
-        with pytest.raises(BudgetExceeded, match="would visit 2000064 kernels"):
+        with pytest.raises(BudgetExceeded, match="^sampled grid would visit 2000064 kernels$"):
             certify_pmc(j, 0, many_draws)
-        with pytest.raises(BudgetExceeded, match="would visit 2000064 kernels"):
+        with pytest.raises(BudgetExceeded, match="^sampled grid would visit 2000064 kernels$"):
             brute_force_guesswork_leakage(j, 0, many_draws)
+        # one secret: u = 8 is exhaustive, 480,700 kernels of 8 entries, each kernel one lattice row
+        one = Joint.from_prior_channel(Pmf((Fraction(1),)), Channel(((Fraction(1, 3), Fraction(2, 3)),)))
+        wide = SearchConfig(resolution=19, max_u=9)
+        with pytest.raises(BudgetExceeded, match="^exhaustive grid would build 3845600 lattice entries$"):
+            certify_pmc(one, 0, wide)
+        with pytest.raises(BudgetExceeded, match="^exhaustive grid would build 3845600 lattice entries$"):
+            brute_force_guesswork_leakage(one, 0, wide)
 
 
 def _permutation_guesswork(masses):
