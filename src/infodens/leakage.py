@@ -2,7 +2,9 @@
 
 Everything here is an order-infinity divergence between the prior and a
 posterior (or between kernel rows), and each reduces to the smallest and
-largest channel entry of a column (:attr:`Joint.column_stats`):
+largest channel entry of a column (:attr:`Joint.column_stats`, which the
+channel reduces once; an all-float channel reads its minima off the column
+table it kept on ingestion):
 
 * ``pmc``  -- pointwise maximal cost, the largest multiplicative drop in a
   risk-averse adversary's minimal expected cost after seeing one outcome;

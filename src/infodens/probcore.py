@@ -24,6 +24,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -284,6 +285,23 @@ def _normalize_row(row: tuple, what: str) -> tuple:
     return entries, ints
 
 
+def _float_table(raw: tuple):
+    """``(rows, columns, column minima)`` of an all-``float`` matrix that passes every row check, else None."""
+    width = len(raw[0])
+    if (not width or type(raw[0][0]) is not float or any(len(r) != width for r in raw)
+            or set(map(type, chain.from_iterable(raw))) != {float}):
+        return None
+    try:
+        totals = list(map(math.fsum, raw))
+    except (OverflowError, ValueError):
+        return None
+    if not all(abs(t - 1) <= ROW_SUM_TOL for t in totals):  # a NaN or infinite total fails too
+        return None
+    rows = tuple(r if t == 1 else tuple(e / t for e in r) for r, t in zip(raw, totals))
+    lows = list(map(min, cols := tuple(zip(*rows))))
+    return (rows, cols, lows) if min(lows) >= 0 else None  # the minima check the signs
+
+
 # ---------------------------------------------------------------------------
 # Pmf
 # ---------------------------------------------------------------------------
@@ -363,25 +381,30 @@ class Channel:
 
     Rows are validated to sum to one within ``ROW_SUM_TOL`` and silently
     renormalized inside that tolerance; anything further off is rejected.
-    Rows of ``Fraction`` objects summing to exactly 1 are kept as given and
-    read once (:func:`_fast_sum`); ``_int_columns`` holds the columns in ints
-    over the LCM of the row scales, ``(ints, scale)``, or None for any float.
+    An all-``float`` matrix is checked as one table (:func:`_float_table`) that keeps
+    :attr:`columns` and their minima, ``_float_lows``; any other, or one failing there,
+    goes row by row, so errors come in row order.  ``Fraction`` rows summing to exactly 1
+    are kept as given and read once (:func:`_fast_sum`); ``_int_columns`` holds the columns
+    in ints over the LCM of the row scales, ``(ints, scale)``, or None for any float.
     """
 
     rows: tuple
-    _int_columns: tuple = field(init=False, repr=False, compare=False)
+    _int_columns: tuple = field(default=None, init=False, repr=False, compare=False)
+    _float_lows: list = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         raw = tuple(tuple(r) for r in self.rows)
         if not raw:
             raise EmptySupport("a channel needs at least one input row")
+        if table := _float_table(raw):  # seeds the cached_property "columns" in the instance dict
+            for name, value in zip(("rows", "columns", "_float_lows"), table):
+                object.__setattr__(self, name, value)
+            return
         width = len(raw[0])
         checked = []
         for i, row in enumerate(raw):
             if len(row) != width:
-                raise DimensionMismatch(
-                    f"row {i} has {len(row)} entries, expected {width}"
-                )
+                raise DimensionMismatch(f"row {i} has {len(row)} entries, expected {width}")
             checked.append(_normalize_row(row, f"channel row {i}"))
         rows, tables = zip(*checked)
         object.__setattr__(self, "rows", rows)
@@ -404,17 +427,30 @@ class Channel:
     def is_exact(self) -> bool:
         return self._int_columns is not None
 
+    @functools.cached_property
+    def columns(self) -> tuple:
+        """The columns; an all-float channel keeps them from ingestion."""
+        return tuple(zip(*self.rows))
+
+    @functools.cached_property
+    def column_stats(self) -> tuple:
+        """The smallest and the largest entry of each column, as ``(lo, hi)``; see :attr:`Joint.column_stats`."""
+        if self.is_exact:
+            cols, scale = self._int_columns
+            return tuple((Fraction(min(col), scale), Fraction(max(col), scale)) for col in cols)
+        return tuple(zip(self._float_lows or map(min, self.columns), map(max, self.columns)))
+
+    def _column_sums(self, weights: Sequence[Number]) -> tuple:
+        """``sum_x weights[x] * rows[x][y]`` for each column y, summed as :func:`_sum_entries` sums."""
+        if self._float_lows:  # every product is a float, and fsum is the sum _sum_entries takes
+            return tuple(math.fsum(map(operator.mul, weights, col)) for col in self.columns)
+        return tuple(_sum_entries(list(map(operator.mul, weights, col))) for col in self.columns)
+
     def then(self, other: "Channel") -> "Channel":
         """Sequential composition: feed this channel's output into ``other``."""
         if other.n_inputs != self.n_outputs:
-            raise DimensionMismatch(
-                f"cannot chain {self.n_outputs} outputs into {other.n_inputs} inputs"
-            )
-        cols = tuple(zip(*other.rows))
-        # on all-float channels every product is a float, and fsum is the sum _sum_entries takes
-        floats = {type(e) for rows in (self.rows, other.rows) for r in rows for e in r} == {float}
-        total = math.fsum if floats else (lambda products: _sum_entries(list(products)))
-        return Channel(tuple(tuple(total(map(operator.mul, r, c)) for c in cols) for r in self.rows))
+            raise DimensionMismatch(f"cannot chain {self.n_outputs} outputs into {other.n_inputs} inputs")
+        return Channel(tuple(other._column_sums(r) for r in self.rows))
 
     @staticmethod
     def identity(n: int) -> "Channel":
@@ -465,12 +501,12 @@ class Joint:
 
     The support holds the outcomes with positive marginal mass; every
     essential supremum downstream ranges over it only.  Posteriors are
-    computed on demand; the column reduction, the per-outcome profile and the
-    LDP level at most once per joint, and none takes part in equality or
-    hashing.  An exact joint builds its marginal and column reduction from
-    the integer tables its prior and channel read on ingestion
-    (``Pmf._int_weights``, ``Channel._int_columns``): one ``Fraction`` per
-    column and per end, not one per entry.
+    computed on demand; the per-outcome profile and the LDP level at most once
+    per joint, and the column reduction once per channel; none takes part in
+    equality or hashing.  The marginal and the column reduction read the
+    tables the prior and channel keep from ingestion: an exact joint's integer
+    ones (``Pmf._int_weights``, ``Channel._int_columns``), one ``Fraction``
+    per column and per end, and an all-float channel's columns and minima.
     """
 
     prior: Pmf
@@ -489,10 +525,7 @@ class Joint:
             one = w_scale * c_scale
             marginal = tuple(Fraction(sum(map(operator.mul, weights, col)), one) for col in cols)
         else:
-            marginal = tuple(
-                _sum_entries(list(map(operator.mul, prior.weights, col)))
-                for col in zip(*channel.rows)
-            )
+            marginal = channel._column_sums(prior.weights)
         support = tuple(y for y, m in enumerate(marginal) if m > 0)
         return cls(prior, channel, marginal, support)
 
@@ -514,10 +547,7 @@ class Joint:
         Division is monotone (exactly for rationals, after correct rounding for
         floats), so each equals the extremum of the per-entry ratios.
         """
-        if not self.channel.is_exact:
-            return tuple((min(col), max(col)) for col in zip(*self.channel.rows))
-        cols, scale = self.channel._int_columns
-        return tuple((Fraction(min(col), scale), Fraction(max(col), scale)) for col in cols)
+        return self.channel.column_stats
 
     @functools.cached_property
     def profile_rows(self) -> tuple:

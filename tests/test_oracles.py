@@ -289,6 +289,18 @@ class TestBruteForce:
         assert payload["oracle_value"] == "inf"
         assert payload["dominance_ok"] is False
 
+    @pytest.mark.parametrize("nats", [0.0, 1e-3, 0.3, 2.0, 20.0])
+    def test_float_dominance_slack_is_under_1e_8_nats(self, nats):
+        witness = RandomizedFunction(((HALF, HALF), (HALF, HALF)))
+        closed = ExtReal.from_nats(nats)
+
+        def dominated(excess):
+            return oracles.OracleCertificate(closed, ExtReal.from_nats(nats + excess), witness, -excess).dominance_ok
+
+        assert dominated(1e-8) is False
+        assert dominated(1e-10) is True
+        assert dominated(-1e-3) is True
+
     def test_sampled_regime_still_dominated(self):
         rng = random.Random(11)
         j = random_joint(rng, 4, 3)

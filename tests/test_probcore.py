@@ -1,3 +1,4 @@
+import contextlib
 import math
 import random
 from fractions import Fraction
@@ -22,6 +23,7 @@ from infodens import (
 from infodens.errors import (
     DimensionMismatch,
     EmptySupport,
+    InfodensError,
     ParseError,
     StochasticityError,
     UndefinedOutcome,
@@ -456,6 +458,23 @@ def _check_tables(prior, channel):
     assert prior._int_weights == (want and (want[0][0], want[1]))
 
 
+def _key(value):
+    """``float.hex`` of a float, so ``0.0`` and ``-0.0`` differ; any other value as it is."""
+    return value.hex() if isinstance(value, float) else value
+
+
+def _check_columns(channel, rows):
+    """The kept columns and their extremes equal a scan of the stored rows; only all-float ``rows`` keep them."""
+    cols = tuple(zip(*channel.rows))
+    assert [_bits(c) for c in channel.columns] == [_bits(c) for c in cols]
+    want = [(_key(min(c)), _key(max(c))) for c in cols]
+    assert [(_key(lo), _key(hi)) for lo, hi in channel.column_stats] == want
+    table = all(type(e) is float for r in rows for e in r)
+    assert (channel._float_lows is not None) is table
+    joint = Joint.from_prior_channel(Pmf((1,) * channel.n_inputs), channel)
+    assert joint.column_stats is channel.column_stats
+
+
 class TestOnePassIngestion:
     """``Channel``, ``Pmf`` and ``Joint`` against the per-entry path they replaced."""
 
@@ -466,6 +485,7 @@ class TestOnePassIngestion:
         want = _ref_marginal(_ref_pmf(prior), _ref_channel(rows))
         assert _bits(joint.marginal) == _bits(want)
         _check_tables(joint.prior, joint.channel)
+        _check_columns(joint.channel, rows)
 
     @pytest.mark.parametrize("n, zero_prob", [(100, 0.0), (100, 0.1), (64, 0.0), (64, 0.2)])
     def test_seeded_float_joints(self, n, zero_prob):
@@ -499,6 +519,7 @@ class TestOnePassIngestion:
             except (ParseError, StochasticityError):
                 continue
             _check_tables(Pmf((Fraction(1, 2), Fraction(1, 2))), channel)
+            _check_columns(channel, (unit, row))
         try:
             prior = Pmf(row)
         except (ParseError, ZeroOrNegativeWeight):
@@ -552,6 +573,42 @@ class TestOnePassIngestion:
         for rows in (((0.5, 0.5), (1.0,)), ((1.0,), (_NAN, 1.0)), ((), ())):
             assert _outcome(lambda r: Channel(r).rows, rows) == _outcome(_ref_channel, rows)
 
+    @pytest.mark.parametrize(
+        "rows, error, message",
+        [
+            (((1.0, 0.0), (-0.5, 1.5), (1.0,)), ParseError, "channel row 1: negative entry -0.5"),
+            (((1.0, 0.0), (0.7, 0.7), (1.0,)), StochasticityError, "channel row 1: row sums to 1.4, expected 1"),
+            (((1.0, 0.0), (0.5, _NAN), (0.2, 0.8, 0.0)), ParseError, "channel row 1 must be finite, got nan"),
+            (((), ()), EmptySupport, "channel row 0: empty row"),
+        ],
+    )
+    def test_first_bad_row_is_reported_before_a_later_width(self, rows, error, message):
+        """A float matrix that fails the table check is checked row by row, so the earlier error wins."""
+        with pytest.raises(InfodensError) as err:
+            Channel(rows)
+        assert (type(err.value), str(err.value)) == (error, message)
+
+    def test_subclass_and_mixed_rows_keep_their_values_and_types(self):
+        channel = Channel(((_Float(0.25), 0.75), (Fraction(1, 2), 0.5), (0.5, 0.5 + 4e-13)))
+        assert [[type(e) for e in r] for r in channel.rows] == [[_Float, float], [Fraction, float], [float, float]]
+        assert channel.rows[:2] == ((0.25, 0.75), (Fraction(1, 2), 0.5))
+        total = math.fsum((0.5, 0.5 + 4e-13))
+        assert _bits(channel.rows[2]) == _bits((0.5 / total, (0.5 + 4e-13) / total))
+        assert [tuple(map(type, s)) for s in channel.column_stats] == [(_Float, Fraction), (float, float)]
+        assert channel._float_lows is None and not channel.is_exact
+
+    def test_exact_and_mixed_matrices_skip_the_type_pass(self, monkeypatch):
+        """Only a matrix whose first entry is a float pays a type pass over every entry."""
+        passes = []
+        monkeypatch.setattr(probcore, "chain", type("chain", (), {"from_iterable": lambda rows: passes.append(rows) or ()}))
+        half = Fraction(1, 2)
+        for rows in (((half, half),) * 40, ((1, 0),) * 40, ((half, 0.5),) * 40, ((_Float(0.5), 0.5),) * 40, ((),)):
+            with contextlib.suppress(InfodensError):
+                Channel(rows)
+        assert passes == []
+        Channel(((0.5, half),))
+        assert len(passes) == 1
+
     @pytest.mark.parametrize("row", _OVERFLOWING, ids=repr)
     def test_overflowing_sum_is_a_typed_error(self, row):
         with pytest.raises(StochasticityError, match=r"^channel row 1: row sums beyond the float range$"):
@@ -575,9 +632,9 @@ class TestOnePassIngestion:
 
     def test_composition_matches_per_entry_products(self):
         rng = random.Random("ingest:then")
-        for kind in ("float", "exact", "mixed"):
+        for kind in ("float", "exact", "mixed", "exact into float"):
             a = random_joint(rng, 6, 7, exact=kind != "float", zero_prob=0.2).channel
-            b = random_joint(rng, 7, 5, exact=kind != "float", zero_prob=0.2).channel
+            b = random_joint(rng, 7, 5, exact=kind not in ("float", "exact into float"), zero_prob=0.2).channel
             if kind == "mixed":  # one float row: the cells of the other rows stay exact
                 a = Channel((tuple(map(float, a.rows[0])),) + a.rows[1:])
             want = _ref_channel(tuple(
