@@ -195,6 +195,8 @@ def as_level(value: Union[ExtReal, int, float]) -> ExtReal:
 
 
 def _check_entry(value: Number, what: str) -> Number:
+    if type(value) is Fraction or type(value) is float and math.isfinite(value):
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
         raise ParseError(f"{what} must be a number, got {type(value).__name__}")
     if isinstance(value, float) and not math.isfinite(value):
@@ -229,28 +231,6 @@ def _sum_entries(entries: Sequence[Number]) -> Number:
     return _sum_ints(entries)[0]
 
 
-def _fast_sum(entries: tuple):
-    """``(least, total, ints)`` of entries that may skip the per-entry checks, else None.
-
-    Floats with a finite sum give ``ints`` None; ``Fraction`` objects (no subclass) are
-    scaled to ints once, as in :func:`_sum_ints`; a sum of exactly 1 is the int 1, which
-    the callers' checks compare without ``Fraction`` arithmetic.  ``least`` has the sign
-    of the smallest entry.
-    """
-    kinds = set(map(type, entries))
-    if kinds == {float}:
-        try:
-            total = math.fsum(entries)
-        except (OverflowError, ValueError):
-            return None
-        return (min(entries), total, None) if math.isfinite(total) else None
-    if kinds == {Fraction}:
-        (ints,), scale = _int_masses((entries,))
-        total = sum(ints)
-        return min(ints), 1 if total == scale else Fraction(total, scale), (ints, scale)
-    return None
-
-
 def _sum_text(total: Number) -> str:
     """``repr(total)``; past 40 characters ``%.6g``, or ``~1e+400`` from 1e±308 on (the float range)."""
     if len(repr(total)) <= 40:
@@ -260,21 +240,17 @@ def _sum_text(total: Number) -> str:
 
 
 def _normalize_row(row: tuple, what: str) -> tuple:
-    """``(entries, ints)``: a row checked to sum to 1 within tolerance; ``ints`` as in :func:`_sum_ints`."""
-    fast = _fast_sum(row)
-    if fast is not None and fast[0] >= 0:
-        entries, total, ints = row, fast[1], fast[2]
-    else:
-        entries = tuple(_check_entry(e, what) for e in row)
-        if not entries:
-            raise EmptySupport(f"{what}: empty row")
-        for e in entries:
-            if e < 0:
-                raise ParseError(f"{what}: negative entry {e!r}")
-        try:
-            total, ints = _sum_ints(entries)
-        except OverflowError:
-            raise StochasticityError(f"{what}: row sums beyond the float range") from None
+    """``(entries, ints)``: a row checked entry by entry to sum to 1 within tolerance; ``ints`` as in :func:`_sum_ints`."""
+    entries = tuple(_check_entry(e, what) for e in row)
+    if not entries:
+        raise EmptySupport(f"{what}: empty row")
+    for e in entries:
+        if e < 0:
+            raise ParseError(f"{what}: negative entry {e!r}")
+    try:
+        total, ints = _sum_ints(entries)
+    except OverflowError:
+        raise StochasticityError(f"{what}: row sums beyond the float range") from None
     if total <= 0:
         raise StochasticityError(f"{what}: row sums to {_sum_text(total)}")
     if abs(total - 1) > ROW_SUM_TOL:
@@ -285,12 +261,22 @@ def _normalize_row(row: tuple, what: str) -> tuple:
     return entries, ints
 
 
-def _float_table(raw: tuple):
-    """``(rows, columns, column minima)`` of an all-``float`` matrix that passes every row check, else None."""
+def _table(raw: tuple):
+    """The ``Channel`` fields of an all-``float`` or all-``Fraction`` matrix that passes every row check, else None.
+
+    A ``Fraction`` matrix is scaled to ints once and kept as given when every row sums to
+    exactly 1: ``rows`` and ``_int_columns``.  A ``float`` one keeps ``rows`` (renormalised),
+    ``columns`` and their minima, ``_float_lows``.
+    """
     width = len(raw[0])
-    if (not width or type(raw[0][0]) is not float or any(len(r) != width for r in raw)
-            or set(map(type, chain.from_iterable(raw))) != {float}):
+    if (not width or (kind := type(raw[0][0])) not in (float, Fraction) or any(len(r) != width for r in raw)
+            or set(map(type, chain.from_iterable(raw))) != {kind}):
         return None
+    if kind is Fraction:
+        ints, scale = _int_masses(raw)
+        if min(map(min, ints)) < 0 or any(sum(r) != scale for r in ints):
+            return None
+        return {"rows": raw, "_int_columns": (list(zip(*ints)), scale)}
     try:
         totals = list(map(math.fsum, raw))
     except (OverflowError, ValueError):
@@ -299,7 +285,7 @@ def _float_table(raw: tuple):
         return None
     rows = tuple(r if t == 1 else tuple(e / t for e in r) for r, t in zip(raw, totals))
     lows = list(map(min, cols := tuple(zip(*rows))))
-    return (rows, cols, lows) if min(lows) >= 0 else None  # the minima check the signs
+    return {"rows": rows, "columns": cols, "_float_lows": lows} if min(lows) >= 0 else None  # the minima check the signs
 
 
 # ---------------------------------------------------------------------------
@@ -313,31 +299,27 @@ class Pmf:
 
     Positive weights are normalized to sum to one (exactly when they are all
     rational).  Zero weights are rejected: every downstream measure assumes
-    each secret value is possible a priori.  ``_int_weights`` is the weights'
-    ``ints`` (:func:`_sum_ints`), read with them.
+    each secret value is possible a priori.  Each weight is checked on its own
+    (:func:`_check_entry`) and the sum read once with the weights' ``ints``
+    (:func:`_sum_ints`), kept as ``_int_weights``.
     """
 
     weights: tuple
     _int_weights: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        raw = tuple(self.weights)
-        fast = _fast_sum(raw)
-        if fast is not None and fast[0] > 0:
-            entries, total, ints = raw, fast[1], fast[2]
-        else:
-            if not raw:
-                raise EmptySupport("a pmf needs at least one outcome")
-            entries = []
-            for w in raw:
-                w = _check_entry(w, "pmf weight")
-                if w <= 0:
-                    raise ZeroOrNegativeWeight(f"weight {w!r} breaks full support")
-                entries.append(w)
-            try:
-                total, ints = _sum_ints(entries)
-            except OverflowError:
-                raise ParseError("pmf weights sum beyond the float range") from None
+        entries = []
+        for w in self.weights:
+            w = _check_entry(w, "pmf weight")
+            if w <= 0:
+                raise ZeroOrNegativeWeight(f"weight {w!r} breaks full support")
+            entries.append(w)
+        if not entries:
+            raise EmptySupport("a pmf needs at least one outcome")
+        try:
+            total, ints = _sum_ints(entries)
+        except OverflowError:
+            raise ParseError("pmf weights sum beyond the float range") from None
         if total != 1:
             entries = [w / total for w in entries]
             ints = ints and _sum_ints(entries)[1]
@@ -381,11 +363,11 @@ class Channel:
 
     Rows are validated to sum to one within ``ROW_SUM_TOL`` and silently
     renormalized inside that tolerance; anything further off is rejected.
-    An all-``float`` matrix is checked as one table (:func:`_float_table`) that keeps
-    :attr:`columns` and their minima, ``_float_lows``; any other, or one failing there,
-    goes row by row, so errors come in row order.  ``Fraction`` rows summing to exactly 1
-    are kept as given and read once (:func:`_fast_sum`); ``_int_columns`` holds the columns
-    in ints over the LCM of the row scales, ``(ints, scale)``, or None for any float.
+    An all-``float`` or all-``Fraction`` matrix is checked as one table (:func:`_table`);
+    any other, or one failing there, goes row by row, so errors come in row order.  A float
+    table keeps :attr:`columns` and their minima, ``_float_lows``; ``_int_columns`` holds
+    the columns in ints over the LCM of every denominator, ``(ints, scale)``, or None for
+    any float.
     """
 
     rows: tuple
@@ -396,8 +378,8 @@ class Channel:
         raw = tuple(tuple(r) for r in self.rows)
         if not raw:
             raise EmptySupport("a channel needs at least one input row")
-        if table := _float_table(raw):  # seeds the cached_property "columns" in the instance dict
-            for name, value in zip(("rows", "columns", "_float_lows"), table):
+        if table := _table(raw):  # a float table seeds the cached_property "columns" in the instance dict
+            for name, value in table.items():
                 object.__setattr__(self, name, value)
             return
         width = len(raw[0])

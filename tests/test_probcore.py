@@ -2,6 +2,7 @@ import contextlib
 import math
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -504,6 +505,13 @@ class TestOnePassIngestion:
             self._check_joint(*_exact_rows(rng, 32, 32))
         prior, rows = _exact_rows(rng, 12, 12)
         self._check_joint(tuple(w * 7 for w in prior), rows)
+        third = Fraction(1, 3)
+        # One row off by 1e-13, one of Fraction subclasses, one of int literals: each leaves the table.
+        for row in ((third, third, third + Fraction(1, 10**13)), (_Frac(1, 3), _Frac(2, 3), _Frac(0)), (0, 1, 0)):
+            self._check_joint(prior[:4], rows[:3] + (row + (Fraction(0),) * 9,))
+        for _ in range(3):
+            j = random_joint(rng, 24, 24, exact=True, zero_prob=0.2)
+            self._check_joint(j.prior.weights, j.channel.rows)
 
     @pytest.mark.parametrize("row", _AWKWARD_ROWS + _BAD_ROWS, ids=repr)
     def test_row_matches_per_entry_path(self, row):
@@ -534,16 +542,17 @@ class TestOnePassIngestion:
         _check_tables(Pmf((1, 2)), channel)
 
     def test_each_row_is_scaled_once(self, monkeypatch):
-        """A row is scaled to ints once, on either path; only a renormalised one twice."""
+        """An all-``Fraction`` table is scaled to ints once, any other row once; a renormalised one twice more."""
         calls = []
         monkeypatch.setattr(probcore, "_int_masses", lambda v: calls.append(v) or _int_masses(v))
         half, third = Fraction(1, 2), Fraction(1, 3)
         for build, want in (
+            (lambda: Channel(((half, half), (third, 1 - third), (Fraction(1), Fraction(0)))), 1),
             (lambda: Channel(((half, 0, half), (third,) * 3, (_Frac(1, 4), _Frac(3, 4), 0))), 3),
             (lambda: Pmf((1, half, half)), 2),
             (lambda: Pmf((third, 1 - third)), 1),
             (lambda: Pmf((1,)), 1),
-            (lambda: Channel(((third, third, third + Fraction(1, 10**13)),)), 2),
+            (lambda: Channel(((third, third, third + Fraction(1, 10**13)),)), 3),
             (lambda: Channel(((0.5, 0.5), (half, 0.5))), 0),
         ):
             calls.clear()
@@ -597,17 +606,35 @@ class TestOnePassIngestion:
         assert [tuple(map(type, s)) for s in channel.column_stats] == [(_Float, Fraction), (float, float)]
         assert channel._float_lows is None and not channel.is_exact
 
-    def test_exact_and_mixed_matrices_skip_the_type_pass(self, monkeypatch):
-        """Only a matrix whose first entry is a float pays a type pass over every entry."""
+    def test_a_matrix_pays_at_most_one_type_pass(self, monkeypatch):
+        """A matrix led by a ``float`` or a ``Fraction`` pays one type pass over every entry, any other none."""
         passes = []
-        monkeypatch.setattr(probcore, "chain", type("chain", (), {"from_iterable": lambda rows: passes.append(rows) or ()}))
+        counted = type("chain", (), {"from_iterable": lambda rows: passes.append(rows) or chain.from_iterable(rows)})
+        monkeypatch.setattr(probcore, "chain", counted)
         half = Fraction(1, 2)
-        for rows in (((half, half),) * 40, ((1, 0),) * 40, ((half, 0.5),) * 40, ((_Float(0.5), 0.5),) * 40, ((),)):
+        for rows, want in (
+            (((0.5, 0.5),) * 40, 1),
+            (((half, half),) * 40, 1),
+            (((1, 0),) * 40, 0),
+            (((_Frac(1, 2), half),) * 40, 0),
+            (((_Float(0.5), 0.5),) * 40, 0),
+            (((),), 0),
+            (((0.5, half),) * 40, 1),
+            (((half, 0.5),) * 40, 1),
+        ):
+            passes.clear()
             with contextlib.suppress(InfodensError):
-                Channel(rows)
-        assert passes == []
-        Channel(((0.5, half),))
-        assert len(passes) == 1
+                channel = Channel(rows)
+                if {type(e) for r in rows for e in r} == {float, Fraction}:  # falls back to the rows
+                    assert channel._float_lows is None and not channel.is_exact
+            assert len(passes) == want, rows[0]
+
+    @pytest.mark.parametrize("rows, row", [(((Fraction(3, 2), Fraction(-1, 2)),), 0), (((Fraction(1, 2),) * 2, (Fraction(3, 2), Fraction(-1, 2))), 1)])
+    def test_negative_fraction_summing_to_one_is_named(self, rows, row):
+        """An all-``Fraction`` matrix whose rows sum to exactly 1 still reports a negative entry, in its row."""
+        with pytest.raises(ParseError) as err:
+            Channel(rows)
+        assert str(err.value) == f"channel row {row}: negative entry Fraction(-1, 2)"
 
     @pytest.mark.parametrize("row", _OVERFLOWING, ids=repr)
     def test_overflowing_sum_is_a_typed_error(self, row):
