@@ -1,10 +1,10 @@
 """Leakage measures of a finite joint distribution.
 
 Everything here is an order-infinity divergence between the prior and a
-posterior (or between kernel rows), and each reduces to the smallest and
-largest channel entry of a column (:attr:`Joint.column_stats`, which the
-channel reduces once; an all-float channel reads its minima off the column
-table it kept on ingestion):
+posterior (or between kernel rows), and each reduces to the output marginal
+and the smallest and largest channel entry of a column (:attr:`Joint.column_stats`).
+An exact joint's profile and aggregates read them in the integers of its
+ingestion tables instead, with one ``Fraction`` per level (see :class:`Joint`):
 
 * ``pmc``  -- pointwise maximal cost, the largest multiplicative drop in a
   risk-averse adversary's minimal expected cost after seeing one outcome;
@@ -19,10 +19,10 @@ table it kept on ingestion):
 Essential suprema over outcomes are maxima over the support of the output
 marginal; outcomes with zero mass never contribute.
 
-The per-outcome rows (:attr:`Joint.profile_rows`) and the LDP level
-(:attr:`Joint.ldp_level`) are reduced once per joint: the guarantee levels,
-the profile and the worst- and average-outcome aggregates all read them
-from there.
+The per-outcome rows (:attr:`Joint.profile_rows`), their worst PMC and PML
+(:attr:`Joint.worst_levels`) and the LDP level (:attr:`Joint.ldp_level`) are
+reduced once per joint: the guarantee levels, the profile and the worst- and
+average-outcome aggregates all read them from there.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from typing import Mapping, Optional, Sequence, Union
 
 from .errors import UndefinedOutcome
 from .probcore import (
-    INF, ExtReal, Joint, OutcomeLeakage, _check_outcome, _pmc_level, _pml_level,
-    _sum_entries, as_level, csv_field, in_unit,
+    ExtReal, Joint, OutcomeLeakage, _check_outcome, _pmc_level, _pml_level,
+    as_level, csv_field, in_unit,
 )
 
 
@@ -178,9 +178,7 @@ def _guarantees(eps_l: ExtReal, eps_u: ExtReal, lip: ExtReal, ldp: ExtReal) -> d
 
 def all_guarantee_levels(joint: Joint) -> dict:
     """All five guarantee levels at once, keyed by kind name."""
-    rows = joint.profile_rows
-    eps_l = max(r.pmc for r in rows)
-    eps_u = max(r.pml for r in rows)
+    eps_l, eps_u = joint.worst_levels
     return _guarantees(eps_l, eps_u, max(eps_l, eps_u), joint.ldp_level)
 
 
@@ -196,18 +194,16 @@ def max_cost_leakage(joint: Joint) -> ExtReal:
     most the expected pointwise maximal cost, with equality only when the
     pointwise values are constant over the support (Jensen gap).
     """
-    lows = [lo for lo, _ in joint.column_stats]
-    if joint.channel.is_exact:
-        total = _sum_entries(lows)  # the canonical Fraction of a running sum, faster
-    else:
-        # A plain left-to-right sum: Python 3.12's sum() compensates float rounding.
-        total = functools.reduce(operator.add, lows)
-    return INF if total == 0 else ExtReal.from_ratio(1 / total)
+    channel = joint.channel  # the level is 1 / sum_y lo_y, read as the cost of mass 1 over that sum
+    if channel.is_exact:  # scale / sum_y L_y in the channel's ints
+        return _pmc_level(channel._int_columns[1], sum(channel._int_bounds[0]))
+    # A plain left-to-right sum: Python 3.12's sum() compensates float rounding.
+    return _pmc_level(1, functools.reduce(operator.add, (lo for lo, _ in joint.column_stats)))
 
 
 def max_realizable_cost(joint: Joint) -> ExtReal:
     """Worst-outcome risk-averse leakage: the largest pointwise maximal cost."""
-    return max(r.pmc for r in joint.profile_rows)
+    return joint.worst_levels[0]
 
 
 def expected_pmc(joint: Joint) -> float:

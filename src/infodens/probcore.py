@@ -79,6 +79,8 @@ class ExtReal:
 
     def __post_init__(self):
         ratio = self.ratio
+        if type(ratio) is Fraction and ratio.numerator > 0:  # an exact level; skips the ABC check in ``ratio <= 0``
+            return
         if isinstance(ratio, bool):
             raise TypeError("ratio must be a number, not bool")
         if isinstance(ratio, int):
@@ -127,8 +129,13 @@ class ExtReal:
         r = self.ratio
         if isinstance(r, float):
             return math.log(r)
-        # math.log accepts arbitrarily large ints, so split the fraction.
-        return math.log(r.numerator) - math.log(r.denominator)
+        # n / d is a correctly rounded int quotient; r - 1 is exact in ints, so near 1 nothing cancels.
+        n, d = r.numerator, r.denominator
+        if d < 2 * n < 4 * d:
+            return math.log1p((n - d) / d)
+        if -1021 <= n.bit_length() - d.bit_length() <= 1022:  # n / d is a normal float
+            return math.log(n / d)
+        return math.log(n) - math.log(d)  # math.log takes any int, and so far from 1 the logs do not cancel
 
     @property
     def bits(self) -> float:
@@ -210,12 +217,13 @@ def _int_masses(vectors: Sequence[Sequence[Fraction]]) -> tuple:
     """``(ints, scale)``: the ``Fraction`` vectors in integer units of ``1 / scale``.
 
     ``scale`` is the LCM of every denominator, so ``ints[i][j] == vectors[i][j]
-    * scale`` exactly.  Each entry's ``as_integer_ratio()`` is read once.
-    Python ints never overflow, however far the denominators grow.
+    * scale`` exactly.  Each entry's ``as_integer_ratio()`` is read once, ``scale // d``
+    once per distinct ``d``.  Python ints never overflow, however far the denominators grow.
     """
     ratios = [[e.as_integer_ratio() for e in v] for v in vectors]
-    scale = math.lcm(*(d for r in ratios for _, d in r))
-    return [[n * (scale // d) for n, d in r] for r in ratios], scale
+    scale = math.lcm(*(dens := {d for r in ratios for _, d in r}))
+    factor = {d: scale // d for d in dens}
+    return [[n * factor[d] for n, d in r] for r in ratios], scale
 
 
 def _sum_ints(entries: Sequence[Number]) -> tuple:
@@ -367,7 +375,7 @@ class Channel:
     any other, or one failing there, goes row by row, so errors come in row order.  A float
     table keeps :attr:`columns` and their minima, ``_float_lows``; ``_int_columns`` holds
     the columns in ints over the LCM of every denominator, ``(ints, scale)``, or None for
-    any float.
+    any float, whose ends ``_int_bounds`` holds, turned into ``Fraction`` s by :attr:`column_stats`.
     """
 
     rows: tuple
@@ -415,11 +423,17 @@ class Channel:
         return tuple(zip(*self.rows))
 
     @functools.cached_property
+    def _int_bounds(self) -> tuple:
+        """``(lows, highs)``: each column's smallest and largest entry in the ints of ``_int_columns``."""
+        cols = self._int_columns[0]
+        return list(map(min, cols)), list(map(max, cols))
+
+    @functools.cached_property
     def column_stats(self) -> tuple:
         """The smallest and the largest entry of each column, as ``(lo, hi)``; see :attr:`Joint.column_stats`."""
         if self.is_exact:
-            cols, scale = self._int_columns
-            return tuple((Fraction(min(col), scale), Fraction(max(col), scale)) for col in cols)
+            scale = self._int_columns[1]
+            return tuple((Fraction(lo, scale), Fraction(hi, scale)) for lo, hi in zip(*self._int_bounds))
         return tuple(zip(self._float_lows or map(min, self.columns), map(max, self.columns)))
 
     def _column_sums(self, weights: Sequence[Number]) -> tuple:
@@ -450,13 +464,13 @@ class Channel:
 
 
 def _pmc_level(m, lo) -> ExtReal:
-    """PMC of an outcome of mass ``m`` whose column's smallest entry is ``lo``."""
-    return INF if lo == 0 else ExtReal.from_ratio(m / lo)
+    """PMC of an outcome of mass ``m`` whose column's smallest entry is ``lo``; two ints are one exact ratio."""
+    return INF if lo == 0 else ExtReal(Fraction(m, lo) if type(lo) is int else m / lo)
 
 
 def _pml_level(m, hi) -> ExtReal:
-    """PML of an outcome of mass ``m`` whose column's largest entry is ``hi``."""
-    return ExtReal.from_ratio(hi / m)
+    """PML of an outcome of mass ``m`` whose column's largest entry is ``hi``; two ints are one exact ratio."""
+    return ExtReal(Fraction(hi, m) if type(m) is int else hi / m)
 
 
 @dataclass(frozen=True)
@@ -483,18 +497,19 @@ class Joint:
 
     The support holds the outcomes with positive marginal mass; every
     essential supremum downstream ranges over it only.  Posteriors are
-    computed on demand; the per-outcome profile and the LDP level at most once
-    per joint, and the column reduction once per channel; none takes part in
-    equality or hashing.  The marginal and the column reduction read the
-    tables the prior and channel keep from ingestion: an exact joint's integer
-    ones (``Pmf._int_weights``, ``Channel._int_columns``), one ``Fraction``
-    per column and per end, and an all-float channel's columns and minima.
+    computed on demand; the profile and the worst and LDP levels at most once per
+    joint, and the column reduction once per channel; none takes part in equality or
+    hashing.  The marginal and the column reduction read the tables the prior and
+    channel keep from ingestion: an all-float channel's columns and minima, and an
+    exact joint's ints (``Pmf._int_weights``, ``Channel._int_columns``), from which it
+    keeps its masses (``_int_marginal``) and reduces its profile, worst and LDP levels.
     """
 
     prior: Pmf
     channel: Channel
     marginal: tuple
     support: tuple
+    _int_marginal: list = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_prior_channel(cls, prior: Pmf, channel: Channel) -> "Joint":
@@ -505,9 +520,10 @@ class Joint:
         if channel.is_exact and prior.is_exact:
             (cols, c_scale), (weights, w_scale) = channel._int_columns, prior._int_weights
             one = w_scale * c_scale
-            marginal = tuple(Fraction(sum(map(operator.mul, weights, col)), one) for col in cols)
-        else:
-            marginal = channel._column_sums(prior.weights)
+            ints = [sum(map(operator.mul, weights, col)) for col in cols]
+            marginal = tuple(Fraction(m, one) for m in ints)
+            return cls(prior, channel, marginal, tuple(y for y, m in enumerate(ints) if m), ints)
+        marginal = channel._column_sums(prior.weights)
         support = tuple(y for y, m in enumerate(marginal) if m > 0)
         return cls(prior, channel, marginal, support)
 
@@ -533,12 +549,32 @@ class Joint:
 
     @functools.cached_property
     def profile_rows(self) -> tuple:
-        """One :class:`OutcomeLeakage` per support outcome, from :attr:`column_stats`."""
-        rows = []
-        for y in self.support:
-            m, (lo, hi) = self.marginal[y], self.column_stats[y]
-            rows.append(OutcomeLeakage(y, float(m), _pmc_level(m, lo), _pml_level(m, hi)))
-        return tuple(rows)
+        """One :class:`OutcomeLeakage` per support outcome, from :attr:`column_stats` or, exact, the ints."""
+        masses, ends = self.marginal, self.column_stats
+        if self._int_marginal is not None:
+            ws = self.prior._int_weights[1]
+            masses, ends = self._int_marginal, [(ws * lo, ws * hi) for lo, hi in zip(*self.channel._int_bounds)]
+        return tuple(
+            OutcomeLeakage(y, float(self.marginal[y]), _pmc_level(masses[y], ends[y][0]), _pml_level(masses[y], ends[y][1]))
+            for y in self.support
+        )
+
+    @functools.cached_property
+    def worst_levels(self) -> tuple:
+        """The largest PMC and PML of :attr:`profile_rows`, each a row's own level; an exact joint
+        cross-multiplies its ints: PMC(a) > PMC(b) iff ``M_a L_b > M_b L_a`` (so ``L_a = 0`` never
+        loses), PML(a) > PML(b) iff ``H_a M_b > H_b M_a``."""
+        rows = self.profile_rows
+        if self._int_marginal is None:
+            return max(r.pmc for r in rows), max(r.pml for r in rows)
+        masses, (lows, highs), ys = self._int_marginal, self.channel._int_bounds, self.support
+        c = l = 0  # the first largest, as max() takes it
+        for i, y in enumerate(ys):
+            if masses[y] * lows[ys[c]] > masses[ys[c]] * lows[y]:
+                c = i
+            if highs[y] * masses[ys[l]] > highs[ys[l]] * masses[y]:
+                l = i
+        return rows[c].pmc, rows[l].pml
 
     @functools.cached_property
     def ldp_level(self) -> ExtReal:
@@ -549,6 +585,14 @@ class Joint:
         columns never contribute (0/0 = 1); a zero beside a positive entry is
         infinite.
         """
+        if self.channel.is_exact:  # cross-multiplied in the channel's ints; 1 / 1 is the zero level
+            top = bottom = 1
+            for lo, hi in zip(*self.channel._int_bounds):
+                if lo == 0 < hi:
+                    return INF
+                if lo and hi * bottom > top * lo:
+                    top, bottom = hi, lo
+            return ZERO if top == bottom else ExtReal(Fraction(top, bottom))
         best = ZERO
         for lo, hi in self.column_stats:
             if lo == 0 < hi:

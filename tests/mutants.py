@@ -41,6 +41,8 @@ class Mutant(NamedTuple):
 
 
 PROBCORE, ORACLES, BOUNDS = "src/infodens/probcore.py", "src/infodens/oracles.py", "src/infodens/bounds.py"
+LEAKAGE = "src/infodens/leakage.py"
+REDUCTION = "tests/test_leakage.py::TestIntegerReduction::test_exact_and_mixed_joints_match_the_references"
 TEST_PROBCORE, BATCHED = "tests/test_probcore.py", "tests/test_oracles.py::TestBatchedGridSearch::"
 INGEST = TEST_PROBCORE + "::TestOnePassIngestion::"
 
@@ -151,6 +153,41 @@ MUTANTS = (
            "return Channel(tuple(other._column_sums(r) for r in self.rows))",
            "return Channel(tuple(self._column_sums(r) for r in other.rows))",
            (TEST_PROBCORE + "::TestChannel::test_composition_shapes",)),
+    Mutant("int-masses-factor-of-first-denominator", PROBCORE,
+           "return [[n * factor[d] for n, d in r] for r in ratios], scale",
+           "return [[n * factor[r[0][1]] for n, d in r] for r in ratios], scale",
+           ("tests/test_leakage.py::TestIntegerPathMatchesEntryByEntry::test_exact_joints_identical_to_the_entry_reference",)),
+    # The levels of an exact joint, reduced in its ints.
+    Mutant("exact-pml-drops-prior-scale", PROBCORE,
+           "[(ws * lo, ws * hi) for lo, hi in zip(*self.channel._int_bounds)]",
+           "[(ws * lo, hi) for lo, hi in zip(*self.channel._int_bounds)]",
+           (REDUCTION,)),
+    Mutant("exact-ldp-cross-product-swapped", PROBCORE,
+           "if lo and hi * bottom > top * lo:", "if lo and hi * top > bottom * lo:",
+           (REDUCTION,)),
+    Mutant("exact-worst-pmc-reads-zero-low-as-one", PROBCORE,
+           "if masses[y] * lows[ys[c]] > masses[ys[c]] * lows[y]:",
+           "if masses[y] * (lows[ys[c]] or 1) > masses[ys[c]] * (lows[y] or 1):",
+           (REDUCTION,)),
+    Mutant("exact-worst-pml-takes-the-least", PROBCORE,
+           "if highs[y] * masses[ys[l]] > highs[ys[l]] * masses[y]:",
+           "if highs[y] * masses[ys[l]] < highs[ys[l]] * masses[y]:",
+           (REDUCTION,)),
+    Mutant("exact-support-keeps-zero-mass", PROBCORE,
+           "tuple(y for y, m in enumerate(ints) if m)", "tuple(y for y, m in enumerate(ints) if m >= 0)",
+           (REDUCTION,)),
+    Mutant("exact-max-cost-leakage-sums-highs", LEAKAGE,
+           "sum(channel._int_bounds[0])", "sum(channel._int_bounds[1])",
+           (REDUCTION,)),
+    Mutant("exact-level-fast-path-takes-zero", PROBCORE,
+           "if type(ratio) is Fraction and ratio.numerator > 0:", "if type(ratio) is Fraction and ratio.numerator >= 0:",
+           (TEST_PROBCORE + "::TestExtReal::test_rejects_bad_ratios",)),
+    Mutant("exact-nats-quotient-past-the-normal-range", PROBCORE,
+           "if -1021 <= n.bit_length() - d.bit_length() <= 1022:", "if -1100 <= n.bit_length() - d.bit_length() <= 1100:",
+           (TEST_PROBCORE + "::TestExtReal::test_exact_nats_beyond_the_float_range_are_within_one_ulp",)),
+    Mutant("exact-nats-near-one-by-log", PROBCORE,
+           "return math.log1p((n - d) / d)", "return math.log(n / d)",
+           (TEST_PROBCORE + "::TestExtReal::test_exact_nats_are_rounded_from_the_exact_ratio[1+2^-80]",)),
 )
 
 

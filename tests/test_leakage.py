@@ -641,3 +641,87 @@ class TestIntegerPathMatchesEntryByEntry:
         j = Joint.from_prior_channel(Pmf((half, 0.5)), Channel(((half, half), (Fraction(1, 4), Fraction(3, 4)))))
         assert _typed(j.marginal) == [(math.fsum((0.25, 0.125)), float), (math.fsum((0.25, 0.375)), float)]
         assert _typed(j.column_stats[0]) == [(Fraction(1, 4), Fraction), (half, Fraction)]
+
+
+def _reduction_case(rng):
+    """An exact or mixed joint with huge denominators, tied outcomes, constant or dead columns, zeros."""
+    n_x, n_y = rng.randint(1, 6), rng.randint(2, 7)
+    top = rng.choice((12, 2**64, 2**200))
+    base = [[0 if rng.random() < 0.2 else rng.randint(1, top) for _ in range(n_y)] for _ in range(n_x)]
+    for y in range(1, n_y):
+        if rng.random() < 0.3:  # a copy of an earlier column, or a multiple of it: every ratio ties
+            src, k = rng.randrange(y), rng.choice((1, 1, 2, 3))
+            for counts in base:
+                counts[y] = k * counts[src]
+    if rng.random() < 0.25:  # an outcome of zero mass
+        for counts in base:
+            counts[rng.randrange(n_y)] = 0
+    for counts in base:
+        if not any(counts):
+            counts[rng.randrange(n_y)] = 1
+    rows = [[Fraction(c, sum(counts)) for c in counts] for counts in base]
+    if rng.random() < 0.25:  # one column constant across the secrets
+        y, v = rng.randrange(n_y), Fraction(1, rng.randint(2, 9))
+        rows = [[v if z == y else e * (1 - v) / (1 - row[y]) if row[y] != 1 else (1 - v) / (n_y - 1)
+                 for z, e in enumerate(row)] for row in rows]
+    if rng.random() < 0.2:  # every column constant: LDP is the zero level
+        rows = [rows[0]] * n_x
+    prior = [Fraction(rng.randint(1, top), rng.randint(1, top)) for _ in range(n_x)]
+    mixed = rng.choice((None, None, "float prior", "float channel"))
+    if mixed == "float prior":
+        prior = [float(w) for w in prior]
+    elif mixed == "float channel":
+        rows = [[float(e) for e in row] for row in rows]
+    return Joint.from_prior_channel(Pmf(tuple(prior)), Channel(tuple(map(tuple, rows)))), mixed
+
+
+def _ties(levels) -> bool:
+    return sum(1 for v in levels if v == max(levels)) > 1
+
+
+class TestIntegerReduction:
+    def test_exact_and_mixed_joints_match_the_references(self):
+        """Every level, row and aggregate, with its type; INF and LDP's ZERO as the same objects."""
+        rng = random.Random("integer-reduction")
+        seen = set()
+        for _ in range(500):
+            j, mixed = _reduction_case(rng)
+            assert j.channel.is_exact == (mixed != "float channel")
+            want = _ref_levels(j)
+            got = all_guarantee_levels(j)
+            for name, g in got.items():
+                for attr in ("eps", "eps_l", "eps_u"):
+                    if (level := getattr(want[name], attr)) is not None:
+                        _assert_same_level(getattr(g, attr), level)
+                        assert (getattr(g, attr) is INF) == (not level.is_finite)
+            assert (got["ldp"].eps is ZERO) == (want["ldp"].eps is ZERO)
+            rows = leakage_profile(j).rows
+            assert [r.y for r in rows] == list(j.support)
+            for r in rows:
+                assert r.mass == float(j.marginal[r.y])
+                _assert_same_level(r.pmc, _ref_pmc(j, r.y))
+                _assert_same_level(r.pml, _ref_pml(j, r.y))
+                assert (r.pmc is INF) == (not r.pmc.is_finite)
+            worst = max_realizable_cost(j)
+            assert worst is got["pmc"].eps and any(worst is r.pmc for r in rows)
+            assert any(got["pml"].eps is r.pml for r in rows)
+            mcl = max_cost_leakage(j)
+            _assert_same_level(mcl, _ref_max_cost_leakage(j))
+            assert (mcl is INF) == (not mcl.is_finite)
+            assert expected_pmc(j) == _ref_expected_pmc(j)
+            ldp_ratios = [hi / lo for lo, hi in j.column_stats if lo != 0]
+            seen.add((
+                mixed,
+                max(w.denominator for w in j.prior.weights) > 2**150 if mixed != "float prior" else None,
+                _ties([r.pmc for r in rows]) and rows[0].pmc.is_finite,
+                _ties([r.pml for r in rows]),
+                len(ldp_ratios) > 1 and _ties(ldp_ratios) and max(ldp_ratios) > 1,
+                want["ldp"].eps is ZERO,
+                len(j.support) < j.n_outputs,
+                not want["pmc"].eps.is_finite,
+            ))
+        # every regime the generator aims at was drawn for exact joints and both mixes
+        for mixed in (None, "float prior", "float channel"):
+            drawn = [k for k in seen if k[0] == mixed]
+            for i in range(2 if mixed == "float prior" else 1, 8):
+                assert any(k[i] for k in drawn) and not all(k[i] for k in drawn), (mixed, i)

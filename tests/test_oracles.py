@@ -1067,8 +1067,8 @@ class TestSampledCertificates:
         [
             (
                 True,
-                "ExtReal(nats=0.19480220075874577, ratio=Fraction(6094307, 5015599))",
-                "ExtReal(nats=0.07132510628602517, ratio=Fraction(141157327, 131439932))",
+                "ExtReal(nats=0.19480220075874619, ratio=Fraction(6094307, 5015599))",
+                "ExtReal(nats=0.07132510628602544, ratio=Fraction(141157327, 131439932))",
             ),
             (
                 False,
@@ -1233,9 +1233,9 @@ class TestByteGather:
             (23, False, "ExtReal(nats=0.19178344514749696, ratio=1.211408152244019)", ((0, 22), (1, 21)),
              "ExtReal(nats=0.07825746673680276, ratio=1.081401047629505)"),
             (22, True, "ExtReal(nats=1.4844612322813058, ratio=Fraction(631, 143))", ((0, 21), (21, 0)),
-             "ExtReal(nats=0.32861186456446845, ratio=Fraction(67517, 48607))"),
-            (23, True, "ExtReal(nats=1.0892445386645102, ratio=Fraction(425, 143))", ((1, 21), (0, 22)),
-             "ExtReal(nats=0.3907734768518143, ratio=Fraction(23885, 16159))"),
+             "ExtReal(nats=0.3286118645644689, ratio=Fraction(67517, 48607))"),
+            (23, True, "ExtReal(nats=1.0892445386645095, ratio=Fraction(425, 143))", ((1, 21), (0, 22)),
+             "ExtReal(nats=0.39077347685181435, ratio=Fraction(23885, 16159))"),
         ],
         ids=["float-253-rows", "float-276-rows", "exact-253-rows", "exact-276-rows"],
     )

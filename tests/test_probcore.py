@@ -66,8 +66,9 @@ class TestExtReal:
         assert (a + INF) == INF
 
     def test_rejects_bad_ratios(self):
-        with pytest.raises(ValueError):
-            ExtReal.from_ratio(0)
+        for ratio in (0, Fraction(0), Fraction(-1, 2)):
+            with pytest.raises(ValueError, match="ratio must be positive"):
+                ExtReal.from_ratio(ratio)
         with pytest.raises(ValueError):
             ExtReal.from_ratio(-1.0)
         with pytest.raises(ValueError):
@@ -76,6 +77,40 @@ class TestExtReal:
     def test_huge_fraction_nats_does_not_overflow(self):
         level = ExtReal.from_ratio(Fraction(10**400, 3))
         assert level.nats == pytest.approx(400 * math.log(10) - math.log(3))
+
+    # 30-digit values of the natural log (mpmath at 80 digits, log1p near 1)
+    @pytest.mark.parametrize(
+        "n, d, reference",
+        [
+            (10**30 + 1, 10**30, "9.99999999999999999999999999999e-31"),
+            (10**30 - 1, 10**30, "-1.00000000000000000000000000000e-30"),
+            (1000001, 1000000, "9.99999500000333333083333533333e-7"),
+            (999999, 1000000, "-1.00000050000033333358333353333e-6"),
+            (2**80 + 1, 2**80, "8.27180612553027674871408349956e-25"),
+            (2**80 - 1, 2**80, "-8.27180612553027674871409034184e-25"),
+            (2**80 + 3, 2**80, "2.48154183765908302461422299718e-24"),
+            (6094307, 5015599, "0.194802200758746180424464973562"),
+            (425, 143, "1.08924453866450954933562226480"),
+        ],
+        ids=["1+1e-30", "1-1e-30", "1+1e-6", "1-1e-6", "1+2^-80", "1-2^-80", "1+3*2^-80", "near-1.2", "near-3"],
+    )
+    def test_exact_nats_are_rounded_from_the_exact_ratio(self, n, d, reference):
+        """Near 1 the two logs of the numerator and the denominator would cancel; these are correctly rounded."""
+        assert ExtReal.from_ratio(Fraction(n, d)).nats == float(reference)
+
+    @pytest.mark.parametrize(
+        "n, d, reference",
+        [
+            (10**400, 3, "919.935424908950163915801336637"),
+            (1, 10**400, "-921.034037197618273607196581874"),
+            (2**1030, 3, "712.842983688075559008353839865"),  # the quotient overflows a float
+            (1, 3 * 2**1060, "-735.834623682210137673661293983"),  # the quotient is subnormal
+        ],
+        ids=["1e400/3", "1e-400", "2^1030/3", "2^-1060/3"],
+    )
+    def test_exact_nats_beyond_the_float_range_are_within_one_ulp(self, n, d, reference):
+        want = float(reference)
+        assert abs(ExtReal.from_ratio(Fraction(n, d)).nats - want) <= math.ulp(want)
 
     def test_finiteness_of_overflowed_floats_and_huge_fractions(self):
         overflowed = ExtReal(1e300) + ExtReal(1e300)
