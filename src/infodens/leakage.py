@@ -2,9 +2,8 @@
 
 Everything here is an order-infinity divergence between the prior and a
 posterior (or between kernel rows), and each reduces to the output marginal
-and the smallest and largest channel entry of a column (:attr:`Joint.column_stats`).
-An exact joint's profile and aggregates read them in the integers of its
-ingestion tables instead, with one ``Fraction`` per level (see :class:`Joint`):
+and the smallest and largest channel entry of a column, read from the one
+table :attr:`Channel.column_ends` (in ints for an exact joint, see :class:`Joint`):
 
 * ``pmc``  -- pointwise maximal cost, the largest multiplicative drop in a
   risk-averse adversary's minimal expected cost after seeing one outcome;
@@ -55,7 +54,8 @@ def pmc(joint: Joint, y: int) -> ExtReal:
     certain some secret value did not occur).
     """
     _check_outcome(joint, y)
-    return _pmc_level(joint.marginal[y], joint.column_stats[y][0])
+    masses, ends = joint.outcome_ends
+    return _pmc_level(masses[y], ends[y][0])
 
 
 def pml(joint: Joint, y: int) -> ExtReal:
@@ -64,7 +64,8 @@ def pml(joint: Joint, y: int) -> ExtReal:
     ``log max_x P(x|y) / P(x)``; always finite for a full-support prior.
     """
     _check_outcome(joint, y)
-    return _pml_level(joint.marginal[y], joint.column_stats[y][1])
+    masses, ends = joint.outcome_ends
+    return _pml_level(masses[y], ends[y][1])
 
 
 def conditional_pmc(
@@ -194,11 +195,9 @@ def max_cost_leakage(joint: Joint) -> ExtReal:
     most the expected pointwise maximal cost, with equality only when the
     pointwise values are constant over the support (Jensen gap).
     """
-    channel = joint.channel  # the level is 1 / sum_y lo_y, read as the cost of mass 1 over that sum
-    if channel.is_exact:  # scale / sum_y L_y in the channel's ints
-        return _pmc_level(channel._int_columns[1], sum(channel._int_bounds[0]))
-    # A plain left-to-right sum: Python 3.12's sum() compensates float rounding.
-    return _pmc_level(1, functools.reduce(operator.add, (lo for lo, _ in joint.column_stats)))
+    # 1 / sum_y lo_y in units of 1 / scale; a plain left-to-right sum, as Python 3.12's sum() compensates floats
+    lows, _, scale = joint.channel.column_ends
+    return _pmc_level(scale, functools.reduce(operator.add, lows))
 
 
 def max_realizable_cost(joint: Joint) -> ExtReal:

@@ -630,7 +630,9 @@ class OracleCertificate:
 
     @property
     def dominance_ok(self) -> bool:
-        """The grid value never exceeds the closed form (tiny float slack)."""
+        """The grid value never exceeds the closed form: exactly for two ``Fraction`` ratios, else within 1e-9 nats."""
+        if self.oracle_value.is_exact and self.closed_form.is_exact:
+            return self.oracle_value <= self.closed_form
         if not self.closed_form.is_finite:
             return True
         if not self.oracle_value.is_finite:

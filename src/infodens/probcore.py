@@ -247,8 +247,11 @@ def _sum_text(total: Number) -> str:
     return f"{float(total):.6g}" if abs(exponent) < 308 else f"~1e{round(exponent):+d}"
 
 
-def _normalize_row(row: tuple, what: str) -> tuple:
-    """``(entries, ints)``: a row checked entry by entry to sum to 1 within tolerance; ``ints`` as in :func:`_sum_ints`."""
+def _normalize_row(row: tuple, i: int, width: int) -> tuple:
+    """Channel row ``i`` checked to hold ``width`` entries that sum to 1 within tolerance, and renormalised."""
+    if len(row) != width:
+        raise DimensionMismatch(f"row {i} has {len(row)} entries, expected {width}")
+    what = f"channel row {i}"
     entries = tuple(_check_entry(e, what) for e in row)
     if not entries:
         raise EmptySupport(f"{what}: empty row")
@@ -256,17 +259,14 @@ def _normalize_row(row: tuple, what: str) -> tuple:
         if e < 0:
             raise ParseError(f"{what}: negative entry {e!r}")
     try:
-        total, ints = _sum_ints(entries)
+        total = _sum_entries(entries)
     except OverflowError:
         raise StochasticityError(f"{what}: row sums beyond the float range") from None
     if total <= 0:
         raise StochasticityError(f"{what}: row sums to {_sum_text(total)}")
     if abs(total - 1) > ROW_SUM_TOL:
         raise StochasticityError(f"{what}: row sums to {_sum_text(total)}, expected 1")
-    if total != 1:
-        entries = tuple(e / total for e in entries)
-        ints = ints and _sum_ints(entries)[1]
-    return entries, ints
+    return entries if total == 1 else tuple(e / total for e in entries)
 
 
 def _table(raw: tuple):
@@ -375,7 +375,7 @@ class Channel:
     any other, or one failing there, goes row by row, so errors come in row order.  A float
     table keeps :attr:`columns` and their minima, ``_float_lows``; ``_int_columns`` holds
     the columns in ints over the LCM of every denominator, ``(ints, scale)``, or None for
-    any float, whose ends ``_int_bounds`` holds, turned into ``Fraction`` s by :attr:`column_stats`.
+    any float.  Every level reads the column ends of :attr:`column_ends`.
     """
 
     rows: tuple
@@ -390,20 +390,11 @@ class Channel:
             for name, value in table.items():
                 object.__setattr__(self, name, value)
             return
-        width = len(raw[0])
-        checked = []
-        for i, row in enumerate(raw):
-            if len(row) != width:
-                raise DimensionMismatch(f"row {i} has {len(row)} entries, expected {width}")
-            checked.append(_normalize_row(row, f"channel row {i}"))
-        rows, tables = zip(*checked)
+        rows = tuple(_normalize_row(row, i, len(raw[0])) for i, row in enumerate(raw))
         object.__setattr__(self, "rows", rows)
-        cols = None
-        if None not in tables:
-            scale = math.lcm(*(s for _, s in tables))
-            scaled = (r if s == scale else [e * (scale // s) for e in r] for r, s in tables)
-            cols = list(zip(*scaled)), scale
-        object.__setattr__(self, "_int_columns", cols)
+        if not any(isinstance(e, float) for r in rows for e in r):
+            ints, scale = _int_masses(rows)
+            object.__setattr__(self, "_int_columns", (list(zip(*ints)), scale))
 
     @property
     def n_inputs(self) -> int:
@@ -423,18 +414,21 @@ class Channel:
         return tuple(zip(*self.rows))
 
     @functools.cached_property
-    def _int_bounds(self) -> tuple:
-        """``(lows, highs)``: each column's smallest and largest entry in the ints of ``_int_columns``."""
-        cols = self._int_columns[0]
-        return list(map(min, cols)), list(map(max, cols))
+    def column_ends(self) -> tuple:
+        """``(lows, highs, scale)``: each column's least and largest entry over ``scale``, the ints of
+        ``_int_columns`` over their LCM when exact, else the stored entries (a float table's kept minima) over 1."""
+        if self.is_exact:
+            cols, scale = self._int_columns
+            return list(map(min, cols)), list(map(max, cols)), scale
+        return self._float_lows or list(map(min, self.columns)), list(map(max, self.columns)), 1
 
     @functools.cached_property
     def column_stats(self) -> tuple:
         """The smallest and the largest entry of each column, as ``(lo, hi)``; see :attr:`Joint.column_stats`."""
+        lows, highs, scale = self.column_ends
         if self.is_exact:
-            scale = self._int_columns[1]
-            return tuple((Fraction(lo, scale), Fraction(hi, scale)) for lo, hi in zip(*self._int_bounds))
-        return tuple(zip(self._float_lows or map(min, self.columns), map(max, self.columns)))
+            return tuple((Fraction(lo, scale), Fraction(hi, scale)) for lo, hi in zip(lows, highs))
+        return tuple(zip(lows, highs))
 
     def _column_sums(self, weights: Sequence[Number]) -> tuple:
         """``sum_x weights[x] * rows[x][y]`` for each column y, summed as :func:`_sum_entries` sums."""
@@ -495,14 +489,12 @@ class OutcomeLeakage:
 class Joint:
     """A prior and a channel with the induced output marginal.
 
-    The support holds the outcomes with positive marginal mass; every
-    essential supremum downstream ranges over it only.  Posteriors are
-    computed on demand; the profile and the worst and LDP levels at most once per
-    joint, and the column reduction once per channel; none takes part in equality or
-    hashing.  The marginal and the column reduction read the tables the prior and
-    channel keep from ingestion: an all-float channel's columns and minima, and an
-    exact joint's ints (``Pmf._int_weights``, ``Channel._int_columns``), from which it
-    keeps its masses (``_int_marginal``) and reduces its profile, worst and LDP levels.
+    The support holds the outcomes with positive marginal mass; every essential supremum
+    downstream ranges over it only.  Posteriors are computed on demand; the profile and the
+    worst and LDP levels at most once per joint; none takes part in equality or hashing.
+    The marginal reads the tables the prior and channel keep from ingestion; an exact joint
+    keeps its masses in the ints of ``Pmf._int_weights`` and ``Channel._int_columns``
+    (``_int_marginal``) and reads every level against those of :attr:`Channel.column_ends`.
     """
 
     prior: Pmf
@@ -548,12 +540,18 @@ class Joint:
         return self.channel.column_stats
 
     @functools.cached_property
+    def outcome_ends(self) -> tuple:
+        """``(masses, ends)``: every outcome's mass and column ``(lo, hi)``; ints ``M_y``, ``(ws L_y, ws H_y)`` if exact."""
+        if self._int_marginal is None:
+            return self.marginal, self.column_stats
+        lows, highs, _ = self.channel.column_ends
+        ws = self.prior._int_weights[1]
+        return self._int_marginal, [(ws * lo, ws * hi) for lo, hi in zip(lows, highs)]
+
+    @functools.cached_property
     def profile_rows(self) -> tuple:
-        """One :class:`OutcomeLeakage` per support outcome, from :attr:`column_stats` or, exact, the ints."""
-        masses, ends = self.marginal, self.column_stats
-        if self._int_marginal is not None:
-            ws = self.prior._int_weights[1]
-            masses, ends = self._int_marginal, [(ws * lo, ws * hi) for lo, hi in zip(*self.channel._int_bounds)]
+        """One :class:`OutcomeLeakage` per support outcome, one level from each mass and column end."""
+        masses, ends = self.outcome_ends
         return tuple(
             OutcomeLeakage(y, float(self.marginal[y]), _pmc_level(masses[y], ends[y][0]), _pml_level(masses[y], ends[y][1]))
             for y in self.support
@@ -567,7 +565,7 @@ class Joint:
         rows = self.profile_rows
         if self._int_marginal is None:
             return max(r.pmc for r in rows), max(r.pml for r in rows)
-        masses, (lows, highs), ys = self._int_marginal, self.channel._int_bounds, self.support
+        masses, (lows, highs, _), ys = self._int_marginal, self.channel.column_ends, self.support
         c = l = 0  # the first largest, as max() takes it
         for i, y in enumerate(ys):
             if masses[y] * lows[ys[c]] > masses[ys[c]] * lows[y]:
@@ -580,26 +578,19 @@ class Joint:
     def ldp_level(self) -> ExtReal:
         """Largest log-likelihood ratio of the channel across input pairs.
 
-        The largest ratio of two entries of a column is its max over its min, so
-        the search over row pairs is one pass over :attr:`column_stats`.  All-zero
-        columns never contribute (0/0 = 1); a zero beside a positive entry is
-        infinite.
+        The largest ratio of two entries of a column is its max over its min, so the search over
+        row pairs is one pass over :attr:`Channel.column_ends` for the first largest: ints are
+        cross-multiplied, other entries compared as rounded ratios.  All-zero columns never
+        contribute (0/0 = 1); a zero beside a positive entry is infinite.
         """
-        if self.channel.is_exact:  # cross-multiplied in the channel's ints; 1 / 1 is the zero level
-            top = bottom = 1
-            for lo, hi in zip(*self.channel._int_bounds):
-                if lo == 0 < hi:
-                    return INF
-                if lo and hi * bottom > top * lo:
-                    top, bottom = hi, lo
-            return ZERO if top == bottom else ExtReal(Fraction(top, bottom))
-        best = ZERO
-        for lo, hi in self.column_stats:
+        top = bottom = 1  # 1 / 1 is the zero level
+        lows, highs, _ = self.channel.column_ends
+        for lo, hi in zip(lows, highs):
             if lo == 0 < hi:
                 return INF
-            if lo != 0 and hi / lo > best.ratio:
-                best = ExtReal.from_ratio(hi / lo)
-        return best
+            if lo and (hi * bottom > top * lo if type(lo) is int else hi / lo > top / bottom):
+                top, bottom = hi, lo
+        return ZERO if top == bottom else ExtReal(Fraction(top, bottom) if type(top) is int else top / bottom)
 
     def posterior(self, y: int) -> tuple:
         """The conditional law of the secret given outcome ``y``."""

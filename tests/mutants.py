@@ -73,6 +73,18 @@ MUTANTS = (
     Mutant("lattice-without-one-column-case", ORACLES,
            "    if n_cols == 1:\n        return [(den,)]", "    if n_cols == 0:\n        return [(den,)]",
            ("tests/test_oracles.py::TestLatticeUnranking::test_lattice_rows_are_the_product_rows_summing_to_the_denominator",)),
+    Mutant("lattice-reversed", ORACLES,
+           "map(den.__sub__, sums[-1])))", "map(den.__sub__, sums[-1])))[::-1]",
+           (BATCHED + "test_matches_per_kernel_definition",)),
+    Mutant("chunk-heads-swapped", ORACLES,
+           "rows[x :: n_x - 1] for x in range(n_x - 1)", "rows[x :: n_x - 1] for x in reversed(range(n_x - 1))",
+           (BATCHED + "test_matches_per_kernel_definition",)),
+    Mutant("chunk-pulls-two-groups", ORACLES,
+           "itertools.islice(groups, max(1, _BLOCK // n_rows))", "itertools.islice(groups, 2)",
+           ("tests/test_oracles.py::TestKernelStreams::test_exhaustive_streams_keep_their_pins[3x3-res5]",)),
+    Mutant("exact-dominance-with-slack", ORACLES,
+           "return self.oracle_value <= self.closed_form", "return self.oracle_value.nats <= self.closed_form.nats + 1e-9",
+           ("tests/test_oracles.py::TestBruteForce::test_exact_dominance_has_no_slack",)),
     Mutant("pml-to-pmc-finite-at-one", BOUNDS,
            "    if t >= 1:\n        return INF\n    return ExtReal.from_ratio(p / (1 - t))",
            "    if t > 1:\n        return INF\n    return ExtReal.from_ratio(p / (1 - t))",
@@ -105,6 +117,10 @@ MUTANTS = (
     Mutant("exact-table-takes-sums-above-one", PROBCORE,
            "any(sum(r) != scale for r in ints)", "any(sum(r) < scale for r in ints)",
            ("tests/test_cli.py::TestMalformedDocuments::test_long_row_sum_is_shown_short",)),
+    Mutant("row-loop-integer-form-beside-a-float", PROBCORE,
+           "if not any(isinstance(e, float) for r in rows for e in r):",
+           "if not all(isinstance(e, float) for r in rows for e in r):",
+           (INGEST + "test_subclass_and_mixed_rows_keep_their_values_and_types",)),
     Mutant("exact-table-scale-one", PROBCORE,
            '"_int_columns": (list(zip(*ints)), scale)}', '"_int_columns": (list(zip(*ints)), 1)}',
            (TEST_PROBCORE + "::TestJoint::test_marginal_matches_summation_oracle",)),
@@ -142,8 +158,7 @@ MUTANTS = (
            (INGEST + "test_seeded_float_joints",)),
     # What the channel reads from its tables.
     Mutant("column-stats-minima-for-maxima", PROBCORE,
-           "map(min, self.columns), map(max, self.columns)))",
-           "map(min, self.columns), map(min, self.columns)))",
+           "list(map(max, self.columns)), 1", "list(map(min, self.columns)), 1",
            (INGEST + "test_seeded_float_joints",)),
     Mutant("float-column-sums-by-sum", PROBCORE,
            "return tuple(math.fsum(map(operator.mul, weights, col)) for col in self.columns)",
@@ -157,14 +172,17 @@ MUTANTS = (
            "return [[n * factor[d] for n, d in r] for r in ratios], scale",
            "return [[n * factor[r[0][1]] for n, d in r] for r in ratios], scale",
            ("tests/test_leakage.py::TestIntegerPathMatchesEntryByEntry::test_exact_joints_identical_to_the_entry_reference",)),
-    # The levels of an exact joint, reduced in its ints.
+    # The levels, read from the column ends: an exact joint's in its ints.
     Mutant("exact-pml-drops-prior-scale", PROBCORE,
-           "[(ws * lo, ws * hi) for lo, hi in zip(*self.channel._int_bounds)]",
-           "[(ws * lo, hi) for lo, hi in zip(*self.channel._int_bounds)]",
+           "[(ws * lo, ws * hi) for lo, hi in zip(lows, highs)]",
+           "[(ws * lo, hi) for lo, hi in zip(lows, highs)]",
            (REDUCTION,)),
     Mutant("exact-ldp-cross-product-swapped", PROBCORE,
-           "if lo and hi * bottom > top * lo:", "if lo and hi * top > bottom * lo:",
+           "hi * bottom > top * lo if type(lo) is int", "hi * top > bottom * lo if type(lo) is int",
            (REDUCTION,)),
+    Mutant("ldp-cross-multiplies-rounded-entries", PROBCORE,
+           "else hi / lo > top / bottom", "else hi * bottom > top * lo",
+           ("tests/test_leakage.py::TestColumnReductionMatchesDefinitions::test_ldp_edge_columns_match_the_reference",)),
     Mutant("exact-worst-pmc-reads-zero-low-as-one", PROBCORE,
            "if masses[y] * lows[ys[c]] > masses[ys[c]] * lows[y]:",
            "if masses[y] * (lows[ys[c]] or 1) > masses[ys[c]] * (lows[y] or 1):",
@@ -177,7 +195,10 @@ MUTANTS = (
            "tuple(y for y, m in enumerate(ints) if m)", "tuple(y for y, m in enumerate(ints) if m >= 0)",
            (REDUCTION,)),
     Mutant("exact-max-cost-leakage-sums-highs", LEAKAGE,
-           "sum(channel._int_bounds[0])", "sum(channel._int_bounds[1])",
+           "lows, _, scale = joint.channel.column_ends", "_, lows, scale = joint.channel.column_ends",
+           (REDUCTION,)),
+    Mutant("max-cost-leakage-drops-the-scale", LEAKAGE,
+           "return _pmc_level(scale, functools.reduce", "return _pmc_level(1, functools.reduce",
            (REDUCTION,)),
     Mutant("exact-level-fast-path-takes-zero", PROBCORE,
            "if type(ratio) is Fraction and ratio.numerator > 0:", "if type(ratio) is Fraction and ratio.numerator >= 0:",

@@ -372,7 +372,27 @@ def _random_case(rng):
     return Joint.from_prior_channel(Pmf(tuple(prior)), Channel(tuple(rows)))
 
 
+_TINY = Fraction(1, 10**30)
+
+
 class TestColumnReductionMatchesDefinitions:
+    @pytest.mark.parametrize(
+        "rows, want",
+        [
+            # beside a float, max != min in each column, yet each max / min rounds to 1.0: still the ZERO object
+            (((Fraction(1, 2) + _TINY, Fraction(1, 2) - _TINY), (0.5, 0.5)), ZERO),
+            # a mixed channel whose extreme column holds only Fractions: a Fraction-backed level
+            (((Fraction(1, 4), Fraction(3, 4)), (Fraction(1, 2), 0.5)), ExtReal.from_ratio(Fraction(2))),
+        ],
+        ids=["ratio-rounds-to-one", "fraction-column-of-mixed-channel"],
+    )
+    def test_ldp_edge_columns_match_the_reference(self, rows, want):
+        j = Joint.from_prior_channel(Pmf((1, 1)), Channel(rows))
+        assert not j.channel.is_exact and all(lo != hi for lo, hi in j.column_stats)
+        _assert_same_level(j.ldp_level, _ref_ldp(j))
+        _assert_same_level(j.ldp_level, want)
+        assert (j.ldp_level is ZERO) == (want is ZERO)
+
     def test_levels_profile_and_aggregates_identical(self):
         rng = random.Random(20240611)
         kinds = set()
@@ -458,7 +478,8 @@ class TestColumnReductionOncePerJoint:
             verify_boundedness_equivalence(j)
             for y in j.support:
                 pmc(j, y), pml(j, y)
-            assert calls == [j]
+            # an exact joint reads every level from the ints of its column ends
+            assert calls == ([] if exact else [j])
 
 
 def _count_reductions(monkeypatch, name: str) -> list:

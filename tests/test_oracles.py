@@ -301,6 +301,18 @@ class TestBruteForce:
         assert dominated(1e-10) is True
         assert dominated(-1e-3) is True
 
+    @pytest.mark.parametrize("ratio", [Fraction(1), Fraction(3, 2), Fraction(10**30 + 1, 10**30), Fraction(7, 3) ** 40])
+    def test_exact_dominance_has_no_slack(self, ratio):
+        """Two ``Fraction`` ratios compare exactly: an excess of one part in 2^60, 1e-18 nats, is not dominated."""
+        witness = RandomizedFunction(((HALF, HALF), (HALF, HALF)))
+
+        def dominated(oracle):
+            return oracles.OracleCertificate(ExtReal.from_ratio(ratio), ExtReal.from_ratio(oracle), witness, 0.0).dominance_ok
+
+        assert dominated(ratio * (1 + Fraction(1, 2**60))) is False
+        assert dominated(ratio) is True
+        assert dominated(ratio * (1 - Fraction(1, 2**60))) is True
+
     def test_sampled_regime_still_dominated(self):
         rng = random.Random(11)
         j = random_joint(rng, 4, 3)

@@ -577,13 +577,14 @@ class TestOnePassIngestion:
         _check_tables(Pmf((1, 2)), channel)
 
     def test_each_row_is_scaled_once(self, monkeypatch):
-        """An all-``Fraction`` table is scaled to ints once, any other row once; a renormalised one twice more."""
+        """An all-``Fraction`` matrix is scaled to ints once for the table; one that fails it, and any other,
+        once per row for its sum and, when no entry is a float, once more for its integer form."""
         calls = []
         monkeypatch.setattr(probcore, "_int_masses", lambda v: calls.append(v) or _int_masses(v))
         half, third = Fraction(1, 2), Fraction(1, 3)
         for build, want in (
             (lambda: Channel(((half, half), (third, 1 - third), (Fraction(1), Fraction(0)))), 1),
-            (lambda: Channel(((half, 0, half), (third,) * 3, (_Frac(1, 4), _Frac(3, 4), 0))), 3),
+            (lambda: Channel(((half, 0, half), (third,) * 3, (_Frac(1, 4), _Frac(3, 4), 0))), 4),
             (lambda: Pmf((1, half, half)), 2),
             (lambda: Pmf((third, 1 - third)), 1),
             (lambda: Pmf((1,)), 1),
