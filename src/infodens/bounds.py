@@ -14,12 +14,11 @@ boundary the translated cost level is infinite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
 from .errors import InvalidPmin
-from .probcore import INF, ZERO, ExtReal, Joint, Number, as_level, csv_field
+from .probcore import INF, ZERO, ExtReal, Joint, Number, _Frozen, as_level, csv_field
 from .leakage import Guarantee, GuaranteeKind, _guarantees
 
 
@@ -109,14 +108,13 @@ def ldp_to_pmc(eps, p_min: Number) -> ExtReal:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TranslationResult:
+class TranslationResult(_Frozen):
     """One-step implication closure of a guarantee for a given prior floor."""
 
-    source: Guarantee
-    implied: tuple
-    high_privacy: bool
-    p_min: Number
+    _compared = ("source", "implied", "high_privacy", "p_min")
+
+    def __init__(self, source: Guarantee, implied: tuple, high_privacy: bool, p_min: Number):
+        self._fill(source, implied, high_privacy, p_min)
 
     def to_dict(self, unit: str = "nats") -> dict:
         return {
@@ -178,8 +176,7 @@ def derive_implications(g: Guarantee, p_min: Number) -> TranslationResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CurveTable:
+class CurveTable(_Frozen):
     """Sampled translation curves for one prior floor.
 
     ``pml_to_pmc_rows`` tabulates the implied cost level over leakage levels
@@ -188,9 +185,10 @@ class CurveTable:
     a uniform binary prior the two curves are mutual inverses.
     """
 
-    p_min: float
-    pml_to_pmc_rows: tuple
-    pmc_to_pml_rows: tuple
+    _compared = ("p_min", "pml_to_pmc_rows", "pmc_to_pml_rows")
+
+    def __init__(self, p_min: float, pml_to_pmc_rows: tuple, pmc_to_pml_rows: tuple):
+        self._fill(p_min, pml_to_pmc_rows, pmc_to_pml_rows)
 
     def pml_to_pmc_csv(self, unit: str = "nats") -> str:
         header = "eps_u,eps_l_star" if unit == "nats" else "eps_u_bits,eps_l_star_bits"

@@ -30,12 +30,11 @@ import enum
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import UndefinedOutcome
 from .probcore import (
-    ExtReal, Joint, OutcomeLeakage, _check_outcome, _pmc_level, _pml_level,
+    ExtReal, Joint, OutcomeLeakage, _check_outcome, _Frozen, _pmc_level, _pml_level,
     as_level, csv_field, in_unit,
 )
 
@@ -100,20 +99,18 @@ class GuaranteeKind(enum.Enum):
     LDP = "ldp"
 
 
-@dataclass(frozen=True)
-class Guarantee:
+class Guarantee(_Frozen):
     """A tagged privacy level.
 
     Single-parameter kinds carry ``eps``; ALIP carries the pair
     ``(eps_l, eps_u)`` bounding the information density from below and above.
     """
 
-    kind: GuaranteeKind
-    eps: Optional[ExtReal] = None
-    eps_l: Optional[ExtReal] = None
-    eps_u: Optional[ExtReal] = None
+    _compared = ("kind", "eps", "eps_l", "eps_u")
 
-    def __post_init__(self):
+    def __init__(self, kind: GuaranteeKind, eps: Optional[ExtReal] = None, eps_l: Optional[ExtReal] = None,
+                 eps_u: Optional[ExtReal] = None):
+        self._fill(kind, eps, eps_l, eps_u)
         if self.kind is GuaranteeKind.ALIP:
             if self.eps is not None or self.eps_l is None or self.eps_u is None:
                 raise ValueError("ALIP takes exactly (eps_l, eps_u)")
@@ -220,14 +217,15 @@ def expected_pmc(joint: Joint) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LeakageProfile:
+class LeakageProfile(_Frozen):
     """Per-outcome leakage over the support of the output marginal: :class:`OutcomeLeakage` rows."""
 
-    rows: tuple
-
+    _compared = ("rows",)
     CSV_HEADER = "y,P_Y,pmc_nats,pml_nats,info_density_min,info_density_max"
     CSV_HEADER_BITS = "y,P_Y,pmc_bits,pml_bits,info_density_min_bits,info_density_max_bits"
+
+    def __init__(self, rows: tuple):
+        self._fill(rows)
 
     def to_csv(self, unit: str = "nats") -> str:
         lines = [self.CSV_HEADER if unit == "nats" else self.CSV_HEADER_BITS]

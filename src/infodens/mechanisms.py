@@ -27,7 +27,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 from .documents import coerce_probability, joint_from_doc, parse_mechanism_doc  # noqa: F401
@@ -38,7 +37,7 @@ from .errors import (
     OutsideHighPrivacy,
     QuadratureFailure,
 )
-from .probcore import ExtReal, Channel, Number, Pmf, as_level
+from .probcore import ExtReal, Channel, Number, Pmf, _Frozen, as_level
 
 #: Relative split target, panel cap and accepted relative error of the density quadrature of custom laws.
 _QUAD_SPLIT_REL, _QUAD_MAX_PANELS, _QUAD_ACCEPT_REL = 1e-13, 1000, 1e-6
@@ -155,10 +154,8 @@ def extremal_mechanism(prior: Pmf, eps_u) -> Channel:
     entries stay positive.
     """
     r = _high_privacy_ratio(prior, eps_u)
-    cols = range(len(prior))
-    return Channel(
-        tuple(tuple(1 - r * (1 - prior[i]) if i == j else r * prior[j] for j in cols) for i in cols)
-    )
+    off = tuple(r * w for w in prior.weights)  # column j's off-diagonal entry, one product per column
+    return Channel(tuple(off[:i] + (1 - r * (1 - w),) + off[i + 1:] for i, w in enumerate(prior.weights)))
 
 
 def extremal_mechanism_pmc(prior: Pmf, eps_u) -> ExtReal:
@@ -177,8 +174,7 @@ def extremal_mechanism_pmc(prior: Pmf, eps_u) -> ExtReal:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundedLaw:
+class BoundedLaw(_Frozen):
     """A data distribution on a bounded interval.
 
     ``cgf`` is the cumulant generating function of the centered variable and
@@ -190,14 +186,11 @@ class BoundedLaw:
     both endpoints, and upper bounds otherwise.
     """
 
-    lo: float
-    hi: float
-    mean: float
-    cgf: Optional[Callable[[float], float]] = None
-    pdf: Optional[Callable[[float], float]] = None
-    family: str = "custom"
+    _compared = ("lo", "hi", "mean", "cgf", "pdf", "family")
 
-    def __post_init__(self):
+    def __init__(self, lo: float, hi: float, mean: float, cgf: Optional[Callable[[float], float]] = None,
+                 pdf: Optional[Callable[[float], float]] = None, family: str = "custom"):
+        self._fill(lo, hi, mean, cgf, pdf, family)
         for name in ("lo", "hi", "mean"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -309,8 +302,7 @@ def _quadrature_pmc(law: BoundedLaw, noise_pdf, y: float, scale: float) -> float
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LaplaceMeanMechanism:
+class LaplaceMeanMechanism(_Frozen):
     """Release of the sample mean of ``n`` i.i.d. bounded points plus Laplace noise.
 
     The data points live on [lo, hi]; the released value is the sample mean
@@ -318,13 +310,10 @@ class LaplaceMeanMechanism:
     point leaks through the release.
     """
 
-    lo: float
-    hi: float
-    n: int
-    b: float
-    law: BoundedLaw = None
+    _compared = ("lo", "hi", "n", "b", "law")
 
-    def __post_init__(self):
+    def __init__(self, lo: float, hi: float, n: int, b: float, law: BoundedLaw = None):
+        self._fill(lo, hi, n, b, law)
         if not self.lo < self.hi:
             raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
@@ -441,8 +430,7 @@ class LaplaceMeanMechanism:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GaussianPerturbMechanism:
+class GaussianPerturbMechanism(_Frozen):
     """Release of a zero-mean bounded value with additive Gaussian noise.
 
     The secret satisfies |X| <= amplitude; the release adds N(0, sigma^2).
@@ -450,11 +438,10 @@ class GaussianPerturbMechanism:
     guarantees are the per-value envelope and the sub-Gaussian tail bound.
     """
 
-    amplitude: float
-    sigma: float
-    law: BoundedLaw = None
+    _compared = ("amplitude", "sigma", "law")
 
-    def __post_init__(self):
+    def __init__(self, amplitude: float, sigma: float, law: BoundedLaw = None):
+        self._fill(amplitude, sigma, law)
         if not 0 < self.amplitude < math.inf:
             raise ValueError(f"amplitude must be positive and finite, got {self.amplitude!r}")
         if not 0 < self.sigma < math.inf:

@@ -36,7 +36,6 @@ import random
 import sys
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import accumulate, chain, repeat
@@ -45,7 +44,7 @@ from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from . import leakage
 from .errors import AllInfinitePrior, BudgetExceeded, DimensionMismatch, NormalizationDegenerate
-from .probcore import INF, ZERO, Channel, ExtReal, Joint, Number, _int_masses, in_unit
+from .probcore import INF, ZERO, Channel, ExtReal, Joint, Number, _Frozen, _int_masses, in_unit
 
 if TYPE_CHECKING:
     import numpy as np
@@ -70,18 +69,17 @@ class RandomizedFunction(Channel):
     """A randomized function of the secret: a kernel from secrets to guesses."""
 
 
-@dataclass(frozen=True)
-class CostFunction:
+class CostFunction(_Frozen):
     """A non-negative cost table over (secret, action) pairs.
 
     Entries may be ``math.inf``; an action column is admissible when all of
     its entries are finite (the prior has full support).
     """
 
-    table: tuple
+    _compared = ("table",)
 
-    def __post_init__(self):
-        raw = tuple(tuple(r) for r in self.table)
+    def __init__(self, table: tuple):
+        raw = tuple(tuple(r) for r in table)
         if not raw or not raw[0]:
             raise DimensionMismatch("cost table must be non-empty")
         width = len(raw[0])
@@ -95,7 +93,7 @@ class CostFunction:
                     raise ValueError("cost entries must not be NaN")
                 if e < 0:
                     raise ValueError(f"cost entries must be non-negative, got {e!r}")
-        object.__setattr__(self, "table", tuple(tuple(Fraction(e) if isinstance(e, int) else e for e in r) for r in raw))
+        self._fill(tuple(tuple(Fraction(e) if isinstance(e, int) else e for e in r) for r in raw))
 
     @property
     def n_secrets(self) -> int:
@@ -106,8 +104,7 @@ class CostFunction:
         return len(self.table[0])
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(_Frozen):
     """Grid-search budget for the brute-force adversaries.
 
     Kernel rows are drawn from the simplex lattice with denominator
@@ -116,17 +113,15 @@ class SearchConfig:
     kernels plus ``max_iterations`` seeded samples are used.
     """
 
-    resolution: int = 11
-    max_u: int = 3
-    max_iterations: int = 2000
-    seed: int = 0
-    exhaustive_limit: int = 9
+    _compared = ("resolution", "max_u", "max_iterations", "seed", "exhaustive_limit")
 
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
+    def __init__(self, resolution: int = 11, max_u: int = 3, max_iterations: int = 2000, seed: int = 0,
+                 exhaustive_limit: int = 9):
+        self._fill(resolution, max_u, max_iterations, seed, exhaustive_limit)
+        for name in self._compared:
+            value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name, least in (("resolution", 2), ("max_u", 2), ("max_iterations", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}")
@@ -609,19 +604,20 @@ def _search(prior_w, post_w, grids: list, cfg: SearchConfig, adversary) -> tuple
     return best, best_rows
 
 
-@dataclass(frozen=True)
-class OracleCertificate:
-    """Closed form vs. brute force for one outcome, with the achieving kernel."""
+class OracleCertificate(_Frozen):
+    """Closed form vs. brute force for one outcome, with the achieving kernel.
 
-    closed_form: ExtReal
-    oracle_value: ExtReal
-    witness: RandomizedFunction
-    gap_nats: float
-    #: One ``(u, kernels visited, exhaustive)`` triple per guess alphabet.  An
-    #: exhaustive grid counts all of its kernels, every relabelling of the
-    #: guesses included, although both scans evaluate one per orbit.  Visits
-    #: read 0 when the support indicator already certifies an infinite level.
-    kernels_visited: tuple = ()
+    ``kernels_visited`` holds one ``(u, kernels visited, exhaustive)`` triple per guess
+    alphabet.  An exhaustive grid counts all of its kernels, every relabelling of the
+    guesses included, although both scans evaluate one per orbit.  Visits read 0 when
+    the support indicator already certifies an infinite level.
+    """
+
+    _compared = ("closed_form", "oracle_value", "witness", "gap_nats", "kernels_visited")
+
+    def __init__(self, closed_form: ExtReal, oracle_value: ExtReal, witness: RandomizedFunction, gap_nats: float,
+                 kernels_visited: tuple = ()):
+        self._fill(closed_form, oracle_value, witness, gap_nats, kernels_visited)
 
     @property
     def witness_u(self) -> int:

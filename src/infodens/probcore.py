@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Sequence, Union
@@ -60,32 +59,69 @@ def csv_field(nats: float, unit: str) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Read-only values
+# ---------------------------------------------------------------------------
+
+
+class _Frozen:
+    """A read-only value named by its fields ``_compared``.
+
+    Equal only to an instance of the very same class whose compared fields are equal; hashed by
+    and printed as ``Name(field=value, ...)`` with those fields.  Assignment and deletion raise
+    ``AttributeError``, so each ``__init__`` sets its fields with ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+    _compared: tuple = ()
+
+    def _fill(self, *values) -> None:
+        """Set the compared fields, in order, to ``values``."""
+        for name, value in zip(self._compared, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._compared])
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._compared)})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__qualname__} is read-only: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
+# ---------------------------------------------------------------------------
 # Extended non-negative reals in the log domain
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True, slots=True, repr=False)
-class ExtReal:
+class ExtReal(_Frozen):
     """A level in nats, finite or +infinity, keyed by its exponential.
 
     ``ExtReal.from_ratio(Fraction(3, 2))`` is the exact level ``log 1.5``;
     ``ExtReal.from_nats(0.3)`` is a float-backed level.  Addition of levels
-    multiplies ratios, so sums of exact levels stay exact.  A frozen, ordered
-    dataclass: comparisons and equality go through the stored ratio and are
-    therefore exact whenever both operands are rational-backed.
+    multiplies ratios, so sums of exact levels stay exact.  A read-only value
+    whose order, equality and hash are those of the stored ratio, and so exact
+    whenever both operands are rational-backed; it orders only against another ``ExtReal``.
     """
 
-    ratio: Number
+    __slots__ = ("ratio",)
 
-    def __post_init__(self):
-        ratio = self.ratio
+    def __init__(self, ratio: Number):
         if type(ratio) is Fraction and ratio.numerator > 0:  # an exact level; skips the ABC check in ``ratio <= 0``
+            object.__setattr__(self, "ratio", ratio)
             return
         if isinstance(ratio, bool):
             raise TypeError("ratio must be a number, not bool")
         if isinstance(ratio, int):
             ratio = Fraction(ratio)
-            object.__setattr__(self, "ratio", ratio)
         if isinstance(ratio, float):
             if math.isnan(ratio):
                 raise ValueError("ratio must not be NaN")
@@ -96,6 +132,7 @@ class ExtReal:
                 raise ValueError(f"ratio must be positive, got {ratio!r}")
         else:
             raise TypeError(f"unsupported ratio type: {type(ratio).__name__}")
+        object.__setattr__(self, "ratio", ratio)
 
     # -- constructors -------------------------------------------------------
 
@@ -159,8 +196,24 @@ class ExtReal:
             return ExtReal(math.inf)
         return ExtReal(self.ratio * other.ratio)
 
+    # -- equality and order: of the ratios, against another ExtReal only ----
+
+    def __eq__(self, other):
+        return self.ratio == other.ratio if other.__class__ is ExtReal else NotImplemented
+    def __lt__(self, other):
+        return self.ratio < other.ratio if other.__class__ is ExtReal else NotImplemented
+    def __le__(self, other):
+        return self.ratio <= other.ratio if other.__class__ is ExtReal else NotImplemented
+    def __gt__(self, other):
+        return self.ratio > other.ratio if other.__class__ is ExtReal else NotImplemented
+    def __ge__(self, other):
+        return self.ratio >= other.ratio if other.__class__ is ExtReal else NotImplemented
+
     def __hash__(self) -> int:
         return hash(self.ratio)
+
+    def __reduce__(self):  # copy and pickle through __init__, as a slot is never assigned
+        return ExtReal, (self.ratio,)
 
     def __repr__(self) -> str:
         if self.ratio == math.inf:
@@ -301,8 +354,7 @@ def _table(raw: tuple):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Pmf:
+class Pmf(_Frozen):
     """A full-support probability mass function over a finite alphabet.
 
     Positive weights are normalized to sum to one (exactly when they are all
@@ -312,12 +364,11 @@ class Pmf:
     (:func:`_sum_ints`), kept as ``_int_weights``.
     """
 
-    weights: tuple
-    _int_weights: tuple = field(init=False, repr=False, compare=False)
+    _compared = ("weights",)
 
-    def __post_init__(self):
+    def __init__(self, weights: tuple):
         entries = []
-        for w in self.weights:
+        for w in weights:
             w = _check_entry(w, "pmf weight")
             if w <= 0:
                 raise ZeroOrNegativeWeight(f"weight {w!r} breaks full support")
@@ -365,8 +416,7 @@ class Pmf:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Channel:
+class Channel(_Frozen):
     """A row-stochastic transition kernel; rows may contain zeros.
 
     Rows are validated to sum to one within ``ROW_SUM_TOL`` and silently
@@ -378,12 +428,11 @@ class Channel:
     any float.  Every level reads the column ends of :attr:`column_ends`.
     """
 
-    rows: tuple
-    _int_columns: tuple = field(default=None, init=False, repr=False, compare=False)
-    _float_lows: list = field(default=None, init=False, repr=False, compare=False)
+    _compared = ("rows",)
+    _int_columns = _float_lows = None
 
-    def __post_init__(self):
-        raw = tuple(tuple(r) for r in self.rows)
+    def __init__(self, rows: tuple):
+        raw = tuple(tuple(r) for r in rows)
         if not raw:
             raise EmptySupport("a channel needs at least one input row")
         if table := _table(raw):  # a float table seeds the cached_property "columns" in the instance dict
@@ -467,14 +516,17 @@ def _pml_level(m, hi) -> ExtReal:
     return ExtReal(Fraction(hi, m) if type(m) is int else hi / m)
 
 
-@dataclass(frozen=True)
-class OutcomeLeakage:
+class OutcomeLeakage(_Frozen):
     """Leakage of a single outcome: its mass, PMC, PML and density extremes."""
 
-    y: int
-    mass: float
-    pmc: ExtReal
-    pml: ExtReal
+    _compared = ("y", "mass", "pmc", "pml")
+
+    def __init__(self, y: int, mass: float, pmc: ExtReal, pml: ExtReal):
+        setattr_ = object.__setattr__  # one lookup: a row is built per outcome
+        setattr_(self, "y", y)
+        setattr_(self, "mass", mass)
+        setattr_(self, "pmc", pmc)
+        setattr_(self, "pml", pml)
 
     @property
     def info_density_min(self) -> float:
@@ -485,8 +537,7 @@ class OutcomeLeakage:
         return self.pml.nats
 
 
-@dataclass(frozen=True)
-class Joint:
+class Joint(_Frozen):
     """A prior and a channel with the induced output marginal.
 
     The support holds the outcomes with positive marginal mass; every essential supremum
@@ -497,11 +548,11 @@ class Joint:
     (``_int_marginal``) and reads every level against those of :attr:`Channel.column_ends`.
     """
 
-    prior: Pmf
-    channel: Channel
-    marginal: tuple
-    support: tuple
-    _int_marginal: list = field(default=None, repr=False, compare=False)
+    _compared = ("prior", "channel", "marginal", "support")
+
+    def __init__(self, prior: Pmf, channel: Channel, marginal: tuple, support: tuple, _int_marginal: list = None):
+        self._fill(prior, channel, marginal, support)
+        object.__setattr__(self, "_int_marginal", _int_marginal)
 
     @classmethod
     def from_prior_channel(cls, prior: Pmf, channel: Channel) -> "Joint":

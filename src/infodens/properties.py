@@ -13,22 +13,20 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Callable, List, Sequence
 
 from .leakage import conditional_pmc, max_realizable_cost, pmc, pml
-from .probcore import Channel, Joint, Pmf
+from .probcore import Channel, Joint, Pmf, _Frozen
 from .sampling import random_channel, random_joint, random_pmf
 
 
-@dataclass(frozen=True)
-class PropertyOutcome:
+class PropertyOutcome(_Frozen):
     """Result of one property over a batch of random instances."""
 
-    name: str
-    instances: int
-    failures: int
-    worst_violation: float
+    _compared = ("name", "instances", "failures", "worst_violation")
+
+    def __init__(self, name: str, instances: int, failures: int, worst_violation: float):
+        self._fill(name, instances, failures, worst_violation)
 
     @property
     def passed(self) -> bool:

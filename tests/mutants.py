@@ -41,7 +41,8 @@ class Mutant(NamedTuple):
 
 
 PROBCORE, ORACLES, BOUNDS = "src/infodens/probcore.py", "src/infodens/oracles.py", "src/infodens/bounds.py"
-LEAKAGE = "src/infodens/leakage.py"
+LEAKAGE, MECHANISMS = "src/infodens/leakage.py", "src/infodens/mechanisms.py"
+VALUES = "tests/test_value_classes.py::"
 REDUCTION = "tests/test_leakage.py::TestIntegerReduction::test_exact_and_mixed_joints_match_the_references"
 TEST_PROBCORE, BATCHED = "tests/test_probcore.py", "tests/test_oracles.py::TestBatchedGridSearch::"
 INGEST = TEST_PROBCORE + "::TestOnePassIngestion::"
@@ -209,6 +210,28 @@ MUTANTS = (
     Mutant("exact-nats-near-one-by-log", PROBCORE,
            "return math.log1p((n - d) / d)", "return math.log(n / d)",
            (TEST_PROBCORE + "::TestExtReal::test_exact_nats_are_rounded_from_the_exact_ratio[1+2^-80]",)),
+    # The read-only values.
+    Mutant("frozen-eq-without-class-check", PROBCORE,
+           "return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented",
+           "return self._key() == other._key()",
+           (VALUES + "TestSubclassesAreOtherValues::test_channel_never_equals_a_randomized_function_with_the_same_rows",)),
+    Mutant("frozen-hash-takes-non-compared-fields", PROBCORE,
+           "return hash(self._key())", "return hash((*self._key(), *vars(self).values()))",
+           (VALUES + "TestEveryValueClass::test_fresh_equal_instances_compare_and_hash_alike[Pmf]",)),
+    Mutant("joint-compares-its-integer-masses", PROBCORE,
+           '_compared = ("prior", "channel", "marginal", "support")',
+           '_compared = ("prior", "channel", "marginal", "support", "_int_marginal")',
+           (VALUES + "TestEqualityReadsTheComparedFieldsOnly::test_joint_with_and_without_cached_levels_and_integer_masses",)),
+    Mutant("extreal-lt-reads-le", PROBCORE,
+           "return self.ratio < other.ratio if", "return self.ratio <= other.ratio if",
+           (VALUES + "TestExtRealOrder::test_order_reads_the_ratio_on_both_backends",)),
+    Mutant("frozen-setattr-sets", PROBCORE,
+           'raise AttributeError(f"{type(self).__qualname__} is read-only: cannot set or delete {name!r}")',
+           "object.__setattr__(self, name, value)",
+           (VALUES + "TestEveryValueClass::test_every_field_is_read_only[Joint]",)),
+    Mutant("extremal-diagonal-by-another-operation", MECHANISMS,
+           "(1 - r * (1 - w),)", "((1 - r) + r * w,)",
+           ("tests/test_mechanisms.py::TestExtremalMechanism::test_entries_and_types_match_the_per_cell_formula[float]",)),
 )
 
 

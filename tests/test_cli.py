@@ -484,8 +484,9 @@ def _fresh_run(source, cwd, argv=(), code=0):
     """Run ``python -c source *argv`` in a new interpreter.
 
     Checks the exit code and returns what the run had loaded at exit: the
-    heavy packages (numpy, scipy), and the ``infodens`` modules by their
-    names inside the package.  ``sys.modules`` also holds the submodules that
+    heavy packages (numpy, scipy) and the slow-to-import standard modules
+    (dataclasses, inspect), and the ``infodens`` modules by their names
+    inside the package.  ``sys.modules`` also holds the submodules that
     ``from . import name`` loads, which ``-X importtime`` does not report.
     """
     proc = subprocess.run(
@@ -497,7 +498,7 @@ def _fresh_run(source, cwd, argv=(), code=0):
     )
     assert proc.returncode == code, proc.stderr[-2000:]
     loaded = proc.stderr.rsplit("loaded:", 1)[1].split()
-    heavy = {name.split(".")[0] for name in loaded} & {"numpy", "scipy"}
+    heavy = {name.split(".")[0] for name in loaded} & {"numpy", "scipy", "dataclasses", "inspect"}
     return heavy, {name.split(".", 1)[1] for name in loaded if name.startswith("infodens.")}
 
 
@@ -518,6 +519,8 @@ def _hints_with_type_checking_imports(obj) -> dict:
 
 #: What ``import infodens`` loads; the CLI adds ``cli``.
 _EAGER = {"errors", "probcore", "leakage"}
+#: What a run that uses numpy loads of the filtered names: numpy imports ``inspect`` itself.
+_NUMPY = {"numpy", "inspect"}
 _CLI = "from infodens.cli import main\nraise SystemExit(main())"
 
 
@@ -535,7 +538,7 @@ class TestLazyImports:
             (["mechanism", "--input", "rr.json"], 0, set(), {"documents", "mechanisms"}),
             (["mechanism", "--input", "laplace.json"], 0, set(), {"documents", "mechanisms"}),
             (["mechanism", "--input", "gaussian.json"], 0, set(), {"documents", "mechanisms"}),
-            (["oracle", "--input", str(_FIXTURES / "oracle" / "float_2x3.json"), "--y", "0", "--grid", "5"], 0, {"numpy"}, {"documents", "oracles"}),
+            (["oracle", "--input", str(_FIXTURES / "oracle" / "float_2x3.json"), "--y", "0", "--grid", "5"], 0, _NUMPY, {"documents", "oracles"}),
             (["oracle", "--input", str(_FIXTURES / "oracle" / "rational_3x3.json"), "--y", "0", "--mode", "rational", "--grid", "5"], 0, set(), {"documents", "oracles"}),
             (["oracle", "--input", str(_FIXTURES / "oracle" / "rational_3x3.json"), "--y", "0", "--mode", "rational", "--grid", "11", "--max-u", "4"], 0, set(), {"documents", "oracles"}),
             (["oracle", "--input", str(_FIXTURES / "oracle" / "rational_3x3.json"), "--y", "0", "--mode", "rational", "--grid", "5", "--max-u", "4"], 0, set(), {"documents", "oracles"}),
@@ -560,12 +563,12 @@ class TestLazyImports:
             (
                 "assert 0 < infodens.LaplaceMeanMechanism(0.0, 1.0, 1, 1.0).pmc_at(0.5) < 1\n"
                 "assert infodens.GaussianPerturbMechanism(1.0, 1.0).pmc_at(0.5) > 0",
-                {"numpy"},
+                _NUMPY,
             ),
             (
                 "m = infodens.LaplaceMeanMechanism(0.0, 1.0, 2, 1.0)\n"
                 "assert 0 < m.pmc_at(0.5) < m.sup_pmc()",
-                {"numpy"},
+                _NUMPY,
             ),
             (
                 "import sys\n"
@@ -573,7 +576,7 @@ class TestLazyImports:
                 "    m = infodens.LaplaceMeanMechanism(0.0, 1.0, n, 0.5)\n"
                 "    assert 0 < m.pmc_at(0.4) < m.sup_pmc()\n"
                 "assert not {'scipy.integrate', 'scipy.interpolate'} & set(sys.modules)",
-                {"numpy"},
+                _NUMPY,
             ),
             (
                 "m = infodens.GaussianPerturbMechanism(1.0, 1.0)\n"
@@ -592,7 +595,7 @@ class TestLazyImports:
                 "for g, beta in ((G(0.1, 1.0), 0.05), (G(1.0, 1.0), 1.0), (G(20.0, 1.0), 247.23)):\n"
                 "    assert 0 < g.tail_frequency(beta)[0] < 1\n"
                 "assert not [name for name in sys.modules if name.split('.')[0] == 'scipy']",
-                {"numpy"},
+                _NUMPY,
             ),
             (
                 # a custom law's levels, Laplace at n = 1 and Gaussian, by the graded Gauss-Legendre panels
@@ -604,13 +607,13 @@ class TestLazyImports:
                 "lower, upper = g.pmc_bounds(2.0)\n"
                 "assert lower <= g.pmc_at(2.0) <= upper\n"
                 "assert not [name for name in sys.modules if name.split('.')[0] == 'scipy']",
-                {"numpy"},
+                _NUMPY,
             ),
             (
                 "j = infodens.Joint.from_prior_channel(\n"
                 "    infodens.Pmf((0.5, 0.5)), infodens.Channel(((0.75, 0.25), (0.25, 0.75))))\n"
                 "assert infodens.certify_pmc(j, 0, infodens.SearchConfig(resolution=5, max_u=2)).dominance_ok",
-                {"numpy"},
+                _NUMPY,
             ),
             (
                 "from fractions import Fraction as F\n"
@@ -624,7 +627,7 @@ class TestLazyImports:
                 "    infodens.Pmf((0.5, 0.5)), infodens.Channel(((0.75, 0.25), (0.25, 0.75))))\n"
                 "g = infodens.brute_force_guesswork_leakage(j, 0, infodens.SearchConfig(resolution=5))\n"
                 "assert 0 < g.nats <= infodens.pmc(j, 0).nats",
-                {"numpy"},
+                _NUMPY,
             ),
             (
                 "from fractions import Fraction as F\n"
@@ -641,7 +644,7 @@ class TestLazyImports:
                 "k = infodens.RandomizedFunction(((1.0, 0.0), (0.0, 1.0)))\n"
                 "assert infodens.randomized_function_leakage(j, 0, k).nats > 0\n"
                 "assert infodens.guesswork_leakage(j, 0, k).nats > 0",
-                {"numpy"},
+                _NUMPY,
             ),
             (
                 "from fractions import Fraction as F\n"

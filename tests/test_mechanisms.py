@@ -9,12 +9,14 @@ import pytest
 
 from infodens import (
     BoundedLaw,
+    Channel,
     ExtReal,
     GaussianPerturbMechanism,
     Joint,
     LaplaceMeanMechanism,
     Pmf,
     ZERO,
+    as_level,
     discrete_law,
     extremal_mechanism,
     extremal_mechanism_pmc,
@@ -161,6 +163,27 @@ class TestExtremalMechanism:
         measured = max_realizable_cost(j)
         assert measured == extremal_mechanism_pmc(prior, level)
         assert measured == pml_to_pmc(level, prior.p_min)
+
+    @pytest.mark.parametrize(
+        "weights, level",
+        [
+            ((3, 3, 2, 2), ExtReal.from_ratio(Fraction(23, 20))),
+            ((1, 2, 3, 4, 5, 6, 7, 8), ExtReal.from_ratio(Fraction(101, 100))),
+            ((3, 3, 2, 2), 0.1),
+            ((0.3, 0.3, 0.2, 0.2), 0.1),
+            (tuple(random.Random(16).uniform(0.1, 1.0) for _ in range(16)), 0.001),
+        ],
+        ids=["exact", "exact-8", "exact-prior-float-level", "float", "float-16"],
+    )
+    def test_entries_and_types_match_the_per_cell_formula(self, weights, level):
+        """Each entry is ``1 - r (1 - P(i))`` on the diagonal and ``r P(j)`` off it, one operation each."""
+        prior = Pmf(weights)
+        r, cols = as_level(level).ratio, range(len(prior))
+        want = Channel(tuple(tuple(1 - r * (1 - prior[i]) if i == j else r * prior[j] for j in cols) for i in cols))
+        got = extremal_mechanism(prior, level)
+        assert [[type(e) for e in row] for row in got.rows] == [[type(e) for e in row] for row in want.rows]
+        key = lambda e: e.hex() if isinstance(e, float) else e  # noqa: E731
+        assert [list(map(key, row)) for row in got.rows] == [list(map(key, row)) for row in want.rows]
 
     def test_float_prior_agrees_to_tolerance(self):
         prior = Pmf((0.3, 0.3, 0.2, 0.2))
