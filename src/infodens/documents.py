@@ -74,11 +74,16 @@ def _doc_number(value, what: str, kind=(int, float)):
     return value
 
 
+def _doc_vector(raw, what: str, exact: bool, message: str) -> tuple:
+    """Read an array of probabilities, entry i named ``what[i]``; a non-array raises ``message``."""
+    if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
+        raise ParseError(message)
+    return tuple(coerce_probability(v, f"{what}[{i}]", exact) for i, v in enumerate(raw))
+
+
 def _doc_prior(raw, exact: bool) -> Pmf:
     """Read a document's ``prior``: an array of probabilities."""
-    if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
-        raise ParseError("'prior' must be an array of numbers")
-    return Pmf(tuple(coerce_probability(v, f"prior[{i}]", exact) for i, v in enumerate(raw)))
+    return Pmf(_doc_vector(raw, "prior", exact, "'prior' must be an array of numbers"))
 
 
 def _doc_level(doc: Mapping, what: str, exact: bool):
@@ -108,17 +113,11 @@ def joint_from_doc(doc: Mapping, exact: bool = False) -> Joint:
     prior = _doc_prior(prior_raw, exact)
     if not isinstance(channel_raw, Sequence):
         raise ParseError("'channel' must be an array of rows")
-    rows = []
-    for i, row in enumerate(channel_raw):
-        if not isinstance(row, Sequence) or isinstance(row, (str, bytes)):
-            raise ParseError(f"channel row {i} must be an array")
-        rows.append(
-            tuple(
-                coerce_probability(v, f"channel[{i}][{j}]", exact)
-                for j, v in enumerate(row)
-            )
-        )
-    return Joint.from_prior_channel(prior, Channel(tuple(rows)))
+    rows = tuple(
+        _doc_vector(row, f"channel[{i}]", exact, f"channel row {i} must be an array")
+        for i, row in enumerate(channel_raw)
+    )
+    return Joint.from_prior_channel(prior, Channel(rows))
 
 
 def parse_mechanism_doc(

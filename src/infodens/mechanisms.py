@@ -29,7 +29,7 @@ import math
 import sys
 from typing import Callable, Optional, Sequence, Tuple
 
-from .documents import coerce_probability, joint_from_doc, parse_mechanism_doc  # noqa: F401
+from .documents import joint_from_doc, parse_mechanism_doc  # noqa: F401
 from .errors import (
     CgfUnavailable,
     DimensionMismatch,
@@ -161,12 +161,14 @@ def extremal_mechanism(prior: Pmf, eps_u) -> Channel:
 def extremal_mechanism_pmc(prior: Pmf, eps_u) -> ExtReal:
     """Worst-outcome cost level of the extremal channel: the translated level.
 
-    ``log p_min / (1 - e^eps_u (1 - p_min))``; this is the tightness witness
-    for the leakage-to-cost translation.
+    ``log p_min / (1 - e^eps_u (1 - p_min))``, read from
+    :func:`infodens.bounds.pml_to_pmc`; this is the tightness witness for the
+    leakage-to-cost translation.
     """
-    r = _high_privacy_ratio(prior, eps_u)
-    p = prior.p_min
-    return ExtReal.from_ratio(p / (1 - r * (1 - p)))
+    _high_privacy_ratio(prior, eps_u)
+    from . import bounds  # here, not at the top: the CLI builds extremal channels without loading bounds
+
+    return bounds.pml_to_pmc(eps_u, prior.p_min)
 
 
 # ---------------------------------------------------------------------------
@@ -213,17 +215,35 @@ def _uniform_cgf(half_width: float, t: float) -> float:
     return math.log(math.sinh(x) / x)
 
 
+class _UniformCgf(_Frozen):
+    """``t -> _uniform_cgf(half_width, t)``, a value: equal half-widths give equal laws."""
+
+    _compared = ("half_width",)
+
+    def __init__(self, half_width: float):
+        self._fill(half_width)
+
+    def __call__(self, t: float) -> float:
+        return _uniform_cgf(self.half_width, t)
+
+
+class _UniformPdf(_Frozen):
+    """The uniform density on [lo, hi], a value: equal ends give equal laws."""
+
+    _compared = ("lo", "hi")
+
+    def __init__(self, lo: float, hi: float):
+        self._fill(lo, hi)
+
+    def __call__(self, x: float) -> float:
+        return 1.0 / (self.hi - self.lo) if self.lo <= x <= self.hi else 0.0
+
+
 def uniform_law(lo: float, hi: float) -> BoundedLaw:
     """The uniform distribution on [lo, hi] with exact closed-form pieces."""
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    half = (hi - lo) / 2.0
-    density = 1.0 / (hi - lo)
-
-    def pdf(x: float) -> float:
-        return density if lo <= x <= hi else 0.0
-
-    return BoundedLaw(lo, hi, (lo + hi) / 2.0, lambda t: _uniform_cgf(half, t), pdf, family="uniform")
+    return BoundedLaw(lo, hi, (lo + hi) / 2.0, _UniformCgf((hi - lo) / 2.0), _UniformPdf(lo, hi), family="uniform")
 
 
 def discrete_law(points: Sequence[float], probs: Sequence[float]) -> BoundedLaw:

@@ -364,19 +364,17 @@ def cost_function_leakage(joint: Joint, y: int, cost: CostFunction) -> ExtReal:
 
     Log-ratio of the smallest prior expected cost to the smallest posterior
     expected cost; infinite when the posterior minimum vanishes while the
-    prior minimum does not.  Float minima are recomputed exactly when one is 0.
+    prior minimum does not.  Both minima are exact: stored floats are read as
+    the dyadic rationals they are.
     """
     if cost.n_secrets != len(joint.prior):
         raise DimensionMismatch(
             f"cost table has {cost.n_secrets} rows, prior has {len(joint.prior)} outcomes"
         )
-    weights, table = (joint.prior.weights, joint.posterior(y)), cost.table
-    prior_min, post_min = (_min_cost(table, w) for w in weights)
+    table = [[e if e == math.inf else Fraction(e) for e in row] for row in cost.table]
+    prior_min, post_min = (_min_cost(table, list(map(Fraction, w))) for w in (joint.prior.weights, joint.posterior(y)))
     if prior_min == math.inf:
         raise AllInfinitePrior("every action has infinite prior expected cost")
-    if 0 in (prior_min, post_min) and not _all_fractions(*weights, *table):
-        table = [[e if e == math.inf else Fraction(e) for e in row] for row in table]
-        prior_min, post_min = (_min_cost(table, list(map(Fraction, w))) for w in weights)
     return _error_ratio(prior_min, post_min)
 
 
@@ -667,7 +665,9 @@ def certify_pmc(joint: Joint, y: int, cfg: SearchConfig) -> OracleCertificate:
     visited = tuple((u_size, count if scanned else 0, exhaustive) for u_size, _, _, count, exhaustive in grids)
 
     closed = leakage.pmc(joint, y)
-    if closed.is_finite and best.is_finite:
+    if closed.is_exact and best.is_exact:  # one log of the exact quotient, not a difference of two
+        gap = ExtReal(closed.ratio / best.ratio).nats
+    elif closed.is_finite and best.is_finite:
         gap = closed.nats - best.nats
     elif closed.is_finite != best.is_finite:
         gap = math.inf

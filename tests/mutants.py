@@ -42,6 +42,7 @@ class Mutant(NamedTuple):
 
 PROBCORE, ORACLES, BOUNDS = "src/infodens/probcore.py", "src/infodens/oracles.py", "src/infodens/bounds.py"
 LEAKAGE, MECHANISMS = "src/infodens/leakage.py", "src/infodens/mechanisms.py"
+DOCUMENTS, ERRORS = "src/infodens/documents.py", "tests/test_input_errors.py::"
 VALUES = "tests/test_value_classes.py::"
 REDUCTION = "tests/test_leakage.py::TestIntegerReduction::test_exact_and_mixed_joints_match_the_references"
 TEST_PROBCORE, BATCHED = "tests/test_probcore.py", "tests/test_oracles.py::TestBatchedGridSearch::"
@@ -232,6 +233,37 @@ MUTANTS = (
     Mutant("extremal-diagonal-by-another-operation", MECHANISMS,
            "(1 - r * (1 - w),)", "((1 - r) + r * w,)",
            ("tests/test_mechanisms.py::TestExtremalMechanism::test_entries_and_types_match_the_per_cell_formula[float]",)),
+    # One copy of each rule.
+    Mutant("doc-vector-names-the-next-entry", DOCUMENTS,
+           'f"{what}[{i}]"', 'f"{what}[{i + 1}]"',
+           (ERRORS + "test_documents[channel-entry]", ERRORS + "test_documents[prior-entry]")),
+    Mutant("extremal-pmc-from-the-reverse-translation", MECHANISMS,
+           "bounds.pml_to_pmc(eps_u, prior.p_min)", "bounds.pmc_to_pml(eps_u, prior.p_min)",
+           ("tests/test_mechanisms.py::TestExtremalMechanism::test_closed_form_is_the_translation_bit_for_bit",)),
+    Mutant("cost-minima-read-floats", ORACLES,
+           "table = [[e if e == math.inf else Fraction(e) for e in row] for row in cost.table]",
+           "table = [[e if e == math.inf else float(e) for e in row] for row in cost.table]",
+           ("tests/test_oracles.py::TestExactCostMinima::test_float_joints_read_the_stored_floats_exactly",)),
+    Mutant("rational-gap-as-a-difference", ORACLES,
+           "gap = ExtReal(closed.ratio / best.ratio).nats", "gap = closed.nats - best.nats",
+           ("tests/test_oracles.py::TestExactGaps::test_rational_gaps_are_one_log_of_the_exact_quotient",)),
+    Mutant("sweep-cap-tenfold", BOUNDS,
+           "if steps > _MAX_SWEEP_STEPS:", "if steps > 10 * _MAX_SWEEP_STEPS:",
+           ("tests/test_bounds.py::TestSweepCurves::test_step_budget_is_checked_before_any_row",)),
+    # Input checks.
+    Mutant("bounded-law-takes-a-point", MECHANISMS,
+           "if not (self.lo < self.hi):", "if not (self.lo <= self.hi):",
+           (ERRORS + "test_mechanisms[law-ends]",)),
+    Mutant("pmin-check-takes-bools", BOUNDS,
+           "if isinstance(p_min, bool) or not isinstance(p_min, (int, float, Fraction)):",
+           "if not isinstance(p_min, (int, float, Fraction)):",
+           (ERRORS + "test_bounds",)),
+    Mutant("eps-ratio-below-one-accepted", DOCUMENTS,
+           "if ratio < 1:", "if ratio < 0:",
+           (ERRORS + "test_documents[eps-ratio-below-one]",)),
+    Mutant("cost-entries-take-nan", ORACLES,
+           "if isinstance(e, float) and math.isnan(e):", "if False:",
+           (ERRORS + "test_oracles[nan]",)),
 )
 
 

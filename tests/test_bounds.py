@@ -26,7 +26,9 @@ from infodens import (
     sweep_curves,
     verify_boundedness_equivalence,
 )
-from infodens.errors import InvalidPmin
+from infodens import bounds
+from infodens.cli import main
+from infodens.errors import BudgetExceeded, InvalidPmin
 from infodens.sampling import random_joint
 
 LOG15 = ExtReal.from_ratio(Fraction(3, 2))
@@ -317,6 +319,21 @@ class TestSweepCurves:
             sweep_curves(0.5, 1)
         with pytest.raises(InvalidPmin):
             sweep_curves(1.0, 10)
+
+    @pytest.mark.parametrize("steps", [bounds._MAX_SWEEP_STEPS + 1, 10**12])
+    def test_step_budget_is_checked_before_any_row(self, steps, monkeypatch):
+        def no_row(*args):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr(bounds, "pml_to_pmc", no_row)
+        with pytest.raises(BudgetExceeded, match=f"^sweep would tabulate {steps} steps, more than 100000$"):
+            sweep_curves(0.25, steps)
+
+    def test_cli_sweep_beyond_the_budget_exits_2_with_one_error_line(self, tmp_path, capsys):
+        assert main(["sweep", "--pmin", "0.25", "--steps", "1000000000", "--output", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: sweep would tabulate 1000000000 steps, more than 100000\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_csv_headers(self):
         table = sweep_curves(0.5, 3)

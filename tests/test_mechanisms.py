@@ -192,6 +192,27 @@ class TestExtremalMechanism:
             extremal_mechanism_pmc(prior, 0.1).nats, abs=1e-12
         )
 
+    @pytest.mark.parametrize("weights", [(0.3, 0.7), (0.1, 0.9), (Fraction(3, 10), Fraction(7, 10))])
+    def test_zero_level_is_exactly_zero(self, weights):
+        """At eps_u = 0 the cost level is the zero level, never a rounding of it on either side."""
+        assert extremal_mechanism_pmc(Pmf(weights), 0.0) == ZERO
+        assert extremal_mechanism_pmc(Pmf(weights), 0.0).nats == 0.0
+
+    def test_closed_form_is_the_translation_bit_for_bit(self):
+        """Seeded float and rational priors, levels strictly inside the high-privacy regime."""
+        rng = random.Random(47)
+        for i in range(200):
+            prior = random_pmf(rng, rng.randint(2, 6), exact=i % 2 == 1)
+            boundary = -math.log1p(-float(prior.p_min))
+            fraction = rng.choice((0.0, rng.random()))
+            level = (
+                ExtReal.from_ratio(1 + Fraction(rng.randint(0, 99), 100) * (1 / (1 - prior.p_min) - 1))
+                if i % 4 == 1 else boundary * fraction * 0.999
+            )
+            got, want = extremal_mechanism_pmc(prior, level), pml_to_pmc(level, prior.p_min)
+            assert type(got.ratio) is type(want.ratio) and got.ratio == want.ratio
+            assert got.nats >= 0.0
+
 
 class TestUniformCgf:
     def test_zero_argument(self):

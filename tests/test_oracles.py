@@ -1,5 +1,6 @@
 import array
 import collections
+import decimal
 import functools
 import hashlib
 import itertools
@@ -148,6 +149,24 @@ class TestCostFunctionLeakage:
             for y in j.support:
                 lam = cost_function_leakage(j, y, c)
                 assert lam.nats <= pmc(j, y).nats + 1e-12
+
+
+class TestExactCostMinima:
+    def test_float_joints_read_the_stored_floats_exactly(self):
+        """The level is the quotient of the two minima summed in Fractions from the stored floats."""
+        rng = random.Random(47)
+        for _ in range(60):
+            j = random_joint(rng, rng.randint(2, 4), rng.randint(2, 3), zero_prob=0.2)
+            c = random_cost(rng, j.n_inputs, rng.randint(2, 3), zero_prob=0.3)
+            for y in j.support:
+                minima = [
+                    min(sum(Fraction(w) * Fraction(row[a]) for w, row in zip(weights, c.table))
+                        for a in range(c.n_actions))
+                    for weights in (j.prior.weights, j.posterior(y))
+                ]
+                want = INF if minima[1] == 0 < minima[0] else ExtReal(minima[0] / minima[1] if minima[1] else 1)
+                got = cost_function_leakage(j, y, c)
+                assert got.ratio == want.ratio and got.is_exact == want.is_exact
 
 
 class TestCostKernelEquivalence:
@@ -343,6 +362,23 @@ class TestBruteForce:
     def test_search_config_needs_integers(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             SearchConfig(**{field: value})
+
+
+class TestExactGaps:
+    def test_rational_gaps_are_one_log_of_the_exact_quotient(self):
+        """Each finite gap of two exact levels is within one ulp of a 50-digit log of their quotient."""
+        rng, cfg, finite = random.Random(7), SearchConfig(resolution=2, max_u=2), 0
+        context = decimal.Context(prec=50)
+        for _ in range(400):
+            j = random_joint(rng, rng.randint(2, 5), rng.randint(2, 5), exact=True)
+            cert = certify_pmc(j, rng.choice(j.support), cfg)
+            if not (cert.closed_form.is_exact and cert.oracle_value.is_exact):
+                continue
+            q = cert.closed_form.ratio / cert.oracle_value.ratio
+            reference = float(context.ln(context.divide(q.numerator, q.denominator)))
+            assert abs(cert.gap_nats - reference) <= math.ulp(reference), q
+            finite += reference != 0.0
+        assert finite == 64
 
 
 class TestKernelFromCost:

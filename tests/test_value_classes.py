@@ -15,7 +15,7 @@ import pytest
 from infodens import (
     INF, ZERO, BoundedLaw, Channel, CostFunction, ExtReal, GaussianPerturbMechanism, Guarantee,
     GuaranteeKind, Joint, LaplaceMeanMechanism, Pmf, RandomizedFunction, SearchConfig,
-    TranslationResult, leakage_profile, sweep_curves,
+    TranslationResult, leakage_profile, sweep_curves, uniform_law,
 )
 from infodens.oracles import OracleCertificate
 from infodens.probcore import OutcomeLeakage
@@ -185,6 +185,21 @@ class TestEqualityReadsTheComparedFieldsOnly:
         assert Pmf((1, 3)) != Pmf((3, 1))
         assert SearchConfig(seed=1) != SearchConfig(seed=2)
         assert PropertyOutcome("a", 1, 0, 0.0) != PropertyOutcome("a", 1, 1, 0.0)
+
+    @pytest.mark.parametrize(
+        "make, args, other",
+        [
+            (uniform_law, (0.0, 1.0), (0.0, 2.0)),
+            (LaplaceMeanMechanism, (0.0, 1.0, 1, 1.0), (0.0, 1.0, 1, 2.0)),
+            (GaussianPerturbMechanism, (1.0, 1.0), (2.0, 1.0)),
+        ],
+        ids=["uniform_law", "LaplaceMeanMechanism", "GaussianPerturbMechanism"],
+    )
+    def test_mechanisms_built_from_equal_arguments_are_equal(self, make, args, other):
+        """The uniform law's cgf and pdf compare by their parameters, not by identity."""
+        a, b = make(*args), make(*args)
+        assert a == b and hash(a) == hash(b)
+        assert a != make(*other)
 
 
 class TestSubclassesAreOtherValues:
